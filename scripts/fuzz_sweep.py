@@ -4,7 +4,8 @@ normalize everything, and tabulate how much work the strategy does.
 
 Typical questions this answers: how often do generated terms actually
 contain sessions, how many steps and cycles does normalization take as
-terms grow, and how often each communication rule fires.
+terms grow, and how often activations, crosses and garbage collections
+fire (the cross column leaves GarbageCross out).
 
     python3 scripts/fuzz_sweep.py
     python3 scripts/fuzz_sweep.py --presets em,c3 --sizes 10,20,40 --count 200
@@ -24,6 +25,7 @@ from lax import (
     is_parallel_form,
     normalize,
 )
+from lax.rewrite import CROSSES, RedexKind
 from lax.terms import ParBind, iter_subterms
 
 
@@ -62,7 +64,7 @@ def run_cell(cfg: SweepConfig, preset: str, size: int) -> Row:
         row.steps.append(len(trace.steps))
         row.cycles.append(trace.cycles)
         for s in trace.steps:
-            row.rules[s.redex.rule.split("(")[0].split("[")[0]] += 1
+            row.rules[s.redex.kind] += 1
         ok = is_normal(final) and is_parallel_form(final)
         if cfg.audit:
             ok = ok and audit_trace(TypingContext(ivars=gamma), trace).holds
@@ -99,23 +101,24 @@ def main() -> int:
 
     hdr = (
         f"{'preset':>7} {'size':>5} {'terms':>6} {'sess%':>6} "
-        f"{'steps':>7} {'max':>5} {'cyc':>5} {'comm':>6} {'bad':>4} {'sec':>7}"
+        f"{'steps':>7} {'max':>5} {'cyc':>5} {'act':>5} {'cross':>5} "
+        f"{'garb':>5} {'bad':>4} {'sec':>7}"
     )
     print(hdr)
     print("-" * len(hdr))
     total_bad = 0
-    comm_rules = {"Activation", "BasicCross", "FullCross", "GarbageCross", "BroadcastCross"}
     for preset in cfg.presets:
         for size in cfg.sizes:
             row = run_cell(cfg, preset, size)
             total_bad += row.violations
-            comm = sum(n for r, n in row.rules.items() if r in comm_rules)
+            crosses = sum(row.rules[k] for k in CROSSES)
             print(
                 f"{preset:>7} {size:>5} {row.terms:>6} "
                 f"{100 * row.with_sessions / max(row.terms, 1):>5.1f}% "
                 f"{mean(row.steps):>7.2f} {max(row.steps, default=0):>5} "
-                f"{mean(row.cycles):>5.2f} {comm:>6} {row.violations:>4} "
-                f"{row.wall:>7.2f}"
+                f"{mean(row.cycles):>5.2f} {row.rules[RedexKind.ACTIVATION]:>5} "
+                f"{crosses:>5} {row.rules[RedexKind.GARBAGE_CROSS]:>5} "
+                f"{row.violations:>4} {row.wall:>7.2f}"
             )
     print()
     print(f"violations: {total_bad}")

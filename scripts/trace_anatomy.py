@@ -19,6 +19,7 @@ from lax import (
     parse_program,
     show_term,
 )
+from lax.cli import example_options
 
 
 def bundled():
@@ -26,18 +27,6 @@ def bundled():
     for entry in sorted(root.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".lax"):
             yield entry.name[: -len(".lax")], entry.read_text()
-
-
-def option(source: str, key: str) -> str | None:
-    for line in source.splitlines():
-        line = line.strip()
-        if line.startswith("# options:"):
-            for piece in line[len("# options:") :].split(","):
-                if "=" in piece:
-                    k, v = piece.split("=", 1)
-                    if k.strip() == key:
-                        return v.strip()
-    return None
 
 
 def measure_key(t):
@@ -59,7 +48,7 @@ def dissect(name: str, source: str, show_states: bool) -> None:
     prog = parse_program(source)
     ctx = TypingContext(ivars=dict(prog.gamma))
     t, ty = check(prog.term, ctx)
-    underline = option(source, "underline") == "on"
+    underline = example_options(source).get("underline") == "on"
     final, trace = normalize(t, underline_discipline=underline)
 
     print(f"== {name}  (type {ty}, underline={'on' if underline else 'off'})")

@@ -14,7 +14,6 @@ from .analysis import (
     communication_measure,
     is_normal,
     subterm_types,
-    subterm_types_by_derivation,
 )
 from .axioms import (
     AxiomScheme,
@@ -65,12 +64,14 @@ from .rewrite import (
     height,
     is_parallel_form,
     is_value,
+    redexes_at,
     session_comm_complexity,
     step,
     value_complexity,
 )
 from .strategy import (
     ParallelFormFailure,
+    StepBudgetError,
     StepLimitExceeded,
     StrategyError,
     Trace,

@@ -14,15 +14,16 @@ from dataclasses import dataclass, field
 from .formulas import (
     BOT,
     TOP,
-    Conj,
-    Disj,
     Formula,
-    Impl,
     prime_factors,
     proper_subformulas,
     subformulas,
 )
 from .rewrite import (
+    CHASE,
+    CROSSES,
+    GROUP1,
+    INTUITIONISTIC,
     Redex,
     RedexKind,
     find_redexes,
@@ -38,26 +39,16 @@ from .strategy import (
     Trace,
 )
 from .terms import (
-    App,
-    Case,
     Chan,
     Contract,
-    Efq,
-    Inj,
-    Lam,
-    Pair,
     ParBind,
     Path,
-    Proj,
     Term,
-    Underline,
-    Unit,
-    Var,
     children,
     comp_body,
-    contains_active_session,
     iter_subterms,
     subterm_at,
+    uppermost_active_sessions,
 )
 from .typecheck import TypingContext, check_subject_reduction, infer_type, type_of
 
@@ -146,101 +137,6 @@ def subterm_types(t: Term) -> dict[Path, Formula]:
     return out
 
 
-def subterm_types_by_derivation(t: Term) -> dict[Path, Formula]:
-    """Independent second take on subterm_types, walking with environments
-    the way the typing rules do rather than reading annotations bottom-up."""
-    out: dict[Path, Formula] = {}
-
-    def walk(s: Term, path: Path, env: dict[str, Formula], chans: dict) -> Formula:
-        ty: Formula
-        if isinstance(s, Var):
-            ty = env[s.name]
-        elif isinstance(s, Chan):
-            ax, i = chans[s.name]
-            if s.negated:
-                return Impl(ax.carrier, BOT)
-            if ax.bare_allowed(i):
-                return ax.carrier
-            return ax.occurrence_type(i)  # never recorded: kinds, not types
-        elif isinstance(s, Lam):
-            body = walk(s.body, path + (0,), {**env, s.var: s.ann}, chans)
-            ty = Impl(s.ann, body)
-        elif isinstance(s, App):
-            fun = walk(s.fun, path + (0,), env, chans)
-            walk(s.arg, path + (1,), env, chans)
-            assert isinstance(fun, Impl)
-            ty = fun.right
-        elif isinstance(s, Pair):
-            ty = Conj(
-                walk(s.left, path + (0,), env, chans),
-                walk(s.right, path + (1,), env, chans),
-            )
-        elif isinstance(s, Proj):
-            arg = walk(s.arg, path + (0,), env, chans)
-            assert isinstance(arg, Conj)
-            ty = arg.left if s.index == 0 else arg.right
-        elif isinstance(s, Inj):
-            walk(s.arg, path + (0,), env, chans)
-            ty = s.disj
-        elif isinstance(s, Case):
-            scrut = walk(s.scrut, path + (0,), env, chans)
-            assert isinstance(scrut, Disj)
-            lt = walk(s.lbody, path + (1,), {**env, s.lvar: scrut.left}, chans)
-            walk(s.rbody, path + (2,), {**env, s.rvar: scrut.right}, chans)
-            ty = lt
-        elif isinstance(s, Efq):
-            walk(s.arg, path + (0,), env, chans)
-            ty = s.target
-        elif isinstance(s, Unit):
-            ty = TOP
-        elif isinstance(s, ParBind):
-            tys = []
-            for i, c in enumerate(s.comps):
-                sub = {**chans, s.chan: (s.axiom, i)}
-                tys.append(walk(c, path + (i,), env, sub))
-            ty = tys[0]
-        elif isinstance(s, Contract):
-            ty = walk(s.left, path + (0,), env, chans)
-            walk(s.right, path + (1,), env, chans)
-        elif isinstance(s, Underline):
-            ty = walk(s.body, path + (0,), env, chans)
-        else:
-            raise AssertionError(f"unhandled node {s!r}")
-        out[path] = ty
-        return ty
-
-    def seed_env(term: Term) -> dict[str, Formula]:
-        env = {}
-        for _, s in iter_subterms(term):
-            if isinstance(s, Var) and s.ty is not None:
-                env.setdefault(s.name, s.ty)
-        return env
-
-    walk(t, (), seed_env(t), _seed_chans(t))
-    return out
-
-
-def _seed_chans(t: Term) -> dict:
-    """Free-channel occurrence kinds, read off the elaborated annotations."""
-    out = {}
-    for _, s in iter_subterms(t):
-        if isinstance(s, Chan) and s.ty is not None and s.name not in out:
-            # free channels in a typing context are bare carriers
-            out[s.name] = (_FreeKind(s.ty), 0)
-    return out
-
-
-class _FreeKind:
-    """Duck-typed stand-in for a scheme when a channel is context-free."""
-
-    def __init__(self, carrier: Formula):
-        self.carrier = carrier
-        self.mode = "em"
-
-    def bare_allowed(self, i: int) -> bool:
-        return True
-
-
 def check_subformula(ctx: TypingContext, t: Term) -> PropertyReport:
     """Both clauses of the subformula property for a normal, typed term.
 
@@ -277,23 +173,6 @@ def check_subformula(ctx: TypingContext, t: Term) -> PropertyReport:
 # ---------------------------------------------------------------------------
 # trace auditing
 
-_GROUP1 = {RedexKind.BETA, RedexKind.CASE_INJ}
-_GROUP2_MONITORED = {
-    RedexKind.PROJ_PAIR,
-    RedexKind.CASE_PERM,
-    RedexKind.BASIC_CROSS,
-    RedexKind.FULL_CROSS,
-    RedexKind.GARBAGE_CROSS,
-    RedexKind.BROADCAST_CROSS,
-}
-_CROSSES = {
-    RedexKind.BASIC_CROSS,
-    RedexKind.FULL_CROSS,
-    RedexKind.BROADCAST_CROSS,
-}
-_CHASE = {RedexKind.PROJ_PAIR, RedexKind.CASE_PERM}
-
-
 def _max_c(rs: list[Redex], pred) -> int:
     vals = [r.complexity for r in rs if pred(r)]
     return max(vals) if vals else -1
@@ -302,7 +181,7 @@ def _max_c(rs: list[Redex], pred) -> int:
 def _check_decrease(
     rep: PropertyReport, idx: int, fired: Redex, before: list[Redex], after: list[Redex]
 ) -> None:
-    if fired.kind in _GROUP1:
+    if fired.group == GROUP1:
         tau = fired.complexity
         cap_case = _max_c(before, lambda r: r.kind == RedexKind.CASE_PERM)
         for q in after:
@@ -314,7 +193,7 @@ def _check_decrease(
                     f"{list(q.position)} has complexity {q.complexity}, above "
                     "every bound of the first decrease clause",
                 )
-    elif fired.kind in _GROUP2_MONITORED:
+    else:
         tau = fired.complexity
         for q in after:
             cap_group = _max_c(before, lambda r, g=q.group: r.group == g)
@@ -325,18 +204,6 @@ def _check_decrease(
                     f"{list(q.position)} has complexity {q.complexity}, above "
                     "every bound of the second decrease clause",
                 )
-
-
-def _uppermost_active_sessions(t: Term) -> list[tuple[Path, ParBind]]:
-    out = []
-    for path, s in iter_subterms(t):
-        if (
-            isinstance(s, ParBind)
-            and s.active
-            and not any(contains_active_session(comp_body(c)) for c in s.comps)
-        ):
-            out.append((path, s))
-    return out
 
 
 def _parallel_inside(s: ParBind) -> int:
@@ -374,7 +241,7 @@ def communication_measure(t: Term) -> tuple[int, dict[int, int], dict[int, int]]
     that each contain strictly fewer parallel nodes, which stays a strict
     multiset decrease even when two components tie for the tallest
     subtree (heights alone can tie and stall there)."""
-    upper = _uppermost_active_sessions(t)
+    upper = uppermost_active_sessions(t)
     upper_paths = {p for p, _ in upper}
     n = sum(
         1
@@ -521,12 +388,6 @@ def _audit_activation_phases(
         pre = find_redexes(terms[start], disc)
         tau = _max_c(pre, lambda r: is_communication(r.kind))
         post = find_redexes(terms[end], disc)
-        intuitionistic = {
-            RedexKind.BETA,
-            RedexKind.CASE_INJ,
-            RedexKind.PROJ_PAIR,
-            RedexKind.CASE_PERM,
-        }
         for q in post:
             if q.kind == RedexKind.ACTIVATION:
                 rep.add(
@@ -534,7 +395,7 @@ def _audit_activation_phases(
                     "activation phase ended with an activation redex left at "
                     f"{list(q.position)}",
                 )
-            elif q.kind in intuitionistic:
+            elif q.kind in INTUITIONISTIC:
                 rep.add(
                     f"step {end - 1}",
                     "activation phase ended with an intuitionistic redex at "
@@ -553,7 +414,7 @@ def _chase_end(trace: Trace, i: int) -> int:
     while (
         j < len(trace.steps)
         and trace.steps[j].phase == PHASE_COMMUNICATION
-        and trace.steps[j].redex.kind in _CHASE
+        and trace.steps[j].redex.kind in CHASE
     ):
         j += 1
     return j
@@ -563,7 +424,7 @@ def _audit_freeze(
     rep: PropertyReport, trace: Trace, terms: list[Term], disc: bool
 ) -> None:
     for i, ts in enumerate(trace.steps):
-        if ts.phase != PHASE_COMMUNICATION or ts.redex.kind not in _CROSSES:
+        if ts.phase != PHASE_COMMUNICATION or ts.redex.kind not in CROSSES:
             continue
         j = _chase_end(trace, i)
         for q in find_redexes(terms[j], disc):
@@ -588,7 +449,7 @@ def _audit_communication_measure(
             ):
                 i += 1  # the inactive-session sweep sits outside the measure
                 continue
-            j = _chase_end(trace, i) if kind in _CROSSES else i + 1
+            j = _chase_end(trace, i) if kind in CROSSES else i + 1
             if not measure_decreases(terms[i], terms[j]):
                 rep.add(
                     f"step {i}",

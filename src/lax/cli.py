@@ -24,11 +24,13 @@ from .formulas import show_formula
 from .parser import LaxSyntaxError, Program, parse_program, parse_term
 from .printer import show_term
 from .strategy import (
+    DEFAULT_MAX_STEPS,
     ParallelFormFailure,
+    StepBudgetError,
     StepLimitExceeded,
     Trace,
-    default_max_steps,
     normalize,
+    parse_max_steps,
 )
 from .terms import alpha_eq
 from .typecheck import TypingContext, TypingError, check
@@ -109,6 +111,9 @@ def _emit_reports(out: _Out, reports) -> bool:
 
 def cmd_normalize(args) -> int:
     out = _Out(args.format)
+    max_steps = None
+    if args.max_steps is not None:
+        max_steps = parse_max_steps(args.max_steps, "--max-steps")
     try:
         prog = _load(args.file)
         ctx, elab, _ = _typed(prog)
@@ -119,7 +124,7 @@ def cmd_normalize(args) -> int:
     discipline = args.underline == "on"
     try:
         final, trace = normalize(
-            elab, max_steps=args.max_steps, underline_discipline=discipline
+            elab, max_steps=max_steps, underline_discipline=discipline
         )
     except ParallelFormFailure as e:
         out.emit({"event": "error", "error": str(e)}, f"error: {e}")
@@ -155,7 +160,8 @@ def cmd_normalize(args) -> int:
     return EXIT_OK
 
 
-def _example_options(text: str) -> dict[str, str]:
+def example_options(text: str) -> dict[str, str]:
+    """The key=value pairs on an example's "# options:" lines."""
     opts: dict[str, str] = {}
     for line in text.splitlines():
         line = line.strip()
@@ -183,7 +189,7 @@ def cmd_examples(args) -> int:
     out = _Out(args.format)
     worst = EXIT_OK
     for name, source, golden_text in _bundled_examples():
-        opts = _example_options(source)
+        opts = example_options(source)
         try:
             prog = parse_program(source)
             ctx, elab, _ = _typed(prog)
@@ -317,8 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="audit the trace and check the normal form, exit 3 on failure",
     )
     n.add_argument(
-        "--max-steps", type=int, default=None,
-        help=f"step budget (default {default_max_steps()}, or LAX_MAX_STEPS)",
+        "--max-steps", default=None,
+        help=f"step budget (default {DEFAULT_MAX_STEPS}, or LAX_MAX_STEPS)",
     )
     n.add_argument(
         "--underline", choices=("on", "off"), default="off",
@@ -347,7 +353,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except StepBudgetError as e:
+        _Out(args.format).emit({"event": "error", "error": str(e)}, f"error: {e}")
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -96,11 +96,12 @@ class _Synth:
         return kind(self.formula(depth - 1), self.formula(depth - 1))
 
     def mint_scheme(self) -> AxiomScheme:
+        # em and em3 keep their preset's shape but draw a random carrier
         name = self.cfg.preset
         if name == "em":
             return em_axiom(self.formula(1))
         if name == "em3":
-            return broadcast_axiom(self.formula(1), self.rng.choice((2, 3)))
+            return broadcast_axiom(self.formula(1), preset(name).fanout)
         return preset(name)
 
     # -- inhabitation ------------------------------------------------------

@@ -142,7 +142,6 @@ class RedexKind(str, Enum):
     PROJ_PAIR = "ProjPair"
     CASE_INJ = "CaseInj"
     CASE_PERM = "CasePerm"
-    DISJ_PERM = "CasePerm"  # alias: the figures' name for the same rule
     PAR_PERM = "ParPerm"
     PAR_PAR_PERM = "ParParPerm"
     ACTIVATION = "Activation"
@@ -170,13 +169,15 @@ _GROUPS = {
     RedexKind.PAR_PAR_PERM: GROUP_OTHER,
 }
 
-_COMMUNICATION = {
-    RedexKind.ACTIVATION,
-    RedexKind.BASIC_CROSS,
-    RedexKind.FULL_CROSS,
-    RedexKind.GARBAGE_CROSS,
-    RedexKind.BROADCAST_CROSS,
-}
+# the rule kinds each phase of the strategy may fire
+INTUITIONISTIC = frozenset(
+    {RedexKind.BETA, RedexKind.CASE_INJ, RedexKind.PROJ_PAIR, RedexKind.CASE_PERM}
+)
+CHASE = frozenset({RedexKind.PROJ_PAIR, RedexKind.CASE_PERM})
+CROSSES = frozenset(
+    {RedexKind.BASIC_CROSS, RedexKind.FULL_CROSS, RedexKind.BROADCAST_CROSS}
+)
+_COMMUNICATION = CROSSES | {RedexKind.ACTIVATION, RedexKind.GARBAGE_CROSS}
 
 
 @dataclass(frozen=True)
@@ -278,12 +279,17 @@ def _captured_chans(occ: Occurrence, msg: Term) -> frozenset[str]:
 
 
 def session_comm_complexity(bind: ParBind) -> int:
-    best = 0
-    for k, comp in enumerate(bind.comps):
-        for occ in chan_occurrences(comp_body(comp), bind.chan):
-            if occ.arg is not None:
-                best = max(best, _vc_safe(occ.arg))
-    return best
+    return _comm_complexity(
+        [chan_occurrences(comp_body(c), bind.chan) for c in bind.comps]
+    )
+
+
+def _comm_complexity(occs: list[list[Occurrence]]) -> int:
+    """Maximum value complexity over the applied occurrences' arguments."""
+    return max(
+        (_vc_safe(o.arg) for per in occs for o in per if o.arg is not None),
+        default=0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +303,12 @@ def find_redexes(t: Term, underline_discipline: bool = False) -> list[Redex]:
     """
     out: list[Redex] = []
     for path, s in iter_subterms(t):
-        out.extend(_redexes_at(s, path, underline_discipline))
+        out.extend(redexes_at(s, path, underline_discipline))
     return out
 
 
-def _redexes_at(s: Term, path: Path, discipline: bool) -> Iterator[Redex]:
+def redexes_at(s: Term, path: Path, discipline: bool) -> Iterator[Redex]:
+    """The redexes rooted at s, the subterm at path, in find_redexes order."""
     # intuitionistic redexes
     if isinstance(s, App) and isinstance(s.fun, Lam):
         lam_ty = type_of(s.fun)
@@ -355,7 +362,7 @@ def _session_redexes(s: ParBind, path: Path, discipline: bool) -> Iterator[Redex
     a = s.chan
     bodies = [comp_body(c) for c in s.comps]
     occs = [chan_occurrences(b, a) for b in bodies]
-    comm = session_comm_complexity(s)
+    comm = _comm_complexity(occs)
 
     # activation: inactive binder, some applied occurrence of a value
     if not s.active:
@@ -520,7 +527,7 @@ def _contract(s: Term, r: Redex, host: Term) -> Term:
         return _par_perm(s, r, host)
 
     if k == RedexKind.PAR_PAR_PERM:
-        return _par_par_perm(s, r)
+        return _par_par_perm(s, r, host)
 
     if k == RedexKind.ACTIVATION:
         if not (isinstance(s, ParBind) and not s.active):
@@ -533,12 +540,7 @@ def _contract(s: Term, r: Redex, host: Term) -> Term:
         )
         return ParBind(b, True, s.axiom, comps)
 
-    if k in (
-        RedexKind.BASIC_CROSS,
-        RedexKind.FULL_CROSS,
-        RedexKind.GARBAGE_CROSS,
-        RedexKind.BROADCAST_CROSS,
-    ):
+    if is_communication(k):
         if not isinstance(s, ParBind):
             raise InvalidRedex(r.rule)
         if k == RedexKind.GARBAGE_CROSS:
@@ -589,6 +591,23 @@ def _case_perm(s: Term, r: Redex) -> Term:
     )
 
 
+def _freshen(par: Term, other: Term, host: Term) -> Term:
+    """Rename par's binder when other, which moves under it, mentions it
+    free: the side condition "a not in w" of the permutations."""
+    if isinstance(par, ParBind) and par.chan in free_chans(other):
+        b = fresh_name(par.chan, all_names(host))
+        return ParBind(
+            b,
+            par.active,
+            par.axiom,
+            tuple(
+                _through_mark(c, lambda u: rename_chan(u, par.chan, b, par.active))
+                for c in par.comps
+            ),
+        )
+    return par
+
+
 def _par_perm(s: Term, r: Redex, host: Term) -> Term:
     def push(par: Term, rebuild) -> Term:
         if isinstance(par, ParBind):
@@ -602,37 +621,22 @@ def _par_perm(s: Term, r: Redex, host: Term) -> Term:
             return Contract(rebuild(par.left), rebuild(par.right))
         raise InvalidRedex(r.rule)
 
-    def freshen(par: Term, other: Term) -> Term:
-        # the side condition "a not in w": rename the binder when violated
-        if isinstance(par, ParBind) and par.chan in free_chans(other):
-            b = fresh_name(par.chan, all_names(host))
-            return ParBind(
-                b,
-                par.active,
-                par.axiom,
-                tuple(
-                    _through_mark(c, lambda u: rename_chan(u, par.chan, b, par.active))
-                    for c in par.comps
-                ),
-            )
-        return par
-
     if r.which == "stack":
         if isinstance(s, App):
-            par = freshen(s.fun, s.arg)
+            par = _freshen(s.fun, s.arg, host)
             return push(par, lambda b: App(b, s.arg))
         if isinstance(s, Proj):
             return push(s.arg, lambda b: Proj(b, s.index))
         if isinstance(s, Efq):
             return push(s.arg, lambda b: Efq(b, s.target))
         if isinstance(s, Case):
-            par = freshen(s.scrut, Pair(s.lbody, s.rbody))
+            par = _freshen(s.scrut, Pair(s.lbody, s.rbody), host)
             return push(par, lambda b: Case(b, s.lvar, s.lbody, s.rvar, s.rbody))
         raise InvalidRedex(r.rule)
     if r.which == "app-left":
         if not isinstance(s, App):
             raise InvalidRedex(r.rule)
-        par = freshen(s.arg, s.fun)
+        par = _freshen(s.arg, s.fun, host)
         return push(par, lambda b: App(s.fun, b))
     if r.which == "lam":
         if not isinstance(s, Lam):
@@ -645,17 +649,17 @@ def _par_perm(s: Term, r: Redex, host: Term) -> Term:
     if r.which == "pair-left":
         if not isinstance(s, Pair):
             raise InvalidRedex(r.rule)
-        par = freshen(s.left, s.right)
+        par = _freshen(s.left, s.right, host)
         return push(par, lambda b: Pair(b, s.right))
     if r.which == "pair-right":
         if not isinstance(s, Pair):
             raise InvalidRedex(r.rule)
-        par = freshen(s.right, s.left)
+        par = _freshen(s.right, s.left, host)
         return push(par, lambda b: Pair(s.left, b))
     raise InvalidRedex(f"unknown permutation {r.which!r}")
 
 
-def _par_par_perm(s: Term, r: Redex) -> Term:
+def _par_par_perm(s: Term, r: Redex, host: Term) -> Term:
     if not (isinstance(s, ParBind) and s.active):
         raise InvalidRedex(r.rule)
     k = r.comp
@@ -664,8 +668,10 @@ def _par_par_perm(s: Term, r: Redex) -> Term:
         raise InvalidRedex(r.rule)
     if any(contains_active_session(comp_body(c)) for c in s.comps):
         raise InvalidRedex(f"{r.rule}: active session inside a component")
-
-    others_marked = any(comp_marked(c) for i, c in enumerate(s.comps) if i != k)
+    # the host's other components move under the inner binder
+    others = [c for i, c in enumerate(s.comps) if i != k]
+    inner = _freshen(inner, contract_join(others), host)
+    others_marked = any(comp_marked(c) for c in others)
 
     def embed(w: Term) -> Term:
         # w takes the hoisted component's slot; drop its mark if the host
@@ -686,10 +692,6 @@ def _par_par_perm(s: Term, r: Redex) -> Term:
     return Contract(embed(inner.left), embed(inner.right))
 
 
-def _strip_mark(c: Term) -> Term:
-    return c.body if isinstance(c, Underline) else c
-
-
 def _rightmost(bind: ParBind, i: int) -> Occurrence:
     occs = chan_occurrences(comp_body(bind.comps[i]), bind.chan)
     if not occs:
@@ -705,14 +707,14 @@ def _garbage(s: ParBind, r: Redex) -> Term:
     ]
     if not survivors or tuple(survivors) != r.survivors:
         raise InvalidRedex(r.rule)
-    return contract_join([_strip_mark(s.comps[i]) for i in survivors])
+    return contract_join([comp_body(s.comps[i]) for i in survivors])
 
 
 def _em_basic_cross(s: ParBind, r: Redex) -> Term:
     occ = _rightmost(s, 0)
     if not occ.negated or occ.arg is None or not _closed_at(occ, occ.arg):
         raise InvalidRedex(r.rule)
-    receiver = _strip_mark(s.comps[1])
+    receiver = comp_body(s.comps[1])
     return subst_chan_bare(receiver, s.chan, occ.arg)
 
 
@@ -721,7 +723,7 @@ def _broadcast_cross(s: ParBind, r: Redex) -> Term:
     if not occ.negated or occ.arg is None or not _closed_at(occ, occ.arg):
         raise InvalidRedex(r.rule)
     receivers = [
-        subst_chan_bare(_strip_mark(c), s.chan, occ.arg) for c in s.comps[1:]
+        subst_chan_bare(comp_body(c), s.chan, occ.arg) for c in s.comps[1:]
     ]
     return contract_join(receivers)
 
@@ -751,7 +753,7 @@ def _em_full_cross(s: ParBind, r: Redex, host: Term) -> Term:
     # off the fresh channel
     recv_val = Chan(b, b_ty, False, False)
     msg2 = multiple_subst(msg, ys, recv_val)
-    copy = subst_chan_bare(_strip_mark(s.comps[1]), s.chan, msg2)
+    copy = subst_chan_bare(comp_body(s.comps[1]), s.chan, msg2)
     return ParBind(b, False, em_axiom(b_ty), (inner, copy))
 
 
@@ -773,7 +775,7 @@ def _general_basic_cross(s: ParBind, r: Redex) -> Term:
     if any(comp_marked(c) for c in s.comps):
         # the mark rides along with the message to the receiver
         comps = [
-            Underline(_strip_mark(c)) if idx == j else _strip_mark(c)
+            Underline(comp_body(c)) if idx == j else comp_body(c)
             for idx, c in enumerate(comps)
         ]
     return ParBind(s.chan, s.active, s.axiom, tuple(comps))

@@ -24,49 +24,56 @@ from typing import Optional
 
 from .printer import show_term
 from .rewrite import (
+    CHASE,
+    CROSSES,
+    INTUITIONISTIC,
     Redex,
     RedexKind,
     find_redexes,
     is_parallel_form,
+    redexes_at,
     step,
 )
-from .terms import ParBind, Path, Term, comp_body, contains_active_session, iter_subterms
+from .terms import (
+    ParBind,
+    Path,
+    Term,
+    iter_subterms,
+    uppermost_active_sessions,
+)
 
 PHASE_PARALLEL = "ParallelForm"
 PHASE_INTUITIONISTIC = "Intuitionistic"
 PHASE_ACTIVATION = "Activation"
 PHASE_COMMUNICATION = "Communication"
 
-INTUITIONISTIC_KINDS = {
-    RedexKind.BETA,
-    RedexKind.CASE_INJ,
-    RedexKind.PROJ_PAIR,
-    RedexKind.CASE_PERM,
-}
-
-CHASE_KINDS = {RedexKind.PROJ_PAIR, RedexKind.CASE_PERM}
-
-CROSS_KINDS = {
-    RedexKind.BASIC_CROSS,
-    RedexKind.FULL_CROSS,
-    RedexKind.BROADCAST_CROSS,
-}
-
 DEFAULT_MAX_STEPS = 100_000
+
+
+class StrategyError(Exception):
+    pass
+
+
+class StepBudgetError(StrategyError, ValueError):
+    """The step budget is not a positive integer."""
+
+
+def parse_max_steps(raw: str, source: str) -> int:
+    """A step budget given as text; source names where the text came from."""
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n <= 0:
+        raise StepBudgetError(f"{source} must be a positive integer, got {raw!r}")
+    return n
 
 
 def default_max_steps() -> int:
     raw = os.environ.get("LAX_MAX_STEPS")
     if raw is None:
         return DEFAULT_MAX_STEPS
-    n = int(raw)
-    if n <= 0:
-        raise ValueError("LAX_MAX_STEPS must be positive")
-    return n
-
-
-class StrategyError(Exception):
-    pass
+    return parse_max_steps(raw, "LAX_MAX_STEPS")
 
 
 class ParallelFormFailure(StrategyError):
@@ -123,7 +130,13 @@ class Trace:
 
 
 class _Run:
-    def __init__(self, t: Term, max_steps: int, discipline: bool):
+    def __init__(self, t: Term, max_steps: Optional[int], discipline: bool):
+        if max_steps is None:
+            max_steps = default_max_steps()
+        elif max_steps <= 0:
+            raise StepBudgetError(
+                f"the step budget must be a positive integer, got {max_steps}"
+            )
         self.t = t
         self.max_steps = max_steps
         self.discipline = discipline
@@ -176,7 +189,7 @@ def _intuitionistic(run: _Run) -> int:
     run.phase = PHASE_INTUITIONISTIC
     made = 0
     while True:
-        rs = [r for r in run.redexes() if r.kind in INTUITIONISTIC_KINDS]
+        rs = [r for r in run.redexes() if r.kind in INTUITIONISTIC]
         if not rs:
             return made
         run.fire(_leftmost_innermost(rs))
@@ -194,23 +207,9 @@ def _activation(run: _Run) -> int:
         made += 1
 
 
-def _uppermost_active(t: Term) -> list[Path]:
-    """Active sessions without active sessions inside, shallowest first."""
-    out = []
-    for path, s in iter_subterms(t):
-        if (
-            isinstance(s, ParBind)
-            and s.active
-            and not any(contains_active_session(comp_body(c)) for c in s.comps)
-        ):
-            out.append(path)
-    out.sort(key=lambda p: (len(p), p))
-    return out
-
-
-def _side_step(run: _Run, path: Path) -> bool:
+def _side_step(run: _Run, path: Path, session: ParBind) -> bool:
     """One clause of the side strategy at the session at path. True if fired."""
-    here = [r for r in run.redexes() if r.position == path]
+    here = list(redexes_at(session, path, run.discipline))
 
     hoists = [r for r in here if r.kind == RedexKind.PAR_PAR_PERM]
     if hoists:
@@ -218,7 +217,7 @@ def _side_step(run: _Run, path: Path) -> bool:
         return True
 
     basics = [r for r in here if r.kind == RedexKind.BASIC_CROSS]
-    crosses = [r for r in here if r.kind in CROSS_KINDS]
+    crosses = [r for r in here if r.kind in CROSSES]
     if basics:
         run.fire(min(basics, key=lambda r: (r.sender, r.receiver)))
         _chase(run)
@@ -238,7 +237,7 @@ def _side_step(run: _Run, path: Path) -> bool:
 def _chase(run: _Run) -> None:
     """Clear the projections and case permutations a cross just created."""
     while True:
-        rs = [r for r in run.redexes() if r.kind in CHASE_KINDS]
+        rs = [r for r in run.redexes() if r.kind in CHASE]
         if not rs:
             return
         run.fire(rs[0])
@@ -255,9 +254,10 @@ def _sweep_inactive_garbage(run: _Run) -> int:
     while True:
         rs = [
             r
-            for r in run.redexes()
+            for path, s in iter_subterms(run.t)
+            if isinstance(s, ParBind) and not s.active
+            for r in redexes_at(s, path, run.discipline)
             if r.kind == RedexKind.GARBAGE_CROSS
-            and not _session_active_at(run.t, r.position)
         ]
         if not rs:
             return made
@@ -265,20 +265,14 @@ def _sweep_inactive_garbage(run: _Run) -> int:
         made += 1
 
 
-def _session_active_at(t: Term, path: Path) -> bool:
-    from .terms import subterm_at
-
-    s = subterm_at(t, path)
-    return isinstance(s, ParBind) and s.active
-
-
 def _communication(run: _Run) -> int:
     run.phase = PHASE_COMMUNICATION
     made = 0
     while True:
         fired = False
-        for path in _uppermost_active(run.t):
-            if _side_step(run, path):
+        upper = uppermost_active_sessions(run.t)
+        for path, session in sorted(upper, key=lambda ps: (len(ps[0]), ps[0])):
+            if _side_step(run, path, session):
                 fired = True
                 made += 1
                 break
@@ -296,7 +290,7 @@ def to_parallel_form(
     max_steps: Optional[int] = None,
     underline_discipline: bool = False,
 ) -> tuple[Term, Trace]:
-    run = _Run(t, max_steps or default_max_steps(), underline_discipline)
+    run = _Run(t, max_steps, underline_discipline)
     _parallel_form(run)
     return run.t, run.trace
 
@@ -304,7 +298,7 @@ def to_parallel_form(
 def run_phase_intuitionistic(
     t: Term, max_steps: Optional[int] = None
 ) -> tuple[Term, Trace]:
-    run = _Run(t, max_steps or default_max_steps(), False)
+    run = _Run(t, max_steps, False)
     run.cycle = 1
     _intuitionistic(run)
     return run.t, run.trace
@@ -313,7 +307,7 @@ def run_phase_intuitionistic(
 def run_phase_activation(
     t: Term, max_steps: Optional[int] = None
 ) -> tuple[Term, Trace]:
-    run = _Run(t, max_steps or default_max_steps(), False)
+    run = _Run(t, max_steps, False)
     run.cycle = 1
     _activation(run)
     return run.t, run.trace
@@ -324,7 +318,7 @@ def run_phase_communication(
     max_steps: Optional[int] = None,
     underline_discipline: bool = False,
 ) -> tuple[Term, Trace]:
-    run = _Run(t, max_steps or default_max_steps(), underline_discipline)
+    run = _Run(t, max_steps, underline_discipline)
     run.cycle = 1
     _communication(run)
     return run.t, run.trace
@@ -342,7 +336,7 @@ def normalize(
     ParallelFormFailure when a parallel node cannot be permuted onto the
     spine. Identical inputs and flags give identical traces.
     """
-    run = _Run(t, max_steps or default_max_steps(), underline_discipline)
+    run = _Run(t, max_steps, underline_discipline)
     _parallel_form(run)
     cycle = 0
     while True:

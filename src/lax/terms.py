@@ -524,6 +524,17 @@ def contains_active_session(t: Term) -> bool:
     )
 
 
+def uppermost_active_sessions(t: Term) -> list[tuple[Path, ParBind]]:
+    """Active sessions with no active session inside, in preorder."""
+    return [
+        (path, s)
+        for path, s in iter_subterms(t)
+        if isinstance(s, ParBind)
+        and s.active
+        and not any(contains_active_session(c) for c in s.comps)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # substitution
 

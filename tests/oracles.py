@@ -1,6 +1,6 @@
 """Independent reference implementations used to cross-check the engine.
 
-Both oracles deliberately avoid the library's traversal helpers
+The oracles deliberately avoid the library's traversal helpers
 (iter_subterms, chan_occurrences, decompose_stack) and re-derive every
 side condition from the raw constructors, so a bug in a shared helper
 cannot cancel out on both sides of a comparison.
@@ -9,6 +9,8 @@ cannot cancel out on both sides of a comparison.
 from __future__ import annotations
 
 from lax import (
+    BOT,
+    TOP,
     App,
     Atom,
     Bot,
@@ -18,6 +20,7 @@ from lax import (
     Contract,
     Disj,
     Efq,
+    Formula,
     Impl,
     Inj,
     Lam,
@@ -178,6 +181,122 @@ def _is_value(t: Term) -> bool:
         if isinstance(h, Chan) and h.active:
             return True
     return False
+
+
+def uppermost_active_oracle(t: Term) -> list[tuple[Path, Term]]:
+    """Active sessions with no active session inside, in preorder."""
+    out: list[tuple[Path, Term]] = []
+
+    def visit(s: Term, path: Path):
+        if (
+            isinstance(s, ParBind)
+            and s.active
+            and not any(_mentions_active_session(c) for c in s.comps)
+        ):
+            out.append((path, s))
+        for i, c in enumerate(_kids(s)):
+            visit(c, path + (i,))
+
+    visit(t, ())
+    return out
+
+
+# ---------------------------------------------------------------------------
+# subterm types, by a top-down derivation walk
+#
+# The library reads each type off the elaborated annotations bottom-up;
+# here types flow down through environments the way the typing rules do.
+
+def _preorder(t: Term) -> list[Term]:
+    out = [t]
+    for c in _kids(t):
+        out.extend(_preorder(c))
+    return out
+
+
+def subterm_types_by_derivation(t: Term) -> dict[Path, Formula]:
+    """Type of every subterm except channel occurrences."""
+    out: dict[Path, Formula] = {}
+
+    def walk(s: Term, path: Path, env: dict[str, Formula], chans: dict) -> Formula:
+        ty: Formula
+        if isinstance(s, Var):
+            ty = env[s.name]
+        elif isinstance(s, Chan):
+            ax, i = chans[s.name]
+            if s.negated:
+                return Impl(ax.carrier, BOT)
+            if ax.bare_allowed(i):
+                return ax.carrier
+            return ax.occurrence_type(i)  # never recorded: kinds, not types
+        elif isinstance(s, Lam):
+            body = walk(s.body, path + (0,), {**env, s.var: s.ann}, chans)
+            ty = Impl(s.ann, body)
+        elif isinstance(s, App):
+            fun = walk(s.fun, path + (0,), env, chans)
+            walk(s.arg, path + (1,), env, chans)
+            assert isinstance(fun, Impl)
+            ty = fun.right
+        elif isinstance(s, Pair):
+            ty = Conj(
+                walk(s.left, path + (0,), env, chans),
+                walk(s.right, path + (1,), env, chans),
+            )
+        elif isinstance(s, Proj):
+            arg = walk(s.arg, path + (0,), env, chans)
+            assert isinstance(arg, Conj)
+            ty = arg.left if s.index == 0 else arg.right
+        elif isinstance(s, Inj):
+            walk(s.arg, path + (0,), env, chans)
+            ty = s.disj
+        elif isinstance(s, Case):
+            scrut = walk(s.scrut, path + (0,), env, chans)
+            assert isinstance(scrut, Disj)
+            lt = walk(s.lbody, path + (1,), {**env, s.lvar: scrut.left}, chans)
+            walk(s.rbody, path + (2,), {**env, s.rvar: scrut.right}, chans)
+            ty = lt
+        elif isinstance(s, Efq):
+            walk(s.arg, path + (0,), env, chans)
+            ty = s.target
+        elif isinstance(s, Unit):
+            ty = TOP
+        elif isinstance(s, ParBind):
+            tys = []
+            for i, c in enumerate(s.comps):
+                sub = {**chans, s.chan: (s.axiom, i)}
+                tys.append(walk(c, path + (i,), env, sub))
+            ty = tys[0]
+        elif isinstance(s, Contract):
+            ty = walk(s.left, path + (0,), env, chans)
+            walk(s.right, path + (1,), env, chans)
+        elif isinstance(s, Underline):
+            ty = walk(s.body, path + (0,), env, chans)
+        else:
+            raise AssertionError(f"unhandled node {s!r}")
+        out[path] = ty
+        return ty
+
+    env: dict[str, Formula] = {}
+    chans: dict = {}
+    for s in _preorder(t):
+        if isinstance(s, Var) and s.ty is not None:
+            env.setdefault(s.name, s.ty)
+        elif isinstance(s, Chan) and s.ty is not None and s.name not in chans:
+            # free channels in a typing context are bare carriers
+            chans[s.name] = (_FreeKind(s.ty), 0)
+    walk(t, (), env, chans)
+    return out
+
+
+class _FreeKind:
+    """Duck-typed stand-in for a scheme when a channel is context-free."""
+
+    def __init__(self, carrier: Formula):
+        self.carrier = carrier
+        self.mode = "em"
+
+    def bare_allowed(self, i: int) -> bool:
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from lax import (
     normalize,
     parse_term,
     subterm_types,
-    subterm_types_by_derivation,
 )
+
+from oracles import subterm_types_by_derivation
 
 A, B, Z = Atom("A"), Atom("B"), Atom("Z")
 

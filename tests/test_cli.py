@@ -106,6 +106,30 @@ def test_step_budget_env_var(prog, capsys, monkeypatch):
     assert main(["normalize", prog(GOOD)]) == 0
 
 
+@pytest.mark.parametrize("budget", ["0", "-3", "abc", ""])
+def test_non_positive_or_malformed_max_steps_is_bad_input(prog, capsys, budget):
+    path = prog(GOOD)
+    assert main(["normalize", path, "--max-steps", budget]) == 1
+    assert "error" in capsys.readouterr().out
+    assert main(["normalize", path, "--max-steps", budget, "--format", "json"]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    assert json.loads(line)["event"] == "error"
+
+
+def test_malformed_step_budget_env_var(prog, capsys, monkeypatch):
+    monkeypatch.setenv("LAX_MAX_STEPS", "abc")
+    path = prog(GOOD)
+    assert main(["check", path]) == 0
+    capsys.readouterr()
+    for argv in (["normalize", path], ["examples"], ["fuzz", "--count", "1"]):
+        assert main(argv + ["--format", "json"]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        payload = json.loads(line)
+        assert payload["event"] == "error" and "LAX_MAX_STEPS" in payload["error"]
+    # an explicit budget does not read the variable
+    assert main(["normalize", path, "--max-steps", "5"]) == 0
+
+
 def test_underline_flag_parses(prog, capsys):
     assert main(["normalize", prog(SESSION), "--underline", "on"]) == 0
 

@@ -4,29 +4,38 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lax import (
+    App,
     Atom,
     Bot,
     Chan,
+    Efq,
     GenConfig,
     Impl,
     InvalidRedex,
     NotSimplyTyped,
+    ParBind,
     RedexKind,
     TypingContext,
+    Var,
     alpha_eq,
     check,
+    check_subject_reduction,
+    em_axiom,
     find_redexes,
     generate,
     height,
     is_parallel_form,
     is_value,
+    normalize,
     parse_term,
+    redexes_at,
     session_comm_complexity,
     show_term,
     step,
     value_complexity,
 )
 from lax.rewrite import GROUP1, GROUP2
+from lax.terms import iter_subterms, subterm_at
 
 from oracles import brute_force_redexes, value_complexity_oracle
 
@@ -151,6 +160,23 @@ def test_discovery_matches_the_brute_force_matcher(seed, preset, discipline):
     assert got == brute_force_redexes(t, discipline)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["em", "em3", "c3", "g2", "godel", None]),
+    st.booleans(),
+)
+def test_redexes_at_is_find_redexes_at_one_position(seed, preset, discipline):
+    """Checked on every state of a run, so active sessions show up too."""
+    _, t = generate(seed, GenConfig(preset=preset, max_size=18))
+    _, trace = normalize(t, max_steps=10_000, underline_discipline=discipline)
+    for u in [t] + [s.term_after for s in trace.steps]:
+        everywhere = find_redexes(u, discipline)
+        for path, _ in iter_subterms(u):
+            here = list(redexes_at(subterm_at(u, path), path, discipline))
+            assert here == [r for r in everywhere if r.position == path]
+
+
 def test_discipline_restricts_senders_to_the_marked_component():
     src = "nu a* : AX{A -> B, B -> A}. [ @f (a x) || g (a y) ]"
     gamma = {"f": Impl(B, C), "g": Impl(A, C), "x": A, "y": B}
@@ -227,6 +253,29 @@ def test_par_par_perm_keeps_marks_on_their_components():
     out = _step_rule(_typed(src, gamma), "ParParPerm")
     want = ("nu c : EM[Z]. [ nu a* : AX{A -> B, B -> A}. [ f (a x) || @efq[C](notc (g (a y))) ] "
             "|| nu a* : AX{A -> B, B -> A}. [ f (a x) || h c ] ]")
+    assert _eq(out, want, gamma)
+
+
+def test_par_par_perm_renames_an_inner_binder_a_sibling_mentions():
+    # the sibling efq[B](nota c) reads the outer c; hoisting the inner
+    # session named c over it must not capture that occurrence
+    gamma = {"x": A, "f": Impl(A, B)}
+    em = em_axiom(A)
+
+    def send(chan, msg, active=False):
+        return Efq(App(Chan(chan, active=active, negated=True), msg), B)
+
+    inner = ParBind("c", False, em, (send("c", Var("x")), App(Var("f"), Chan("c"))))
+    host = ParBind("a", True, em, (send("a", Chan("c"), active=True), inner))
+    ctx = TypingContext(ivars=gamma)
+    t, _ = check(ParBind("c", False, em, (send("c", Var("x")), host)), ctx)
+    out = _step_rule(t, "ParParPerm")
+    assert check_subject_reduction(ctx, t, out).ok
+    want = (
+        "nu c : EM[A]. [ efq[B](notc x) || nu d : EM[A]. "
+        "[ nu a* : EM[A]. [ efq[B](nota c) || efq[B](notd x) ] "
+        "|| nu a* : EM[A]. [ efq[B](nota c) || f d ] ] ]"
+    )
     assert _eq(out, want, gamma)
 
 

@@ -1,5 +1,7 @@
 """The phased normalization loop: order, determinism, limits, traces."""
 
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from lax import (
     Impl,
     ParallelFormFailure,
     RedexKind,
+    StepBudgetError,
     StepLimitExceeded,
     TypingContext,
     alpha_eq,
@@ -18,11 +21,15 @@ from lax import (
     is_normal,
     is_parallel_form,
     normalize,
+    parse_program,
     parse_term,
     run_phase_intuitionistic,
     step,
     to_parallel_form,
 )
+from lax.terms import uppermost_active_sessions
+
+from oracles import uppermost_active_oracle
 
 A, B, C, Z = Atom("A"), Atom("B"), Atom("C"), Atom("Z")
 
@@ -101,6 +108,22 @@ def test_step_limit_raises_with_partial_trace():
     assert err.term == err.trace.steps[-1].term_after
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_non_positive_step_budgets_are_refused(budget):
+    t = _typed("(\\x : A. x) y", {"y": A})
+    with pytest.raises(StepBudgetError):
+        normalize(t, max_steps=budget)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+def test_malformed_step_budget_variable_is_refused(raw, monkeypatch):
+    monkeypatch.setenv("LAX_MAX_STEPS", raw)
+    t = _typed("(\\x : A. x) y", {"y": A})
+    with pytest.raises(StepBudgetError):
+        normalize(t)
+    assert normalize(t, max_steps=5)[1].steps  # an explicit budget wins
+
+
 def test_cycle_limit_raises_too():
     gamma = {"f": Impl(Z, B), "y": Z}
     t = _typed("nu a : EM[Z -> Z]. [ efq[B](nota (\\z : Z. z)) || f (a y) ]", gamma)
@@ -175,3 +198,32 @@ def test_trace_replay_property(seed):
     for s in trace.steps:
         cur = step(cur, s.redex)
         assert cur == s.term_after
+
+
+def test_uppermost_active_sessions_skip_sessions_with_active_ones_inside():
+    gamma = {"x": A, "u": B, "v": B}
+    inner = "nu c* : EM[A]. [ efq[B](notc x) || u ]"
+    t = _typed(f"nu a* : EM[A]. [ efq[B](nota x) || {inner} ] |+| "
+               f"nu b* : EM[A]. [ efq[B](notb x) || v ]", gamma)
+    assert [p for p, _ in uppermost_active_sessions(t)] == [(0, 1), (1,)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(["em", "em3", "c3", "g2", "godel"]))
+def test_uppermost_active_sessions_match_the_oracle(seed, preset):
+    _, t = generate(seed, GenConfig(preset=preset, max_size=22))
+    _, trace = normalize(t, max_steps=10_000)
+    for u in [t] + [s.term_after for s in trace.steps]:
+        assert uppermost_active_sessions(u) == uppermost_active_oracle(u)
+
+
+@pytest.mark.parametrize("name", ["broadcast_em3", "godel", "mobility", "or", "scheduler_c3"])
+def test_uppermost_active_sessions_match_the_oracle_on_the_examples(name):
+    source = (resources.files("lax") / "examples" / f"{name}.lax").read_text()
+    prog = parse_program(source)
+    t, _ = check(prog.term, TypingContext(ivars=dict(prog.gamma)))
+    _, trace = normalize(t)
+    states = [t] + [s.term_after for s in trace.steps]
+    assert any(uppermost_active_sessions(u) for u in states)
+    for u in states:
+        assert uppermost_active_sessions(u) == uppermost_active_oracle(u)
