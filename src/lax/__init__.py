@@ -77,8 +77,6 @@ from .strategy import (
     Trace,
     TraceStep,
     normalize,
-    run_phase_activation,
-    run_phase_communication,
     run_phase_intuitionistic,
     to_parallel_form,
 )

@@ -181,29 +181,22 @@ def _max_c(rs: list[Redex], pred) -> int:
 def _check_decrease(
     rep: PropertyReport, idx: int, fired: Redex, before: list[Redex], after: list[Redex]
 ) -> None:
+    tau = fired.complexity
     if fired.group == GROUP1:
-        tau = fired.complexity
-        cap_case = _max_c(before, lambda r: r.kind == RedexKind.CASE_PERM)
-        for q in after:
-            cap_group = _max_c(before, lambda r, g=q.group: r.group == g)
-            if q.complexity > max(tau - 1, cap_group, cap_case):
-                rep.add(
-                    f"step {idx}",
-                    f"after {fired.rule} (complexity {tau}), redex {q.rule} at "
-                    f"{list(q.position)} has complexity {q.complexity}, above "
-                    "every bound of the first decrease clause",
-                )
+        clause = "first"
+        floor = max(tau - 1, _max_c(before, lambda r: r.kind == RedexKind.CASE_PERM))
     else:
-        tau = fired.complexity
-        for q in after:
-            cap_group = _max_c(before, lambda r, g=q.group: r.group == g)
-            if q.complexity > max(tau, cap_group):
-                rep.add(
-                    f"step {idx}",
-                    f"after {fired.rule} (complexity {tau}), redex {q.rule} at "
-                    f"{list(q.position)} has complexity {q.complexity}, above "
-                    "every bound of the second decrease clause",
-                )
+        clause = "second"
+        floor = tau
+    for q in after:
+        cap_group = _max_c(before, lambda r, g=q.group: r.group == g)
+        if q.complexity > max(floor, cap_group):
+            rep.add(
+                f"step {idx}",
+                f"after {fired.rule} (complexity {tau}), redex {q.rule} at "
+                f"{list(q.position)} has complexity {q.complexity}, above "
+                f"every bound of the {clause} decrease clause",
+            )
 
 
 def _parallel_inside(s: ParBind) -> int:

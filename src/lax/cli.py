@@ -5,9 +5,10 @@ strategy with optional trace streaming and run auditing, `examples`
 replays the bundled programs against their golden normal forms, and
 `fuzz` generates random well-typed terms and audits every run.
 
-Exit codes: 0 success, 1 bad input, 2 step limit exceeded, 3 a checked
-property failed. With --format json, every line printed to stdout is one
-JSON object; identical invocations print identical bytes.
+Exit codes: 0 success, 1 bad input (usage errors included), 2 step limit
+exceeded, 3 a checked property failed. With --format json, every line
+printed to stdout is one JSON object; identical invocations print identical
+bytes.
 """
 
 from __future__ import annotations
@@ -56,6 +57,48 @@ class _Out:
 
 class _InputError(Exception):
     pass
+
+
+class _UsageError(Exception):
+    def __init__(self, usage: str, message: str):
+        super().__init__(message)
+        self.usage = usage
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises on a usage error instead of exiting 2, the step-limit code."""
+
+    def error(self, message: str):
+        raise _UsageError(self.format_usage(), f"{self.prog}: {message}")
+
+
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = lo - 1
+        if n < lo:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {lo}, got {text!r}"
+            )
+        return n
+
+    return parse
+
+
+def _format_in(argv: list[str]) -> str:
+    """The --format an argument list asks for, read without argparse (which
+    also takes a unique prefix such as --form)."""
+    fmt = "pretty"
+    for i, a in enumerate(argv):
+        name, eq, value = a.partition("=")
+        if len(name) > 2 and "--format".startswith(name):
+            if eq:
+                fmt = value
+            elif i + 1 < len(argv):
+                fmt = argv[i + 1]
+    return fmt
 
 
 def _load(path: str) -> Program:
@@ -297,7 +340,7 @@ def cmd_fuzz(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="lax",
         description="Type checker and reduction engine for concurrent "
         "lambda-calculi over disjunctive axioms.",
@@ -339,8 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fuzz", help="generate, normalize, and audit random terms")
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--count", type=int, default=100)
-    f.add_argument("--size", type=int, default=40)
+    f.add_argument("--count", type=_int_at_least(0), default=100)
+    f.add_argument("--size", type=_int_at_least(1), default=40)
     f.add_argument(
         "--axiom",
         choices=("em", "em3", "c3", "g2", "godel", "none"),
@@ -352,7 +395,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as e:
+        if _format_in(argv) == "json":
+            _Out("json").emit({"event": "error", "error": str(e)}, "")
+        else:
+            sys.stderr.write(f"{e.usage}{e}\n")
+        return EXIT_INPUT
     try:
         return args.fn(args)
     except StepBudgetError as e:

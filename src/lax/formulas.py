@@ -57,11 +57,6 @@ def neg(f: Formula) -> Formula:
     return Impl(f, BOT)
 
 
-def is_atomic(f: Formula) -> bool:
-    """Atoms and the two constants. Arrow/conjunction/disjunction are not."""
-    return isinstance(f, (Atom, Top, Bot))
-
-
 def complexity(f: Formula) -> int:
     """Number of connective occurrences (atoms and constants count 0)."""
     if isinstance(f, (Atom, Top, Bot)):

@@ -16,11 +16,19 @@ Conventions used throughout:
   over the arguments of applied channel occurrences, 0 when there are none
   (arguments containing nested parallel nodes count 0; by the time
   communication fires the strategy has made the components simply typed).
+- the parallel permutations have one table, _PERM_SLOTS: for each
+  constructor, the attributes a parallel node can be permuted out of, each
+  with its trace label, in the order discovery tries them (the first match
+  wins; case branches are not listed, so a parallel node there is stuck).
+  An eliminator's first slot is labelled "stack": it is the hole of its
+  one-frame stack, which is also where the case permutation looks.
+- EM's basic cross is the broadcast cross with a single receiver; only the
+  full cross, which ships an open message, is EM's own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Optional
 
@@ -39,6 +47,7 @@ from .terms import (
     ParBind,
     Path,
     Proj,
+    TT,
     Term,
     Underline,
     Var,
@@ -264,14 +273,25 @@ def _closed_at(occ: Occurrence, msg: Term) -> bool:
 
 
 def _captured_vars(occ: Occurrence, msg: Term) -> list[tuple[str, Formula]]:
-    """Free variables of msg bound above the hole, in first-use order."""
-    seen: list[tuple[str, Formula]] = []
-    names = set()
-    for _, s in iter_subterms(msg):
-        if isinstance(s, Var) and s.name in occ.binders_above and s.name not in names:
-            names.add(s.name)
-            seen.append((s.name, s.ty))
-    return seen
+    """Free variables of msg bound above the hole, in first-use order.
+
+    Variables bound inside msg do not count, even when a binder above the
+    hole has the same name (beta duplicates binders, so this happens).
+    """
+    seen: dict[str, Formula] = {}
+
+    def walk(t: Term, bound: frozenset[str]) -> None:
+        if isinstance(t, Var):
+            if t.name in occ.binders_above and t.name not in bound:
+                seen.setdefault(t.name, t.ty)
+            return
+        # channel binders do not bind variables
+        binds = not isinstance(t, ParBind)
+        for i, c in enumerate(children(t)):
+            walk(c, bound | frozenset(binder_names(t, i)) if binds else bound)
+
+    walk(msg, frozenset())
+    return list(seen.items())
 
 
 def _captured_chans(occ: Occurrence, msg: Term) -> frozenset[str]:
@@ -319,43 +339,44 @@ def redexes_at(s: Term, path: Path, discipline: bool) -> Iterator[Redex]:
         yield Redex(RedexKind.CASE_INJ, path, complexity(s.scrut.disj))
 
     # one-frame permutation over a case term
-    if _is_frame_node(s) and isinstance(children(s)[0], Case):
-        yield Redex(RedexKind.CASE_PERM, path, _vc_safe(children(s)[0]))
+    hole = _FRAME_HOLES.get(type(s))
+    if hole is not None and isinstance(getattr(s, hole), Case):
+        yield Redex(RedexKind.CASE_PERM, path, _vc_safe(getattr(s, hole)))
 
     # parallel permutations: a frame or constructor over a parallel node
-    yield from _par_perms_at(s, path)
+    slot = _perm_slot(s)
+    if slot is not None:
+        yield Redex(RedexKind.PAR_PERM, path, 0, which=slot[1])
 
     if isinstance(s, ParBind):
         yield from _session_redexes(s, path, discipline)
 
 
-def _is_frame_node(s: Term) -> bool:
-    """True when s is its first child under a one-frame stack."""
-    return isinstance(s, (App, Proj, Case, Efq))
+# constructor -> ((attribute, ParPerm label), ...), first match wins
+_PERM_SLOTS = {
+    App: (("fun", "stack"), ("arg", "app-left")),
+    Proj: (("arg", "stack"),),
+    Efq: (("arg", "stack"),),
+    Case: (("scrut", "stack"),),
+    Lam: (("body", "lam"),),
+    Inj: (("arg", "inj"),),
+    Pair: (("left", "pair-left"), ("right", "pair-right")),
+}
 
+# eliminator -> the attribute holding the hole of its one-frame stack
+_FRAME_HOLES = {
+    ctor: slots[0][0] for ctor, slots in _PERM_SLOTS.items() if slots[0][1] == "stack"
+}
 
 _PERM_HOSTS = (ParBind, Contract)
 
 
-def _par_perms_at(s: Term, path: Path) -> Iterator[Redex]:
-    if isinstance(s, App):
-        if isinstance(s.fun, _PERM_HOSTS):
-            yield Redex(RedexKind.PAR_PERM, path, 0, which="stack")
-        elif isinstance(s.arg, _PERM_HOSTS):
-            yield Redex(RedexKind.PAR_PERM, path, 0, which="app-left")
-    elif isinstance(s, (Proj, Efq)) and isinstance(s.arg, _PERM_HOSTS):
-        yield Redex(RedexKind.PAR_PERM, path, 0, which="stack")
-    elif isinstance(s, Case) and isinstance(s.scrut, _PERM_HOSTS):
-        yield Redex(RedexKind.PAR_PERM, path, 0, which="stack")
-    elif isinstance(s, Lam) and isinstance(s.body, _PERM_HOSTS):
-        yield Redex(RedexKind.PAR_PERM, path, 0, which="lam")
-    elif isinstance(s, Inj) and isinstance(s.arg, _PERM_HOSTS):
-        yield Redex(RedexKind.PAR_PERM, path, 0, which="inj")
-    elif isinstance(s, Pair):
-        if isinstance(s.left, _PERM_HOSTS):
-            yield Redex(RedexKind.PAR_PERM, path, 0, which="pair-left")
-        elif isinstance(s.right, _PERM_HOSTS):
-            yield Redex(RedexKind.PAR_PERM, path, 0, which="pair-right")
+def _perm_slot(s: Term) -> Optional[tuple[str, str]]:
+    """(attribute, label) of the slot a parallel node permutes out of, if any."""
+    for slot in _PERM_SLOTS.get(type(s), ()):
+        if isinstance(getattr(s, slot[0]), _PERM_HOSTS):
+            return slot
+    return None
 
 
 def _session_redexes(s: ParBind, path: Path, discipline: bool) -> Iterator[Redex]:
@@ -399,34 +420,22 @@ def _cross_redexes(
     ax = s.axiom
     simple = [is_simply_typed(b) for b in bodies]
 
-    if ax.mode == "em":
-        if not (simple[0] and simple[1]):
+    # EM is the broadcast with one receiver, plus the full cross
+    if ax.mode in ("em", "broadcast"):
+        if not all(simple) or not occs[0]:
             return
-        if occs[0]:
-            last = occs[0][-1]
-            if last.negated and last.arg is not None:
-                captured = _captured_vars(last, last.arg)
-                if _captured_chans(last, last.arg):
-                    return
-                if not captured:
-                    yield Redex(
-                        RedexKind.BASIC_CROSS, path, comm, sender=0, receiver=1
-                    )
-                else:
-                    yield Redex(RedexKind.FULL_CROSS, path, comm)
-        return
-
-    if ax.mode == "broadcast":
-        if not all(simple):
+        last = occs[0][-1]
+        msg = last.arg
+        if not last.negated or msg is None or _captured_chans(last, msg):
             return
-        if occs[0]:
-            last = occs[0][-1]
-            if (
-                last.negated
-                and last.arg is not None
-                and _closed_at(last, last.arg)
-            ):
+        em = ax.mode == "em"
+        if _closed_at(last, msg):
+            if em:
+                yield Redex(RedexKind.BASIC_CROSS, path, comm, sender=0, receiver=1)
+            else:
                 yield Redex(RedexKind.BROADCAST_CROSS, path, comm)
+        elif em:
+            yield Redex(RedexKind.FULL_CROSS, path, comm)
         return
 
     # general mode
@@ -547,14 +556,13 @@ def _contract(s: Term, r: Redex, host: Term) -> Term:
             return _garbage(s, r)
         if not s.active:
             raise InvalidRedex(f"{r.rule}: session inactive")
-        if k == RedexKind.BROADCAST_CROSS:
+        em = s.axiom.mode == "em"
+        if k == RedexKind.BROADCAST_CROSS or (em and k == RedexKind.BASIC_CROSS):
             return _broadcast_cross(s, r)
-        if s.axiom.mode == "em":
-            if k == RedexKind.BASIC_CROSS:
-                return _em_basic_cross(s, r)
-            return _em_full_cross(s, r, host)
         if k == RedexKind.BASIC_CROSS:
             return _general_basic_cross(s, r)
+        if em:
+            return _em_full_cross(s, r, host)
         return _general_full_cross(s, r, host)
 
     raise InvalidRedex(f"unknown redex kind {k!r}")
@@ -567,27 +575,16 @@ def _through_mark(c: Term, f) -> Term:
 
 
 def _case_perm(s: Term, r: Redex) -> Term:
-    case = children(s)[0]
+    hole = _FRAME_HOLES.get(type(s))
+    case = getattr(s, hole) if hole is not None else None
     if not isinstance(case, Case):
-        raise InvalidRedex(r.rule)
-    if isinstance(s, App):
-        mk = lambda b: App(b, s.arg)
-    elif isinstance(s, Proj):
-        mk = lambda b: Proj(b, s.index)
-    elif isinstance(s, Efq):
-        mk = lambda b: Efq(b, s.target)
-    elif isinstance(s, Case):
-        mk = lambda b: Case(b, s.lvar, s.lbody, s.rvar, s.rbody)
-    else:
         raise InvalidRedex(r.rule)
     # binder hygiene: the frame moves under the case binders; parser and
     # engine keep binders globally fresh, so no capture is possible here
-    return Case(
-        case.scrut,
-        case.lvar,
-        mk(case.lbody),
-        case.rvar,
-        mk(case.rbody),
+    return replace(
+        case,
+        lbody=replace(s, **{hole: case.lbody}),
+        rbody=replace(s, **{hole: case.rbody}),
     )
 
 
@@ -609,54 +606,19 @@ def _freshen(par: Term, other: Term, host: Term) -> Term:
 
 
 def _par_perm(s: Term, r: Redex, host: Term) -> Term:
-    def push(par: Term, rebuild) -> Term:
-        if isinstance(par, ParBind):
-            return ParBind(
-                par.chan,
-                par.active,
-                par.axiom,
-                tuple(_through_mark(c, rebuild) for c in par.comps),
-            )
-        if isinstance(par, Contract):
-            return Contract(rebuild(par.left), rebuild(par.right))
+    slot = _perm_slot(s)
+    if slot is None or slot[1] != r.which:
         raise InvalidRedex(r.rule)
+    attr = slot[0]
+    # everything else in s moves under the parallel node's binder
+    par = _freshen(getattr(s, attr), replace(s, **{attr: TT}), host)
 
-    if r.which == "stack":
-        if isinstance(s, App):
-            par = _freshen(s.fun, s.arg, host)
-            return push(par, lambda b: App(b, s.arg))
-        if isinstance(s, Proj):
-            return push(s.arg, lambda b: Proj(b, s.index))
-        if isinstance(s, Efq):
-            return push(s.arg, lambda b: Efq(b, s.target))
-        if isinstance(s, Case):
-            par = _freshen(s.scrut, Pair(s.lbody, s.rbody), host)
-            return push(par, lambda b: Case(b, s.lvar, s.lbody, s.rvar, s.rbody))
-        raise InvalidRedex(r.rule)
-    if r.which == "app-left":
-        if not isinstance(s, App):
-            raise InvalidRedex(r.rule)
-        par = _freshen(s.arg, s.fun, host)
-        return push(par, lambda b: App(s.fun, b))
-    if r.which == "lam":
-        if not isinstance(s, Lam):
-            raise InvalidRedex(r.rule)
-        return push(s.body, lambda b: Lam(s.var, s.ann, b))
-    if r.which == "inj":
-        if not isinstance(s, Inj):
-            raise InvalidRedex(r.rule)
-        return push(s.arg, lambda b: Inj(s.index, s.disj, b))
-    if r.which == "pair-left":
-        if not isinstance(s, Pair):
-            raise InvalidRedex(r.rule)
-        par = _freshen(s.left, s.right, host)
-        return push(par, lambda b: Pair(b, s.right))
-    if r.which == "pair-right":
-        if not isinstance(s, Pair):
-            raise InvalidRedex(r.rule)
-        par = _freshen(s.right, s.left, host)
-        return push(par, lambda b: Pair(s.left, b))
-    raise InvalidRedex(f"unknown permutation {r.which!r}")
+    def rebuild(b: Term) -> Term:
+        return replace(s, **{attr: b})
+
+    if isinstance(par, ParBind):
+        return replace(par, comps=tuple(_through_mark(c, rebuild) for c in par.comps))
+    return Contract(rebuild(par.left), rebuild(par.right))
 
 
 def _par_par_perm(s: Term, r: Redex, host: Term) -> Term:
@@ -710,15 +672,9 @@ def _garbage(s: ParBind, r: Redex) -> Term:
     return contract_join([comp_body(s.comps[i]) for i in survivors])
 
 
-def _em_basic_cross(s: ParBind, r: Redex) -> Term:
-    occ = _rightmost(s, 0)
-    if not occ.negated or occ.arg is None or not _closed_at(occ, occ.arg):
-        raise InvalidRedex(r.rule)
-    receiver = comp_body(s.comps[1])
-    return subst_chan_bare(receiver, s.chan, occ.arg)
-
-
 def _broadcast_cross(s: ParBind, r: Redex) -> Term:
+    """Every receiver gets the closed message; EM's basic cross is the case
+    of one receiver."""
     occ = _rightmost(s, 0)
     if not occ.negated or occ.arg is None or not _closed_at(occ, occ.arg):
         raise InvalidRedex(r.rule)

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, Optional
 
 from .printer import show_term
 from .rewrite import (
@@ -185,26 +186,30 @@ def _is_proper_prefix(p: Path, q: Path) -> bool:
     return len(p) < len(q) and q[: len(p)] == p
 
 
-def _intuitionistic(run: _Run) -> int:
-    run.phase = PHASE_INTUITIONISTIC
+def _exhaust(
+    run: _Run, kinds: frozenset, pick: Callable[[list[Redex]], Redex]
+) -> int:
+    """Fire pick(redexes of these kinds) until there are none; the count."""
     made = 0
     while True:
-        rs = [r for r in run.redexes() if r.kind in INTUITIONISTIC]
+        rs = [r for r in run.redexes() if r.kind in kinds]
         if not rs:
             return made
-        run.fire(_leftmost_innermost(rs))
+        run.fire(pick(rs))
         made += 1
+
+
+_first = itemgetter(0)  # preorder first = leftmost outermost
+
+
+def _intuitionistic(run: _Run) -> int:
+    run.phase = PHASE_INTUITIONISTIC
+    return _exhaust(run, INTUITIONISTIC, _leftmost_innermost)
 
 
 def _activation(run: _Run) -> int:
     run.phase = PHASE_ACTIVATION
-    made = 0
-    while True:
-        rs = [r for r in run.redexes() if r.kind == RedexKind.ACTIVATION]
-        if not rs:
-            return made
-        run.fire(rs[0])  # preorder first = leftmost outermost
-        made += 1
+    return _exhaust(run, frozenset({RedexKind.ACTIVATION}), _first)
 
 
 def _side_step(run: _Run, path: Path, session: ParBind) -> bool:
@@ -236,11 +241,7 @@ def _side_step(run: _Run, path: Path, session: ParBind) -> bool:
 
 def _chase(run: _Run) -> None:
     """Clear the projections and case permutations a cross just created."""
-    while True:
-        rs = [r for r in run.redexes() if r.kind in CHASE]
-        if not rs:
-            return
-        run.fire(rs[0])
+    _exhaust(run, CHASE, _first)
 
 
 def _sweep_inactive_garbage(run: _Run) -> int:
@@ -301,26 +302,6 @@ def run_phase_intuitionistic(
     run = _Run(t, max_steps, False)
     run.cycle = 1
     _intuitionistic(run)
-    return run.t, run.trace
-
-
-def run_phase_activation(
-    t: Term, max_steps: Optional[int] = None
-) -> tuple[Term, Trace]:
-    run = _Run(t, max_steps, False)
-    run.cycle = 1
-    _activation(run)
-    return run.t, run.trace
-
-
-def run_phase_communication(
-    t: Term,
-    max_steps: Optional[int] = None,
-    underline_discipline: bool = False,
-) -> tuple[Term, Trace]:
-    run = _Run(t, max_steps, underline_discipline)
-    run.cycle = 1
-    _communication(run)
     return run.t, run.trace
 
 

@@ -266,11 +266,6 @@ def free_chans(t: Term) -> frozenset[str]:
     return out
 
 
-def chan_occurs(t: Term, name: str) -> bool:
-    """Does channel `name` occur free in t (either polarity)?"""
-    return name in free_chans(t)
-
-
 def all_names(t: Term) -> set[str]:
     """Every variable/channel name appearing anywhere, bound or free."""
     out: set[str] = set()
@@ -471,18 +466,6 @@ def apply_stack(t: Term, s: Stack) -> Term:
     return t
 
 
-def stack_case_free(s: Stack) -> bool:
-    return not any(isinstance(f, CaseFrame) for f in s)
-
-
-def frame_chan_free(f: Frame, name: str) -> bool:
-    if isinstance(f, ArgFrame):
-        return not chan_occurs(f.arg, name)
-    if isinstance(f, CaseFrame):
-        return not (chan_occurs(f.lbody, name) or chan_occurs(f.rbody, name))
-    return True
-
-
 # ---------------------------------------------------------------------------
 # parallel components, with and without the scheduling mark
 
@@ -505,10 +488,6 @@ def comp_marked(c: Term) -> bool:
 
 def is_parallel_node(t: Term) -> bool:
     return isinstance(t, (ParBind, Contract))
-
-
-def contains_parallel(t: Term) -> bool:
-    return any(is_parallel_node(s) for _, s in iter_subterms(t))
 
 
 def is_simply_typed(t: Term) -> bool:

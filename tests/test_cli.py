@@ -152,3 +152,45 @@ def test_fuzz_small_batch(capsys):
 
 def test_fuzz_without_sessions(capsys):
     assert main(["fuzz", "--count", "5", "--axiom", "none"]) == 0
+
+
+USAGE_ERRORS = [
+    ["fuzz", "--seed", "abc"],
+    ["fuzz", "--size", "0"],
+    ["fuzz", "--size", "-1"],
+    ["fuzz", "--count", "-3"],
+    ["fuzz", "--axiom", "nope"],
+    ["normalize", "prog.lax", "--underline", "x"],
+    ["no-such-command"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_usage_errors_are_bad_input(argv, capsys):
+    """Exit 1, not argparse's 2, which is the step-limit code; under
+    --format json the error is one JSON event on stdout."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert main(argv + ["--format", "json"]) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.out.splitlines()
+    assert json.loads(line)["event"] == "error"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("fmt", [["--format=json"], ["--form", "json"], ["--f=json"]])
+def test_format_is_found_in_every_spelling(fmt, capsys):
+    assert main(["fuzz", *fmt, "--seed", "abc"]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    assert "--seed" in json.loads(line)["error"]
+
+
+def test_fuzz_accepts_the_smallest_sizes_and_counts(capsys):
+    assert main(["fuzz", "--count", "0", "--format", "json"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert json.loads(line)["terms"] == 0
+    assert main(["fuzz", "--size", "1", "--count", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["terms"] == 3

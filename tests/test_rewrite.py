@@ -1,5 +1,7 @@
 """Single-step reduction: values, complexity measures, discovery, contraction."""
 
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from lax import (
     GenConfig,
     Impl,
     InvalidRedex,
+    Lam,
     NotSimplyTyped,
     ParBind,
     RedexKind,
@@ -27,6 +30,7 @@ from lax import (
     is_parallel_form,
     is_value,
     normalize,
+    parse_program,
     parse_term,
     redexes_at,
     session_comm_complexity,
@@ -34,7 +38,7 @@ from lax import (
     step,
     value_complexity,
 )
-from lax.rewrite import GROUP1, GROUP2
+from lax.rewrite import CROSSES, GROUP1, GROUP2, Redex
 from lax.terms import iter_subterms, subterm_at
 
 from oracles import brute_force_redexes, value_complexity_oracle
@@ -56,6 +60,18 @@ def _step_rule(t, rule):
 
 def _eq(t, src, gamma=None):
     return alpha_eq(t, _typed(src, gamma))
+
+
+def _run_states(t, discipline=False):
+    """Every state of the strategy's run from t, and its trace."""
+    _, trace = normalize(t, max_steps=10_000, underline_discipline=discipline)
+    return [t] + [s.term_after for s in trace.steps], trace
+
+
+def _assert_discovery_matches_the_oracle(states, discipline):
+    for i, u in enumerate(states):
+        got = {(r.rule, r.position) for r in find_redexes(u, discipline)}
+        assert got == brute_force_redexes(u, discipline), f"state {i}"
 
 
 # --------------------------------------------------------------------------
@@ -155,9 +171,48 @@ def test_groups():
     st.booleans(),
 )
 def test_discovery_matches_the_brute_force_matcher(seed, preset, discipline):
+    """Checked on every state of a run: initial terms hold no active session,
+    so only later states offer crosses."""
     _, t = generate(seed, GenConfig(preset=preset, max_size=14))
-    got = {(r.rule, r.position) for r in find_redexes(t, discipline)}
-    assert got == brute_force_redexes(t, discipline)
+    states, _ = _run_states(t, discipline)
+    _assert_discovery_matches_the_oracle(states, discipline)
+
+
+EXAMPLES = ["broadcast_em3", "godel", "mobility", "or", "scheduler_c3"]
+
+
+def _example(name):
+    source = (resources.files("lax") / "examples" / f"{name}.lax").read_text()
+    prog = parse_program(source)
+    t, _ = check(prog.term, TypingContext(ivars=dict(prog.gamma)))
+    return t
+
+
+def test_discovery_matches_the_brute_force_matcher_on_the_examples():
+    fired = set()
+    for name in EXAMPLES:
+        for discipline in (False, True):
+            states, trace = _run_states(_example(name), discipline)
+            _assert_discovery_matches_the_oracle(states, discipline)
+            fired |= {s.redex.kind for s in trace.steps}
+    assert CROSSES | {RedexKind.GARBAGE_CROSS} <= fired
+
+
+def test_message_binders_are_not_captured_variables():
+    """The message's own binder g shares its name with the binder above the
+    hole, after beta duplicated it; the message is closed, so EM crosses it
+    with the basic rule, as the oracle says."""
+    gamma = {"y0": Atom("Y"), "k": Impl(Atom("Y"), Atom("P"))}
+    src = (
+        "nu a : EM[(Y -> P) -> A -> A /\\ P]. "
+        "[ (\\g:(Y -> P) -> A -> A /\\ P. g (\\y:Y. efq[P](nota g))) "
+        "(\\h:Y -> P. \\x:A. <x, h y0>) || a k ]"
+    )
+    states, trace = _run_states(_typed(src, gamma))
+    _assert_discovery_matches_the_oracle(states, False)
+    rules = [s.redex.rule for s in trace.steps]
+    assert rules == ["Beta", "Beta", "Beta", "Activation", "BasicCross(0,1)", "Beta"]
+    assert _eq(trace.final, "\\x:A. <x, k y0>", {**gamma, "A": A})
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,8 +270,47 @@ def test_case_perm_pushes_one_frame():
     assert _eq(out, "case s of {u. f z | w. g z}", gamma)
 
 
+@pytest.mark.parametrize("frame, want", [
+    ("(case s of {u. p | w. p}) pi0", "case s of {u. p pi0 | w. p pi0}"),
+    ("efq[A](case s of {u. o | w. o})", "case s of {u. efq[A](o) | w. efq[A](o)}"),
+    ("case (case s of {u. s | w. s}) of {x. x | y. y}",
+     "case s of {u. case s of {x. x | y. y} | w. case s of {x. x | y. y}}"),
+])
+def test_case_perm_pushes_the_other_eliminators(frame, want):
+    from lax import Conj, Disj
+
+    gamma = {"s": Disj(A, A), "p": Conj(A, B), "o": Bot()}
+    assert _eq(_step_rule(_typed(frame, gamma), "CasePerm"), want, gamma)
+
+
 # --------------------------------------------------------------------------
 # permutations around parallel nodes
+
+@pytest.mark.parametrize("src, which, want", [
+    ("(h |+| h) x", "stack", "h x |+| h x"),
+    ("(h |+| h) (x |+| x)", "stack", "h (x |+| x) |+| h (x |+| x)"),
+    ("h (x |+| x)", "app-left", "h x |+| h x"),
+    ("(p |+| p) pi1", "stack", "p pi1 |+| p pi1"),
+    ("efq[A](o |+| o)", "stack", "efq[A](o) |+| efq[A](o)"),
+    ("case (s |+| s) of {u. u | w. w}", "stack",
+     "case s of {u. u | w. w} |+| case s of {u. u | w. w}"),
+    ("\\q : B. (x |+| x)", "lam", "(\\q : B. x) |+| (\\q : B. x)"),
+    ("inj1[B \\/ A](x |+| x)", "inj", "inj1[B \\/ A](x) |+| inj1[B \\/ A](x)"),
+    ("<x |+| x, y |+| y>", "pair-left", "<x, y |+| y> |+| <x, y |+| y>"),
+    ("<x, y |+| y>", "pair-right", "<x, y> |+| <x, y>"),
+])
+def test_par_perm_slots(src, which, want):
+    """The first slot holding a parallel node, in the table's order, names
+    the permutation, and the contraction rebuilds the node around each side."""
+    from lax import Conj, Disj
+
+    gamma = {"h": Impl(A, B), "x": A, "y": B, "p": Conj(A, B), "o": Bot(),
+             "s": Disj(A, A)}
+    t = _typed(src, gamma)
+    (r,) = [r for r in find_redexes(t) if r.position == ()]
+    assert r.rule == f"ParPerm({which})"
+    assert _eq(step(t, r), want, gamma)
+
 
 def test_par_perm_lambda():
     t = _typed("\\x : A. (u |+| v)", {"u": B, "v": B})
@@ -236,6 +330,25 @@ def test_par_perm_pair_and_injection():
     assert _eq(_step_rule(t, "ParPerm"), "<u, y> |+| <v, y>", gamma)
     t2 = _typed("inj0[A \\/ B](u |+| v)", gamma)
     assert _eq(_step_rule(t2, "ParPerm"), "inj0[A \\/ B](u) |+| inj0[A \\/ B](v)", gamma)
+
+
+def test_par_perm_renames_a_binder_the_moving_context_mentions():
+    # the argument c is the outer channel; pushing it into the inner session
+    # named c must not capture it
+    gamma = {"x": A, "f": Impl(A, B)}
+    em = em_axiom(A)
+
+    def send(chan, msg):
+        return Efq(App(Chan(chan, negated=True), msg), B)
+
+    inner = ParBind("c", False, em, (Lam("w", A, send("c", Var("x"))), Var("f")))
+    ctx = TypingContext(ivars=gamma)
+    t, _ = check(ParBind("c", False, em, (send("c", Var("x")), App(inner, Chan("c")))), ctx)
+    out = _step_rule(t, "ParPerm(stack)")
+    assert check_subject_reduction(ctx, t, out).ok
+    want = ("nu c : EM[A]. [ efq[B](notc x) || "
+            "nu d : EM[A]. [ (\\w : A. efq[B](notd x)) c || f c ] ]")
+    assert _eq(out, want, gamma)
 
 
 def test_par_par_perm_duplicates_the_session_around_the_inner_node():
@@ -303,6 +416,17 @@ def test_em_basic_cross_collapses_to_the_receiver():
     assert _eq(out, "f ((\\z : Z. z) y)", gamma)
 
 
+def test_broadcast_offers_no_cross_for_an_open_message():
+    """Only EM has a full cross: a broadcast sender whose message mentions a
+    variable bound above it blocks the session."""
+    gamma = {"h": Impl(Impl(Z, V), B), "f": Impl(Z, B), "w": Z}
+    src = ("nu a* : EMN[Z -> Z; 2]. [ h (\\y : Z. efq[V0](nota (\\q : Z. y))) "
+           "|| f (a w) || f (a w) ]")
+    t = _typed(src, gamma)
+    assert not [r for r in find_redexes(t) if r.kind in CROSSES]
+    _assert_discovery_matches_the_oracle([t], False)
+
+
 def test_general_basic_cross_feeds_the_receiver_and_keeps_the_sender():
     gamma = {"f": Impl(B, C), "g": Impl(A, C), "x": A, "y": B}
     t = _typed("nu a* : AX{A -> B, B -> A}. [ f (a x) || g (a y) ]", gamma)
@@ -355,6 +479,36 @@ def test_step_rejects_a_stale_redex():
     done = step(t, r)
     with pytest.raises(InvalidRedex):
         step(done, r)
+
+
+def test_step_rejects_a_permutation_out_of_another_slot():
+    gamma = {"u": A, "v": A, "y": B}
+    t = _typed("<u |+| v, y>", gamma)
+    (r,) = [r for r in find_redexes(t) if r.kind == RedexKind.PAR_PERM]
+    assert r.which == "pair-left"
+    for which in ("pair-right", "stack", "lam", "no-such-slot"):
+        with pytest.raises(InvalidRedex):
+            step(t, Redex(RedexKind.PAR_PERM, (), 0, which=which))
+
+
+def test_step_rejects_a_case_permutation_outside_a_frame():
+    from lax import Disj
+
+    gamma = {"s": Disj(A, A)}
+    t = _typed("\\x : A. case s of {u. u | w. w}", gamma)
+    with pytest.raises(InvalidRedex):
+        step(t, Redex(RedexKind.CASE_PERM, (), 0))
+
+
+def test_step_rejects_a_stale_garbage_cross():
+    gamma = {"x0": B, "x": A, "f": Impl(A, B)}
+    t = _typed("nu a : EM[A]. [ efq[B](nota x) || x0 ]", gamma)
+    (r,) = [r for r in find_redexes(t) if r.kind == RedexKind.GARBAGE_CROSS]
+    assert r.survivors == (1,)
+    # the same session after its components changed: now 0 survives, not 1
+    moved = _typed("nu a : EM[A]. [ x0 || f a ]", gamma)
+    with pytest.raises(InvalidRedex):
+        step(moved, r)
 
 
 def test_parallel_form_and_height():
