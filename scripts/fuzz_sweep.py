@@ -78,10 +78,23 @@ def mean(xs):
     return sum(xs) / len(xs) if xs else 0.0
 
 
+def size_list(text: str) -> list[int]:
+    """Comma-separated size budgets, each at least 1 (the generator's floor)."""
+    try:
+        sizes = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}")
+    if any(s < 1 for s in sizes):
+        raise argparse.ArgumentTypeError(f"sizes must be at least 1: {text!r}")
+    return sizes
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--presets", default=None, help="comma-separated preset names")
-    ap.add_argument("--sizes", default=None, help="comma-separated size budgets")
+    ap.add_argument(
+        "--sizes", type=size_list, default=None, help="comma-separated size budgets"
+    )
     ap.add_argument("--count", type=int, default=None, help="terms per cell")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--no-audit", action="store_true", help="skip per-run audits")
@@ -91,7 +104,7 @@ def main() -> int:
     if args.presets:
         cfg.presets = args.presets.split(",")
     if args.sizes:
-        cfg.sizes = [int(s) for s in args.sizes.split(",")]
+        cfg.sizes = args.sizes
     if args.count is not None:
         cfg.count = args.count
     if args.seed is not None:

@@ -188,9 +188,11 @@ def _check_decrease(
     else:
         clause = "second"
         floor = tau
+    caps: dict = {}  # group -> highest complexity before the step
+    for r in before:
+        caps[r.group] = max(caps.get(r.group, -1), r.complexity)
     for q in after:
-        cap_group = _max_c(before, lambda r, g=q.group: r.group == g)
-        if q.complexity > max(floor, cap_group):
+        if q.complexity > max(floor, caps.get(q.group, -1)):
             rep.add(
                 f"step {idx}",
                 f"after {fired.rule} (complexity {tau}), redex {q.rule} at "
@@ -342,15 +344,18 @@ def _audit_subject_reduction(
 def _audit_decrease(
     rep: PropertyReport, trace: Trace, terms: list[Term], disc: bool
 ) -> None:
+    # step i's "after" is step i + 1's "before"; only that one list is kept
+    held, held_at = None, -1
     for i, ts in enumerate(trace.steps):
         if ts.phase == PHASE_PARALLEL:
             continue
         k = ts.redex.kind
         if k in (RedexKind.PAR_PERM, RedexKind.PAR_PAR_PERM, RedexKind.ACTIVATION):
             continue
-        before = find_redexes(terms[i], disc)
-        after = find_redexes(ts.term_after, disc)
+        before = held if held_at == i else find_redexes(terms[i], disc)
+        after = find_redexes(terms[i + 1], disc)
         _check_decrease(rep, i, ts.redex, before, after)
+        held, held_at = after, i + 1
 
 
 def _phase_spans(trace: Trace, phase: str) -> list[tuple[int, int]]:

@@ -58,6 +58,10 @@ class GenConfig:
     closed: bool = False
     goal: Optional[Formula] = None
 
+    def __post_init__(self):
+        if self.max_size < 1:
+            raise ValueError(f"max_size must be at least 1, got {self.max_size}")
+
 
 class _Dead(Exception):
     """Unwinds a branch whose goal has no inhabitant under the budget."""

@@ -31,7 +31,7 @@ from .axioms import (
     general_axiom,
     goedel_axiom,
 )
-from .formulas import Atom, BOT, Bot, Conj, Disj, Formula, Impl, TOP, neg
+from .formulas import Atom, BOT, Conj, Disj, Formula, Impl, TOP, neg
 from .terms import (
     App,
     Case,
@@ -47,7 +47,6 @@ from .terms import (
     TT,
     Underline,
     Var,
-    all_names,
     children,
     free_chans,
     free_vars,

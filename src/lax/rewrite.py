@@ -69,6 +69,7 @@ from .terms import (
     is_simply_typed,
     iter_subterms,
     rename_chan,
+    rename_var,
     replace_at,
     subst,
     subst_chan_bare,
@@ -187,6 +188,7 @@ CROSSES = frozenset(
     {RedexKind.BASIC_CROSS, RedexKind.FULL_CROSS, RedexKind.BROADCAST_CROSS}
 )
 _COMMUNICATION = CROSSES | {RedexKind.ACTIVATION, RedexKind.GARBAGE_CROSS}
+_ALL_KINDS = frozenset(RedexKind)
 
 
 @dataclass(frozen=True)
@@ -315,41 +317,57 @@ def _comm_complexity(occs: list[list[Occurrence]]) -> int:
 # ---------------------------------------------------------------------------
 # discovery
 
-def find_redexes(t: Term, underline_discipline: bool = False) -> list[Redex]:
+def find_redexes(
+    t: Term, underline_discipline: bool = False, kinds: Optional[frozenset] = None
+) -> list[Redex]:
     """Every redex of every rule, leftmost-outermost (preorder) order.
 
     With underline_discipline=True, sessions that carry a component mark
-    only offer basic crosses whose sender is the marked component.
+    only offer basic crosses whose sender is the marked component. With
+    kinds, only redexes of those kinds come out, in the same order:
+    find_redexes(t, d, kinds) == [r for r in find_redexes(t, d) if r.kind
+    in kinds], and the channel-occurrence scan of a session is skipped
+    when it could offer none of them.
     """
     out: list[Redex] = []
     for path, s in iter_subterms(t):
-        out.extend(redexes_at(s, path, underline_discipline))
+        out.extend(redexes_at(s, path, underline_discipline, kinds))
     return out
 
 
-def redexes_at(s: Term, path: Path, discipline: bool) -> Iterator[Redex]:
-    """The redexes rooted at s, the subterm at path, in find_redexes order."""
+def redexes_at(
+    s: Term, path: Path, discipline: bool, kinds: Optional[frozenset] = None
+) -> Iterator[Redex]:
+    """The redexes rooted at s, the subterm at path, in find_redexes order;
+    with kinds, only those of these kinds."""
+    if kinds is None:
+        kinds = _ALL_KINDS
     # intuitionistic redexes
-    if isinstance(s, App) and isinstance(s.fun, Lam):
+    if isinstance(s, App) and isinstance(s.fun, Lam) and RedexKind.BETA in kinds:
         lam_ty = type_of(s.fun)
         yield Redex(RedexKind.BETA, path, complexity(lam_ty))
-    if isinstance(s, Proj) and isinstance(s.arg, Pair):
+    if isinstance(s, Proj) and isinstance(s.arg, Pair) and RedexKind.PROJ_PAIR in kinds:
         yield Redex(RedexKind.PROJ_PAIR, path, _vc_safe(s.arg))
-    if isinstance(s, Case) and isinstance(s.scrut, Inj):
+    if isinstance(s, Case) and isinstance(s.scrut, Inj) and RedexKind.CASE_INJ in kinds:
         yield Redex(RedexKind.CASE_INJ, path, complexity(s.scrut.disj))
 
     # one-frame permutation over a case term
     hole = _FRAME_HOLES.get(type(s))
-    if hole is not None and isinstance(getattr(s, hole), Case):
+    if (
+        hole is not None
+        and isinstance(getattr(s, hole), Case)
+        and RedexKind.CASE_PERM in kinds
+    ):
         yield Redex(RedexKind.CASE_PERM, path, _vc_safe(getattr(s, hole)))
 
     # parallel permutations: a frame or constructor over a parallel node
-    slot = _perm_slot(s)
-    if slot is not None:
-        yield Redex(RedexKind.PAR_PERM, path, 0, which=slot[1])
+    if RedexKind.PAR_PERM in kinds:
+        slot = _perm_slot(s)
+        if slot is not None:
+            yield Redex(RedexKind.PAR_PERM, path, 0, which=slot[1])
 
     if isinstance(s, ParBind):
-        yield from _session_redexes(s, path, discipline)
+        yield from _session_redexes(s, path, discipline, kinds)
 
 
 # constructor -> ((attribute, ParPerm label), ...), first match wins
@@ -379,14 +397,22 @@ def _perm_slot(s: Term) -> Optional[tuple[str, str]]:
     return None
 
 
-def _session_redexes(s: ParBind, path: Path, discipline: bool) -> Iterator[Redex]:
+def _session_redexes(
+    s: ParBind, path: Path, discipline: bool, kinds: frozenset
+) -> Iterator[Redex]:
+    activation = not s.active and RedexKind.ACTIVATION in kinds
+    crosses = s.active and not kinds.isdisjoint(CROSSES)
+    garbage = RedexKind.GARBAGE_CROSS in kinds
+    hoists = s.active and RedexKind.PAR_PAR_PERM in kinds
+    if not (activation or crosses or garbage or hoists):
+        return  # no channel-occurrence scan for a session that offers none
     a = s.chan
     bodies = [comp_body(c) for c in s.comps]
     occs = [chan_occurrences(b, a) for b in bodies]
     comm = _comm_complexity(occs)
 
     # activation: inactive binder, some applied occurrence of a value
-    if not s.active:
+    if activation:
         if any(
             occ.arg is not None and is_value(occ.arg)
             for comp_occs in occs
@@ -394,16 +420,18 @@ def _session_redexes(s: ParBind, path: Path, discipline: bool) -> Iterator[Redex
         ):
             yield Redex(RedexKind.ACTIVATION, path, comm)
 
-    if s.active:
-        yield from _cross_redexes(s, path, bodies, occs, comm, discipline)
+    if crosses:
+        for r in _cross_redexes(s, path, bodies, occs, comm, discipline):
+            if r.kind in kinds:
+                yield r
 
     # garbage: keep the components that do not mention a (any activity)
     survivors = tuple(i for i, o in enumerate(occs) if not o)
-    if survivors:
+    if garbage and survivors:
         yield Redex(RedexKind.GARBAGE_CROSS, path, comm, survivors=survivors)
 
     # hoisting a nested parallel component out of an active session
-    if s.active and not any(contains_active_session(b) for b in bodies):
+    if hoists and not any(contains_active_session(b) for b in bodies):
         for k, b in enumerate(bodies):
             if is_parallel_node(b):
                 yield Redex(RedexKind.PAR_PAR_PERM, path, 0, comp=k)
@@ -530,7 +558,7 @@ def _contract(s: Term, r: Redex, host: Term) -> Term:
         return subst(s.rbody, s.rvar, inj.arg)
 
     if k == RedexKind.CASE_PERM:
-        return _case_perm(s, r)
+        return _case_perm(s, r, host)
 
     if k == RedexKind.PAR_PERM:
         return _par_perm(s, r, host)
@@ -574,18 +602,34 @@ def _through_mark(c: Term, f) -> Term:
     return f(c)
 
 
-def _case_perm(s: Term, r: Redex) -> Term:
+def _case_perm(s: Term, r: Redex, host: Term) -> Term:
     hole = _FRAME_HOLES.get(type(s))
     case = getattr(s, hole) if hole is not None else None
     if not isinstance(case, Case):
         raise InvalidRedex(r.rule)
-    # binder hygiene: the frame moves under the case binders; parser and
-    # engine keep binders globally fresh, so no capture is possible here
-    return replace(
-        case,
-        lbody=replace(s, **{hole: case.lbody}),
-        rbody=replace(s, **{hole: case.rbody}),
+    # the frame moves under the branch binders, which beta may have
+    # duplicated, so a binder the frame mentions free is renamed first
+    frame_vars = free_vars(replace(s, **{hole: TT}))
+    lvar, lbody = _freshen_branch(case.lvar, case.lbody, frame_vars, host)
+    rvar, rbody = _freshen_branch(case.rvar, case.rbody, frame_vars, host)
+    return Case(
+        case.scrut,
+        lvar,
+        replace(s, **{hole: lbody}),
+        rvar,
+        replace(s, **{hole: rbody}),
     )
+
+
+def _freshen_branch(
+    var: str, body: Term, frame_vars: frozenset[str], host: Term
+) -> tuple[str, Term]:
+    """Rename a case branch's binder when the frame moving under it
+    mentions it free: the side condition of the case permutation."""
+    if var not in frame_vars:
+        return var, body
+    b = fresh_name(var, all_names(host))
+    return b, rename_var(body, var, b)
 
 
 def _freshen(par: Term, other: Term, host: Term) -> Term:

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import groupby, pairwise
+from operator import attrgetter, itemgetter
 from typing import Callable, Optional
 
 from .printer import show_term
@@ -145,9 +146,6 @@ class _Run:
         self.cycle = 0
         self.phase = PHASE_PARALLEL
 
-    def redexes(self) -> list[Redex]:
-        return find_redexes(self.t, self.discipline)
-
     def fire(self, r: Redex) -> None:
         if len(self.trace.steps) >= self.max_steps:
             self.trace.limit_hit = True
@@ -159,10 +157,15 @@ class _Run:
 # ---------------------------------------------------------------------------
 # phases
 
+_PAR_PERM = frozenset({RedexKind.PAR_PERM})
+_ACTIVATION = frozenset({RedexKind.ACTIVATION})
+_GARBAGE = frozenset({RedexKind.GARBAGE_CROSS})
+
+
 def _parallel_form(run: _Run) -> None:
     run.phase = PHASE_PARALLEL
     while not is_parallel_form(run.t):
-        perms = [r for r in run.redexes() if r.kind == RedexKind.PAR_PERM]
+        perms = find_redexes(run.t, run.discipline, _PAR_PERM)
         if not perms:
             raise ParallelFormFailure(
                 "no permutation applies; a parallel node sits under a case "
@@ -172,18 +175,17 @@ def _parallel_form(run: _Run) -> None:
 
 
 def _leftmost_innermost(rs: list[Redex]) -> Redex:
-    innermost = [
-        r
-        for r in rs
-        if not any(
-            q is not r and _is_proper_prefix(r.position, q.position) for q in rs
-        )
-    ]
-    return min(innermost, key=lambda r: r.position)
+    """The first redex in rs, a preorder list, with no redex below it.
 
-
-def _is_proper_prefix(p: Path, q: Path) -> bool:
-    return len(p) < len(q) and q[: len(p)] == p
+    In preorder a redex's descendants follow it directly, so a redex is
+    innermost when the next redex at another position does not extend its
+    path; of several redexes at one position, the first stands for all.
+    """
+    firsts = [next(g) for _, g in groupby(rs, key=attrgetter("position"))]
+    for r, q in pairwise(firsts):
+        if q.position[: len(r.position)] != r.position:
+            return r
+    return firsts[-1]
 
 
 def _exhaust(
@@ -192,7 +194,7 @@ def _exhaust(
     """Fire pick(redexes of these kinds) until there are none; the count."""
     made = 0
     while True:
-        rs = [r for r in run.redexes() if r.kind in kinds]
+        rs = find_redexes(run.t, run.discipline, kinds)
         if not rs:
             return made
         run.fire(pick(rs))
@@ -209,7 +211,7 @@ def _intuitionistic(run: _Run) -> int:
 
 def _activation(run: _Run) -> int:
     run.phase = PHASE_ACTIVATION
-    return _exhaust(run, frozenset({RedexKind.ACTIVATION}), _first)
+    return _exhaust(run, _ACTIVATION, _first)
 
 
 def _side_step(run: _Run, path: Path, session: ParBind) -> bool:
@@ -257,8 +259,7 @@ def _sweep_inactive_garbage(run: _Run) -> int:
             r
             for path, s in iter_subterms(run.t)
             if isinstance(s, ParBind) and not s.active
-            for r in redexes_at(s, path, run.discipline)
-            if r.kind == RedexKind.GARBAGE_CROSS
+            for r in redexes_at(s, path, run.discipline, _GARBAGE)
         ]
         if not rs:
             return made

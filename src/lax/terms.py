@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from .axioms import AxiomScheme
-from .formulas import Formula, Impl, Conj, TOP
+from .formulas import Formula, Conj, TOP
 
 
 class Term:

@@ -20,7 +20,6 @@ from typing import Optional
 from .axioms import AxiomScheme
 from .formulas import (
     Atom,
-    BOT,
     Bot,
     Conj,
     Disj,

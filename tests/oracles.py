@@ -202,6 +202,27 @@ def uppermost_active_oracle(t: Term) -> list[tuple[Path, Term]]:
 
 
 # ---------------------------------------------------------------------------
+# leftmost-innermost selection, by pairwise comparison
+#
+# The strategy scans its preorder list once; here every redex is compared
+# with every other, so nothing rests on the list being in preorder.
+
+def leftmost_innermost_oracle(rs: list):
+    """The redex with the least position among those with no redex strictly
+    below them; of several at that position, the first in rs."""
+
+    def below(p: Path, q: Path) -> bool:
+        return len(p) < len(q) and q[: len(p)] == p
+
+    innermost = [
+        r
+        for r in rs
+        if not any(q is not r and below(r.position, q.position) for q in rs)
+    ]
+    return min(innermost, key=lambda r: r.position)
+
+
+# ---------------------------------------------------------------------------
 # subterm types, by a top-down derivation walk
 #
 # The library reads each type off the elaborated annotations bottom-up;

@@ -24,6 +24,9 @@ from lax import (
     parse_term,
     subterm_types,
 )
+from lax import analysis
+from lax.rewrite import Redex, RedexKind
+from lax.strategy import Trace, TraceStep
 
 from oracles import subterm_types_by_derivation
 
@@ -168,6 +171,72 @@ def test_audit_can_skip_subject_reduction():
     _, trace = normalize(t)
     rep = audit_trace(TypingContext(), trace, check_sr=False)
     assert rep.holds
+
+
+def _count_discovery(monkeypatch):
+    calls = []
+    found = analysis.find_redexes
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return found(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "find_redexes", counted)
+    return calls
+
+
+def _decrease_witnesses(trace):
+    rep = PropertyReport("decrease", True)
+    terms = [trace.initial] + [s.term_after for s in trace.steps]
+    analysis._audit_decrease(rep, trace, terms, trace.underline_discipline)
+    return rep.witnesses
+
+
+def test_decrease_audit_finds_each_state_s_redexes_once(monkeypatch):
+    gamma = {"y": A}
+    _, trace = normalize(_typed("(\\x : A. <x, <x, x>>) y pi1 pi0", gamma))
+    assert [s.redex.rule for s in trace.steps] == ["Beta", "ProjPair", "ProjPair"]
+    calls = _count_discovery(monkeypatch)
+    assert _decrease_witnesses(trace) == []
+    # three adjacent checked steps share their middle states
+    assert len(calls) == len(trace.steps) + 1
+
+
+@pytest.mark.parametrize("phase, skipped", [
+    ("Activation", Redex(RedexKind.ACTIVATION, (), 0)),
+    ("ParallelForm", Redex(RedexKind.PAR_PERM, (), 0, which="stack")),
+    ("Communication", Redex(RedexKind.PAR_PAR_PERM, (), 0, comp=0)),
+])
+def test_decrease_audit_finds_the_state_after_a_skipped_step_afresh(
+    monkeypatch, phase, skipped
+):
+    """Step 1 is not decrease-checked, so step 2's "before" is its own state,
+    not step 0's "after": reusing that empty list would let the Beta at [0]
+    through as a second witness."""
+    gamma = {"x": A}
+    states = [
+        _typed(src, gamma)
+        for src in (
+            "(\\u : A. u) x",
+            "x",
+            "(\\g : A -> A. g) (\\u : A. u)",
+            "<(\\g : A -> A. g) (\\u : A. u), <\\h : (A -> A) -> A -> A. h, x> pi0>",
+        )
+    ]
+    trace = Trace(initial=states[0])
+    for phase_i, redex, after in (
+        ("Intuitionistic", Redex(RedexKind.BETA, (), 1), states[1]),
+        (phase, skipped, states[2]),
+        ("Intuitionistic", Redex(RedexKind.BETA, (), 3), states[3]),
+    ):
+        trace.steps.append(TraceStep(1, phase_i, redex, after))
+    calls = _count_discovery(monkeypatch)
+    assert _decrease_witnesses(trace) == [(
+        "step 2",
+        "after Beta (complexity 3), redex ProjPair at [1] has complexity 7, "
+        "above every bound of the first decrease clause",
+    )]
+    assert calls == [states[0], states[1], states[2], states[3]]
 
 
 # --------------------------------------------------------------------------

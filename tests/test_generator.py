@@ -1,5 +1,6 @@
 """The typed-term generator: determinism, typing, structural promises."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lax import (
@@ -35,6 +36,12 @@ def test_corpus_is_deterministic_and_sized():
     ys = list(generate_corpus(5, 25, cfg))
     assert xs == ys
     assert len(xs) == 25
+
+
+@pytest.mark.parametrize("size", [0, -5])
+def test_a_size_budget_below_one_is_refused(size):
+    with pytest.raises(ValueError, match="max_size must be at least 1"):
+        GenConfig(preset="em", max_size=size)
 
 
 @settings(max_examples=60, deadline=None)

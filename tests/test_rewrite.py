@@ -38,7 +38,7 @@ from lax import (
     step,
     value_complexity,
 )
-from lax.rewrite import CROSSES, GROUP1, GROUP2, Redex
+from lax.rewrite import CHASE, CROSSES, GROUP1, GROUP2, INTUITIONISTIC, Redex
 from lax.terms import iter_subterms, subterm_at
 
 from oracles import brute_force_redexes, value_complexity_oracle
@@ -72,6 +72,19 @@ def _assert_discovery_matches_the_oracle(states, discipline):
     for i, u in enumerate(states):
         got = {(r.rule, r.position) for r in find_redexes(u, discipline)}
         assert got == brute_force_redexes(u, discipline), f"state {i}"
+
+
+# the strategy's phase sets, and each kind alone (its activation,
+# parallel-form and garbage-sweep sets among them)
+KIND_SETS = [INTUITIONISTIC, CHASE] + [frozenset({k}) for k in RedexKind]
+
+
+def _assert_kinds_filter_the_full_list(states, discipline):
+    for i, u in enumerate(states):
+        everything = find_redexes(u, discipline)
+        for kinds in KIND_SETS:
+            want = [r for r in everything if r.kind in kinds]
+            assert find_redexes(u, discipline, kinds) == want, f"state {i}"
 
 
 # --------------------------------------------------------------------------
@@ -198,6 +211,25 @@ def test_discovery_matches_the_brute_force_matcher_on_the_examples():
     assert CROSSES | {RedexKind.GARBAGE_CROSS} <= fired
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["em", "em3", "c3", "g2", "godel", None]),
+    st.booleans(),
+)
+def test_discovery_by_kind_filters_the_full_list(seed, preset, discipline):
+    _, t = generate(seed, GenConfig(preset=preset, max_size=18))
+    states, _ = _run_states(t, discipline)
+    _assert_kinds_filter_the_full_list(states, discipline)
+
+
+def test_discovery_by_kind_filters_the_full_list_on_the_examples():
+    for name in EXAMPLES:
+        for discipline in (False, True):
+            states, _ = _run_states(_example(name), discipline)
+            _assert_kinds_filter_the_full_list(states, discipline)
+
+
 def test_message_binders_are_not_captured_variables():
     """The message's own binder g shares its name with the binder above the
     hole, after beta duplicated it; the message is closed, so EM crosses it
@@ -281,6 +313,20 @@ def test_case_perm_pushes_the_other_eliminators(frame, want):
 
     gamma = {"s": Disj(A, A), "p": Conj(A, B), "o": Bot()}
     assert _eq(_step_rule(_typed(frame, gamma), "CasePerm"), want, gamma)
+
+
+def test_case_perm_renames_a_branch_binder_the_frame_mentions():
+    # the argument x is free; pushing it into the left branch, whose binder
+    # is also named x, must not capture it
+    from lax import Case, Disj
+
+    gamma = {"s": Disj(C, C), "f": Impl(A, B), "g": Impl(C, Impl(A, B)), "x": A}
+    case = Case(Var("s"), "x", App(Var("g"), Var("x")), "y", Var("f"))
+    ctx = TypingContext(ivars=gamma)
+    t, _ = check(App(case, Var("x")), ctx)
+    out = _step_rule(t, "CasePerm")
+    assert check_subject_reduction(ctx, t, out).ok
+    assert _eq(out, "case s of {u. g u x | y. f x}", gamma)
 
 
 # --------------------------------------------------------------------------

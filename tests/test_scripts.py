@@ -27,6 +27,13 @@ def test_fuzz_sweep_tabulates_one_cell():
     assert "violations: 0" in done.stdout
 
 
+def test_fuzz_sweep_refuses_a_size_below_one():
+    done = _run("fuzz_sweep.py", "--presets", "em", "--sizes", "10,0", "--count", "3")
+    assert done.returncode == 2
+    assert "usage:" in done.stderr and "sizes must be at least 1" in done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""
+
+
 def test_trace_anatomy_dissects_one_example():
     done = _run("trace_anatomy.py", "--example", "godel")
     assert done.returncode == 0, done.stderr

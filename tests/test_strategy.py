@@ -27,9 +27,11 @@ from lax import (
     step,
     to_parallel_form,
 )
+from lax.rewrite import INTUITIONISTIC, Redex, find_redexes
+from lax.strategy import _leftmost_innermost
 from lax.terms import uppermost_active_sessions
 
-from oracles import uppermost_active_oracle
+from oracles import leftmost_innermost_oracle, uppermost_active_oracle
 
 A, B, C, Z = Atom("A"), Atom("B"), Atom("C"), Atom("Z")
 
@@ -176,6 +178,32 @@ def test_leftmost_redex_fires_first_within_a_phase():
     _, trace = normalize(t)
     first, second = trace.steps[0].redex, trace.steps[1].redex
     assert first.position < second.position
+
+
+_paths = st.lists(st.integers(0, 2), max_size=4).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_paths, st.sampled_from(list(RedexKind))), min_size=1))
+def test_leftmost_innermost_matches_the_oracle_on_preorder_lists(entries):
+    """Positions repeat (several rules at one node) and nest arbitrarily."""
+    rs = sorted((Redex(kind, path, 0) for path, kind in entries), key=lambda r: r.position)
+    assert _leftmost_innermost(rs) is leftmost_innermost_oracle(rs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["em", "em3", "c3", "g2", "godel", None]),
+    st.booleans(),
+)
+def test_leftmost_innermost_matches_the_oracle_on_run_states(seed, preset, discipline):
+    _, t = generate(seed, GenConfig(preset=preset, max_size=25))
+    _, trace = normalize(t, max_steps=10_000, underline_discipline=discipline)
+    for u in [t] + [s.term_after for s in trace.steps]:
+        for rs in (find_redexes(u, discipline), find_redexes(u, discipline, INTUITIONISTIC)):
+            if rs:
+                assert _leftmost_innermost(rs) is leftmost_innermost_oracle(rs)
 
 
 @settings(max_examples=30, deadline=None)
