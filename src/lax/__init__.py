@@ -5,7 +5,7 @@ syntax with parser and printer, the type checker, single-step reduction,
 the terminating master strategy, and checkers that validate whole runs.
 """
 
-from .analysis import (
+from .analysis import (  # noqa: F401
     NotNormal,
     PropertyReport,
     audit_trace,
@@ -15,7 +15,7 @@ from .analysis import (
     is_normal,
     subterm_types,
 )
-from .axioms import (
+from .axioms import (  # noqa: F401
     AxiomScheme,
     AxiomValidationError,
     broadcast_axiom,
@@ -27,7 +27,7 @@ from .axioms import (
     preset_names,
     show_axiom,
 )
-from .formulas import (
+from .formulas import (  # noqa: F401
     BOT,
     TOP,
     Atom,
@@ -44,8 +44,8 @@ from .formulas import (
     show_formula,
     subformulas,
 )
-from .generator import GenConfig, default_context, generate, generate_corpus
-from .parser import (
+from .generator import GenConfig, default_context, generate, generate_corpus  # noqa: F401
+from .parser import (  # noqa: F401
     LaxSyntaxError,
     Program,
     parse_axiom,
@@ -53,8 +53,8 @@ from .parser import (
     parse_program,
     parse_term,
 )
-from .printer import show_term
-from .rewrite import (
+from .printer import show_term  # noqa: F401
+from .rewrite import (  # noqa: F401
     InvalidRedex,
     NotParallelForm,
     NotSimplyTyped,
@@ -69,7 +69,7 @@ from .rewrite import (
     step,
     value_complexity,
 )
-from .strategy import (
+from .strategy import (  # noqa: F401
     ParallelFormFailure,
     StepBudgetError,
     StepLimitExceeded,
@@ -80,7 +80,7 @@ from .strategy import (
     run_phase_intuitionistic,
     to_parallel_form,
 )
-from .terms import (
+from .terms import (  # noqa: F401
     App,
     Case,
     Chan,
@@ -97,10 +97,11 @@ from .terms import (
     Var,
     alpha_eq,
     free_chans,
+    free_names,
     free_vars,
     term_size,
 )
-from .typecheck import (
+from .typecheck import (  # noqa: F401
     SubjectReductionReport,
     TypeIssue,
     TypingContext,

@@ -409,6 +409,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except StepBudgetError as e:
         _Out(args.format).emit({"event": "error", "error": str(e)}, f"error: {e}")
         return EXIT_INPUT
+    except RecursionError:
+        msg = "input nested too deeply"
+        _Out(args.format).emit({"event": "error", "error": msg}, f"error: {msg}")
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -47,9 +47,9 @@ from .terms import (
     TT,
     Underline,
     Var,
+    binder_names,
     children,
-    free_chans,
-    free_vars,
+    free_names,
     fresh_name,
     rename_chan,
     rename_var,
@@ -452,10 +452,9 @@ class _Parser:
                     f"channel {bind.chan!r} cannot occur alone; "
                     "apply it to an argument", tok,
                 )
-            if isinstance(t, ParBind) and t.chan == bind.chan:
-                return
-            for c in children(t):
-                walk(c)
+            for i, c in enumerate(children(t)):
+                if bind.chan not in binder_names(t, i)[1]:
+                    walk(c)
 
         for comp in bind.comps:
             walk(comp)
@@ -514,15 +513,17 @@ def parse_axiom(text: str) -> AxiomScheme:
     return ax
 
 
-def parse_term(text: str, free_names: dict[str, Formula] | set[str] | None = None) -> Term:
-    p = _Parser(text, free_names)
+def _hygienic_term(p: _Parser) -> Term:
+    """The term that runs to the end of p's input, renamed so that no binder
+    shadows a free name of the term or a name p declares free."""
     t = p.term()
     if p.peek().kind != "eof":
         p.err(f"trailing input {p.peek().text!r}")
-    used = set(free_vars(t)) | set(free_chans(t))
-    if free_names:
-        used |= set(free_names)
-    return _hygiene(t, used)
+    return _hygiene(t, p.free_names.union(*free_names(t)))
+
+
+def parse_term(text: str, free_names: dict[str, Formula] | set[str] | None = None) -> Term:
+    return _hygienic_term(_Parser(text, free_names))
 
 
 @dataclass(frozen=True)
@@ -544,8 +545,4 @@ def parse_program(text: str) -> Program:
         gamma[name.text] = p.formula()
         p.eat(";")
     p.free_names = set(gamma)
-    t = p.term()
-    if p.peek().kind != "eof":
-        p.err(f"trailing input {p.peek().text!r}")
-    used = set(free_vars(t)) | set(free_chans(t)) | set(gamma)
-    return Program(gamma, _hygiene(t, used))
+    return Program(gamma, _hygienic_term(p))

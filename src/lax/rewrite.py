@@ -63,6 +63,8 @@ from .terms import (
     decompose_stack,
     flatten_pairs,
     free_chans,
+    free_names,
+    free_occurrences,
     free_vars,
     fresh_name,
     is_parallel_node,
@@ -249,8 +251,6 @@ def chan_occurrences(comp: Term, name: str) -> list[Occurrence]:
     out: list[Occurrence] = []
 
     def walk(t: Term, path: Path, above: frozenset[str]):
-        if isinstance(t, ParBind) and t.chan == name:
-            return  # shadowed
         if isinstance(t, App) and isinstance(t.fun, Chan) and t.fun.name == name:
             out.append(
                 Occurrence(path + (0,), path, t.fun.negated, t.arg, above)
@@ -261,7 +261,9 @@ def chan_occurrences(comp: Term, name: str) -> list[Occurrence]:
             out.append(Occurrence(path, None, t.negated, None, above))
             return
         for i, c in enumerate(children(t)):
-            walk(c, path + (i,), above | frozenset(binder_names(t, i)))
+            vs, chs = binder_names(t, i)
+            if name not in chs:  # a nu rebinding name shadows it
+                walk(c, path + (i,), above.union(vs, chs))
 
     walk(comp, (), frozenset())
     return out
@@ -269,31 +271,19 @@ def chan_occurrences(comp: Term, name: str) -> list[Occurrence]:
 
 def _closed_at(occ: Occurrence, msg: Term) -> bool:
     """No free name of msg is bound between the component root and the hole."""
-    return not (
-        (free_vars(msg) | free_chans(msg)) & occ.binders_above
-    )
+    fv, fc = free_names(msg)
+    return occ.binders_above.isdisjoint(fv) and occ.binders_above.isdisjoint(fc)
 
 
 def _captured_vars(occ: Occurrence, msg: Term) -> list[tuple[str, Formula]]:
-    """Free variables of msg bound above the hole, in first-use order.
+    """Free variables of msg bound above the hole, in first-use order, each
+    with its first occurrence's type.
 
     Variables bound inside msg do not count, even when a binder above the
     hole has the same name (beta duplicates binders, so this happens).
     """
-    seen: dict[str, Formula] = {}
-
-    def walk(t: Term, bound: frozenset[str]) -> None:
-        if isinstance(t, Var):
-            if t.name in occ.binders_above and t.name not in bound:
-                seen.setdefault(t.name, t.ty)
-            return
-        # channel binders do not bind variables
-        binds = not isinstance(t, ParBind)
-        for i, c in enumerate(children(t)):
-            walk(c, bound | frozenset(binder_names(t, i)) if binds else bound)
-
-    walk(msg, frozenset())
-    return list(seen.items())
+    fv, _ = free_occurrences(msg)
+    return [(x, v.ty) for x, v in fv.items() if x in occ.binders_above]
 
 
 def _captured_chans(occ: Occurrence, msg: Term) -> frozenset[str]:
@@ -569,12 +559,8 @@ def _contract(s: Term, r: Redex, host: Term) -> Term:
     if k == RedexKind.ACTIVATION:
         if not (isinstance(s, ParBind) and not s.active):
             raise InvalidRedex(r.rule)
-        used = all_names(host)
-        b = fresh_name(s.chan, used)
-        comps = tuple(
-            _through_mark(c, lambda u: rename_chan(u, s.chan, b, True))
-            for c in s.comps
-        )
+        b = fresh_name(s.chan, all_names(host))
+        comps = tuple(rename_chan(c, s.chan, b, True) for c in s.comps)
         return ParBind(b, True, s.axiom, comps)
 
     if is_communication(k):
@@ -641,10 +627,7 @@ def _freshen(par: Term, other: Term, host: Term) -> Term:
             b,
             par.active,
             par.axiom,
-            tuple(
-                _through_mark(c, lambda u: rename_chan(u, par.chan, b, par.active))
-                for c in par.comps
-            ),
+            tuple(rename_chan(c, par.chan, b, par.active) for c in par.comps),
         )
     return par
 

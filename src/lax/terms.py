@@ -4,6 +4,12 @@ Terms are immutable dataclasses. Paths address subterms as tuples of child
 indices; the child order fixed by children() is the one reduction traces and
 redex positions refer to.
 
+binder_names() is the one statement of binding: which variables and which
+channels a constructor binds in which child. Free names, renaming, channel
+substitution and alpha-equivalence are walks over children() that read it;
+only the capture-avoiding substitution, which renames binders, and the
+parser's hygiene pass name the binder fields themselves.
+
 Variable occurrences and channel occurrences carry the type the checker
 assigned to them (ty is None straight out of the parser). All engine code
 assumes elaborated terms, so a bottom-up type_of needs no environment.
@@ -216,71 +222,80 @@ def term_size(t: Term) -> int:
 # ---------------------------------------------------------------------------
 # binding structure
 
-def binder_names(t: Term, child_index: int) -> tuple[str, ...]:
-    """Names t binds inside its child_index-th child."""
+def binder_names(t: Term, child_index: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(variables, channels) t binds inside its child_index-th child.
+
+    A lambda binds its variable in its body, each case branch binds its own
+    variable (the scrutinee is outside both), and nu binds its channel in
+    every component. Variables and channels are separate namespaces: nu binds
+    only a channel, lambda and case only variables.
+    """
     if isinstance(t, Lam):
-        return (t.var,)
+        return (t.var,), ()
     if isinstance(t, Case):
         if child_index == 1:
-            return (t.lvar,)
+            return (t.lvar,), ()
         if child_index == 2:
-            return (t.rvar,)
-        return ()
+            return (t.rvar,), ()
+        return (), ()
     if isinstance(t, ParBind):
-        return (t.chan,)
-    return ()
+        return (), (t.chan,)
+    return (), ()
+
+
+def free_occurrences(t: Term) -> tuple[dict[str, Var], dict[str, Chan]]:
+    """The first free occurrence of each variable and of each channel of t.
+
+    One iterative preorder walk, so each dict lists names in first-use order
+    and deep terms do not exhaust the call stack.
+    """
+    fv: dict[str, Var] = {}
+    fc: dict[str, Chan] = {}
+    nothing: frozenset[str] = frozenset()
+    todo: list[tuple[Term, frozenset[str], frozenset[str]]] = [(t, nothing, nothing)]
+    while todo:
+        s, bv, bc = todo.pop()
+        if isinstance(s, Var):
+            if s.name not in bv and s.name not in fv:
+                fv[s.name] = s
+        elif isinstance(s, Chan):
+            if s.name not in bc and s.name not in fc:
+                fc[s.name] = s
+        else:
+            cs = children(s)
+            for i in range(len(cs) - 1, -1, -1):
+                vs, chs = binder_names(s, i)
+                todo.append(
+                    (cs[i], bv.union(vs) if vs else bv, bc.union(chs) if chs else bc)
+                )
+    return fv, fc
+
+
+def free_names(t: Term) -> tuple[frozenset[str], frozenset[str]]:
+    """(free variables, free channels) of t."""
+    fv, fc = free_occurrences(t)
+    return frozenset(fv), frozenset(fc)
 
 
 def free_vars(t: Term) -> frozenset[str]:
     """Free intuitionistic variables (channel occurrences do not count)."""
-    if isinstance(t, Var):
-        return frozenset({t.name})
-    if isinstance(t, (Chan, Unit)):
-        return frozenset()
-    if isinstance(t, Lam):
-        return free_vars(t.body) - {t.var}
-    if isinstance(t, Case):
-        return (
-            free_vars(t.scrut)
-            | (free_vars(t.lbody) - {t.lvar})
-            | (free_vars(t.rbody) - {t.rvar})
-        )
-    out: frozenset[str] = frozenset()
-    for c in children(t):
-        out |= free_vars(c)
-    return out
+    return frozenset(free_occurrences(t)[0])
 
 
 def free_chans(t: Term) -> frozenset[str]:
     """Names of channels with at least one free occurrence in t."""
-    if isinstance(t, Chan):
-        return frozenset({t.name})
-    if isinstance(t, ParBind):
-        out: frozenset[str] = frozenset()
-        for c in t.comps:
-            out |= free_chans(c)
-        return out - {t.chan}
-    out = frozenset()
-    for c in children(t):
-        out |= free_chans(c)
-    return out
+    return frozenset(free_occurrences(t)[1])
 
 
 def all_names(t: Term) -> set[str]:
     """Every variable/channel name appearing anywhere, bound or free."""
     out: set[str] = set()
     for _, s in iter_subterms(t):
-        if isinstance(s, Var):
+        if isinstance(s, (Var, Chan)):
             out.add(s.name)
-        elif isinstance(s, Chan):
-            out.add(s.name)
-        elif isinstance(s, Lam):
-            out.add(s.var)
-        elif isinstance(s, Case):
-            out.add(s.lvar)
-            out.add(s.rvar)
-        elif isinstance(s, ParBind):
-            out.add(s.chan)
+        for i in range(len(children(s))):
+            vs, chs = binder_names(s, i)
+            out.update(vs, chs)
     return out
 
 
@@ -296,77 +311,51 @@ def fresh_name(base: str, used: set[str]) -> str:
 # ---------------------------------------------------------------------------
 # alpha equivalence
 #
-# Binders (lambda, case branches, nu) are compared by binding depth; free
-# names by spelling. Occurrence types are ignored (they are determined by
-# annotations, which are compared), so elaborated and raw parses of the same
-# text compare equal.
+# Binders are compared by binding depth; free names by spelling. Occurrence
+# types are ignored (they are determined by annotations, which are
+# compared), so elaborated and raw parses of the same text compare equal.
+
+# the fields compared besides children and names
+_LABELS: dict[type, tuple[str, ...]] = {
+    Chan: ("negated", "active"),
+    Lam: ("ann",),
+    Proj: ("index",),
+    Inj: ("index", "disj"),
+    Efq: ("target",),
+    ParBind: ("active", "axiom"),
+}
+
 
 def alpha_eq(t1: Term, t2: Term) -> bool:
-    return _alpha(t1, t2, {}, {}, 0)
-
-
-def _alpha(t1: Term, t2: Term, env1: dict, env2: dict, depth: int) -> bool:
-    if type(t1) is not type(t2):
-        return False
-    if isinstance(t1, Var):
-        d1, d2 = env1.get(("v", t1.name)), env2.get(("v", t2.name))
-        if (d1 is None) != (d2 is None):
+    todo: list[tuple[Term, Term, dict, dict, int]] = [(t1, t2, {}, {}, 0)]
+    while todo:
+        t1, t2, env1, env2, depth = todo.pop()
+        if type(t1) is not type(t2):
             return False
-        return d1 == d2 if d1 is not None else t1.name == t2.name
-    if isinstance(t1, Chan):
-        if t1.negated != t2.negated or t1.active != t2.active:
+        if any(getattr(t1, f) != getattr(t2, f) for f in _LABELS.get(type(t1), ())):
             return False
-        d1, d2 = env1.get(("c", t1.name)), env2.get(("c", t2.name))
-        if (d1 is None) != (d2 is None):
+        if isinstance(t1, (Var, Chan)):
+            # the occurrence's class is its namespace
+            d1 = env1.get((type(t1), t1.name))
+            d2 = env2.get((type(t2), t2.name))
+            if d1 != d2 or (d1 is None and t1.name != t2.name):
+                return False
+            continue
+        cs1, cs2 = children(t1), children(t2)
+        if len(cs1) != len(cs2):
             return False
-        return d1 == d2 if d1 is not None else t1.name == t2.name
-    if isinstance(t1, Unit):
-        return True
-    if isinstance(t1, Lam):
-        if t1.ann != t2.ann:
-            return False
-        e1 = dict(env1)
-        e2 = dict(env2)
-        e1[("v", t1.var)] = depth
-        e2[("v", t2.var)] = depth
-        return _alpha(t1.body, t2.body, e1, e2, depth + 1)
-    if isinstance(t1, Case):
-        if not _alpha(t1.scrut, t2.scrut, env1, env2, depth):
-            return False
-        e1 = dict(env1)
-        e2 = dict(env2)
-        e1[("v", t1.lvar)] = depth
-        e2[("v", t2.lvar)] = depth
-        if not _alpha(t1.lbody, t2.lbody, e1, e2, depth + 1):
-            return False
-        e1 = dict(env1)
-        e2 = dict(env2)
-        e1[("v", t1.rvar)] = depth
-        e2[("v", t2.rvar)] = depth
-        return _alpha(t1.rbody, t2.rbody, e1, e2, depth + 1)
-    if isinstance(t1, ParBind):
-        if t1.active != t2.active or t1.axiom != t2.axiom:
-            return False
-        if len(t1.comps) != len(t2.comps):
-            return False
-        e1 = dict(env1)
-        e2 = dict(env2)
-        e1[("c", t1.chan)] = depth
-        e2[("c", t2.chan)] = depth
-        return all(
-            _alpha(c1, c2, e1, e2, depth + 1)
-            for c1, c2 in zip(t1.comps, t2.comps)
-        )
-    if isinstance(t1, Proj) and t1.index != t2.index:
-        return False
-    if isinstance(t1, Inj) and (t1.index != t2.index or t1.disj != t2.disj):
-        return False
-    if isinstance(t1, Efq) and t1.target != t2.target:
-        return False
-    return all(
-        _alpha(c1, c2, env1, env2, depth)
-        for c1, c2 in zip(children(t1), children(t2))
-    )
+        for i, (c1, c2) in enumerate(zip(cs1, cs2)):
+            (vs1, chs1), (vs2, chs2) = binder_names(t1, i), binder_names(t2, i)
+            if not (vs1 or chs1):
+                todo.append((c1, c2, env1, env2, depth))
+                continue
+            e1, e2 = dict(env1), dict(env2)
+            for cls, names1, names2 in ((Var, vs1, vs2), (Chan, chs1, chs2)):
+                for x1, x2 in zip(names1, names2):
+                    e1[(cls, x1)] = depth
+                    e2[(cls, x2)] = depth
+            todo.append((c1, c2, e1, e2, depth + 1))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -517,23 +506,24 @@ def uppermost_active_sessions(t: Term) -> list[tuple[Path, ParBind]]:
 # ---------------------------------------------------------------------------
 # substitution
 
+def _map_free(t: Term, name: str, chan: bool, f) -> Term:
+    """t with f applied to every free occurrence of name: to its channel
+    occurrences when chan, to its variable occurrences otherwise."""
+    if isinstance(t, Chan if chan else Var):
+        return f(t) if t.name == name else t
+    cs = []
+    for i, c in enumerate(children(t)):
+        vs, chs = binder_names(t, i)
+        cs.append(c if name in (chs if chan else vs) else _map_free(c, name, chan, f))
+    return with_children(t, tuple(cs))
+
+
 def rename_var(t: Term, old: str, new: str) -> Term:
     """Rename free occurrences of variable old to new, keeping occurrence types.
 
     new must be fresh for t, so no capture check is needed.
     """
-    if isinstance(t, Var):
-        return Var(new, t.ty) if t.name == old else t
-    if isinstance(t, (Chan, Unit)):
-        return t
-    if isinstance(t, Lam) and t.var == old:
-        return t
-    if isinstance(t, Case):
-        scrut = rename_var(t.scrut, old, new)
-        lbody = t.lbody if t.lvar == old else rename_var(t.lbody, old, new)
-        rbody = t.rbody if t.rvar == old else rename_var(t.rbody, old, new)
-        return Case(scrut, t.lvar, lbody, t.rvar, rbody)
-    return with_children(t, tuple(rename_var(c, old, new) for c in children(t)))
+    return _map_free(t, old, False, lambda v: Var(new, v.ty))
 
 
 def subst(t: Term, x: str, v: Term) -> Term:
@@ -561,9 +551,6 @@ def _subst(t: Term, x: str, v: Term, fv: frozenset[str]) -> Term:
         lvar, lbody = _subst_branch(t.lvar, t.lbody, x, v, fv)
         rvar, rbody = _subst_branch(t.rvar, t.rbody, x, v, fv)
         return Case(scrut, lvar, lbody, rvar, rbody)
-    if isinstance(t, ParBind):
-        # channel binders cannot capture term variables
-        return replace(t, comps=tuple(_subst(c, x, v, fv) for c in t.comps))
     return with_children(t, tuple(_subst(c, x, v, fv) for c in children(t)))
 
 
@@ -583,25 +570,9 @@ def subst_chan_bare(t: Term, a: str, v: Term) -> Term:
     Used by the dissolving cross rules, where every receiver occurrence gets
     the same closed message.
     """
-    if isinstance(t, Chan):
-        if t.name == a and not t.negated:
-            return v
-        return t
-    if isinstance(t, (Var, Unit)):
-        return t
-    if isinstance(t, ParBind) and t.chan == a:
-        return t
-    return with_children(t, tuple(subst_chan_bare(c, a, v) for c in children(t)))
+    return _map_free(t, a, True, lambda c: c if c.negated else v)
 
 
 def rename_chan(t: Term, old: str, new: str, active: bool) -> Term:
     """Rename free occurrences of channel old to new, setting the active flag."""
-    if isinstance(t, Chan):
-        if t.name == old:
-            return Chan(new, t.ty, active, t.negated)
-        return t
-    if isinstance(t, (Var, Unit)):
-        return t
-    if isinstance(t, ParBind) and t.chan == old:
-        return t
-    return with_children(t, tuple(rename_chan(c, old, new, active) for c in children(t)))
+    return _map_free(t, old, True, lambda c: Chan(new, c.ty, active, c.negated))

@@ -45,8 +45,7 @@ from .terms import (
     Underline,
     Unit,
     Var,
-    free_chans,
-    free_vars,
+    free_names,
 )
 
 
@@ -362,8 +361,9 @@ def check_subject_reduction(
         return SubjectReductionReport(
             False, show_formula(tb), show_formula(ta), "type changed"
         )
-    fv_new = free_vars(after) - free_vars(before)
-    fc_new = free_chans(after) - free_chans(before)
+    (fv_after, fc_after), (fv_before, fc_before) = free_names(after), free_names(before)
+    fv_new = fv_after - fv_before
+    fc_new = fc_after - fc_before
     if fv_new or fc_new:
         return SubjectReductionReport(
             False,

@@ -194,3 +194,26 @@ def test_fuzz_accepts_the_smallest_sizes_and_counts(capsys):
     assert json.loads(line)["terms"] == 0
     assert main(["fuzz", "--size", "1", "--count", "3", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["terms"] == 3
+
+
+DEEP = {
+    "parentheses": "(" * 400 + "tt" + ")" * 400,
+    "lambdas": "(\\x : A." * 300 + "x" + ")" * 300,
+}
+
+
+@pytest.mark.parametrize("command", ["check", "normalize"])
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_too_deep_input_is_bad_input(prog, capsys, command, shape):
+    """Nesting past the interpreter's recursion limit is an input error,
+    never a traceback, and under --format json still one JSON event."""
+    path = prog(DEEP[shape])
+    assert main([command, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "error: input nested too deeply\n"
+    assert captured.err == ""
+    assert main([command, path, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.out.splitlines()
+    assert json.loads(line) == {"event": "error", "error": "input nested too deeply"}
+    assert captured.err == ""

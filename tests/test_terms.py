@@ -1,0 +1,203 @@
+"""Binding structure: free names, renaming, channel substitution, and
+alpha-equivalence, on terms built with the constructors (the parser's
+hygiene would rename the clashes these tests need)."""
+
+from importlib import resources
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lax import (
+    App,
+    Atom,
+    Case,
+    Chan,
+    Disj,
+    Efq,
+    GenConfig,
+    Impl,
+    Inj,
+    Lam,
+    Pair,
+    ParBind,
+    Proj,
+    TypingContext,
+    Underline,
+    Var,
+    alpha_eq,
+    check,
+    em_axiom,
+    free_chans,
+    free_names,
+    free_vars,
+    generate,
+    normalize,
+    parse_program,
+)
+from lax.terms import TT, rename_chan, rename_var, subst_chan_bare
+
+from oracles import _free_names
+
+A, B = Atom("A"), Atom("B")
+EM = em_axiom(A)
+
+
+def _run_states(t):
+    _, trace = normalize(t, max_steps=10_000)
+    return [t] + [s.term_after for s in trace.steps]
+
+
+def _assert_free_names_match_the_oracle(states):
+    for i, u in enumerate(states):
+        want = _free_names(u)
+        assert free_names(u) == want, f"state {i}"
+        assert (free_vars(u), free_chans(u)) == want, f"state {i}"
+
+
+# --------------------------------------------------------------------------
+# free names
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["em", "em3", "c3", "g2", "godel", None]),
+)
+def test_free_names_match_the_oracle_on_every_state(seed, preset_name):
+    """Beta duplicates binders, so later states shadow names the initial
+    term keeps apart."""
+    _, t = generate(seed, GenConfig(preset=preset_name, max_size=18))
+    _assert_free_names_match_the_oracle(_run_states(t))
+
+
+@pytest.mark.parametrize(
+    "name", ["broadcast_em3", "godel", "mobility", "or", "scheduler_c3"]
+)
+def test_free_names_match_the_oracle_on_the_examples(name):
+    source = (resources.files("lax") / "examples" / f"{name}.lax").read_text()
+    prog = parse_program(source)
+    t, _ = check(prog.term, TypingContext(ivars=dict(prog.gamma)))
+    _assert_free_names_match_the_oracle(_run_states(t))
+
+
+def test_free_names_see_through_shadowing():
+    # x is bound in the left branch only; a is free outside its own nu
+    t = Pair(
+        Case(Var("x"), "x", Var("x"), "y", Var("x")),
+        App(Chan("a"), ParBind("a", False, EM, (Chan("a"), Var("a")))),
+    )
+    assert free_names(t) == (frozenset({"x", "a"}), frozenset({"a"}))
+
+
+# --------------------------------------------------------------------------
+# namespaces stay apart
+
+
+def test_rename_var_passes_through_a_nu_binding_its_name():
+    t = ParBind("x", False, EM, (Var("x"), Chan("x")))
+    want = ParBind("x", False, EM, (Var("z"), Chan("x")))
+    assert rename_var(t, "x", "z") == want
+
+
+def test_rename_var_stops_at_a_binder_of_its_name():
+    t = Pair(Var("x"), Lam("x", A, Var("x")))
+    assert rename_var(t, "x", "z") == Pair(Var("z"), Lam("x", A, Var("x")))
+    c = Case(Var("x"), "x", Var("x"), "y", Var("x"))
+    assert rename_var(c, "x", "z") == Case(Var("z"), "x", Var("x"), "y", Var("z"))
+
+
+def test_rename_chan_passes_through_a_lambda_and_stops_at_a_nu():
+    t = Pair(
+        Lam("a", A, App(Chan("a"), Var("a"))),
+        ParBind("a", False, EM, (Chan("a"),)),
+    )
+    want = Pair(
+        Lam("a", A, App(Chan("b", active=True), Var("a"))),
+        ParBind("a", False, EM, (Chan("a"),)),
+    )
+    assert rename_chan(t, "a", "b", True) == want
+
+
+def test_subst_chan_bare_passes_through_a_lambda_and_stops_at_a_nu():
+    msg = Var("m")
+    t = Pair(
+        Lam("a", A, Pair(Chan("a"), Chan("a", negated=True))),
+        Underline(ParBind("a", False, EM, (Chan("a"),))),
+    )
+    want = Pair(
+        Lam("a", A, Pair(msg, Chan("a", negated=True))),
+        Underline(ParBind("a", False, EM, (Chan("a"),))),
+    )
+    assert subst_chan_bare(t, "a", msg) == want
+
+
+# --------------------------------------------------------------------------
+# alpha-equivalence
+
+
+def test_renaming_a_bound_variable_is_alpha_equivalent():
+    assert alpha_eq(Lam("x", A, Var("x")), Lam("y", A, Var("y")))
+    assert alpha_eq(
+        Case(Var("s"), "x", Var("x"), "y", Var("y")),
+        Case(Var("s"), "u", Var("u"), "v", Var("v")),
+    )
+
+
+def test_renaming_a_bound_channel_is_alpha_equivalent():
+    assert alpha_eq(
+        ParBind("a", True, EM, (App(Chan("a", active=True), TT), Chan("a", active=True))),
+        ParBind("b", True, EM, (App(Chan("b", active=True), TT), Chan("b", active=True))),
+    )
+
+
+DISJ = Disj(A, B)
+DIFFERENT_FIELDS = {
+    "lambda annotation": (Lam("x", A, Var("x")), Lam("x", B, Var("x"))),
+    "projection index": (Proj(Var("p"), 0), Proj(Var("p"), 1)),
+    "injection index": (Inj(0, DISJ, Var("a")), Inj(1, DISJ, Var("a"))),
+    "injection annotation": (Inj(0, DISJ, Var("a")), Inj(0, Disj(A, A), Var("a"))),
+    "efq target": (Efq(Var("f"), A), Efq(Var("f"), B)),
+    "session activity": (
+        ParBind("a", False, EM, (TT, TT)),
+        ParBind("a", True, EM, (TT, TT)),
+    ),
+    "session axiom": (
+        ParBind("a", False, EM, (TT, TT)),
+        ParBind("a", False, em_axiom(B), (TT, TT)),
+    ),
+    "session arity": (
+        ParBind("a", False, EM, (TT, TT)),
+        ParBind("a", False, EM, (TT, TT, TT)),
+    ),
+    "channel polarity": (Chan("a"), Chan("a", negated=True)),
+    "channel activity": (Chan("a"), Chan("a", active=True)),
+    "binding depth": (
+        Lam("x", A, Lam("y", A, Var("x"))),
+        Lam("x", A, Lam("y", A, Var("y"))),
+    ),
+    "bound against free": (Lam("x", A, Var("x")), Lam("x", A, Var("z"))),
+    "free spelling": (Var("x"), Var("y")),
+    "variable against channel": (Var("a"), Chan("a")),
+}
+
+
+@pytest.mark.parametrize("field", sorted(DIFFERENT_FIELDS))
+def test_alpha_eq_tells_apart(field):
+    t1, t2 = DIFFERENT_FIELDS[field]
+    assert alpha_eq(t1, t1) and alpha_eq(t2, t2)
+    assert not alpha_eq(t1, t2)
+    assert not alpha_eq(t2, t1)
+
+
+def test_a_variable_binder_does_not_bind_a_channel_of_its_name():
+    """The channel occurrence a belongs to the nu, whichever name the
+    lambda between them binds."""
+    assert alpha_eq(
+        ParBind("a", False, EM, (Lam("a", A, Chan("a")), TT)),
+        ParBind("a", False, EM, (Lam("b", A, Chan("a")), TT)),
+    )
+
+
+def test_alpha_eq_ignores_occurrence_types():
+    assert alpha_eq(Var("x", A), Var("x"))
+    assert alpha_eq(Chan("a", Impl(A, B)), Chan("a"))
