@@ -21,6 +21,7 @@ free are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 
 from .axioms import (
     AxiomScheme,
@@ -47,12 +48,12 @@ from .terms import (
     TT,
     Underline,
     Var,
-    binder_names,
+    binder,
+    chan_occurrences,
     children,
     free_names,
     fresh_name,
-    rename_chan,
-    rename_var,
+    rebind,
     with_children,
 )
 
@@ -440,24 +441,15 @@ class _Parser:
 
     def _check_channel_applied(self, bind: ParBind, tok: _Tok) -> None:
         """Bare occurrences are only legal for EM/broadcast receivers."""
-        if bind.axiom.mode != "general":
-            return
-
-        def walk(t: Term) -> None:
-            if isinstance(t, App) and isinstance(t.fun, Chan) and t.fun.name == bind.chan:
-                walk(t.arg)
-                return
-            if isinstance(t, Chan) and t.name == bind.chan:
-                self.err(
-                    f"channel {bind.chan!r} cannot occur alone; "
-                    "apply it to an argument", tok,
-                )
-            for i, c in enumerate(children(t)):
-                if bind.chan not in binder_names(t, i)[1]:
-                    walk(c)
-
-        for comp in bind.comps:
-            walk(comp)
+        if bind.axiom.mode == "general" and any(
+            occ.app_path is None
+            for comp in bind.comps
+            for occ in chan_occurrences(comp, bind.chan)
+        ):
+            self.err(
+                f"channel {bind.chan!r} cannot occur alone; "
+                "apply it to an argument", tok,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -465,36 +457,23 @@ class _Parser:
 # are pairwise distinct (makes substitution renaming almost never fire)
 
 def _hygiene(t: Term, used: set[str]) -> Term:
-    if isinstance(t, Lam):
-        var, body = t.var, t.body
-        if var in used:
-            var = fresh_name(var, used)
-            body = rename_var(body, t.var, var)
-        used.add(var)
-        return Lam(var, t.ann, _hygiene(body, used))
-    if isinstance(t, Case):
-        scrut = _hygiene(t.scrut, used)
-        lv, lb = t.lvar, t.lbody
-        if lv in used:
-            lv = fresh_name(lv, used)
-            lb = rename_var(lb, t.lvar, lv)
-        used.add(lv)
-        lb = _hygiene(lb, used)
-        rv, rb = t.rvar, t.rbody
-        if rv in used:
-            rv = fresh_name(rv, used)
-            rb = rename_var(rb, t.rvar, rv)
-        used.add(rv)
-        rb = _hygiene(rb, used)
-        return Case(scrut, lv, lb, rv, rb)
-    if isinstance(t, ParBind):
-        chan, comps = t.chan, t.comps
-        if chan in used:
-            chan = fresh_name(chan, used)
-            comps = tuple(rename_chan(c, t.chan, chan, t.active) for c in comps)
-        used.add(chan)
-        return ParBind(chan, t.active, t.axiom, tuple(_hygiene(c, used) for c in comps))
-    return with_children(t, tuple(_hygiene(c, used) for c in children(t)))
+    cs = children(t)
+    new = []
+    handled = set()  # a nu's binder is over every component; rename it once
+    for i in range(len(cs)):
+        b = binder(t, i)
+        if b is not None and b not in handled:
+            handled.add(b)
+            name = getattr(t, b[0])
+            if name in used:
+                name = fresh_name(name, used)
+                t = rebind(t, i, name)
+                cs = children(t)
+            used.add(name)
+        new.append(_hygiene(cs[i], used))
+    if all(map(is_, new, cs)):
+        return t
+    return with_children(t, tuple(new))
 
 
 def parse_formula(text: str) -> Formula:

@@ -43,6 +43,7 @@ from .terms import (
     Efq,
     Inj,
     Lam,
+    Occurrence,
     Pair,
     ParBind,
     Path,
@@ -55,6 +56,7 @@ from .terms import (
     apply_stack,
     binder_names,
     build_tuple,
+    chan_occurrences,
     children,
     comp_body,
     comp_marked,
@@ -65,13 +67,11 @@ from .terms import (
     free_chans,
     free_names,
     free_occurrences,
-    free_vars,
     fresh_name,
     is_parallel_node,
     is_simply_typed,
     iter_subterms,
-    rename_chan,
-    rename_var,
+    rebind,
     replace_at,
     subst,
     subst_chan_bare,
@@ -236,38 +236,6 @@ def is_communication(kind: RedexKind) -> bool:
 
 # ---------------------------------------------------------------------------
 # channel occurrences
-
-@dataclass(frozen=True)
-class Occurrence:
-    chan_path: Path  # path of the Chan node within the component body
-    app_path: Optional[Path]  # path of the App node when applied
-    negated: bool
-    arg: Optional[Term]
-    binders_above: frozenset[str]  # variable and channel names bound above
-
-
-def chan_occurrences(comp: Term, name: str) -> list[Occurrence]:
-    """Free occurrences of `name` in preorder; the last one is rightmost."""
-    out: list[Occurrence] = []
-
-    def walk(t: Term, path: Path, above: frozenset[str]):
-        if isinstance(t, App) and isinstance(t.fun, Chan) and t.fun.name == name:
-            out.append(
-                Occurrence(path + (0,), path, t.fun.negated, t.arg, above)
-            )
-            walk(t.arg, path + (1,), above)
-            return
-        if isinstance(t, Chan) and t.name == name:
-            out.append(Occurrence(path, None, t.negated, None, above))
-            return
-        for i, c in enumerate(children(t)):
-            vs, chs = binder_names(t, i)
-            if name not in chs:  # a nu rebinding name shadows it
-                walk(c, path + (i,), above.union(vs, chs))
-
-    walk(comp, (), frozenset())
-    return out
-
 
 def _closed_at(occ: Occurrence, msg: Term) -> bool:
     """No free name of msg is bound between the component root and the hole."""
@@ -559,9 +527,7 @@ def _contract(s: Term, r: Redex, host: Term) -> Term:
     if k == RedexKind.ACTIVATION:
         if not (isinstance(s, ParBind) and not s.active):
             raise InvalidRedex(r.rule)
-        b = fresh_name(s.chan, all_names(host))
-        comps = tuple(rename_chan(c, s.chan, b, True) for c in s.comps)
-        return ParBind(b, True, s.axiom, comps)
+        return rebind(replace(s, active=True), 0, fresh_name(s.chan, all_names(host)))
 
     if is_communication(k):
         if not isinstance(s, ParBind):
@@ -594,42 +560,27 @@ def _case_perm(s: Term, r: Redex, host: Term) -> Term:
     if not isinstance(case, Case):
         raise InvalidRedex(r.rule)
     # the frame moves under the branch binders, which beta may have
-    # duplicated, so a binder the frame mentions free is renamed first
-    frame_vars = free_vars(replace(s, **{hole: TT}))
-    lvar, lbody = _freshen_branch(case.lvar, case.lbody, frame_vars, host)
-    rvar, rbody = _freshen_branch(case.rvar, case.rbody, frame_vars, host)
+    # duplicated
+    case = _freshen(case, replace(s, **{hole: TT}), host)
     return Case(
         case.scrut,
-        lvar,
-        replace(s, **{hole: lbody}),
-        rvar,
-        replace(s, **{hole: rbody}),
+        case.lvar,
+        replace(s, **{hole: case.lbody}),
+        case.rvar,
+        replace(s, **{hole: case.rbody}),
     )
 
 
-def _freshen_branch(
-    var: str, body: Term, frame_vars: frozenset[str], host: Term
-) -> tuple[str, Term]:
-    """Rename a case branch's binder when the frame moving under it
-    mentions it free: the side condition of the case permutation."""
-    if var not in frame_vars:
-        return var, body
-    b = fresh_name(var, all_names(host))
-    return b, rename_var(body, var, b)
-
-
-def _freshen(par: Term, other: Term, host: Term) -> Term:
-    """Rename par's binder when other, which moves under it, mentions it
-    free: the side condition "a not in w" of the permutations."""
-    if isinstance(par, ParBind) and par.chan in free_chans(other):
-        b = fresh_name(par.chan, all_names(host))
-        return ParBind(
-            b,
-            par.active,
-            par.axiom,
-            tuple(rename_chan(c, par.chan, b, par.active) for c in par.comps),
-        )
-    return par
+def _freshen(t: Term, other: Term, host: Term) -> Term:
+    """Rename each binder of t that other, which moves under it, mentions
+    free: the side condition of the permutations ("a not in w" for the
+    parallel ones)."""
+    fv, fc = free_names(other)
+    for i in range(len(children(t))):
+        vs, chs = binder_names(t, i)
+        if not (fv.isdisjoint(vs) and fc.isdisjoint(chs)):
+            t = rebind(t, i, fresh_name((vs + chs)[0], all_names(host)))
+    return t
 
 
 def _par_perm(s: Term, r: Redex, host: Term) -> Term:

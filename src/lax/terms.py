@@ -4,11 +4,14 @@ Terms are immutable dataclasses. Paths address subterms as tuples of child
 indices; the child order fixed by children() is the one reduction traces and
 redex positions refer to.
 
-binder_names() is the one statement of binding: which variables and which
-channels a constructor binds in which child. Free names, renaming, channel
-substitution and alpha-equivalence are walks over children() that read it;
-only the capture-avoiding substitution, which renames binders, and the
-parser's hygiene pass name the binder fields themselves.
+One table, _SHAPES, states each constructor's shape: the fields holding its
+subterms, in path order, and which field names what it binds in which
+child. children(), with_children(), binder() and binder_names() are read off
+it. Free names, renaming, channel substitution, alpha-equivalence and
+channel occurrences are walks over children() that read binder_names();
+rebind() is the only code that renames a bound name, and substitution, the
+parser's hygiene pass, the permutations' freshening and activation all go
+through it.
 
 Variable occurrences and channel occurrences carry the type the checker
 assigned to them (ty is None straight out of the parser). All engine code
@@ -18,7 +21,8 @@ assumes elaborated terms, so a bottom-up type_of needs no environment.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from operator import attrgetter, is_
+from typing import Iterator, NamedTuple, Optional
 
 from .axioms import AxiomScheme
 from .formulas import Formula, Conj, TOP
@@ -136,59 +140,64 @@ TT = Unit()
 
 
 # ---------------------------------------------------------------------------
-# generic traversal
+# node shapes: the one table of subterms and binders
+
+
+class _Shape(NamedTuple):
+    # the fields holding the subterms, in path order
+    kids: tuple[str, ...]
+    # (field naming the bound name, the occurrence class it binds, the child
+    # it binds in or None for every child); at most one binder per child
+    binds: tuple[tuple[str, type, Optional[int]], ...] = ()
+    # kids is one field holding the tuple of subterms
+    spread: bool = False
+
+
+_SHAPES: dict[type, _Shape] = {
+    Var: _Shape(()),
+    Chan: _Shape(()),
+    Unit: _Shape(()),
+    Lam: _Shape(("body",), (("var", Var, 0),)),
+    App: _Shape(("fun", "arg")),
+    Pair: _Shape(("left", "right")),
+    Proj: _Shape(("arg",)),
+    Inj: _Shape(("arg",)),
+    Case: _Shape(("scrut", "lbody", "rbody"), (("lvar", Var, 1), ("rvar", Var, 2))),
+    Efq: _Shape(("arg",)),
+    ParBind: _Shape(("comps",), (("chan", Chan, None),), spread=True),
+    Contract: _Shape(("left", "right")),
+    Underline: _Shape(("body",)),
+}
+
+
+def _getter(shape: _Shape):
+    if shape.spread:
+        return attrgetter(shape.kids[0])
+    if len(shape.kids) == 1:
+        get = attrgetter(shape.kids[0])
+        return lambda t: (get(t),)
+    if shape.kids:
+        return attrgetter(*shape.kids)
+    return lambda t: ()
+
+
+_CHILDREN = {cls: _getter(shape) for cls, shape in _SHAPES.items()}
+
 
 def children(t: Term) -> tuple[Term, ...]:
-    if isinstance(t, (Var, Chan, Unit)):
-        return ()
-    if isinstance(t, Lam):
-        return (t.body,)
-    if isinstance(t, App):
-        return (t.fun, t.arg)
-    if isinstance(t, Pair):
-        return (t.left, t.right)
-    if isinstance(t, Proj):
-        return (t.arg,)
-    if isinstance(t, Inj):
-        return (t.arg,)
-    if isinstance(t, Case):
-        return (t.scrut, t.lbody, t.rbody)
-    if isinstance(t, Efq):
-        return (t.arg,)
-    if isinstance(t, ParBind):
-        return t.comps
-    if isinstance(t, Contract):
-        return (t.left, t.right)
-    if isinstance(t, Underline):
-        return (t.body,)
-    raise TypeError(f"not a term: {t!r}")
+    get = _CHILDREN.get(type(t))
+    if get is None:
+        raise TypeError(f"not a term: {t!r}")
+    return get(t)
 
 
 def with_children(t: Term, cs: tuple[Term, ...]) -> Term:
-    if isinstance(t, (Var, Chan, Unit)):
-        assert cs == ()
+    shape = _SHAPES[type(t)]
+    if not shape.kids:
         return t
-    if isinstance(t, Lam):
-        return replace(t, body=cs[0])
-    if isinstance(t, App):
-        return App(cs[0], cs[1])
-    if isinstance(t, Pair):
-        return Pair(cs[0], cs[1])
-    if isinstance(t, Proj):
-        return Proj(cs[0], t.index)
-    if isinstance(t, Inj):
-        return Inj(t.index, t.disj, cs[0])
-    if isinstance(t, Case):
-        return Case(cs[0], t.lvar, cs[1], t.rvar, cs[2])
-    if isinstance(t, Efq):
-        return Efq(cs[0], t.target)
-    if isinstance(t, ParBind):
-        return replace(t, comps=cs)
-    if isinstance(t, Contract):
-        return Contract(cs[0], cs[1])
-    if isinstance(t, Underline):
-        return Underline(cs[0])
-    raise TypeError(f"not a term: {t!r}")
+    if shape.spread:
+        return replace(t, **{shape.kids[0]: cs})
+    return replace(t, **dict(zip(shape.kids, cs)))
 
 
 Path = tuple[int, ...]
@@ -209,38 +218,104 @@ def replace_at(t: Term, path: Path, new: Term) -> Term:
 
 
 def iter_subterms(t: Term, path: Path = ()) -> Iterator[tuple[Path, Term]]:
-    """Preorder (leftmost-outermost) walk yielding (path, subterm)."""
-    yield path, t
-    for i, c in enumerate(children(t)):
-        yield from iter_subterms(c, path + (i,))
+    """Preorder (leftmost-outermost) walk yielding (path, subterm), on an
+    explicit stack, so deep terms do not exhaust the call stack."""
+    todo = [(path, t)]
+    while todo:
+        path, s = todo.pop()
+        yield path, s
+        cs = children(s)
+        for i in range(len(cs) - 1, -1, -1):
+            todo.append((path + (i,), cs[i]))
 
 
 def term_size(t: Term) -> int:
-    return 1 + sum(term_size(c) for c in children(t))
+    n, todo = 0, [t]
+    while todo:
+        n += 1
+        todo.extend(children(todo.pop()))
+    return n
 
 
 # ---------------------------------------------------------------------------
 # binding structure
 
-def binder_names(t: Term, child_index: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(variables, channels) t binds inside its child_index-th child.
+def binder(t: Term, child_index: int) -> Optional[tuple[str, type]]:
+    """(field, occurrence class) of the binder t puts over its
+    child_index-th child, or None when there is none.
 
     A lambda binds its variable in its body, each case branch binds its own
     variable (the scrutinee is outside both), and nu binds its channel in
-    every component. Variables and channels are separate namespaces: nu binds
-    only a channel, lambda and case only variables.
+    every component.
     """
-    if isinstance(t, Lam):
-        return (t.var,), ()
-    if isinstance(t, Case):
-        if child_index == 1:
-            return (t.lvar,), ()
-        if child_index == 2:
-            return (t.rvar,), ()
+    for field, cls, child in _SHAPES[type(t)].binds:
+        if child is None or child == child_index:
+            return field, cls
+    return None
+
+
+def binder_names(t: Term, child_index: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(variables, channels) t binds inside its child_index-th child.
+
+    Variables and channels are separate namespaces: nu binds only a channel,
+    lambda and case only variables.
+    """
+    b = binder(t, child_index)
+    if b is None:
         return (), ()
-    if isinstance(t, ParBind):
-        return (), (t.chan,)
-    return (), ()
+    name = (getattr(t, b[0]),)
+    return (name, ()) if b[1] is Var else ((), name)
+
+
+def rebind(t: Term, child_index: int, new: str) -> Term:
+    """t with the binder over its child_index-th child renamed to new in
+    every child it binds: a variable in one child, or a session's channel in
+    every component, whose occurrences take the session's activity.
+
+    new must be fresh for those children, so no capture check is needed.
+    """
+    field, cls = binder(t, child_index)
+    old = getattr(t, field)
+    cs = list(children(t))
+    for j, c in enumerate(cs):
+        if binder(t, j) == (field, cls):
+            if cls is Var:
+                cs[j] = rename_var(c, old, new)
+            else:
+                cs[j] = rename_chan(c, old, new, t.active)
+    return replace(with_children(t, tuple(cs)), **{field: new})
+
+
+@dataclass(frozen=True)
+class Occurrence:
+    chan_path: Path  # path of the Chan node within the component body
+    app_path: Optional[Path]  # path of the App node when applied
+    negated: bool
+    arg: Optional[Term]
+    binders_above: frozenset[str]  # variable and channel names bound above
+
+
+def chan_occurrences(comp: Term, name: str) -> list[Occurrence]:
+    """Free occurrences of `name` in preorder; the last one is rightmost."""
+    out: list[Occurrence] = []
+
+    def walk(t: Term, path: Path, above: frozenset[str]):
+        if isinstance(t, App) and isinstance(t.fun, Chan) and t.fun.name == name:
+            out.append(
+                Occurrence(path + (0,), path, t.fun.negated, t.arg, above)
+            )
+            walk(t.arg, path + (1,), above)
+            return
+        if isinstance(t, Chan) and t.name == name:
+            out.append(Occurrence(path, None, t.negated, None, above))
+            return
+        for i, c in enumerate(children(t)):
+            vs, chs = binder_names(t, i)
+            if name not in chs:  # a nu rebinding name shadows it
+                walk(c, path + (i,), above.union(vs, chs))
+
+    walk(comp, (), frozenset())
+    return out
 
 
 def free_occurrences(t: Term) -> tuple[dict[str, Var], dict[str, Chan]]:
@@ -534,34 +609,23 @@ def subst(t: Term, x: str, v: Term) -> Term:
 def _subst(t: Term, x: str, v: Term, fv: frozenset[str]) -> Term:
     if isinstance(t, Var):
         return v if t.name == x else t
-    if isinstance(t, (Chan, Unit)):
+    cs = children(t)
+    new = list(cs)
+    for i in range(len(cs)):
+        vs = binder_names(t, i)[0]
+        if x in vs:
+            continue
+        if not fv.isdisjoint(vs):
+            # v would be captured: rename the binder, unless x is not free
+            # below it and nothing is substituted there
+            if x not in free_vars(cs[i]):
+                continue
+            t = rebind(t, i, fresh_name(vs[0], fv | all_names(cs[i]) | {x}))
+            new[i] = children(t)[i]
+        new[i] = _subst(new[i], x, v, fv)
+    if all(map(is_, new, cs)):
         return t
-    if x not in free_vars(t):
-        return t
-    if isinstance(t, Lam):
-        if t.var == x:
-            return t
-        var, body = t.var, t.body
-        if var in fv:
-            var = fresh_name(var, set(fv) | all_names(body) | {x})
-            body = rename_var(body, t.var, var)
-        return Lam(var, t.ann, _subst(body, x, v, fv))
-    if isinstance(t, Case):
-        scrut = _subst(t.scrut, x, v, fv)
-        lvar, lbody = _subst_branch(t.lvar, t.lbody, x, v, fv)
-        rvar, rbody = _subst_branch(t.rvar, t.rbody, x, v, fv)
-        return Case(scrut, lvar, lbody, rvar, rbody)
-    return with_children(t, tuple(_subst(c, x, v, fv) for c in children(t)))
-
-
-def _subst_branch(var: str, body: Term, x: str, v: Term, fv: frozenset[str]):
-    if var == x or x not in free_vars(body):
-        return var, body
-    if var in fv:
-        fresh = fresh_name(var, set(fv) | all_names(body) | {x})
-        body = rename_var(body, var, fresh)
-        var = fresh
-    return var, _subst(body, x, v, fv)
+    return with_children(t, tuple(new))
 
 
 def subst_chan_bare(t: Term, a: str, v: Term) -> Term:

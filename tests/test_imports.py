@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every function and class a module defines is used by some module.
 
-Lines marked `# noqa: F401` (re-exports) are exempt.
+Lines marked `# noqa: F401` (re-exports) are exempt from the first scan; a
+re-export in `__init__` counts as a use for the second.
 """
 
 import ast
@@ -11,6 +13,8 @@ import pytest
 import lax
 
 MODULES = sorted(Path(lax.__file__).parent.glob("*.py"))
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -35,3 +39,49 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """Names node reads, as a bare name, an attribute, or an import."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def _unused_definitions(paths: list[Path]) -> list[str]:
+    """Module-level functions and classes that no module references outside
+    their own body (a recursive call does not keep one alive)."""
+    defined: dict[tuple[str, str], int] = {}
+    users: dict[str, set[tuple[str, str | None]]] = {}
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = node.name if isinstance(node, _DEFINITIONS) else None
+            if owner is not None:
+                defined[(path.name, owner)] = node.lineno
+            for name in _referenced(node):
+                users.setdefault(name, set()).add((path.name, owner))
+    return [
+        f"{module}:{line}: {name}"
+        for (module, name), line in defined.items()
+        if not users.get(name, set()) - {(module, name)}
+    ]
+
+
+def test_no_unused_definitions():
+    assert _unused_definitions(MODULES) == []
+
+
+def test_the_definition_scan_sees_a_helper_only_its_own_body_calls(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return 1\n\n"
+        "def orphan(n):\n    return orphan(n - 1) if n else used()\n\n"
+        "class Kept:\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import Kept\n")
+    assert _unused_definitions(sorted(tmp_path.glob("*.py"))) == ["a.py:4: orphan"]

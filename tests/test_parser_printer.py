@@ -13,8 +13,10 @@ from lax import (
     Lam,
     LaxSyntaxError,
     Pair,
+    ParBind,
     Proj,
     Top,
+    Underline,
     Unit,
     Var,
     alpha_eq,
@@ -23,6 +25,8 @@ from lax import (
     parse_term,
     show_term,
 )
+from lax.cli import main
+from lax.terms import Chan
 
 A, B = Atom("A"), Atom("B")
 
@@ -98,6 +102,53 @@ def test_error_carries_line_and_column():
         assert e.col >= 2
     else:
         raise AssertionError("expected a syntax error")
+
+
+BARE_GENERAL = "free va : A;\nfree vb : B;\nnu a : AX{A -> B, B -> A}. [a va || a]\n"
+
+
+def test_a_bare_general_channel_is_a_syntax_error(tmp_path):
+    with pytest.raises(LaxSyntaxError, match="cannot occur alone") as e:
+        parse_program(BARE_GENERAL)
+    assert (e.value.line, e.value.col) == (3, 1)
+    path = tmp_path / "bare.lax"
+    path.write_text(BARE_GENERAL)
+    assert main(["check", str(path)]) == 1
+
+
+def test_a_bare_channel_is_legal_where_em_binds_it():
+    # an EM receiver, and an EM session inside a general one that rebinds a
+    parse_program("free va : A;\nnu a : EM[A]. [nota va || a]\n")
+    parse_program(
+        "free va : A;\nfree vb : B;\n"
+        "nu a : AX{A -> B, B -> A}. [a va || a (nu a : EM[B]. [nota vb || a])]\n"
+    )
+
+
+# hygiene: no binder shadows a free name or another binder
+
+
+def test_hygiene_renames_a_shadowing_lambda():
+    assert parse_term("\\x:A. (\\x:A. x)") == Lam("x", A, Lam("x0", A, Var("x0")))
+
+
+def test_hygiene_renames_each_case_branch_apart():
+    t = parse_term("case z of {x. x | x. x}", {"x", "z"})
+    assert t == Case(Var("z"), "x0", Var("x0"), "x1", Var("x1"))
+
+
+def test_hygiene_renames_a_session_in_every_component_keeping_its_activity():
+    t = parse_term("<a, nu a* : EM[A]. [nota tt || @a]>", {"a"})
+    want = ParBind(
+        "a0",
+        True,
+        t.right.axiom,
+        (
+            App(Chan("a0", None, True, True), Unit()),
+            Underline(Chan("a0", None, True, False)),
+        ),
+    )
+    assert t == Pair(Var("a"), want)
 
 
 def test_program_free_declarations():

@@ -1,4 +1,5 @@
-"""Binding structure: free names, renaming, channel substitution, and
+"""Node shapes and binding structure: children, rebuilding, binder
+renaming, free names, renaming, substitution, channel substitution, and
 alpha-equivalence, on terms built with the constructors (the parser's
 hygiene would rename the clashes these tests need)."""
 
@@ -27,16 +28,33 @@ from lax import (
     alpha_eq,
     check,
     em_axiom,
+    find_redexes,
     free_chans,
     free_names,
     free_vars,
     generate,
     normalize,
     parse_program,
+    term_size,
 )
-from lax.terms import TT, rename_chan, rename_var, subst_chan_bare
+from lax import terms
+from lax.terms import (
+    TT,
+    all_names,
+    binder_names,
+    children,
+    fresh_name,
+    is_simply_typed,
+    iter_subterms,
+    rebind,
+    rename_chan,
+    rename_var,
+    subst,
+    subst_chan_bare,
+    with_children,
+)
 
-from oracles import _free_names
+from oracles import _free_names, _kids
 
 A, B = Atom("A"), Atom("B")
 EM = em_axiom(A)
@@ -52,6 +70,122 @@ def _assert_free_names_match_the_oracle(states):
         want = _free_names(u)
         assert free_names(u) == want, f"state {i}"
         assert (free_vars(u), free_chans(u)) == want, f"state {i}"
+
+
+def _example_states(name):
+    source = (resources.files("lax") / "examples" / f"{name}.lax").read_text()
+    prog = parse_program(source)
+    t, _ = check(prog.term, TypingContext(ivars=dict(prog.gamma)))
+    return _run_states(t)
+
+
+EXAMPLES = ["broadcast_em3", "godel", "mobility", "or", "scheduler_c3"]
+
+
+# --------------------------------------------------------------------------
+# node shapes
+
+
+def _preorder(t, path=()):
+    yield path, t
+    for i, c in enumerate(_kids(t)):
+        yield from _preorder(c, path + (i,))
+
+
+def _assert_shapes_match_the_oracle(states):
+    for k, u in enumerate(states):
+        nodes = list(_preorder(u))
+        assert [p for p, _ in iter_subterms(u)] == [p for p, _ in nodes], f"state {k}"
+        assert term_size(u) == len(nodes), f"state {k}"
+        for _, s in nodes:
+            kids = _kids(s)
+            assert children(s) == kids, f"state {k}: {s}"
+            assert with_children(s, children(s)) == s, f"state {k}: {s}"
+            for i in range(len(kids)):
+                vs, chs = binder_names(s, i)
+                if not (vs or chs):
+                    continue
+                renamed = rebind(s, i, fresh_name((vs + chs)[0], all_names(s)))
+                assert renamed != s and alpha_eq(renamed, s), f"state {k}: {s}"
+                assert free_names(renamed) == free_names(s), f"state {k}: {s}"
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["em", "em3", "c3", "g2", "godel", None]),
+)
+def test_shapes_match_the_oracle_on_every_node(seed, preset_name):
+    _, t = generate(seed, GenConfig(preset=preset_name, max_size=18))
+    _assert_shapes_match_the_oracle(_run_states(t))
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_shapes_match_the_oracle_on_the_examples(name):
+    _assert_shapes_match_the_oracle(_example_states(name))
+
+
+def _pair_chain(depth, leaf):
+    t = leaf
+    for _ in range(depth):
+        t = Pair(Var("x"), t)
+    return t
+
+
+def test_subst_asks_for_free_variables_once(monkeypatch):
+    """Only v's free variables are needed when no binder is in the way; the
+    walk used to ask at every node it descended through."""
+    calls = []
+    real = terms.free_occurrences
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(terms, "free_occurrences", counted)
+    out = subst(_pair_chain(400, Var("x")), "x", Var("v"))
+    assert len(calls) == 1
+    leaves = [s.name for _, s in iter_subterms(out) if isinstance(s, Var)]
+    assert leaves == ["v"] * 401
+
+
+def test_the_walks_survive_a_deep_term():
+    depth = 5_000
+    t = _pair_chain(depth, Proj(Pair(Var("a"), Var("b")), 0))
+    assert sum(1 for _ in iter_subterms(t)) == 2 * depth + 4
+    assert term_size(t) == 2 * depth + 4
+    assert [r.position for r in find_redexes(t)] == [(1,) * depth]
+    assert is_simply_typed(t)
+    assert not is_simply_typed(_pair_chain(depth, Underline(TT)))
+
+
+# --------------------------------------------------------------------------
+# substitution
+
+
+def test_subst_renames_a_lambda_binder_the_value_mentions():
+    # the fresh name avoids v (y0), the body (y1) and x (y2)
+    v = Pair(Var("y"), Var("y0"))
+    t = Lam("y", A, Pair(Var("y2"), Pair(Var("y"), Var("y1"))))
+    want = Lam("y3", A, Pair(v, Pair(Var("y3"), Var("y1"))))
+    assert subst(t, "y2", v) == want
+
+
+def test_subst_renames_a_case_branch_binder_the_value_mentions():
+    v = Pair(Var("y"), Var("y0"))
+    t = Case(Var("y2"), "y", Pair(Var("y2"), Var("y1")), "y", Var("y"))
+    want = Case(v, "y3", Pair(v, Var("y1")), "y", Var("y"))
+    assert subst(t, "y2", v) == want
+
+
+def test_subst_leaves_a_binder_of_x_alone():
+    v = Var("y")
+    lam = Lam("x", A, Pair(Var("x"), Var("y")))
+    assert subst(lam, "x", v) == lam
+    case = Case(Var("x"), "x", Var("x"), "z", Var("x"))
+    assert subst(case, "x", v) == Case(v, "x", Var("x"), "z", v)
+    # a binder v mentions stays when x is not free below it
+    assert subst(Lam("y", A, Var("y")), "x", v) == Lam("y", A, Var("y"))
 
 
 # --------------------------------------------------------------------------
@@ -70,14 +204,9 @@ def test_free_names_match_the_oracle_on_every_state(seed, preset_name):
     _assert_free_names_match_the_oracle(_run_states(t))
 
 
-@pytest.mark.parametrize(
-    "name", ["broadcast_em3", "godel", "mobility", "or", "scheduler_c3"]
-)
+@pytest.mark.parametrize("name", EXAMPLES)
 def test_free_names_match_the_oracle_on_the_examples(name):
-    source = (resources.files("lax") / "examples" / f"{name}.lax").read_text()
-    prog = parse_program(source)
-    t, _ = check(prog.term, TypingContext(ivars=dict(prog.gamma)))
-    _assert_free_names_match_the_oracle(_run_states(t))
+    _assert_free_names_match_the_oracle(_example_states(name))
 
 
 def test_free_names_see_through_shadowing():
