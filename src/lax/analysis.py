@@ -262,9 +262,9 @@ def _fn_less(a: dict[int, int], b: dict[int, int]) -> bool:
     return ta < tb
 
 
-def measure_decreases(before: Term, after: Term) -> bool:
-    n0, h0, g0 = communication_measure(before)
-    n1, h1, g1 = communication_measure(after)
+def _measure_less(m1: tuple, m0: tuple) -> bool:
+    """The communication measure m1 is below m0."""
+    (n0, h0, g0), (n1, h1, g1) = m0, m1
     if n1 != n0:
         return n1 < n0
     if h1 != h0:
@@ -437,6 +437,13 @@ def _audit_freeze(
 def _audit_communication_measure(
     rep: PropertyReport, trace: Trace, terms: list[Term]
 ) -> None:
+    measures: dict[int, tuple] = {}  # each state is measured once
+
+    def measure(k: int) -> tuple:
+        if k not in measures:
+            measures[k] = communication_measure(terms[k])
+        return measures[k]
+
     for start, end in _phase_spans(trace, PHASE_COMMUNICATION):
         i = start
         while i < end:
@@ -448,7 +455,7 @@ def _audit_communication_measure(
                 i += 1  # the inactive-session sweep sits outside the measure
                 continue
             j = _chase_end(trace, i) if kind in CROSSES else i + 1
-            if not measure_decreases(terms[i], terms[j]):
+            if not _measure_less(measure(j), measure(i)):
                 rep.add(
                     f"step {i}",
                     f"side-strategy move {ts.redex.rule} did not shrink the "

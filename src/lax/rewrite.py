@@ -70,8 +70,8 @@ from .terms import (
     fresh_name,
     is_parallel_node,
     is_simply_typed,
-    iter_subterms,
     rebind,
+    remembered,
     replace_at,
     subst,
     subst_chan_bare,
@@ -190,7 +190,6 @@ CROSSES = frozenset(
     {RedexKind.BASIC_CROSS, RedexKind.FULL_CROSS, RedexKind.BROADCAST_CROSS}
 )
 _COMMUNICATION = CROSSES | {RedexKind.ACTIVATION, RedexKind.GARBAGE_CROSS}
-_ALL_KINDS = frozenset(RedexKind)
 
 
 @dataclass(frozen=True)
@@ -274,6 +273,71 @@ def _comm_complexity(occs: list[list[Occurrence]]) -> int:
 
 # ---------------------------------------------------------------------------
 # discovery
+#
+# Every node remembers its redex facts (terms.remembered): its own redexes,
+# rooted at it, at position (), each with its kind's bit, and the mask of
+# the kinds in its subtree, its own OR its children's. A walk enters only
+# the children whose mask meets the kinds it asks for and moves the
+# remembered redexes to their absolute path. A session's own redexes come
+# from its channel-occurrence scan, so they are computed on first demand,
+# once per underline discipline; until then its own bits are what its
+# activity allows (_SESSION_BITS), a superset, so a walk that asks for no
+# session kind never scans a session. The facts depend on nothing but the
+# node's subtree, and nodes never change, so they cannot go stale.
+
+_BIT = {k: 1 << i for i, k in enumerate(RedexKind)}
+_ALL_BITS = sum(_BIT.values())
+
+
+def _bits(kinds) -> int:
+    return sum(_BIT[k] for k in kinds)
+
+
+_SESSION_BITS = {
+    False: _bits({RedexKind.ACTIVATION, RedexKind.GARBAGE_CROSS}),
+    True: _bits(CROSSES | {RedexKind.GARBAGE_CROSS, RedexKind.PAR_PAR_PERM}),
+}
+
+
+def _node_redex_facts(s: Term, kids: list) -> tuple[int, object]:
+    """(mask, own): own is a tuple of (bit, redex) pairs, or for a session a
+    list holding them per discipline once scanned."""
+    if isinstance(s, ParBind):
+        mask, own = _SESSION_BITS[s.active], [None, None]
+    else:
+        own = tuple((_BIT[r.kind], r) for r in _local_redexes(s))
+        mask = 0
+        for bit, _ in own:
+            mask |= bit
+    for m, _ in kids:
+        mask |= m
+    return mask, own
+
+
+def _redex_facts(t: Term) -> tuple[int, object]:
+    return remembered(t, "_redexes", _node_redex_facts)
+
+
+def _emit(
+    out: list[Redex], s: Term, path: Path, discipline: bool, want: int
+) -> None:
+    """Append s's own redexes of the kinds in want, moved to path."""
+    own = s._redexes[1]
+    if isinstance(own, list):
+        if not _SESSION_BITS[s.active] & want:
+            return  # no scan for a session that offers none of them
+        d = 1 if discipline else 0
+        if own[d] is None:
+            own[d] = tuple((_BIT[r.kind], r) for r in _session_redexes(s, discipline))
+        own = own[d]
+    for bit, r in own:
+        if bit & want:
+            out.append(
+                Redex(r.kind, path, r.complexity, r.which, r.comp, r.sender,
+                      r.receiver, r.survivors)
+                if path else r
+            )
+
 
 def find_redexes(
     t: Term, underline_discipline: bool = False, kinds: Optional[frozenset] = None
@@ -284,48 +348,53 @@ def find_redexes(
     only offer basic crosses whose sender is the marked component. With
     kinds, only redexes of those kinds come out, in the same order:
     find_redexes(t, d, kinds) == [r for r in find_redexes(t, d) if r.kind
-    in kinds], and the channel-occurrence scan of a session is skipped
-    when it could offer none of them.
+    in kinds], and the walk skips every subtree that holds none of them.
     """
+    want = _ALL_BITS if kinds is None else _bits(kinds)
     out: list[Redex] = []
-    for path, s in iter_subterms(t):
-        out.extend(redexes_at(s, path, underline_discipline, kinds))
+    if not _redex_facts(t)[0] & want:
+        return out
+    todo = [((), t)]
+    while todo:
+        path, s = todo.pop()
+        _emit(out, s, path, underline_discipline, want)
+        cs = children(s)
+        for i in range(len(cs) - 1, -1, -1):
+            if cs[i]._redexes[0] & want:
+                todo.append((path + (i,), cs[i]))
     return out
 
 
 def redexes_at(
     s: Term, path: Path, discipline: bool, kinds: Optional[frozenset] = None
-) -> Iterator[Redex]:
+) -> list[Redex]:
     """The redexes rooted at s, the subterm at path, in find_redexes order;
     with kinds, only those of these kinds."""
-    if kinds is None:
-        kinds = _ALL_KINDS
+    out: list[Redex] = []
+    _redex_facts(s)
+    _emit(out, s, path, discipline, _ALL_BITS if kinds is None else _bits(kinds))
+    return out
+
+
+def _local_redexes(s: Term) -> Iterator[Redex]:
+    """The redexes rooted at s, at position (), unless s is a session."""
     # intuitionistic redexes
-    if isinstance(s, App) and isinstance(s.fun, Lam) and RedexKind.BETA in kinds:
-        lam_ty = type_of(s.fun)
-        yield Redex(RedexKind.BETA, path, complexity(lam_ty))
-    if isinstance(s, Proj) and isinstance(s.arg, Pair) and RedexKind.PROJ_PAIR in kinds:
-        yield Redex(RedexKind.PROJ_PAIR, path, _vc_safe(s.arg))
-    if isinstance(s, Case) and isinstance(s.scrut, Inj) and RedexKind.CASE_INJ in kinds:
-        yield Redex(RedexKind.CASE_INJ, path, complexity(s.scrut.disj))
+    if isinstance(s, App) and isinstance(s.fun, Lam):
+        yield Redex(RedexKind.BETA, (), complexity(type_of(s.fun)))
+    if isinstance(s, Proj) and isinstance(s.arg, Pair):
+        yield Redex(RedexKind.PROJ_PAIR, (), _vc_safe(s.arg))
+    if isinstance(s, Case) and isinstance(s.scrut, Inj):
+        yield Redex(RedexKind.CASE_INJ, (), complexity(s.scrut.disj))
 
     # one-frame permutation over a case term
     hole = _FRAME_HOLES.get(type(s))
-    if (
-        hole is not None
-        and isinstance(getattr(s, hole), Case)
-        and RedexKind.CASE_PERM in kinds
-    ):
-        yield Redex(RedexKind.CASE_PERM, path, _vc_safe(getattr(s, hole)))
+    if hole is not None and isinstance(getattr(s, hole), Case):
+        yield Redex(RedexKind.CASE_PERM, (), _vc_safe(getattr(s, hole)))
 
     # parallel permutations: a frame or constructor over a parallel node
-    if RedexKind.PAR_PERM in kinds:
-        slot = _perm_slot(s)
-        if slot is not None:
-            yield Redex(RedexKind.PAR_PERM, path, 0, which=slot[1])
-
-    if isinstance(s, ParBind):
-        yield from _session_redexes(s, path, discipline, kinds)
+    slot = _perm_slot(s)
+    if slot is not None:
+        yield Redex(RedexKind.PAR_PERM, (), 0, which=slot[1])
 
 
 # constructor -> ((attribute, ParPerm label), ...), first match wins
@@ -355,49 +424,38 @@ def _perm_slot(s: Term) -> Optional[tuple[str, str]]:
     return None
 
 
-def _session_redexes(
-    s: ParBind, path: Path, discipline: bool, kinds: frozenset
-) -> Iterator[Redex]:
-    activation = not s.active and RedexKind.ACTIVATION in kinds
-    crosses = s.active and not kinds.isdisjoint(CROSSES)
-    garbage = RedexKind.GARBAGE_CROSS in kinds
-    hoists = s.active and RedexKind.PAR_PAR_PERM in kinds
-    if not (activation or crosses or garbage or hoists):
-        return  # no channel-occurrence scan for a session that offers none
+def _session_redexes(s: ParBind, discipline: bool) -> Iterator[Redex]:
+    """The redexes rooted at the session s, at position ()."""
     a = s.chan
     bodies = [comp_body(c) for c in s.comps]
     occs = [chan_occurrences(b, a) for b in bodies]
     comm = _comm_complexity(occs)
 
     # activation: inactive binder, some applied occurrence of a value
-    if activation:
+    if not s.active:
         if any(
             occ.arg is not None and is_value(occ.arg)
             for comp_occs in occs
             for occ in comp_occs
         ):
-            yield Redex(RedexKind.ACTIVATION, path, comm)
-
-    if crosses:
-        for r in _cross_redexes(s, path, bodies, occs, comm, discipline):
-            if r.kind in kinds:
-                yield r
+            yield Redex(RedexKind.ACTIVATION, (), comm)
+    else:
+        yield from _cross_redexes(s, bodies, occs, comm, discipline)
 
     # garbage: keep the components that do not mention a (any activity)
     survivors = tuple(i for i, o in enumerate(occs) if not o)
-    if garbage and survivors:
-        yield Redex(RedexKind.GARBAGE_CROSS, path, comm, survivors=survivors)
+    if survivors:
+        yield Redex(RedexKind.GARBAGE_CROSS, (), comm, survivors=survivors)
 
     # hoisting a nested parallel component out of an active session
-    if hoists and not any(contains_active_session(b) for b in bodies):
+    if s.active and not any(contains_active_session(b) for b in bodies):
         for k, b in enumerate(bodies):
             if is_parallel_node(b):
-                yield Redex(RedexKind.PAR_PAR_PERM, path, 0, comp=k)
+                yield Redex(RedexKind.PAR_PAR_PERM, (), 0, comp=k)
 
 
 def _cross_redexes(
     s: ParBind,
-    path: Path,
     bodies: list[Term],
     occs: list[list[Occurrence]],
     comm: int,
@@ -417,11 +475,11 @@ def _cross_redexes(
         em = ax.mode == "em"
         if _closed_at(last, msg):
             if em:
-                yield Redex(RedexKind.BASIC_CROSS, path, comm, sender=0, receiver=1)
+                yield Redex(RedexKind.BASIC_CROSS, (), comm, sender=0, receiver=1)
             else:
-                yield Redex(RedexKind.BROADCAST_CROSS, path, comm)
+                yield Redex(RedexKind.BROADCAST_CROSS, (), comm)
         elif em:
-            yield Redex(RedexKind.FULL_CROSS, path, comm)
+            yield Redex(RedexKind.FULL_CROSS, (), comm)
         return
 
     # general mode
@@ -443,15 +501,13 @@ def _cross_redexes(
                 continue
             _, gj = ax.components[j]
             if fi == gj:
-                yield Redex(
-                    RedexKind.BASIC_CROSS, path, comm, sender=i, receiver=j
-                )
+                yield Redex(RedexKind.BASIC_CROSS, (), comm, sender=i, receiver=j)
 
     if all(simple) and all(
         o and o[-1].arg is not None and not _captured_chans(o[-1], o[-1].arg)
         for o in occs
     ):
-        yield Redex(RedexKind.FULL_CROSS, path, comm)
+        yield Redex(RedexKind.FULL_CROSS, (), comm)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .terms import (
     ParBind,
     Path,
     Term,
-    iter_subterms,
+    subterm_at,
     uppermost_active_sessions,
 )
 
@@ -216,7 +216,7 @@ def _activation(run: _Run) -> int:
 
 def _side_step(run: _Run, path: Path, session: ParBind) -> bool:
     """One clause of the side strategy at the session at path. True if fired."""
-    here = list(redexes_at(session, path, run.discipline))
+    here = redexes_at(session, path, run.discipline)
 
     hoists = [r for r in here if r.kind == RedexKind.PAR_PAR_PERM]
     if hoists:
@@ -257,9 +257,8 @@ def _sweep_inactive_garbage(run: _Run) -> int:
     while True:
         rs = [
             r
-            for path, s in iter_subterms(run.t)
-            if isinstance(s, ParBind) and not s.active
-            for r in redexes_at(s, path, run.discipline, _GARBAGE)
+            for r in find_redexes(run.t, run.discipline, _GARBAGE)
+            if not subterm_at(run.t, r.position).active
         ]
         if not rs:
             return made

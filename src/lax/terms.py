@@ -16,13 +16,23 @@ through it.
 Variable occurrences and channel occurrences carry the type the checker
 assigned to them (ty is None straight out of the parser). All engine code
 assumes elaborated terms, so a bottom-up type_of needs no environment.
+
+A node can remember facts in one attribute per fact, outside its dataclass
+fields (remembered(), recall(), remember()), so equality, hashing, repr and
+replace() ignore them. Nodes are frozen and every change builds fresh
+nodes, so a remembered fact cannot go stale; a node shared by several
+terms, or sitting at several positions of one, has the same facts at each.
+Each node remembers whether its subtree holds a parallel node or mark and
+whether it holds an active session (is_simply_typed,
+contains_active_session, uppermost_active_sessions); rewrite adds each
+node's redexes, and typecheck the judgement of a whole state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from operator import attrgetter, is_
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .axioms import AxiomScheme
 from .formulas import Formula, Conj, TOP
@@ -183,6 +193,9 @@ def _getter(shape: _Shape):
 
 _CHILDREN = {cls: _getter(shape) for cls, shape in _SHAPES.items()}
 
+# the constructors that bind a name in some child
+_BINDERS = frozenset(cls for cls, shape in _SHAPES.items() if shape.binds)
+
 
 def children(t: Term) -> tuple[Term, ...]:
     get = _CHILDREN.get(type(t))
@@ -210,11 +223,17 @@ def subterm_at(t: Term, path: Path) -> Term:
 
 
 def replace_at(t: Term, path: Path, new: Term) -> Term:
-    if not path:
-        return new
-    cs = list(children(t))
-    cs[path[0]] = replace_at(cs[path[0]], path[1:], new)
-    return with_children(t, tuple(cs))
+    """t with the subterm at path replaced by new; only the nodes along the
+    path are rebuilt, every sibling is shared."""
+    spine = []
+    for i in path:
+        spine.append(t)
+        t = children(t)[i]
+    for s, i in zip(reversed(spine), reversed(path)):
+        cs = list(children(s))
+        cs[i] = new
+        new = with_children(s, tuple(cs))
+    return new
 
 
 def iter_subterms(t: Term, path: Path = ()) -> Iterator[tuple[Path, Term]]:
@@ -235,6 +254,49 @@ def term_size(t: Term) -> int:
         n += 1
         todo.extend(children(todo.pop()))
     return n
+
+
+# ---------------------------------------------------------------------------
+# remembered facts
+
+
+def recall(t: Term, key: str):
+    """The fact t remembers under key, or None."""
+    return getattr(t, key, None)
+
+
+def remember(t: Term, key: str, value):
+    """Make t remember value under key; returns value."""
+    object.__setattr__(t, key, value)
+    return value
+
+
+def remembered(t: Term, key: str, compute: Callable[[Term, list], object]):
+    """The subtree fact key of t, where a node's fact is compute(node, its
+    children's facts).
+
+    The first time, compute runs bottom-up, on an explicit stack, on every
+    node below t that does not remember the fact yet, and each keeps its
+    value; nodes that remember it are not entered.
+    """
+    try:
+        return getattr(t, key)
+    except AttributeError:
+        pass
+    todo = [t]
+    while todo:
+        s = todo[-1]
+        if hasattr(s, key):  # shared below two parents, already done
+            todo.pop()
+            continue
+        cs = children(s)
+        pending = [c for c in cs if not hasattr(c, key)]
+        if pending:
+            todo.extend(pending)
+            continue
+        todo.pop()
+        remember(s, key, compute(s, [getattr(c, key) for c in cs]))
+    return getattr(t, key)
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +360,27 @@ class Occurrence:
 def chan_occurrences(comp: Term, name: str) -> list[Occurrence]:
     """Free occurrences of `name` in preorder; the last one is rightmost."""
     out: list[Occurrence] = []
-
-    def walk(t: Term, path: Path, above: frozenset[str]):
+    todo: list[tuple[Term, Path, frozenset[str]]] = [(comp, (), frozenset())]
+    while todo:
+        t, path, above = todo.pop()
         if isinstance(t, App) and isinstance(t.fun, Chan) and t.fun.name == name:
-            out.append(
-                Occurrence(path + (0,), path, t.fun.negated, t.arg, above)
-            )
-            walk(t.arg, path + (1,), above)
-            return
-        if isinstance(t, Chan) and t.name == name:
-            out.append(Occurrence(path, None, t.negated, None, above))
-            return
-        for i, c in enumerate(children(t)):
-            vs, chs = binder_names(t, i)
-            if name not in chs:  # a nu rebinding name shadows it
-                walk(c, path + (i,), above.union(vs, chs))
-
-    walk(comp, (), frozenset())
+            out.append(Occurrence(path + (0,), path, t.fun.negated, t.arg, above))
+            todo.append((t.arg, path + (1,), above))
+            continue
+        if isinstance(t, Chan):
+            if t.name == name:
+                out.append(Occurrence(path, None, t.negated, None, above))
+            continue
+        cs = children(t)
+        binds = type(t) in _BINDERS
+        for i in range(len(cs) - 1, -1, -1):
+            inner = above
+            if binds:
+                vs, chs = binder_names(t, i)
+                if name in chs:  # a nu rebinding name shadows it
+                    continue
+                inner = above.union(vs, chs)
+            todo.append((cs[i], path + (i,), inner))
     return out
 
 
@@ -336,13 +402,15 @@ def free_occurrences(t: Term) -> tuple[dict[str, Var], dict[str, Chan]]:
         elif isinstance(s, Chan):
             if s.name not in bc and s.name not in fc:
                 fc[s.name] = s
-        else:
+        elif type(s) in _BINDERS:
             cs = children(s)
             for i in range(len(cs) - 1, -1, -1):
                 vs, chs = binder_names(s, i)
                 todo.append(
                     (cs[i], bv.union(vs) if vs else bv, bc.union(chs) if chs else bc)
                 )
+        else:
+            todo.extend((c, bv, bc) for c in reversed(children(s)))
     return fv, fc
 
 
@@ -365,12 +433,15 @@ def free_chans(t: Term) -> frozenset[str]:
 def all_names(t: Term) -> set[str]:
     """Every variable/channel name appearing anywhere, bound or free."""
     out: set[str] = set()
-    for _, s in iter_subterms(t):
+    todo = [t]
+    while todo:
+        s = todo.pop()
         if isinstance(s, (Var, Chan)):
             out.add(s.name)
-        for i in range(len(children(s))):
-            vs, chs = binder_names(s, i)
-            out.update(vs, chs)
+            continue
+        for field, _, _ in _SHAPES[type(s)].binds:
+            out.add(getattr(s, field))
+        todo.extend(children(s))
     return out
 
 
@@ -554,28 +625,54 @@ def is_parallel_node(t: Term) -> bool:
     return isinstance(t, (ParBind, Contract))
 
 
+# the subtree flags each node remembers
+_PARALLEL = 1  # a parallel node or a component mark
+_ACTIVE = 2  # an active session
+
+
+def _node_flags(s: Term, kids: list[int]) -> int:
+    f = 0
+    for k in kids:
+        f |= k
+    if isinstance(s, (ParBind, Contract, Underline)):
+        f |= _PARALLEL
+        if isinstance(s, ParBind) and s.active:
+            f |= _ACTIVE
+    return f
+
+
+def _flags(t: Term) -> int:
+    return remembered(t, "_flags", _node_flags)
+
+
 def is_simply_typed(t: Term) -> bool:
     """No parallel nodes (and no stray marks) anywhere in t."""
-    return not any(
-        isinstance(s, (ParBind, Contract, Underline)) for _, s in iter_subterms(t)
-    )
+    return not _flags(t) & _PARALLEL
 
 
 def contains_active_session(t: Term) -> bool:
-    return any(
-        isinstance(s, ParBind) and s.active for _, s in iter_subterms(t)
-    )
+    return bool(_flags(t) & _ACTIVE)
 
 
 def uppermost_active_sessions(t: Term) -> list[tuple[Path, ParBind]]:
-    """Active sessions with no active session inside, in preorder."""
-    return [
-        (path, s)
-        for path, s in iter_subterms(t)
-        if isinstance(s, ParBind)
-        and s.active
-        and not any(contains_active_session(c) for c in s.comps)
-    ]
+    """Active sessions with no active session inside, in preorder.
+
+    The walk enters only subtrees that hold an active session; a node that
+    holds one while none of its children does is such a session.
+    """
+    out: list[tuple[Path, ParBind]] = []
+    if not _flags(t) & _ACTIVE:
+        return out
+    todo = [((), t)]
+    while todo:
+        path, s = todo.pop()
+        cs = children(s)
+        inner = [i for i in range(len(cs)) if cs[i]._flags & _ACTIVE]
+        if not inner:
+            out.append((path, s))
+        for i in reversed(inner):
+            todo.append((path + (i,), cs[i]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -603,29 +700,44 @@ def rename_var(t: Term, old: str, new: str) -> Term:
 
 def subst(t: Term, x: str, v: Term) -> Term:
     """Capture-avoiding substitution of v for the free variable x in t."""
-    return _subst(t, x, v, free_vars(v))
+    return _subst(t, x, v, *free_names(v))
 
 
-def _subst(t: Term, x: str, v: Term, fv: frozenset[str]) -> Term:
+def _subst(t: Term, x: str, v: Term, fv: frozenset[str], fc: frozenset[str]) -> Term:
     if isinstance(t, Var):
         return v if t.name == x else t
     cs = children(t)
-    new = list(cs)
-    for i in range(len(cs)):
-        vs = binder_names(t, i)[0]
-        if x in vs:
-            continue
-        if not fv.isdisjoint(vs):
-            # v would be captured: rename the binder, unless x is not free
-            # below it and nothing is substituted there
-            if x not in free_vars(cs[i]):
-                continue
-            t = rebind(t, i, fresh_name(vs[0], fv | all_names(cs[i]) | {x}))
-            new[i] = children(t)[i]
-        new[i] = _subst(new[i], x, v, fv)
+    if type(t) not in _BINDERS:
+        new = [_subst(c, x, v, fv, fc) for c in cs]
+    else:
+        t = _unshadow(t, x, fv, fc)
+        new = [
+            c if x in binder_names(t, i)[0] else _subst(c, x, v, fv, fc)
+            for i, c in enumerate(children(t))
+        ]
     if all(map(is_, new, cs)):
         return t
     return with_children(t, tuple(new))
+
+
+def _unshadow(t: Term, x: str, fv: frozenset[str], fc: frozenset[str]) -> Term:
+    """t with each binder renamed that would capture a free name of the
+    value substituted for x (fv, fc): a variable or a session's channel.
+    A binder stays when x is not free in any child it binds, since nothing
+    is substituted there; a new name is fresh for every such child."""
+    for i in range(len(children(t))):
+        vs, chs = binder_names(t, i)
+        if x in vs or (fv.isdisjoint(vs) and fc.isdisjoint(chs)):
+            continue
+        b = binder(t, i)
+        scope = [c for j, c in enumerate(children(t)) if binder(t, j) == b]
+        if all(x not in free_vars(c) for c in scope):
+            continue
+        used = (fv if vs else fc) | {x}
+        for c in scope:
+            used |= all_names(c)
+        t = rebind(t, i, fresh_name((vs + chs)[0], used))
+    return t
 
 
 def subst_chan_bare(t: Term, a: str, v: Term) -> Term:

@@ -46,6 +46,8 @@ from .terms import (
     Unit,
     Var,
     free_names,
+    recall,
+    remember,
 )
 
 
@@ -343,25 +345,49 @@ class SubjectReductionReport:
     message: str = ""
 
 
+def _judgement(t: Term, ctx: TypingContext, snap: tuple) -> tuple:
+    """(snap, t's type or its TypingError, t's free names or None).
+
+    snap is a copy of ctx's (ivars, chans). The judgement is remembered on
+    t together with snap, and reused while the context is equal to it.
+    """
+    held = recall(t, "_judged")
+    if held is not None and held[0] == snap:
+        return held
+    try:
+        ty = infer_type(t, ctx)
+    except TypingError as e:
+        return remember(t, "_judged", (snap, e, None))
+    return remember(t, "_judged", (snap, ty, free_names(t)))
+
+
 def check_subject_reduction(
     ctx: Optional[TypingContext], before: Term, after: Term
 ) -> SubjectReductionReport:
-    """Type preservation plus no new free names, reported, never raised."""
-    try:
-        tb = infer_type(before, ctx)
-    except TypingError as e:
-        return SubjectReductionReport(False, None, None, f"before does not type: {e}")
-    try:
-        ta = infer_type(after, ctx)
-    except TypingError as e:
+    """Type preservation plus no new free names, reported, never raised.
+
+    Each term is judged once per context: along a trace, a step's before
+    is the previous step's after, whose judgement it remembers.
+    """
+    ctx = ctx or TypingContext()
+    held = recall(before, "_judged")
+    snap = (ctx.ivars, ctx.chans)
+    snap = held[0] if held is not None and held[0] == snap else (
+        dict(ctx.ivars), dict(ctx.chans)
+    )
+    _, tb, names_before = _judgement(before, ctx, snap)
+    if isinstance(tb, TypingError):
+        return SubjectReductionReport(False, None, None, f"before does not type: {tb}")
+    _, ta, names_after = _judgement(after, ctx, snap)
+    if isinstance(ta, TypingError):
         return SubjectReductionReport(
-            False, show_formula(tb), None, f"after does not type: {e}"
+            False, show_formula(tb), None, f"after does not type: {ta}"
         )
     if tb != ta:
         return SubjectReductionReport(
             False, show_formula(tb), show_formula(ta), "type changed"
         )
-    (fv_after, fc_after), (fv_before, fc_before) = free_names(after), free_names(before)
+    (fv_after, fc_after), (fv_before, fc_before) = names_after, names_before
     fv_new = fv_after - fv_before
     fc_new = fc_after - fc_before
     if fv_new or fc_new:

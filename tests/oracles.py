@@ -32,6 +32,7 @@ from lax import (
     Underline,
     Unit,
     Var,
+    redexes_at,
     type_of,
 )
 
@@ -198,6 +199,26 @@ def uppermost_active_oracle(t: Term) -> list[tuple[Path, Term]]:
             visit(c, path + (i,))
 
     visit(t, ())
+    return out
+
+
+# ---------------------------------------------------------------------------
+# discovery without remembered subtree facts
+#
+# The library walks only the subtrees whose remembered kind mask meets the
+# kinds asked for; here every node is visited, in preorder, and asked for
+# the redexes rooted at it.
+
+def find_redexes_oracle(t: Term, underline_discipline: bool = False, kinds=None) -> list:
+    """redexes_at concatenated over every node, in preorder."""
+    out: list = []
+    todo: list[tuple[Path, Term]] = [((), t)]
+    while todo:
+        path, s = todo.pop()
+        out.extend(redexes_at(s, path, underline_discipline, kinds))
+        kids = _kids(s)
+        for i in range(len(kids) - 1, -1, -1):
+            todo.append((path + (i,), kids[i]))
     return out
 
 

@@ -16,6 +16,7 @@ from lax import (
     audit_trace,
     check,
     check_parallel_nf_property,
+    check_subject_reduction,
     check_subformula,
     communication_measure,
     generate,
@@ -24,7 +25,7 @@ from lax import (
     parse_term,
     subterm_types,
 )
-from lax import analysis
+from lax import analysis, typecheck
 from lax.rewrite import Redex, RedexKind
 from lax.strategy import Trace, TraceStep
 
@@ -171,6 +172,51 @@ def test_audit_can_skip_subject_reduction():
     _, trace = normalize(t)
     rep = audit_trace(TypingContext(), trace, check_sr=False)
     assert rep.holds
+
+
+def _sr_witnesses(rep):
+    return [(w, why) for w, why in rep.witnesses if "subject reduction" in why]
+
+
+def test_an_ill_typed_state_fails_the_step_into_it_and_the_step_out(monkeypatch):
+    """Each state is typed at most once, yet both of its steps report it."""
+    gamma = {"y": A}
+    states = [
+        _typed("(\\x : A. x) ((\\x : A. x) y)", gamma),
+        _typed("(\\x : A. x) z", {"z": A}),  # z is not in the context
+        _typed("y", gamma),
+    ]
+    trace = Trace(initial=states[0])
+    for after in states[1:]:
+        trace.steps.append(TraceStep(1, "Intuitionistic", Redex(RedexKind.BETA, (), 1), after))
+    typed = []
+    infer = typecheck.infer_type
+
+    def counted(t, ctx=None):
+        typed.append(t)
+        return infer(t, ctx)
+
+    monkeypatch.setattr(typecheck, "infer_type", counted)
+    rep = audit_trace(TypingContext(ivars=gamma), trace)
+    unbound = "UnboundName at [1]: unbound variable 'z'"
+    assert _sr_witnesses(rep) == [
+        ("step 0", f"subject reduction failed: after does not type: {unbound}"),
+        ("step 1", f"subject reduction failed: before does not type: {unbound}"),
+    ]
+    # once step 1's before fails, its after is not needed
+    assert typed == states[:2]
+
+
+def test_subject_reduction_judges_again_in_another_context():
+    gamma = {"y": A}
+    before, after = _typed("(\\x : A. x) y", gamma), _typed("y", gamma)
+    ctx = TypingContext(ivars=dict(gamma))
+    assert check_subject_reduction(ctx, before, after).ok
+    assert not check_subject_reduction(TypingContext(), before, after).ok
+    ctx.ivars.clear()  # the same context, changed in place
+    assert not check_subject_reduction(ctx, before, after).ok
+    ctx.ivars.update(gamma)
+    assert check_subject_reduction(ctx, before, after).ok
 
 
 def _count_discovery(monkeypatch):

@@ -1,5 +1,6 @@
 """Single-step reduction: values, complexity measures, discovery, contraction."""
 
+import dataclasses
 from importlib import resources
 
 import pytest
@@ -39,9 +40,9 @@ from lax import (
     value_complexity,
 )
 from lax.rewrite import CHASE, CROSSES, GROUP1, GROUP2, INTUITIONISTIC, Redex
-from lax.terms import iter_subterms, subterm_at
+from lax.terms import children, iter_subterms, subterm_at, with_children
 
-from oracles import brute_force_redexes, value_complexity_oracle
+from oracles import brute_force_redexes, find_redexes_oracle, value_complexity_oracle
 
 A, B, C, Z, V = Atom("A"), Atom("B"), Atom("C"), Atom("Z"), Atom("V0")
 
@@ -85,6 +86,37 @@ def _assert_kinds_filter_the_full_list(states, discipline):
         for kinds in KIND_SETS:
             want = [r for r in everything if r.kind in kinds]
             assert find_redexes(u, discipline, kinds) == want, f"state {i}"
+
+
+def _fresh_copy(t):
+    """A structurally equal term of new nodes, none remembering anything."""
+    cs = children(t)
+    if not cs:
+        return dataclasses.replace(t)
+    return with_children(t, tuple(_fresh_copy(c) for c in cs))
+
+
+def _assert_remembered_discovery_matches_the_oracle(states, discipline):
+    """The kind-restricted walks run first, so sessions are scanned on the
+    demand of the strategy's sets before the full list asks for them all."""
+    for i, u in enumerate(states):
+        got = [find_redexes(u, discipline, kinds) for kinds in KIND_SETS + [None]]
+        want = [find_redexes_oracle(u, discipline, kinds) for kinds in KIND_SETS + [None]]
+        assert got == want, f"state {i}"
+
+
+def _assert_answers_repeat(states, discipline):
+    """Asked again, and on a fresh copy first asked under the other
+    discipline, discovery gives the same lists."""
+    for i, u in enumerate(states):
+        first = [find_redexes(u, discipline, kinds) for kinds in [None] + KIND_SETS]
+        again = [find_redexes(u, discipline, kinds) for kinds in [None] + KIND_SETS]
+        copy = _fresh_copy(u)
+        assert copy == u and copy is not u
+        find_redexes(copy, not discipline)
+        fresh = [find_redexes(copy, discipline, kinds) for kinds in [None] + KIND_SETS]
+        assert first == again == fresh, f"state {i}"
+        assert find_redexes(u, not discipline) == find_redexes(copy, not discipline)
 
 
 # --------------------------------------------------------------------------
@@ -228,6 +260,51 @@ def test_discovery_by_kind_filters_the_full_list_on_the_examples():
         for discipline in (False, True):
             states, _ = _run_states(_example(name), discipline)
             _assert_kinds_filter_the_full_list(states, discipline)
+
+
+# --------------------------------------------------------------------------
+# remembered redex facts
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["em", "em3", "c3", "g2", "godel", None]),
+    st.booleans(),
+)
+def test_remembered_discovery_matches_the_oracle(seed, preset, discipline):
+    _, t = generate(seed, GenConfig(preset=preset, max_size=18))
+    states, _ = _run_states(t, discipline)
+    _assert_remembered_discovery_matches_the_oracle(states, discipline)
+    _assert_answers_repeat(states, discipline)
+
+
+def test_remembered_discovery_matches_the_oracle_on_the_examples():
+    for name in EXAMPLES:
+        for discipline in (False, True):
+            states, _ = _run_states(_example(name), discipline)
+            _assert_remembered_discovery_matches_the_oracle(states, discipline)
+            _assert_answers_repeat(states, discipline)
+
+
+def test_a_node_at_two_positions_offers_its_redexes_at_both():
+    """Beta shares its argument between the occurrences of the variable."""
+    t = _typed("(\\x : A -> A. <x, x>) (\\u : A. (\\v : A. v) u)")
+    after = step(t, find_redexes(t)[0])
+    assert after.left is after.right
+    rs = find_redexes(after)
+    assert [(r.rule, r.position) for r in rs] == [("Beta", (0, 0)), ("Beta", (1, 0))]
+    assert rs == find_redexes_oracle(after)
+    assert find_redexes(after.left) == [Redex(RedexKind.BETA, (0,), 1)]
+
+
+def test_a_phase_that_asks_no_session_kind_scans_no_session():
+    gamma = {"f": Impl(A, B), "x": A}
+    t = _typed("nu a : EM[A]. [ efq[B](nota x) || f ((\\u : A. u) a) ]", gamma)
+    assert [r.rule for r in find_redexes(t, kinds=INTUITIONISTIC)] == ["Beta"]
+    assert t._redexes[1] == [None, None]
+    assert [r.rule for r in find_redexes(t)] == ["Beta"]
+    assert t._redexes[1][0] == ()
 
 
 def test_message_binders_are_not_captured_variables():

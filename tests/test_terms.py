@@ -3,6 +3,7 @@ renaming, free names, renaming, substitution, channel substitution, and
 alpha-equivalence, on terms built with the constructors (the parser's
 hygiene would rename the clashes these tests need)."""
 
+import dataclasses
 from importlib import resources
 
 import pytest
@@ -43,18 +44,28 @@ from lax.terms import (
     all_names,
     binder_names,
     children,
+    contains_active_session,
     fresh_name,
     is_simply_typed,
     iter_subterms,
     rebind,
+    replace_at,
     rename_chan,
     rename_var,
     subst,
     subst_chan_bare,
+    subterm_at,
+    uppermost_active_sessions,
     with_children,
 )
 
-from oracles import _free_names, _kids
+from oracles import (
+    _free_names,
+    _kids,
+    _mentions_active_session,
+    _mentions_parallel,
+    uppermost_active_oracle,
+)
 
 A, B = Atom("A"), Atom("B")
 EM = em_axiom(A)
@@ -159,8 +170,81 @@ def test_the_walks_survive_a_deep_term():
     assert not is_simply_typed(_pair_chain(depth, Underline(TT)))
 
 
+def test_a_redex_at_the_bottom_of_a_deep_chain_normalizes():
+    depth = 5_000
+    t = _pair_chain(depth, Proj(Pair(Var("a"), Var("b")), 0))
+    final, trace = normalize(t)
+    assert [s.redex.position for s in trace.steps] == [(1,) * depth]
+    assert subterm_at(final, (1,) * depth) == Var("a")
+    assert term_size(final) == 2 * depth + 1
+    # only the path is rebuilt; every sibling is shared
+    out = replace_at(t, (1,) * depth, Var("c"))
+    assert all(
+        subterm_at(out, (1,) * k + (0,)) is subterm_at(t, (1,) * k + (0,))
+        for k in range(depth)
+    )
+
+
+# --------------------------------------------------------------------------
+# remembered subtree flags
+
+
+def _fresh_copy(t):
+    cs = children(t)
+    if not cs:
+        return dataclasses.replace(t)
+    return with_children(t, tuple(_fresh_copy(c) for c in cs))
+
+
+def _assert_flags_match_the_oracle(states):
+    """Asked top-down on each state, and bottom-up on a fresh copy."""
+    for k, u in enumerate(states):
+        nodes = [s for _, s in iter_subterms(u)]
+        copy = [s for _, s in iter_subterms(_fresh_copy(u))]
+        for s in nodes + copy[::-1]:
+            assert is_simply_typed(s) == (not _mentions_parallel(s)), f"state {k}: {s}"
+            assert contains_active_session(s) == _mentions_active_session(s), f"state {k}"
+        assert uppermost_active_sessions(u) == uppermost_active_oracle(u), f"state {k}"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["em", "em3", "c3", "g2", "godel", None]),
+)
+def test_subtree_flags_match_the_oracle_on_every_state(seed, preset_name):
+    _, t = generate(seed, GenConfig(preset=preset_name, max_size=18))
+    _assert_flags_match_the_oracle(_run_states(t))
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_subtree_flags_match_the_oracle_on_the_examples(name):
+    _assert_flags_match_the_oracle(_example_states(name))
+
+
+def test_remembered_facts_leave_equality_hashing_and_repr_alone():
+    t = _example_states("mobility")[0]
+    copy = _fresh_copy(t)
+    find_redexes(t)
+    is_simply_typed(t)
+    assert t == copy and hash(t) == hash(copy) and repr(t) == repr(copy)
+    assert dataclasses.fields(t) == dataclasses.fields(copy)
+
+
 # --------------------------------------------------------------------------
 # substitution
+
+
+def test_subst_renames_a_nu_binder_the_value_mentions():
+    """The substituted channel a stays free: the session's a is renamed in
+    every component, also the one where x does not occur."""
+    t = ParBind("a", False, EM, (Var("x"), Chan("a")))
+    assert subst(t, "x", Chan("a")) == ParBind("a0", False, EM, (Chan("a"), Chan("a0")))
+    t = ParBind("a", False, EM, (Chan("a"), Var("x")))
+    assert subst(t, "x", Chan("a")) == ParBind("a0", False, EM, (Chan("a0"), Chan("a")))
+    # nothing to rename where x does not occur
+    t = ParBind("a", False, EM, (Var("y"), Chan("a")))
+    assert subst(t, "x", Chan("a")) is t
 
 
 def test_subst_renames_a_lambda_binder_the_value_mentions():
