@@ -24,6 +24,18 @@ Conventions used throughout:
   one-frame stack, which is also where the case permutation looks.
 - EM's basic cross is the broadcast cross with a single receiver; only the
   full cross, which ships an open message, is EM's own.
+
+Discovery runs on facts each node remembers (terms.remembered): its own
+redexes, rooted at it, at position (), and the mask of the rule kinds in
+its subtree, its own OR its children's. find_redexes enters only the
+children whose mask meets the kinds asked for and moves the remembered
+redexes to their absolute path, so a state that step() rebuilt along one
+path is discovered again at the cost of that path. A session's own redexes
+come from its channel-occurrence scan, so they are computed on first
+demand, once per underline discipline; until then its own bits are what its
+activity allows (_SESSION_BITS), a superset, and a walk that asks for no
+session kind never scans a session. The facts depend on nothing but the
+node's subtree, and nodes never change, so they cannot go stale.
 """
 
 from __future__ import annotations
@@ -272,18 +284,7 @@ def _comm_complexity(occs: list[list[Occurrence]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# discovery
-#
-# Every node remembers its redex facts (terms.remembered): its own redexes,
-# rooted at it, at position (), each with its kind's bit, and the mask of
-# the kinds in its subtree, its own OR its children's. A walk enters only
-# the children whose mask meets the kinds it asks for and moves the
-# remembered redexes to their absolute path. A session's own redexes come
-# from its channel-occurrence scan, so they are computed on first demand,
-# once per underline discipline; until then its own bits are what its
-# activity allows (_SESSION_BITS), a superset, so a walk that asks for no
-# session kind never scans a session. The facts depend on nothing but the
-# node's subtree, and nodes never change, so they cannot go stale.
+# discovery, on the facts each node remembers (see the module docstring)
 
 _BIT = {k: 1 << i for i, k in enumerate(RedexKind)}
 _ALL_BITS = sum(_BIT.values())
@@ -315,14 +316,14 @@ def _node_redex_facts(s: Term, kids: list) -> tuple[int, object]:
 
 
 def _redex_facts(t: Term) -> tuple[int, object]:
-    return remembered(t, "_redexes", _node_redex_facts)
+    return remembered(t, "redexes", _node_redex_facts)
 
 
 def _emit(
     out: list[Redex], s: Term, path: Path, discipline: bool, want: int
 ) -> None:
     """Append s's own redexes of the kinds in want, moved to path."""
-    own = s._redexes[1]
+    own = s._facts.redexes[1]
     if isinstance(own, list):
         if not _SESSION_BITS[s.active] & want:
             return  # no scan for a session that offers none of them
@@ -360,7 +361,7 @@ def find_redexes(
         _emit(out, s, path, underline_discipline, want)
         cs = children(s)
         for i in range(len(cs) - 1, -1, -1):
-            if cs[i]._redexes[0] & want:
+            if cs[i]._facts.redexes[0] & want:
                 todo.append((path + (i,), cs[i]))
     return out
 

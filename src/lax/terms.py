@@ -17,15 +17,15 @@ Variable occurrences and channel occurrences carry the type the checker
 assigned to them (ty is None straight out of the parser). All engine code
 assumes elaborated terms, so a bottom-up type_of needs no environment.
 
-A node can remember facts in one attribute per fact, outside its dataclass
-fields (remembered(), recall(), remember()), so equality, hashing, repr and
-replace() ignore them. Nodes are frozen and every change builds fresh
-nodes, so a remembered fact cannot go stale; a node shared by several
-terms, or sitting at several positions of one, has the same facts at each.
-Each node remembers whether its subtree holds a parallel node or mark and
-whether it holds an active session (is_simply_typed,
-contains_active_session, uppermost_active_sessions); rewrite adds each
-node's redexes, and typecheck the judgement of a whole state.
+A node remembers facts in one record (Facts, facts(), remembered()) kept
+outside its dataclass fields, so equality, hashing, repr and replace()
+ignore them. Nodes are frozen and every change builds fresh nodes, so a
+remembered fact cannot go stale; a node shared by several terms, or
+sitting at several positions of one, has the same facts at each. Each node
+remembers whether its subtree holds a parallel node or mark and whether it
+holds an active session (is_simply_typed, contains_active_session,
+uppermost_active_sessions); rewrite adds each node's redexes, and
+typecheck the judgement of a whole state.
 """
 
 from __future__ import annotations
@@ -260,15 +260,30 @@ def term_size(t: Term) -> int:
 # remembered facts
 
 
-def recall(t: Term, key: str):
-    """The fact t remembers under key, or None."""
-    return getattr(t, key, None)
+class Facts:
+    """What one node remembers, None until known: its subtree flags (see
+    is_simply_typed), its redex facts (see rewrite.find_redexes), for a
+    session component the occurrences of the last channel asked (see
+    chan_occurrences), and for a whole state its judgement (see
+    typecheck.check_subject_reduction).
+
+    One record per node, in one attribute outside the dataclass fields.
+    """
+
+    __slots__ = ("flags", "redexes", "occurrences", "judgement")
+
+    def __init__(self):
+        self.flags = self.redexes = self.occurrences = self.judgement = None
 
 
-def remember(t: Term, key: str, value):
-    """Make t remember value under key; returns value."""
-    object.__setattr__(t, key, value)
-    return value
+def facts(t: Term) -> Facts:
+    """The facts t remembers; an empty record the first time."""
+    try:
+        return t._facts
+    except AttributeError:
+        f = Facts()
+        object.__setattr__(t, "_facts", f)
+        return f
 
 
 def remembered(t: Term, key: str, compute: Callable[[Term, list], object]):
@@ -276,27 +291,27 @@ def remembered(t: Term, key: str, compute: Callable[[Term, list], object]):
     children's facts).
 
     The first time, compute runs bottom-up, on an explicit stack, on every
-    node below t that does not remember the fact yet, and each keeps its
-    value; nodes that remember it are not entered.
+    node below t that does not know the fact yet, and each keeps its value;
+    nodes that know it are not entered.
     """
-    try:
-        return getattr(t, key)
-    except AttributeError:
-        pass
+    known = getattr(facts(t), key)
+    if known is not None:
+        return known
     todo = [t]
     while todo:
         s = todo[-1]
-        if hasattr(s, key):  # shared below two parents, already done
+        f = facts(s)
+        if getattr(f, key) is not None:  # shared below two parents, done
             todo.pop()
             continue
         cs = children(s)
-        pending = [c for c in cs if not hasattr(c, key)]
+        pending = [c for c in cs if getattr(facts(c), key) is None]
         if pending:
             todo.extend(pending)
             continue
         todo.pop()
-        remember(s, key, compute(s, [getattr(c, key) for c in cs]))
-    return getattr(t, key)
+        setattr(f, key, compute(s, [getattr(c._facts, key) for c in cs]))
+    return getattr(t._facts, key)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +372,15 @@ class Occurrence:
     binders_above: frozenset[str]  # variable and channel names bound above
 
 
-def chan_occurrences(comp: Term, name: str) -> list[Occurrence]:
-    """Free occurrences of `name` in preorder; the last one is rightmost."""
+def chan_occurrences(comp: Term, name: str) -> tuple[Occurrence, ...]:
+    """Free occurrences of `name` in preorder; the last one is rightmost.
+
+    comp remembers them for the last name asked, so the components a step
+    leaves alone are not walked again.
+    """
+    f = facts(comp)
+    if f.occurrences is not None and f.occurrences[0] == name:
+        return f.occurrences[1]
     out: list[Occurrence] = []
     todo: list[tuple[Term, Path, frozenset[str]]] = [(comp, (), frozenset())]
     while todo:
@@ -381,36 +403,45 @@ def chan_occurrences(comp: Term, name: str) -> list[Occurrence]:
                     continue
                 inner = above.union(vs, chs)
             todo.append((cs[i], path + (i,), inner))
-    return out
+    f.occurrences = (name, tuple(out))
+    return f.occurrences[1]
 
 
 def free_occurrences(t: Term) -> tuple[dict[str, Var], dict[str, Chan]]:
     """The first free occurrence of each variable and of each channel of t.
 
     One iterative preorder walk, so each dict lists names in first-use order
-    and deep terms do not exhaust the call stack.
+    and deep terms do not exhaust the call stack. The names bound around the
+    node at hand are kept in bv, bc; a child under a binder is pushed between
+    two (bv, bc) pairs, the first of which sets them for its subtree and the
+    second restores them.
     """
     fv: dict[str, Var] = {}
     fc: dict[str, Chan] = {}
-    nothing: frozenset[str] = frozenset()
-    todo: list[tuple[Term, frozenset[str], frozenset[str]]] = [(t, nothing, nothing)]
+    bv: frozenset[str] = frozenset()
+    bc: frozenset[str] = bv
+    todo: list = [t]
     while todo:
-        s, bv, bc = todo.pop()
-        if isinstance(s, Var):
+        s = todo.pop()
+        cls = type(s)
+        if cls is Var:
             if s.name not in bv and s.name not in fv:
                 fv[s.name] = s
-        elif isinstance(s, Chan):
+        elif cls is Chan:
             if s.name not in bc and s.name not in fc:
                 fc[s.name] = s
-        elif type(s) in _BINDERS:
+        elif cls is tuple:
+            bv, bc = s
+        elif cls in _BINDERS:
             cs = children(s)
             for i in range(len(cs) - 1, -1, -1):
                 vs, chs = binder_names(s, i)
-                todo.append(
-                    (cs[i], bv.union(vs) if vs else bv, bc.union(chs) if chs else bc)
-                )
+                if vs or chs:
+                    todo += ((bv, bc), cs[i], (bv.union(vs), bc.union(chs)))
+                else:
+                    todo.append(cs[i])
         else:
-            todo.extend((c, bv, bc) for c in reversed(children(s)))
+            todo.extend(reversed(children(s)))
     return fv, fc
 
 
@@ -642,7 +673,7 @@ def _node_flags(s: Term, kids: list[int]) -> int:
 
 
 def _flags(t: Term) -> int:
-    return remembered(t, "_flags", _node_flags)
+    return remembered(t, "flags", _node_flags)
 
 
 def is_simply_typed(t: Term) -> bool:
@@ -667,7 +698,7 @@ def uppermost_active_sessions(t: Term) -> list[tuple[Path, ParBind]]:
     while todo:
         path, s = todo.pop()
         cs = children(s)
-        inner = [i for i in range(len(cs)) if cs[i]._flags & _ACTIVE]
+        inner = [i for i in range(len(cs)) if cs[i]._facts.flags & _ACTIVE]
         if not inner:
             out.append((path, s))
         for i in reversed(inner):

@@ -4,6 +4,7 @@ check() walks the term once, synthesizing every type from binder and
 constructor annotations. It returns an elaborated copy in which every
 variable and channel occurrence carries its type, so later passes can
 recompute any subterm's type bottom-up without an environment (type_of).
+A subterm that is elaborated already comes back as it is, not copied.
 
 Channel occurrences are the delicate part. Inside component i of a session
 the channel must appear exactly as the axiom dictates: sender polarity and
@@ -15,6 +16,7 @@ F_i -> G_i in the general mode, where bare channels are not terms at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Optional
 
 from .axioms import AxiomScheme
@@ -45,9 +47,8 @@ from .terms import (
     Underline,
     Unit,
     Var,
+    facts,
     free_names,
-    recall,
-    remember,
 )
 
 
@@ -111,7 +112,7 @@ def _infer(
         if t.name not in env:
             _fail("UnboundName", path, f"unbound variable {t.name!r}")
         ty = env[t.name]
-        return Var(t.name, ty), ty
+        return (t if t.ty == ty else Var(t.name, ty)), ty
 
     if isinstance(t, Chan):
         return _infer_chan(t, chans, free_chan_tys, path, applied=False)
@@ -123,7 +124,7 @@ def _infer(
         env2 = dict(env)
         env2[t.var] = t.ann
         body, bt = _infer(t.body, env2, chans, free_chan_tys, path + (0,))
-        return Lam(t.var, t.ann, body), Impl(t.ann, bt)
+        return (t if body is t.body else Lam(t.var, t.ann, body)), Impl(t.ann, bt)
 
     if isinstance(t, App):
         if isinstance(t.fun, Chan):
@@ -141,25 +142,26 @@ def _infer(
                         show_formula(at),
                         f"argument of channel {name}",
                     )
-                return App(fun, arg), fty.right
+                return _app(t, fun, arg), fty.right
         fun, fty = _infer(t.fun, env, chans, free_chan_tys, path + (0,))
         if not isinstance(fty, Impl):
             _mismatch(path + (0,), "a function type", show_formula(fty))
         arg, at = _infer(t.arg, env, chans, free_chan_tys, path + (1,))
         if at != fty.left:
             _mismatch(path + (1,), show_formula(fty.left), show_formula(at), "argument")
-        return App(fun, arg), fty.right
+        return _app(t, fun, arg), fty.right
 
     if isinstance(t, Pair):
         l, lt = _infer(t.left, env, chans, free_chan_tys, path + (0,))
         r, rt = _infer(t.right, env, chans, free_chan_tys, path + (1,))
-        return Pair(l, r), Conj(lt, rt)
+        return (t if l is t.left and r is t.right else Pair(l, r)), Conj(lt, rt)
 
     if isinstance(t, Proj):
         arg, at = _infer(t.arg, env, chans, free_chan_tys, path + (0,))
         if not isinstance(at, Conj):
             _mismatch(path + (0,), "a conjunction", show_formula(at), "projection")
-        return Proj(arg, t.index), at.left if t.index == 0 else at.right
+        proj = t if arg is t.arg else Proj(arg, t.index)
+        return proj, at.left if t.index == 0 else at.right
 
     if isinstance(t, Inj):
         if not isinstance(t.disj, Disj):
@@ -169,7 +171,7 @@ def _infer(
         if at != want:
             _mismatch(path + (0,), show_formula(want), show_formula(at),
                       f"inj{t.index} argument")
-        return Inj(t.index, t.disj, arg), t.disj
+        return (t if arg is t.arg else Inj(t.index, t.disj, arg)), t.disj
 
     if isinstance(t, Case):
         scrut, st = _infer(t.scrut, env, chans, free_chan_tys, path + (0,))
@@ -183,6 +185,8 @@ def _infer(
         rbody, rt = _infer(t.rbody, envr, chans, free_chan_tys, path + (2,))
         if lt != rt:
             _mismatch(path + (2,), show_formula(lt), show_formula(rt), "case branches")
+        if scrut is t.scrut and lbody is t.lbody and rbody is t.rbody:
+            return t, lt
         return Case(scrut, t.lvar, lbody, t.rvar, rbody), lt
 
     if isinstance(t, Efq):
@@ -195,7 +199,7 @@ def _infer(
         arg, at = _infer(t.arg, env, chans, free_chan_tys, path + (0,))
         if not isinstance(at, Bot):
             _mismatch(path + (0,), "Bot", show_formula(at), "efq argument")
-        return Efq(arg, t.target), t.target
+        return (t if arg is t.arg else Efq(arg, t.target)), t.target
 
     if isinstance(t, ParBind):
         ax = t.axiom
@@ -228,10 +232,14 @@ def _infer(
                     show_formula(bt),
                     f"component {i} of session {t.chan}",
                 )
-            out.append(Underline(body) if isinstance(comp, Underline) else body)
+            if isinstance(comp, Underline):
+                body = comp if body is inner else Underline(body)
+            out.append(body)
         if marks > 1:
             _fail("ChannelDisciplineViolation", path,
                   "more than one marked component")
+        if all(map(is_, out, t.comps)):
+            return t, session_ty
         return ParBind(t.chan, t.active, ax, tuple(out)), session_ty
 
     if isinstance(t, Contract):
@@ -239,7 +247,7 @@ def _infer(
         r, rt = _infer(t.right, env, chans, free_chan_tys, path + (1,))
         if lt != rt:
             _mismatch(path + (1,), show_formula(lt), show_formula(rt), "contraction")
-        return Contract(l, r), lt
+        return (t if l is t.left and r is t.right else Contract(l, r)), lt
 
     if isinstance(t, Underline):
         _fail("ChannelDisciplineViolation", path,
@@ -277,14 +285,18 @@ def _infer_chan(
                 f"channel {t.name} cannot occur alone in component {i}",
             )
         ty = ax.occurrence_type(i)
-        return Chan(t.name, ty, t.active, t.negated), ty
+        return (t if t.ty == ty else Chan(t.name, ty, t.active, t.negated)), ty
     if t.name in free_chan_tys:
         if t.negated:
             _fail("ChannelDisciplineViolation", path,
                   f"free channel {t.name} has no sender polarity")
         ty = free_chan_tys[t.name]
-        return Chan(t.name, ty, t.active, False), ty
+        return (t if t.ty == ty else Chan(t.name, ty, t.active, False)), ty
     _fail("UnboundName", path, f"unbound channel {t.name!r}")
+
+
+def _app(t: App, fun: Term, arg: Term) -> Term:
+    return t if fun is t.fun and arg is t.arg else App(fun, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +363,13 @@ def _judgement(t: Term, ctx: TypingContext, snap: tuple) -> tuple:
     snap is a copy of ctx's (ivars, chans). The judgement is remembered on
     t together with snap, and reused while the context is equal to it.
     """
-    held = recall(t, "_judged")
-    if held is not None and held[0] == snap:
-        return held
-    try:
-        ty = infer_type(t, ctx)
-    except TypingError as e:
-        return remember(t, "_judged", (snap, e, None))
-    return remember(t, "_judged", (snap, ty, free_names(t)))
+    f = facts(t)
+    if f.judgement is None or f.judgement[0] != snap:
+        try:
+            f.judgement = (snap, infer_type(t, ctx), free_names(t))
+        except TypingError as e:
+            f.judgement = (snap, e, None)
+    return f.judgement
 
 
 def check_subject_reduction(
@@ -370,7 +381,7 @@ def check_subject_reduction(
     is the previous step's after, whose judgement it remembers.
     """
     ctx = ctx or TypingContext()
-    held = recall(before, "_judged")
+    held = facts(before).judgement
     snap = (ctx.ivars, ctx.chans)
     snap = held[0] if held is not None and held[0] == snap else (
         dict(ctx.ivars), dict(ctx.chans)

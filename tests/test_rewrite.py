@@ -40,7 +40,7 @@ from lax import (
     value_complexity,
 )
 from lax.rewrite import CHASE, CROSSES, GROUP1, GROUP2, INTUITIONISTIC, Redex
-from lax.terms import children, iter_subterms, subterm_at, with_children
+from lax.terms import children, facts, iter_subterms, subterm_at, with_children
 
 from oracles import brute_force_redexes, find_redexes_oracle, value_complexity_oracle
 
@@ -302,9 +302,9 @@ def test_a_phase_that_asks_no_session_kind_scans_no_session():
     gamma = {"f": Impl(A, B), "x": A}
     t = _typed("nu a : EM[A]. [ efq[B](nota x) || f ((\\u : A. u) a) ]", gamma)
     assert [r.rule for r in find_redexes(t, kinds=INTUITIONISTIC)] == ["Beta"]
-    assert t._redexes[1] == [None, None]
+    assert facts(t).redexes[1] == [None, None]
     assert [r.rule for r in find_redexes(t)] == ["Beta"]
-    assert t._redexes[1][0] == ()
+    assert facts(t).redexes[1][0] == ()
 
 
 def test_message_binders_are_not_captured_variables():

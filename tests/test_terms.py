@@ -178,11 +178,11 @@ def test_a_redex_at_the_bottom_of_a_deep_chain_normalizes():
     assert subterm_at(final, (1,) * depth) == Var("a")
     assert term_size(final) == 2 * depth + 1
     # only the path is rebuilt; every sibling is shared
-    out = replace_at(t, (1,) * depth, Var("c"))
-    assert all(
-        subterm_at(out, (1,) * k + (0,)) is subterm_at(t, (1,) * k + (0,))
-        for k in range(depth)
-    )
+    out, old = replace_at(t, (1,) * depth, Var("c")), t
+    for _ in range(depth):
+        assert out is not old and out.left is old.left
+        out, old = out.right, old.right
+    assert out == Var("c")
 
 
 # --------------------------------------------------------------------------
