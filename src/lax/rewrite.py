@@ -204,7 +204,7 @@ CROSSES = frozenset(
 _COMMUNICATION = CROSSES | {RedexKind.ACTIVATION, RedexKind.GARBAGE_CROSS}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Redex:
     kind: RedexKind
     position: Path
@@ -303,15 +303,16 @@ _SESSION_BITS = {
 def _node_redex_facts(s: Term, kids: list) -> tuple[int, object]:
     """(mask, own): own is a tuple of (bit, redex) pairs, or for a session a
     list holding them per discipline once scanned."""
-    if isinstance(s, ParBind):
-        mask, own = _SESSION_BITS[s.active], [None, None]
-    else:
-        own = tuple((_BIT[r.kind], r) for r in _local_redexes(s))
-        mask = 0
-        for bit, _ in own:
-            mask |= bit
+    mask = 0
     for m, _ in kids:
         mask |= m
+    if type(s) is ParBind:
+        return mask | _SESSION_BITS[s.active], [None, None]
+    if type(s) not in _PERM_SLOTS:  # the only hosts of the other rules
+        return mask, ()
+    own = tuple((_BIT[r.kind], r) for r in _local_redexes(s))
+    for bit, _ in own:
+        mask |= bit
     return mask, own
 
 

@@ -294,24 +294,31 @@ def remembered(t: Term, key: str, compute: Callable[[Term, list], object]):
     node below t that does not know the fact yet, and each keeps its value;
     nodes that know it are not entered.
     """
-    known = getattr(facts(t), key)
+    get = attrgetter(key)
+    known = get(facts(t))
     if known is not None:
         return known
     todo = [t]
     while todo:
         s = todo[-1]
-        f = facts(s)
-        if getattr(f, key) is not None:  # shared below two parents, done
-            todo.pop()
-            continue
         cs = children(s)
-        pending = [c for c in cs if getattr(facts(c), key) is None]
-        if pending:
-            todo.extend(pending)
-            continue
-        todo.pop()
-        setattr(f, key, compute(s, [getattr(c._facts, key) for c in cs]))
-    return getattr(t._facts, key)
+        kids = []
+        for c in cs:
+            f = getattr(c, "_facts", None)
+            if f is None or get(f) is None:
+                # a child first; one shared below two parents is done once
+                todo.extend(
+                    c for c in cs
+                    if (f := getattr(c, "_facts", None)) is None or get(f) is None
+                )
+                break
+            kids.append(get(f))
+        else:
+            todo.pop()
+            f = facts(s)
+            if get(f) is None:
+                setattr(f, key, compute(s, kids))
+    return get(t._facts)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +370,7 @@ def rebind(t: Term, child_index: int, new: str) -> Term:
     return replace(with_children(t, tuple(cs)), **{field: new})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Occurrence:
     chan_path: Path  # path of the Chan node within the component body
     app_path: Optional[Path]  # path of the App node when applied

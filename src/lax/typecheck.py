@@ -362,6 +362,8 @@ def _judgement(t: Term, ctx: TypingContext, snap: tuple) -> tuple:
 
     snap is a copy of ctx's (ivars, chans). The judgement is remembered on
     t together with snap, and reused while the context is equal to it.
+    A judgement depends on the context as well as on t, so it is not a
+    subtree fact, and it stays on the whole state only.
     """
     f = facts(t)
     if f.judgement is None or f.judgement[0] != snap:
@@ -377,8 +379,9 @@ def check_subject_reduction(
 ) -> SubjectReductionReport:
     """Type preservation plus no new free names, reported, never raised.
 
-    Each term is judged once per context: along a trace, a step's before
-    is the previous step's after, whose judgement it remembers.
+    Along a trace each state is judged once: a step's after keeps its
+    judgement until the next step takes it up as its before, so no more
+    than one judgement is held at a time.
     """
     ctx = ctx or TypingContext()
     held = facts(before).judgement
@@ -387,6 +390,8 @@ def check_subject_reduction(
         dict(ctx.ivars), dict(ctx.chans)
     )
     _, tb, names_before = _judgement(before, ctx, snap)
+    if before is not after:
+        facts(before).judgement = None
     if isinstance(tb, TypingError):
         return SubjectReductionReport(False, None, None, f"before does not type: {tb}")
     _, ta, names_after = _judgement(after, ctx, snap)
