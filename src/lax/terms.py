@@ -262,18 +262,17 @@ def term_size(t: Term) -> int:
 
 class Facts:
     """What one node remembers, None until known: its subtree flags (see
-    is_simply_typed), its redex facts (see rewrite.find_redexes), for a
-    session component the occurrences of the last channel asked (see
-    chan_occurrences), and for a whole state its judgement (see
+    is_simply_typed), its free channels (free_chans), its redex facts (see
+    rewrite.find_redexes), and for a whole state its judgement (see
     typecheck.check_subject_reduction).
 
     One record per node, in one attribute outside the dataclass fields.
     """
 
-    __slots__ = ("flags", "redexes", "occurrences", "judgement")
+    __slots__ = ("flags", "chans", "redexes", "judgement")
 
     def __init__(self):
-        self.flags = self.redexes = self.occurrences = self.judgement = None
+        self.flags = self.chans = self.redexes = self.judgement = None
 
 
 def facts(t: Term) -> Facts:
@@ -379,39 +378,35 @@ class Occurrence:
     binders_above: frozenset[str]  # variable and channel names bound above
 
 
-def chan_occurrences(comp: Term, name: str) -> tuple[Occurrence, ...]:
+def chan_occurrences(comp: Term, name: str) -> list[Occurrence]:
     """Free occurrences of `name` in preorder; the last one is rightmost.
 
-    comp remembers them for the last name asked, so the components a step
-    leaves alone are not walked again.
+    The walk enters only the subtrees where name is free (free_chans).
     """
-    f = facts(comp)
-    if f.occurrences is not None and f.occurrences[0] == name:
-        return f.occurrences[1]
     out: list[Occurrence] = []
-    todo: list[tuple[Term, Path, frozenset[str]]] = [(comp, (), frozenset())]
+    todo: list[tuple[Term, Path, frozenset[str]]] = []
+    if name in free_chans(comp):
+        todo.append((comp, (), frozenset()))
     while todo:
         t, path, above = todo.pop()
         if isinstance(t, App) and isinstance(t.fun, Chan) and t.fun.name == name:
             out.append(Occurrence(path + (0,), path, t.fun.negated, t.arg, above))
-            todo.append((t.arg, path + (1,), above))
+            if name in t.arg._facts.chans:
+                todo.append((t.arg, path + (1,), above))
             continue
-        if isinstance(t, Chan):
-            if t.name == name:
-                out.append(Occurrence(path, None, t.negated, None, above))
+        if isinstance(t, Chan):  # only entered when it is name
+            out.append(Occurrence(path, None, t.negated, None, above))
             continue
         cs = children(t)
         binds = type(t) in _BINDERS
         for i in range(len(cs) - 1, -1, -1):
+            if name not in cs[i]._facts.chans:
+                continue
             inner = above
             if binds:
-                vs, chs = binder_names(t, i)
-                if name in chs:  # a nu rebinding name shadows it
-                    continue
-                inner = above.union(vs, chs)
+                inner = above.union(*binder_names(t, i))
             todo.append((cs[i], path + (i,), inner))
-    f.occurrences = (name, tuple(out))
-    return f.occurrences[1]
+    return out
 
 
 def free_occurrences(t: Term) -> tuple[dict[str, Var], dict[str, Chan]]:
@@ -464,8 +459,24 @@ def free_vars(t: Term) -> frozenset[str]:
 
 
 def free_chans(t: Term) -> frozenset[str]:
-    """Names of channels with at least one free occurrence in t."""
-    return frozenset(free_occurrences(t)[1])
+    """Names of channels with at least one free occurrence in t; a subtree
+    fact each node remembers."""
+    return remembered(t, "chans", _node_chans)
+
+
+_NO_NAMES: frozenset[str] = frozenset()
+
+
+def _node_chans(s: Term, kids: list[frozenset[str]]) -> frozenset[str]:
+    if type(s) is Chan:
+        return frozenset((s.name,))
+    out = _NO_NAMES
+    for k in kids:  # a child's set is shared when it holds all the others
+        if not k <= out:
+            out = k if out <= k else out | k
+    if type(s) is ParBind and s.chan in out:
+        out = out - {s.chan}
+    return out
 
 
 def all_names(t: Term) -> set[str]:

@@ -186,7 +186,7 @@ def test_a_redex_at_the_bottom_of_a_deep_chain_normalizes():
 
 
 # --------------------------------------------------------------------------
-# remembered subtree flags
+# remembered subtree facts
 
 
 def _fresh_copy(t):
@@ -196,14 +196,16 @@ def _fresh_copy(t):
     return with_children(t, tuple(_fresh_copy(c) for c in cs))
 
 
-def _assert_flags_match_the_oracle(states):
-    """Asked top-down on each state, and bottom-up on a fresh copy."""
+def _assert_subtree_facts_match_the_oracle(states):
+    """The remembered subtree facts, asked top-down on each state and
+    bottom-up on a fresh copy."""
     for k, u in enumerate(states):
         nodes = [s for _, s in iter_subterms(u)]
         copy = [s for _, s in iter_subterms(_fresh_copy(u))]
         for s in nodes + copy[::-1]:
             assert is_simply_typed(s) == (not _mentions_parallel(s)), f"state {k}: {s}"
             assert contains_active_session(s) == _mentions_active_session(s), f"state {k}"
+            assert free_chans(s) == _free_names(s)[1], f"state {k}: {s}"
         assert uppermost_active_sessions(u) == uppermost_active_oracle(u), f"state {k}"
 
 
@@ -212,14 +214,14 @@ def _assert_flags_match_the_oracle(states):
     st.integers(0, 10**9),
     st.sampled_from(["em", "em3", "c3", "g2", "godel", None]),
 )
-def test_subtree_flags_match_the_oracle_on_every_state(seed, preset_name):
+def test_subtree_facts_match_the_oracle_on_every_state(seed, preset_name):
     _, t = generate(seed, GenConfig(preset=preset_name, max_size=18))
-    _assert_flags_match_the_oracle(_run_states(t))
+    _assert_subtree_facts_match_the_oracle(_run_states(t))
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
-def test_subtree_flags_match_the_oracle_on_the_examples(name):
-    _assert_flags_match_the_oracle(_example_states(name))
+def test_subtree_facts_match_the_oracle_on_the_examples(name):
+    _assert_subtree_facts_match_the_oracle(_example_states(name))
 
 
 def test_remembered_facts_leave_equality_hashing_and_repr_alone():
