@@ -262,9 +262,9 @@ def _fn_less(a: dict[int, int], b: dict[int, int]) -> bool:
     return ta < tb
 
 
-def _measure_less(m1: tuple, m0: tuple) -> bool:
-    """The communication measure m1 is below m0."""
-    (n0, h0, g0), (n1, h1, g1) = m0, m1
+def _measure_decreases(before: tuple, after: tuple) -> bool:
+    """The communication measure after is below before."""
+    (n0, h0, g0), (n1, h1, g1) = before, after
     if n1 != n0:
         return n1 < n0
     if h1 != h0:
@@ -455,7 +455,7 @@ def _audit_communication_measure(
                 i += 1  # the inactive-session sweep sits outside the measure
                 continue
             j = _chase_end(trace, i) if kind in CROSSES else i + 1
-            if not _measure_less(measure(j), measure(i)):
+            if not _measure_decreases(measure(i), measure(j)):
                 rep.add(
                     f"step {i}",
                     f"side-strategy move {ts.redex.rule} did not shrink the "

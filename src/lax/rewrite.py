@@ -325,7 +325,7 @@ def _emit(
 ) -> None:
     """Append s's own redexes of the kinds in want, moved to path."""
     own = s._facts.redexes[1]
-    if isinstance(own, list):
+    if type(s) is ParBind:
         if not _SESSION_BITS[s.active] & want:
             return  # no scan for a session that offers none of them
         d = 1 if discipline else 0

@@ -362,8 +362,6 @@ def _judgement(t: Term, ctx: TypingContext, snap: tuple) -> tuple:
 
     snap is a copy of ctx's (ivars, chans). The judgement is remembered on
     t together with snap, and reused while the context is equal to it.
-    A judgement depends on the context as well as on t, so it is not a
-    subtree fact, and it stays on the whole state only.
     """
     f = facts(t)
     if f.judgement is None or f.judgement[0] != snap:
@@ -384,11 +382,7 @@ def check_subject_reduction(
     than one judgement is held at a time.
     """
     ctx = ctx or TypingContext()
-    held = facts(before).judgement
-    snap = (ctx.ivars, ctx.chans)
-    snap = held[0] if held is not None and held[0] == snap else (
-        dict(ctx.ivars), dict(ctx.chans)
-    )
+    snap = (dict(ctx.ivars), dict(ctx.chans))
     _, tb, names_before = _judgement(before, ctx, snap)
     if before is not after:
         facts(before).judgement = None
