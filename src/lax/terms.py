@@ -39,7 +39,8 @@ from .formulas import Formula, Conj, TOP
 
 
 class Term:
-    __slots__ = ()
+    # every node has room for its Facts record (see facts())
+    __slots__ = ("_facts",)
 
     def __str__(self) -> str:
         from .printer import show_term
@@ -47,13 +48,13 @@ class Term:
         return show_term(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
     ty: Optional[Formula] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chan(Term):
     """One occurrence of a session channel.
 
@@ -68,39 +69,39 @@ class Chan(Term):
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam(Term):
     var: str
     ann: Formula
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     fun: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pair(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proj(Term):
     arg: Term
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inj(Term):
     index: int
     disj: Formula
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Case(Term):
     scrut: Term
     lvar: str
@@ -109,18 +110,18 @@ class Case(Term):
     rbody: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Efq(Term):
     arg: Term
     target: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unit(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParBind(Term):
     """nu chan . [comps[0] || comps[1] || ...], with the axiom scheme attached."""
 
@@ -130,7 +131,7 @@ class ParBind(Term):
     comps: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Contract(Term):
     """Contraction join t1 |+| t2; both sides share one type. n-ary joins
     are right-nested applications of this node."""
@@ -139,7 +140,7 @@ class Contract(Term):
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Underline(Term):
     """Scheduling mark on one parallel component (prints as @t)."""
 
@@ -266,7 +267,7 @@ class Facts:
     rewrite.find_redexes), and for a whole state its judgement (see
     typecheck.check_subject_reduction).
 
-    One record per node, in one attribute outside the dataclass fields.
+    One record per node, in a slot of Term outside the dataclass fields.
     """
 
     __slots__ = ("flags", "chans", "redexes", "judgement")
