@@ -430,7 +430,8 @@ def _session_redexes(s: ParBind, discipline: bool) -> Iterator[Redex]:
     """The redexes rooted at the session s, at position ()."""
     a = s.chan
     bodies = [comp_body(c) for c in s.comps]
-    occs = [chan_occurrences(b, a) for b in bodies]
+    # free_chans also lets the scan skip the subtrees that never mention a
+    occs = [chan_occurrences(b, a) if a in free_chans(b) else [] for b in bodies]
     comm = _comm_complexity(occs)
 
     # activation: inactive binder, some applied occurrence of a value

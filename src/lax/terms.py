@@ -382,30 +382,33 @@ class Occurrence:
 def chan_occurrences(comp: Term, name: str) -> list[Occurrence]:
     """Free occurrences of `name` in preorder; the last one is rightmost.
 
-    The walk enters only the subtrees where name is free (free_chans).
+    The walk skips each subtree whose remembered free channels (free_chans)
+    are known and lack name.
     """
     out: list[Occurrence] = []
-    todo: list[tuple[Term, Path, frozenset[str]]] = []
-    if name in free_chans(comp):
-        todo.append((comp, (), frozenset()))
+    todo: list[tuple[Term, Path, frozenset[str]]] = [(comp, (), frozenset())]
     while todo:
         t, path, above = todo.pop()
         if isinstance(t, App) and isinstance(t.fun, Chan) and t.fun.name == name:
             out.append(Occurrence(path + (0,), path, t.fun.negated, t.arg, above))
-            if name in t.arg._facts.chans:
-                todo.append((t.arg, path + (1,), above))
+            todo.append((t.arg, path + (1,), above))
             continue
-        if isinstance(t, Chan):  # only entered when it is name
-            out.append(Occurrence(path, None, t.negated, None, above))
+        if isinstance(t, Chan):
+            if t.name == name:
+                out.append(Occurrence(path, None, t.negated, None, above))
             continue
         cs = children(t)
         binds = type(t) in _BINDERS
         for i in range(len(cs) - 1, -1, -1):
-            if name not in cs[i]._facts.chans:
+            known = getattr(cs[i], "_facts", None)
+            if known is not None and known.chans is not None and name not in known.chans:
                 continue
             inner = above
             if binds:
-                inner = above.union(*binder_names(t, i))
+                vs, chs = binder_names(t, i)
+                if name in chs:  # a nu rebinding name shadows it
+                    continue
+                inner = above.union(vs, chs)
             todo.append((cs[i], path + (i,), inner))
     return out
 
