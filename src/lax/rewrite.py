@@ -310,10 +310,12 @@ def _node_redex_facts(s: Term, kids: list) -> tuple[int, object]:
         return mask | _SESSION_BITS[s.active], [None, None]
     if type(s) not in _PERM_SLOTS:  # the only hosts of the other rules
         return mask, ()
-    own = tuple((_BIT[r.kind], r) for r in _local_redexes(s))
-    for bit, _ in own:
-        mask |= bit
-    return mask, own
+    own = _local_redexes(s)
+    if not own:
+        return mask, ()
+    for r in own:
+        mask |= _BIT[r.kind]
+    return mask, tuple((_BIT[r.kind], r) for r in own)
 
 
 def _redex_facts(t: Term) -> tuple[int, object]:
@@ -378,25 +380,27 @@ def redexes_at(
     return out
 
 
-def _local_redexes(s: Term) -> Iterator[Redex]:
+def _local_redexes(s: Term) -> list[Redex]:
     """The redexes rooted at s, at position (), unless s is a session."""
+    out = []
     # intuitionistic redexes
     if isinstance(s, App) and isinstance(s.fun, Lam):
-        yield Redex(RedexKind.BETA, (), complexity(type_of(s.fun)))
+        out.append(Redex(RedexKind.BETA, (), complexity(type_of(s.fun))))
     if isinstance(s, Proj) and isinstance(s.arg, Pair):
-        yield Redex(RedexKind.PROJ_PAIR, (), _vc_safe(s.arg))
+        out.append(Redex(RedexKind.PROJ_PAIR, (), _vc_safe(s.arg)))
     if isinstance(s, Case) and isinstance(s.scrut, Inj):
-        yield Redex(RedexKind.CASE_INJ, (), complexity(s.scrut.disj))
+        out.append(Redex(RedexKind.CASE_INJ, (), complexity(s.scrut.disj)))
 
     # one-frame permutation over a case term
     hole = _FRAME_HOLES.get(type(s))
     if hole is not None and isinstance(getattr(s, hole), Case):
-        yield Redex(RedexKind.CASE_PERM, (), _vc_safe(getattr(s, hole)))
+        out.append(Redex(RedexKind.CASE_PERM, (), _vc_safe(getattr(s, hole))))
 
     # parallel permutations: a frame or constructor over a parallel node
     slot = _perm_slot(s)
     if slot is not None:
-        yield Redex(RedexKind.PAR_PERM, (), 0, which=slot[1])
+        out.append(Redex(RedexKind.PAR_PERM, (), 0, which=slot[1]))
+    return out
 
 
 # constructor -> ((attribute, ParPerm label), ...), first match wins

@@ -18,14 +18,15 @@ assigned to them (ty is None straight out of the parser). All engine code
 assumes elaborated terms, so a bottom-up type_of needs no environment.
 
 A node remembers facts in one record (Facts, facts(), remembered()) kept
-outside its dataclass fields, so equality, hashing, repr and replace()
-ignore them. Nodes are frozen and every change builds fresh nodes, so a
-remembered fact cannot go stale; a node shared by several terms, or
-sitting at several positions of one, has the same facts at each. Each node
-remembers whether its subtree holds a parallel node or mark and whether it
-holds an active session (is_simply_typed, contains_active_session,
-uppermost_active_sessions); rewrite adds each node's redexes, and
-typecheck the judgement of a whole state.
+in a slot outside its dataclass fields, so equality, hashing, repr and
+replace() ignore them. Nodes are frozen and every change builds fresh
+nodes, so a remembered fact cannot go stale; a node shared by several
+terms, or sitting at several positions of one, has the same facts at each.
+Each node remembers whether its subtree holds a parallel node or mark and
+whether it holds an active session (is_simply_typed,
+contains_active_session, uppermost_active_sessions), and its free channels
+(free_chans); rewrite adds each node's redexes, and typecheck the
+judgement of a whole state.
 """
 
 from __future__ import annotations
@@ -278,12 +279,11 @@ class Facts:
 
 def facts(t: Term) -> Facts:
     """The facts t remembers; an empty record the first time."""
-    try:
-        return t._facts
-    except AttributeError:
+    f = getattr(t, "_facts", None)
+    if f is None:
         f = Facts()
         object.__setattr__(t, "_facts", f)
-        return f
+    return f
 
 
 def remembered(t: Term, key: str, compute: Callable[[Term, list], object]):
@@ -301,23 +301,24 @@ def remembered(t: Term, key: str, compute: Callable[[Term, list], object]):
     todo = [t]
     while todo:
         s = todo[-1]
-        cs = children(s)
         kids = []
-        for c in cs:
+        for c in children(s):
             f = getattr(c, "_facts", None)
-            if f is None or get(f) is None:
-                # a child first; one shared below two parents is done once
-                todo.extend(
-                    c for c in cs
-                    if (f := getattr(c, "_facts", None)) is None or get(f) is None
-                )
+            v = None if f is None else get(f)
+            if v is None:
                 break
-            kids.append(get(f))
+            kids.append(v)
         else:
             todo.pop()
             f = facts(s)
-            if get(f) is None:
+            if get(f) is None:  # else shared below two parents, done
                 setattr(f, key, compute(s, kids))
+            continue
+        # the children first
+        todo.extend(
+            c for c in children(s)
+            if (f := getattr(c, "_facts", None)) is None or get(f) is None
+        )
     return get(t._facts)
 
 

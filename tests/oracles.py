@@ -8,6 +8,8 @@ cannot cancel out on both sides of a comparison.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from lax import (
     BOT,
     TOP,
@@ -35,6 +37,7 @@ from lax import (
     redexes_at,
     type_of,
 )
+from lax.terms import with_children
 
 Path = tuple[int, ...]
 
@@ -208,6 +211,14 @@ def uppermost_active_oracle(t: Term) -> list[tuple[Path, Term]]:
 # The library walks only the subtrees whose remembered kind mask meets the
 # kinds asked for; here every node is visited, in preorder, and asked for
 # the redexes rooted at it.
+
+def fresh_copy(t: Term) -> Term:
+    """A structurally equal term of new nodes, none remembering anything."""
+    kids = _kids(t)
+    if not kids:
+        return replace(t)
+    return with_children(t, tuple(fresh_copy(c) for c in kids))
+
 
 def find_redexes_oracle(t: Term, underline_discipline: bool = False, kinds=None) -> list:
     """redexes_at concatenated over every node, in preorder."""

@@ -1,6 +1,5 @@
 """Single-step reduction: values, complexity measures, discovery, contraction."""
 
-import dataclasses
 from importlib import resources
 
 import pytest
@@ -40,9 +39,14 @@ from lax import (
     value_complexity,
 )
 from lax.rewrite import CHASE, CROSSES, GROUP1, GROUP2, INTUITIONISTIC, Redex
-from lax.terms import children, facts, iter_subterms, subterm_at, with_children
+from lax.terms import facts, iter_subterms, subterm_at
 
-from oracles import brute_force_redexes, find_redexes_oracle, value_complexity_oracle
+from oracles import (
+    brute_force_redexes,
+    find_redexes_oracle,
+    fresh_copy,
+    value_complexity_oracle,
+)
 
 A, B, C, Z, V = Atom("A"), Atom("B"), Atom("C"), Atom("Z"), Atom("V0")
 
@@ -88,14 +92,6 @@ def _assert_kinds_filter_the_full_list(states, discipline):
             assert find_redexes(u, discipline, kinds) == want, f"state {i}"
 
 
-def _fresh_copy(t):
-    """A structurally equal term of new nodes, none remembering anything."""
-    cs = children(t)
-    if not cs:
-        return dataclasses.replace(t)
-    return with_children(t, tuple(_fresh_copy(c) for c in cs))
-
-
 def _assert_remembered_discovery_matches_the_oracle(states, discipline):
     """The kind-restricted walks run first, so sessions are scanned on the
     demand of the strategy's sets before the full list asks for them all."""
@@ -111,7 +107,7 @@ def _assert_answers_repeat(states, discipline):
     for i, u in enumerate(states):
         first = [find_redexes(u, discipline, kinds) for kinds in [None] + KIND_SETS]
         again = [find_redexes(u, discipline, kinds) for kinds in [None] + KIND_SETS]
-        copy = _fresh_copy(u)
+        copy = fresh_copy(u)
         assert copy == u and copy is not u
         find_redexes(copy, not discipline)
         fresh = [find_redexes(copy, discipline, kinds) for kinds in [None] + KIND_SETS]
