@@ -40,6 +40,7 @@ node's subtree, and nodes never change, so they cannot go stale.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Optional
@@ -290,12 +291,13 @@ _BIT = {k: 1 << i for i, k in enumerate(RedexKind)}
 _ALL_BITS = sum(_BIT.values())
 
 
-def _bits(kinds) -> int:
+@functools.cache  # one entry per set of kinds asked for
+def _bits(kinds: frozenset) -> int:
     return sum(_BIT[k] for k in kinds)
 
 
 _SESSION_BITS = {
-    False: _bits({RedexKind.ACTIVATION, RedexKind.GARBAGE_CROSS}),
+    False: _bits(frozenset({RedexKind.ACTIVATION, RedexKind.GARBAGE_CROSS})),
     True: _bits(CROSSES | {RedexKind.GARBAGE_CROSS, RedexKind.PAR_PAR_PERM}),
 }
 
@@ -354,7 +356,7 @@ def find_redexes(
     find_redexes(t, d, kinds) == [r for r in find_redexes(t, d) if r.kind
     in kinds], and the walk skips every subtree that holds none of them.
     """
-    want = _ALL_BITS if kinds is None else _bits(kinds)
+    want = _ALL_BITS if kinds is None else _bits(frozenset(kinds))
     out: list[Redex] = []
     if not _redex_facts(t)[0] & want:
         return out
@@ -376,7 +378,8 @@ def redexes_at(
     with kinds, only those of these kinds."""
     out: list[Redex] = []
     _redex_facts(s)
-    _emit(out, s, path, discipline, _ALL_BITS if kinds is None else _bits(kinds))
+    want = _ALL_BITS if kinds is None else _bits(frozenset(kinds))
+    _emit(out, s, path, discipline, want)
     return out
 
 

@@ -294,10 +294,10 @@ def remembered(t: Term, key: str, compute: Callable[[Term, list], object]):
     node below t that does not know the fact yet, and each keeps its value;
     nodes that know it are not entered.
     """
-    get = attrgetter(key)
-    known = get(facts(t))
-    if known is not None:
+    f = getattr(t, "_facts", None)
+    if f is not None and (known := getattr(f, key)) is not None:
         return known
+    get = attrgetter(key)
     todo = [t]
     while todo:
         s = todo[-1]
@@ -401,8 +401,8 @@ def chan_occurrences(comp: Term, name: str) -> list[Occurrence]:
         cs = children(t)
         binds = type(t) in _BINDERS
         for i in range(len(cs) - 1, -1, -1):
-            known = getattr(cs[i], "_facts", None)
-            if known is not None and known.chans is not None and name not in known.chans:
+            f = getattr(cs[i], "_facts", None)
+            if f is not None and f.chans is not None and name not in f.chans:
                 continue
             inner = above
             if binds:
