@@ -6,8 +6,12 @@ variant (mode "broadcast"), or a general disjunction of implications
 F_1 -> G_1, ..., F_m -> G_m (mode "general").
 
 General schemes written by the user go through validate_components: the
-antecedents must be pairwise distinct, and every consequent other than Bot
-must literally equal one of the antecedents. The recorded witness jmap[i] is
+antecedents must be pairwise distinct, every consequent other than Bot
+must literally equal one of the antecedents, and the disjunction must be a
+classical tautology. With antecedents that are atoms or Top, it is false
+only under a valuation making every antecedent true and every consequent
+false; a consequent that is an antecedent rules that out, so the scheme is
+a tautology exactly when some consequent is not Bot. The recorded witness jmap[i] is
 the least j with components[j].antecedent == components[i].consequent; it is
 what cross reductions use to route messages. Schemes minted by the engine
 for fresh channels (derived=True) skip the user-level shape restrictions;
@@ -25,7 +29,8 @@ from .formulas import Atom, Bot, Formula, Impl, Top, BOT, neg, show_formula
 
 @dataclass(frozen=True)
 class AxiomValidationError(Exception):
-    code: str  # DuplicateAntecedent | UnmatchedAntecedent | BadComponentShape
+    # DuplicateAntecedent | UnmatchedAntecedent | NotATautology | BadComponentShape
+    code: str
     message: str
 
     def __str__(self) -> str:
@@ -94,8 +99,9 @@ def validate_components(
 ) -> tuple[Optional[int], ...]:
     """Check the disjunctive-axiom side conditions, returning the j-map.
 
-    Raises AxiomValidationError on duplicate antecedents or on a consequent
-    (other than Bot) without a matching antecedent.
+    Raises AxiomValidationError on duplicate antecedents, on a consequent
+    (other than Bot) without a matching antecedent, and when every
+    consequent is Bot, which is no tautology.
     """
     ants = [f for f, _ in components]
     for i, f in enumerate(ants):
@@ -104,7 +110,14 @@ def validate_components(
                 "DuplicateAntecedent",
                 f"antecedent {show_formula(f)} appears more than once",
             )
-    return _jmap_least(components)
+    jmap = _jmap_least(components)
+    if all(j is None for j in jmap):
+        raise AxiomValidationError(
+            "NotATautology",
+            "every consequent is Bot, so the axiom is false when every "
+            "antecedent is true",
+        )
+    return jmap
 
 
 def _check_shape(components: tuple[tuple[Formula, Formula], ...]) -> None:

@@ -26,12 +26,12 @@ Each node remembers whether its subtree holds a parallel node or mark and
 whether it holds an active session (is_simply_typed,
 contains_active_session, uppermost_active_sessions), and its free channels
 (free_chans); rewrite adds each node's redexes, and typecheck the
-judgement of a whole state.
+judgement of a state or of a subterm a step rewrote.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter, is_
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -195,6 +195,19 @@ def _getter(shape: _Shape):
 
 _CHILDREN = {cls: _getter(shape) for cls, shape in _SHAPES.items()}
 
+
+def _data_getter(cls: type, shape: _Shape):
+    names = tuple(f.name for f in fields(cls) if f.name not in shape.kids)
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda t: (get(t),)
+    if names:
+        return attrgetter(*names)
+    return lambda t: ()
+
+
+_DATA = {cls: _data_getter(cls, shape) for cls, shape in _SHAPES.items()}
+
 # the constructors that bind a name in some child
 _BINDERS = frozenset(cls for cls, shape in _SHAPES.items() if shape.binds)
 
@@ -204,6 +217,13 @@ def children(t: Term) -> tuple[Term, ...]:
     if get is None:
         raise TypeError(f"not a term: {t!r}")
     return get(t)
+
+
+def node_data(t: Term) -> tuple:
+    """t's fields other than its subterms (labels, annotations, bound
+    names), in field order: two nodes of one constructor with equal data
+    and identical children are equal."""
+    return _DATA[type(t)](t)
 
 
 def with_children(t: Term, cs: tuple[Term, ...]) -> Term:
@@ -265,7 +285,7 @@ def term_size(t: Term) -> int:
 class Facts:
     """What one node remembers, None until known: its subtree flags (see
     is_simply_typed), its free channels (free_chans), its redex facts (see
-    rewrite.find_redexes), and for a whole state its judgement (see
+    rewrite.find_redexes), and its type in one context (see
     typecheck.check_subject_reduction).
 
     One record per node, in a slot of Term outside the dataclass fields.

@@ -11,6 +11,17 @@ the channel must appear exactly as the axiom dictates: sender polarity and
 application for the first EM/broadcast component, bare uses for the
 receiving components, and applied non-negated occurrences typed
 F_i -> G_i in the general mode, where bare channels are not terms at all.
+A context can hold such sessions around the term (TypingContext.sessions),
+so a subterm of a component types on its own as it does in place.
+
+check_subject_reduction audits one step by the replacement argument: every
+rule reads only the types of its subterms, except that a session reads
+whether a component is marked and an application whether its head is a
+channel. So when after is before with one subterm replaced, and no such
+parent reads the form of that subterm, after has before's type as soon as
+the old and the new subterm have one type in the context their path binds.
+A step goes through the whole-term judgement only when this does not
+settle it, so its failures read exactly as that judgement words them.
 """
 
 from __future__ import annotations
@@ -47,8 +58,10 @@ from .terms import (
     Underline,
     Unit,
     Var,
+    children,
     facts,
     free_names,
+    node_data,
 )
 
 
@@ -72,10 +85,18 @@ class TypingError(Exception):
         self.issue = issue
 
 
+# chan_env entries: name -> (scheme, component index, binder activity)
+_ChanEnv = dict[str, tuple[AxiomScheme, int, bool]]
+
+
 @dataclass
 class TypingContext:
     ivars: dict[str, Formula] = field(default_factory=dict)
+    # free channels: name -> the type of every occurrence
     chans: dict[str, Formula] = field(default_factory=dict)
+    # channels bound by sessions around the term, as inside component i of
+    # each: name -> (scheme, i, the session's activity)
+    sessions: _ChanEnv = field(default_factory=dict)
 
 
 def _fail(code: str, path: Path, msg: str):
@@ -87,14 +108,10 @@ def _mismatch(path: Path, expected: str, found: str, what: str = ""):
     _fail("TypeMismatch", path, f"{lead}expected {expected}, found {found}")
 
 
-# chan_env entries: name -> (scheme, component index, binder activity)
-_ChanEnv = dict[str, tuple[AxiomScheme, int, bool]]
-
-
 def check(t: Term, ctx: Optional[TypingContext] = None) -> tuple[Term, Formula]:
     """Elaborate and type t; raises TypingError on the first violation."""
     ctx = ctx or TypingContext()
-    return _infer(t, dict(ctx.ivars), {}, ctx.chans, ())
+    return _infer(t, dict(ctx.ivars), ctx.sessions, ctx.chans, ())
 
 
 def infer_type(t: Term, ctx: Optional[TypingContext] = None) -> Formula:
@@ -357,19 +374,34 @@ class SubjectReductionReport:
     message: str = ""
 
 
-def _judgement(t: Term, ctx: TypingContext, snap: tuple) -> tuple:
-    """(snap, t's type or its TypingError, t's free names or None).
+def _judgement(t: Term, key: tuple, ctx: TypingContext) -> list:
+    """[key, t's type in ctx or its TypingError, t's free names or None].
 
-    snap is a copy of ctx's (ivars, chans). The judgement is remembered on
-    t together with snap, and reused while the context is equal to it.
+    key names ctx in full: a copy of the caller's context and the binders
+    the path to t passes. The judgement is remembered on t with key, and
+    reused while the context is equal to it; free names are filled in when
+    first asked for (_names).
     """
     f = facts(t)
-    if f.judgement is None or f.judgement[0] != snap:
+    j = f.judgement
+    if j is None or j[0] != key:
         try:
-            f.judgement = (snap, infer_type(t, ctx), free_names(t))
+            ty = infer_type(t, ctx)
         except TypingError as e:
-            f.judgement = (snap, e, None)
-    return f.judgement
+            ty = e
+        f.judgement = j = [key, ty, None]
+    return j
+
+
+def _forget(before: Term, after: Term) -> None:
+    if before is not after:
+        facts(before).judgement = None
+
+
+def _names(t: Term, j: list) -> tuple[frozenset[str], frozenset[str]]:
+    if j[2] is None:
+        j[2] = free_names(t)
+    return j[2]
 
 
 def check_subject_reduction(
@@ -377,18 +409,33 @@ def check_subject_reduction(
 ) -> SubjectReductionReport:
     """Type preservation plus no new free names, reported, never raised.
 
-    Along a trace each state is judged once: a step's after keeps its
-    judgement until the next step takes it up as its before, so no more
-    than one judgement is held at a time.
+    before is typed whole, unless it is the after of the step checked just
+    before in the same context, which leaves its type remembered. after is
+    then judged by replacement (_replaced): only the subterm the step
+    rewrote is typed, old and new, in the context its path binds. When that
+    does not settle the step, both states are judged whole, so a failed
+    step reports exactly what a whole-term check reports.
+
+    Along a trace a state's judgement is held until the next step takes it
+    up as its before; so is the judgement of the subterm a step wrote, in
+    case the next step rewrites that subterm again.
     """
     ctx = ctx or TypingContext()
-    snap = (dict(ctx.ivars), dict(ctx.chans))
-    _, tb, names_before = _judgement(before, ctx, snap)
-    if before is not after:
-        facts(before).judgement = None
+    key = ((dict(ctx.ivars), dict(ctx.chans), dict(ctx.sessions)), ())
+    jb = _judgement(before, key, ctx)
+    key, tb = jb[0], jb[1]  # share the remembered copy of the context
     if isinstance(tb, TypingError):
+        _forget(before, after)
         return SubjectReductionReport(False, None, None, f"before does not type: {tb}")
-    _, ta, names_after = _judgement(after, ctx, snap)
+    replaced = _replaced(ctx, key, before, after)
+    _forget(before, after)
+    if replaced:
+        fa = facts(after)
+        if fa.judgement is None or fa.judgement[0] != key:
+            fa.judgement = [key, tb, None]
+        return SubjectReductionReport(True, show_formula(tb), show_formula(tb))
+    ja = _judgement(after, key, ctx)
+    ta = ja[1]
     if isinstance(ta, TypingError):
         return SubjectReductionReport(
             False, show_formula(tb), None, f"after does not type: {ta}"
@@ -397,7 +444,7 @@ def check_subject_reduction(
         return SubjectReductionReport(
             False, show_formula(tb), show_formula(ta), "type changed"
         )
-    (fv_after, fc_after), (fv_before, fc_before) = names_after, names_before
+    (fv_after, fc_after), (fv_before, fc_before) = _names(after, ja), _names(before, jb)
     fv_new = fv_after - fv_before
     fc_new = fc_after - fc_before
     if fv_new or fc_new:
@@ -408,3 +455,76 @@ def check_subject_reduction(
             f"new free names appeared: {sorted(fv_new | fc_new)}",
         )
     return SubjectReductionReport(True, show_formula(tb), show_formula(ta))
+
+
+def _replaced(ctx: TypingContext, key: tuple, before: Term, after: Term) -> bool:
+    """True when the replacement argument shows that after, like before
+    (which types), has before's type and no free name before lacks.
+
+    The walk goes down from the roots while the two nodes have one
+    constructor and equal data and exactly one child differs; it stops at
+    the first node where they part. It then climbs past each parent whose
+    rule reads more than that node's type: a mark (Underline) is read by
+    its session and a channel by the application it heads. Every rule above
+    reads only the types of its children, so the old and the new subterm,
+    typed in the context the path binds, must have one type, and every free
+    name the new one adds must be bound on the path. False only means this
+    argument does not settle the step.
+    """
+    spine, path = [(before, after)], []
+    b, a = before, after
+    while b is not a and type(b) is type(a) and node_data(b) == node_data(a):
+        cb, ca = children(b), children(a)
+        if len(cb) != len(ca):
+            break
+        diff = [i for i in range(len(cb)) if cb[i] is not ca[i]]
+        if len(diff) != 1:
+            break
+        path.append(diff[0])
+        b, a = cb[diff[0]], ca[diff[0]]
+        spine.append((b, a))
+    if b is a:  # before is after
+        return True
+    d = len(path)
+    while d and (
+        type(b) is Underline
+        or type(a) is Underline
+        or (path[d - 1] == 0 and type(spine[d - 1][0]) is App
+            and (type(b) is Chan or type(a) is Chan))
+    ):
+        d -= 1
+        b, a = spine[d]
+
+    # the context at the path's end; binders lists what the path binds, in
+    # order: (variable, type) and (channel, axiom, component, activity)
+    local = TypingContext(dict(ctx.ivars), ctx.chans, dict(ctx.sessions))
+    binders: list[tuple] = []
+    bound_vars, bound_chans = set(), set()
+    for k in range(d):
+        node, i = spine[k][0], path[k]
+        cls = type(node)
+        if cls is Lam:
+            x, ty = node.var, node.ann
+        elif cls is Case and i:
+            st = _judgement(node.scrut, (key[0], tuple(binders)), local)[1]
+            if not isinstance(st, Disj):
+                return False
+            x, ty = (node.lvar, st.left) if i == 1 else (node.rvar, st.right)
+        elif cls is ParBind:
+            local.sessions[node.chan] = (node.axiom, i, node.active)
+            binders.append((node.chan, node.axiom, i, node.active))
+            bound_chans.add(node.chan)
+            continue
+        else:
+            continue
+        local.ivars[x] = ty
+        binders.append((x, ty))
+        bound_vars.add(x)
+
+    key = (key[0], tuple(binders))
+    jb, ja = _judgement(b, key, local), _judgement(a, key, local)
+    facts(b).judgement = None  # b is not in after
+    if isinstance(jb[1], TypingError) or jb[1] != ja[1]:
+        return False
+    (fv_b, fc_b), (fv_a, fc_a) = _names(b, jb), _names(a, ja)
+    return fv_a - fv_b <= bound_vars and fc_a - fc_b <= bound_chans

@@ -9,6 +9,7 @@ cannot cancel out on both sides of a comparison.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache
 
 from lax import (
     BOT,
@@ -29,12 +30,17 @@ from lax import (
     Pair,
     ParBind,
     Proj,
+    SubjectReductionReport,
     Term,
     Top,
+    TypingContext,
+    TypingError,
     Underline,
     Unit,
     Var,
+    check,
     redexes_at,
+    show_formula,
     type_of,
 )
 from lax.terms import with_children
@@ -543,3 +549,83 @@ def _crosses(s: ParBind, bodies, occs, simple, disc: bool) -> list[str]:
     if full:
         rules.append("FullCross")
     return rules
+
+
+# ---------------------------------------------------------------------------
+# subject reduction, judged on whole states
+#
+# The engine types only the subterm a step rewrote; here both states are
+# typed whole, as type preservation is stated, and their free names are
+# collected from scratch.
+
+def subject_reduction_oracle(
+    ctx: TypingContext | None, before: Term, after: Term
+) -> SubjectReductionReport:
+    ctx = ctx or TypingContext()
+    try:
+        _, tb = check(before, ctx)
+    except TypingError as e:
+        return SubjectReductionReport(False, None, None, f"before does not type: {e}")
+    try:
+        _, ta = check(after, ctx)
+    except TypingError as e:
+        return SubjectReductionReport(
+            False, show_formula(tb), None, f"after does not type: {e}"
+        )
+    if tb != ta:
+        return SubjectReductionReport(
+            False, show_formula(tb), show_formula(ta), "type changed"
+        )
+    (fv_b, fc_b), (fv_a, fc_a) = _free_names(before), _free_names(after)
+    new = (fv_a - fv_b) | (fc_a - fc_b)
+    if new:
+        return SubjectReductionReport(
+            False,
+            show_formula(tb),
+            show_formula(ta),
+            f"new free names appeared: {sorted(new)}",
+        )
+    return SubjectReductionReport(True, show_formula(tb), show_formula(ta))
+
+
+# ---------------------------------------------------------------------------
+# classical tautologies, by truth table
+
+def _atoms(f: Formula) -> set[str]:
+    if isinstance(f, Atom):
+        return {f.name}
+    if isinstance(f, (Top, Bot)):
+        return set()
+    return _atoms(f.left) | _atoms(f.right)
+
+
+def _column(f: Formula, cols: dict[str, int], full: int) -> int:
+    """f's column of the truth table, one bit per valuation."""
+    if isinstance(f, Atom):
+        return cols[f.name]
+    if isinstance(f, (Top, Bot)):
+        return full if isinstance(f, Top) else 0
+    left, right = _column(f.left, cols, full), _column(f.right, cols, full)
+    if isinstance(f, Impl):
+        return (full & ~left) | right
+    return left & right if isinstance(f, Conj) else left | right
+
+
+@cache
+def _truth_table(atoms: tuple[str, ...]) -> tuple[dict[str, int], int]:
+    """Each atom's column, and the column of Top."""
+    rows = range(1 << len(atoms))
+    cols = {a: sum(1 << n for n in rows if n >> k & 1) for k, a in enumerate(atoms)}
+    return cols, (1 << len(rows)) - 1
+
+
+def is_tautology_oracle(components) -> bool:
+    """Whether the disjunction of the implications F_i -> G_i holds under
+    every valuation of its atoms. Valuation number n makes the k-th atom
+    true when bit k of n is set."""
+    atoms = tuple(sorted(set().union(*(_atoms(f) | _atoms(g) for f, g in components))))
+    cols, full = _truth_table(atoms)
+    out = 0
+    for f, g in components:
+        out |= _column(Impl(f, g), cols, full)
+    return out == full

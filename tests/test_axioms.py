@@ -1,5 +1,7 @@
 """Axiom schemes: construction, validation, routing, presets."""
 
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +23,8 @@ from lax import (
     preset_names,
     show_axiom,
 )
+
+from oracles import is_tautology_oracle
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -81,6 +85,37 @@ def test_component_shape_restrictions():
         general_axiom(((A, Impl(A, B)),) * 2)
     with pytest.raises(AxiomValidationError):
         general_axiom(((A, B),))
+
+
+def test_a_scheme_whose_consequents_are_all_bot_is_rejected():
+    """Top -> Bot, A -> Bot fails when A holds; accepting it proves ~A."""
+    with pytest.raises(AxiomValidationError) as exc:
+        general_axiom(((TOP, BOT), (A, BOT)))
+    assert exc.value.code == "NotATautology"
+    assert parse_axiom("AX!{Top -> Bot, A -> Bot}").derived
+
+
+def test_the_validator_accepts_exactly_the_tautologies():
+    """Every scheme of arity 2 to 4 with distinct antecedents from Top, A,
+    B, C, D and consequents from Bot, A, B, C, D: accepted exactly when its
+    consequents match antecedents and the truth table says tautology."""
+    letters = [TOP, A, B, C, Atom("D")]
+    consequents = [BOT] + letters[1:]
+    seen = {"accepted": 0, "NotATautology": 0, "UnmatchedAntecedent": 0}
+    for n in (2, 3, 4):
+        for ants in permutations(letters, n):
+            for gs in product(consequents, repeat=n):
+                comps = tuple(zip(ants, gs))
+                try:
+                    general_axiom(comps)
+                    code = "accepted"
+                except AxiomValidationError as e:
+                    code = e.code
+                matched = all(g == BOT or g in ants for g in gs)
+                want = "accepted" if is_tautology_oracle(comps) else "NotATautology"
+                assert code == (want if matched else "UnmatchedAntecedent"), comps
+                seen[code] += 1
+    assert min(seen.values()) > 0
 
 
 def test_derived_schemes_skip_the_shape_check():

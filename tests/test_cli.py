@@ -116,6 +116,26 @@ def test_non_positive_or_malformed_max_steps_is_bad_input(prog, capsys, budget):
     assert json.loads(line)["event"] == "error"
 
 
+NOT_A_TAUTOLOGY = "nu a : AX{Top -> Bot, A -> Bot}. [\\x : A. a tt || \\y : A. a y]\n"
+
+
+def test_an_axiom_that_is_no_tautology_is_bad_input(prog, capsys):
+    """Accepting Top -> Bot, A -> Bot would type this program as ~A."""
+    path = prog(NOT_A_TAUTOLOGY)
+    assert main(["check", path]) == 1
+    assert "NotATautology" in capsys.readouterr().out
+    assert main(["check", path, "--format", "json"]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    payload = json.loads(line)
+    assert payload["ok"] is False and "NotATautology" in payload["error"]
+    assert main(["normalize", path, "--audit"]) == 1
+    assert "NotATautology" in capsys.readouterr().out
+    assert main(["normalize", path, "--audit", "--format", "json"]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    payload = json.loads(line)
+    assert payload["event"] == "error" and "NotATautology" in payload["error"]
+
+
 def test_malformed_step_budget_env_var(prog, capsys, monkeypatch):
     monkeypatch.setenv("LAX_MAX_STEPS", "abc")
     path = prog(GOOD)

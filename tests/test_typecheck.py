@@ -1,32 +1,49 @@
 """Typing rules, elaboration, and the subject-reduction report."""
 
+from dataclasses import replace
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lax import (
+    App,
     Atom,
     Bot,
+    Chan,
     Conj,
     Disj,
+    Efq,
     GenConfig,
     Impl,
     Inj,
     Lam,
+    Pair,
+    ParBind,
+    Proj,
     Top,
     TypingContext,
     TypingError,
+    Underline,
     Var,
     alpha_eq,
     check,
     check_report,
     check_subject_reduction,
+    em_axiom,
     find_redexes,
     generate,
     infer_type,
+    normalize,
+    parse_program,
     parse_term,
     step,
     type_of,
 )
+from lax import typecheck
+from lax.terms import replace_at, subterm_at, term_size
+
+from oracles import subject_reduction_oracle
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -195,10 +212,7 @@ def _mutate_constrained(t):
     positions where typing has no slack: the bound of an applied lambda and
     the side of an injection whose disjuncts differ.
     """
-    from dataclasses import replace
-
     from lax import RedexKind
-    from lax.terms import replace_at, subterm_at
 
     for r in find_redexes(t):
         s = subterm_at(t, r.position)
@@ -253,3 +267,230 @@ def test_subject_reduction_flags_new_free_names():
     )
     assert not rep.ok
     assert "free names" in rep.message
+
+
+# --------------------------------------------------------------------------
+# subject reduction judged by replacement: the same report as whole states
+
+GAMMA = {"x": A, "y": A, "w": A, "z": B, "f": Impl(A, A), "g": Impl(B, A),
+         "s": Disj(A, B)}
+u, l, r, x, y, w, z, f = (Var(n) for n in "ulrxywzf")
+
+
+def _typed(src, gamma=GAMMA):
+    gamma = dict(gamma)
+    return check(parse_term(src, gamma), TypingContext(ivars=gamma))[0]
+
+
+def _judged(before, after, gamma=GAMMA):
+    """The report, after checking it is the whole-state oracle's."""
+    ctx = TypingContext(ivars=dict(gamma))
+    rep = check_subject_reduction(ctx, before, after)
+    assert rep == subject_reduction_oracle(ctx, before, after)
+    return rep
+
+
+def _typed_whole(monkeypatch):
+    """The terms typed through infer_type: whole states, and each subterm
+    the replacement argument types."""
+    typed = []
+    infer = typecheck.infer_type
+
+    def counted(t, ctx=None):
+        typed.append(t)
+        return infer(t, ctx)
+
+    monkeypatch.setattr(typecheck, "infer_type", counted)
+    return typed
+
+
+def _held(t, typed):
+    return any(s is t for s in typed)
+
+
+@pytest.mark.parametrize("src, path, new, message", [
+    # in a lambda
+    ("\\u : A. <(\\v : A. v) u, y>", (0, 0), u, ""),
+    ("\\u : A. <(\\v : A. v) u, y>", (0, 0), f, "type changed"),
+    ("\\u : A. <(\\v : A. v) u, y>", (0, 0), Var("nobody"),
+     "after does not type: UnboundName at [0, 0]: unbound variable 'nobody'"),
+    # in a case branch
+    ("case s of {l. (\\v : A. v) l | r. g r}", (1,), l, ""),
+    ("case s of {l. (\\v : A. v) l | r. g r}", (1,), r,
+     "after does not type: UnboundName at [1]: unbound variable 'r'"),
+    ("case s of {l. (\\v : A. v) l | r. g r}", (1,), z,
+     "after does not type: TypeMismatch at [2]: case branches: expected B, found A"),
+    ("case s of {l. (\\v : B. v) z | r. r}", (1,), l,
+     "after does not type: TypeMismatch at [2]: case branches: expected A, found B"),
+    # in a session component
+    ("nu a : EM[A]. [ efq[A](nota x) || (\\v : A. v) a ]", (1,), Chan("a"), ""),
+    ("nu a : EM[A]. [ efq[A](nota x) || (\\v : A. v) a ]", (1,), y,
+     "new free names appeared: ['y']"),
+    ("nu a : EM[A]. [ efq[A](nota x) || (\\v : A. v) a ]", (1,),
+     Chan("a", negated=True),
+     "after does not type: ChannelDisciplineViolation at [1]: occurrence of a "
+     "in component 1 must have plain polarity"),
+])
+def test_a_contraction_deep_in_a_term(src, path, new, message):
+    before = _typed(src)
+    rep = _judged(before, replace_at(before, path, replace(new)))  # a fresh node
+    assert (rep.ok, rep.message) == (not message, message)
+
+
+def test_a_step_that_changes_a_label_on_the_path():
+    before = _typed("\\u : A. (\\v : A. v) y")
+    assert _judged(before, Lam("u", B, y)).message == "type changed"
+    before = _typed("inj0[A \\/ B]((\\v : A. v) x)")
+    after = Inj(1, Disj(A, B), x)
+    assert _judged(before, after).message == (
+        "after does not type: TypeMismatch at [0]: inj1 argument: expected B, found A"
+    )
+
+
+def test_a_remembered_subterm_is_typed_again_under_other_binders():
+    """The u the first step writes is a Top; the state that shares it binds
+    u to A."""
+    before = _typed("\\u : Top. (\\v : Top. v) u")
+    after = replace_at(before, (0,), Var("u"))
+    assert _judged(before, after).ok
+    again = Lam("u", A, after.body)
+    assert _judged(again, Lam("u", A, parse_term("tt"))).message == "type changed"
+
+
+def test_a_step_that_changes_a_sibling_is_typed_where_the_walk_stops(monkeypatch):
+    before = _typed("\\u : A. <(\\v : A. v) x, y>")
+    typed = _typed_whole(monkeypatch)
+    after = replace_at(before, (0,), Pair(x, u))  # u is bound on the path
+    assert _judged(before, after).ok
+    # the pair is typed, in the context the lambda binds, not the whole state
+    assert _held(after.body, typed) and not _held(after, typed)
+    wrong = replace_at(before, (0,), Pair(x, f))
+    assert _judged(before, wrong).message == "type changed"
+
+
+SESSION = "nu a : EM[A]. [ efq[A](nota x) || (\\v : A. v) a ]"
+MARKED = "nu a : EM[A]. [ @efq[A](nota x) || (\\v : A. v) a ]"
+
+
+@pytest.mark.parametrize("src, path, new, message", [
+    # a mark added to an unmarked session, at its root or below a lambda
+    (SESSION, (1,), lambda t: Underline(Chan("a")), ""),
+    ("\\u : A. " + SESSION, (0, 1), lambda t: Underline(Chan("a")), ""),
+    # a second mark
+    (MARKED, (1,), lambda t: Underline(Chan("a")),
+     "after does not type: ChannelDisciplineViolation at []: more than one "
+     "marked component"),
+    # a mark removed
+    (MARKED, (0,), lambda t: t.comps[0].body, ""),
+    ("\\u : A. " + MARKED, (0, 0), lambda t: t.body.comps[0].body, ""),
+    # a mark off the components
+    ("\\u : A. <(\\v : A. v) x, y>", (0, 0), lambda t: Underline(x),
+     "after does not type: ChannelDisciplineViolation at [0, 0]: component mark "
+     "outside a session"),
+])
+def test_a_contractum_that_adds_or_removes_a_component_mark(src, path, new, message):
+    before = _typed(src)
+    rep = _judged(before, replace_at(before, path, new(before)))
+    assert (rep.ok, rep.message) == (not message, message)
+
+
+def test_a_bare_channel_that_becomes_an_applied_head(monkeypatch):
+    before = _typed("nu a : EM[A -> A]. [ efq[A](nota f) || (\\h : A -> A. h) a x ]")
+    typed = _typed_whole(monkeypatch)
+    after = replace_at(before, (1, 0), Chan("a"))
+    assert _judged(before, after).ok
+    # the walk stops at the channel and climbs to the application it heads
+    assert _held(after.comps[1], typed) and not _held(after.comps[1].fun, typed)
+    # in a general session the channel may only occur applied
+    before = _typed("nu a : AX{A -> B, B -> A}. [ (\\v : B. g v) (a x) || a z ]")
+    after = replace_at(before, (0, 1), Chan("a"))
+    assert _judged(before, after).message == (
+        "after does not type: ChannelDisciplineViolation at [0, 1]: channel a "
+        "cannot occur alone in component 0"
+    )
+
+
+def test_a_new_free_name_bound_on_the_path_or_free_elsewhere(monkeypatch):
+    typed = _typed_whole(monkeypatch)
+    before = _typed("\\u : A. (\\v : A. v) y")
+    after = replace_at(before, (0,), u)
+    assert _judged(before, after).ok
+    assert not _held(after, typed)  # the lambda binds u: settled locally
+    before = _typed("<(\\v : A. v) y, x>")
+    after = replace_at(before, (0,), x)
+    assert _judged(before, after).ok
+    assert _held(after, typed)  # x is free elsewhere: judged whole
+    after = replace_at(before, (0,), w)
+    assert _judged(before, after).message == "new free names appeared: ['w']"
+    # a variable named as the channel bound on the path is still new
+    gamma = {**GAMMA, "a": A}
+    before = check(
+        ParBind("a", False, em_axiom(A), (
+            Efq(App(Chan("a", negated=True), x), A),
+            App(Lam("v", A, Var("v")), Chan("a")),
+        )),
+        TypingContext(ivars=dict(gamma)),
+    )[0]
+    after = replace_at(before, (1,), Var("a"))
+    assert _judged(before, after, gamma).message == "new free names appeared: ['a']"
+
+
+def test_checking_a_deep_step_types_only_the_redex(monkeypatch):
+    t = Proj(Pair(x, y), 0)
+    for _ in range(400):
+        t = Pair(x, t)
+    ctx = TypingContext(ivars=dict(GAMMA))
+    before, _ = check(t, ctx)
+    (redex,) = find_redexes(before)
+    after = step(before, redex)
+    assert check_subject_reduction(ctx, before, before).ok  # before, judged whole
+    calls = []
+    infer = typecheck._infer
+
+    def counted(t, *rest):
+        calls.append(t)
+        return infer(t, *rest)
+
+    monkeypatch.setattr(typecheck, "_infer", counted)
+    assert check_subject_reduction(ctx, before, after).ok
+    old, new = subterm_at(before, redex.position), subterm_at(after, redex.position)
+    assert len(calls) == term_size(old) + term_size(new) == 5
+
+
+def _assert_steps_match_the_oracle(ctx, t, discipline):
+    """Every step of the run, and the step that puts a variable of the
+    wrong type, or an unbound one, in place of each contractum."""
+    _, trace = normalize(t, max_steps=10_000, underline_discipline=discipline)
+    states = [trace.initial] + [ts.term_after for ts in trace.steps]
+    for i, ts in enumerate(trace.steps):
+        before, after = states[i], states[i + 1]
+        assert check_subject_reduction(ctx, before, after) == subject_reduction_oracle(
+            ctx, before, after
+        )
+    for i, ts in enumerate(trace.steps):
+        for name in sorted(ctx.ivars)[:2] + ["nobody"]:
+            wrong = replace_at(states[i], ts.redex.position, Var(name))
+            assert check_subject_reduction(
+                ctx, states[i], wrong
+            ) == subject_reduction_oracle(ctx, states[i], wrong)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["em", "em3", "c3", "g2", "godel"]),
+    st.booleans(),
+)
+def test_subject_reduction_matches_the_whole_state_oracle(seed, preset, discipline):
+    gamma, t = generate(seed, GenConfig(preset=preset, max_size=20))
+    _assert_steps_match_the_oracle(TypingContext(ivars=gamma), t, discipline)
+
+
+@pytest.mark.parametrize("name", ["broadcast_em3", "godel", "mobility", "or", "scheduler_c3"])
+def test_subject_reduction_matches_the_whole_state_oracle_on_the_examples(name):
+    source = (resources.files("lax") / "examples" / f"{name}.lax").read_text()
+    prog = parse_program(source)
+    ctx = TypingContext(ivars=dict(prog.gamma))
+    t, _ = check(prog.term, ctx)
+    for discipline in (False, True):
+        _assert_steps_match_the_oracle(ctx, t, discipline)
