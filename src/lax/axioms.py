@@ -11,12 +11,12 @@ must literally equal one of the antecedents, and the disjunction must be a
 classical tautology. With antecedents that are atoms or Top, it is false
 only under a valuation making every antecedent true and every consequent
 false; a consequent that is an antecedent rules that out, so the scheme is
-a tautology exactly when some consequent is not Bot. The recorded witness jmap[i] is
-the least j with components[j].antecedent == components[i].consequent; it is
-what cross reductions use to route messages. Schemes minted by the engine
-for fresh channels (derived=True) skip the user-level shape restrictions;
-their jmap is recomputed with the same least-index rule so printing and
-reparsing agree.
+a tautology exactly when some consequent is not Bot. The recorded witness
+jmap[i] is the least j with components[j].antecedent ==
+components[i].consequent; it is what cross reductions use to route
+messages. Schemes minted by the engine for fresh channels (derived=True)
+skip the user-level shape restrictions; their jmap is recomputed with the
+same least-index rule so printing and reparsing agree.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from .formulas import Atom, Bot, Formula, Impl, Top, BOT, neg, show_formula
 
 @dataclass(frozen=True)
 class AxiomValidationError(Exception):
-    # DuplicateAntecedent | UnmatchedAntecedent | NotATautology | BadComponentShape
+    # DuplicateAntecedent | UnmatchedAntecedent | NotATautology
+    # | BadComponentShape
     code: str
     message: str
 

@@ -182,22 +182,8 @@ _SHAPES: dict[type, _Shape] = {
 }
 
 
-def _getter(shape: _Shape):
-    if shape.spread:
-        return attrgetter(shape.kids[0])
-    if len(shape.kids) == 1:
-        get = attrgetter(shape.kids[0])
-        return lambda t: (get(t),)
-    if shape.kids:
-        return attrgetter(*shape.kids)
-    return lambda t: ()
-
-
-_CHILDREN = {cls: _getter(shape) for cls, shape in _SHAPES.items()}
-
-
-def _data_getter(cls: type, shape: _Shape):
-    names = tuple(f.name for f in fields(cls) if f.name not in shape.kids)
+def _getter(names: tuple[str, ...]):
+    """The function giving a node's fields `names` as a tuple."""
     if len(names) == 1:
         get = attrgetter(names[0])
         return lambda t: (get(t),)
@@ -206,7 +192,16 @@ def _data_getter(cls: type, shape: _Shape):
     return lambda t: ()
 
 
-_DATA = {cls: _data_getter(cls, shape) for cls, shape in _SHAPES.items()}
+_CHILDREN = {
+    cls: attrgetter(shape.kids[0]) if shape.spread else _getter(shape.kids)
+    for cls, shape in _SHAPES.items()
+}
+
+# every other field: labels, annotations, bound names
+_DATA = {
+    cls: _getter(tuple(f.name for f in fields(cls) if f.name not in shape.kids))
+    for cls, shape in _SHAPES.items()
+}
 
 # the constructors that bind a name in some child
 _BINDERS = frozenset(cls for cls, shape in _SHAPES.items() if shape.binds)

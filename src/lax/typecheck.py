@@ -393,11 +393,6 @@ def _judgement(t: Term, key: tuple, ctx: TypingContext) -> list:
     return j
 
 
-def _forget(before: Term, after: Term) -> None:
-    if before is not after:
-        facts(before).judgement = None
-
-
 def _names(t: Term, j: list) -> tuple[frozenset[str], frozenset[str]]:
     if j[2] is None:
         j[2] = free_names(t)
@@ -424,11 +419,11 @@ def check_subject_reduction(
     key = ((dict(ctx.ivars), dict(ctx.chans), dict(ctx.sessions)), ())
     jb = _judgement(before, key, ctx)
     key, tb = jb[0], jb[1]  # share the remembered copy of the context
+    replaced = not isinstance(tb, TypingError) and _replaced(ctx, key, before, after)
+    if before is not after:
+        facts(before).judgement = None
     if isinstance(tb, TypingError):
-        _forget(before, after)
         return SubjectReductionReport(False, None, None, f"before does not type: {tb}")
-    replaced = _replaced(ctx, key, before, after)
-    _forget(before, after)
     if replaced:
         fa = facts(after)
         if fa.judgement is None or fa.judgement[0] != key:
