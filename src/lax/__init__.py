@@ -64,6 +64,8 @@ from .rewrite import (  # noqa: F401
     height,
     is_parallel_form,
     is_value,
+    pick_redex,
+    redex_peaks,
     redexes_at,
     session_comm_complexity,
     step,

@@ -21,14 +21,16 @@ from .formulas import (
 )
 from .rewrite import (
     CHASE,
+    COMMUNICATION,
     CROSSES,
     GROUP1,
     INTUITIONISTIC,
+    PEAK_GROUPS,
     Redex,
     RedexKind,
     find_redexes,
-    is_communication,
     is_parallel_form,
+    redex_peaks,
 )
 from .rewrite import height  # noqa: F401  (re-export: part of this module's API)
 from .strategy import (
@@ -47,6 +49,7 @@ from .terms import (
     children,
     comp_body,
     iter_subterms,
+    node_data,
     subterm_at,
     uppermost_active_sessions,
 )
@@ -173,57 +176,30 @@ def check_subformula(ctx: TypingContext, t: Term) -> PropertyReport:
 # ---------------------------------------------------------------------------
 # trace auditing
 
-def _max_c(rs: list[Redex], pred) -> int:
-    vals = [r.complexity for r in rs if pred(r)]
-    return max(vals) if vals else -1
-
-
-def _check_decrease(
-    rep: PropertyReport, idx: int, fired: Redex, before: list[Redex], after: list[Redex]
-) -> None:
-    tau = fired.complexity
-    if fired.group == GROUP1:
-        clause = "first"
-        floor = max(tau - 1, _max_c(before, lambda r: r.kind == RedexKind.CASE_PERM))
-    else:
-        clause = "second"
-        floor = tau
-    caps: dict = {}  # group -> highest complexity before the step
-    for r in before:
-        caps[r.group] = max(caps.get(r.group, -1), r.complexity)
-    for q in after:
-        if q.complexity > max(floor, caps.get(q.group, -1)):
-            rep.add(
-                f"step {idx}",
-                f"after {fired.rule} (complexity {tau}), redex {q.rule} at "
-                f"{list(q.position)} has complexity {q.complexity}, above "
-                f"every bound of the {clause} decrease clause",
-            )
-
-
 def _parallel_inside(s: ParBind) -> int:
     """Parallel nodes properly contained in a session's components."""
-
-    def count(t: Term) -> int:
-        own = 1 if isinstance(t, (ParBind, Contract)) else 0
-        return own + sum(count(c) for c in children(t))
-
-    return sum(count(comp_body(c)) for c in s.comps)
-
-
-def _chan_occurrence_count(s: ParBind) -> int:
-    n = 0
-    for c in s.comps:
-        n += _count_chan(comp_body(c), s.chan)
+    n, todo = 0, [comp_body(c) for c in s.comps]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, (ParBind, Contract)):
+            n += 1
+        todo.extend(children(t))
     return n
 
 
-def _count_chan(t: Term, a: str) -> int:
-    if isinstance(t, ParBind) and t.chan == a:
-        return 0
-    if isinstance(t, Chan) and t.name == a:
-        return 1
-    return sum(_count_chan(c, a) for c in children(t))
+def _chan_occurrence_count(s: ParBind) -> int:
+    """Occurrences of the session's channel, not counting those under a
+    session that binds the name again."""
+    a = s.chan
+    n, todo = 0, [comp_body(c) for c in s.comps]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, ParBind) and t.chan == a:
+            continue
+        if isinstance(t, Chan) and t.name == a:
+            n += 1
+        todo.extend(children(t))
+    return n
 
 
 def communication_measure(t: Term) -> tuple[int, dict[int, int], dict[int, int]]:
@@ -304,8 +280,25 @@ def _audit_replay(rep: PropertyReport, trace: Trace, terms: list[Term]) -> None:
         except InvalidRedex as e:
             rep.add(f"step {i}", f"recorded redex no longer applies: {e}")
             continue
-        if redone != ts.term_after:
+        if not _same_term(redone, ts.term_after):
             rep.add(f"step {i}", f"replaying {ts.redex.rule} gives a different term")
+
+
+def _same_term(t1: Term, t2: Term) -> bool:
+    """t1 == t2, compared on an explicit stack; a node shared by both is
+    equal without a look inside."""
+    todo = [(t1, t2)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b) or node_data(a) != node_data(b):
+            return False
+        ca, cb = children(a), children(b)
+        if len(ca) != len(cb):
+            return False
+        todo.extend(zip(ca, cb))
+    return True
 
 
 def _audit_phase_order(rep: PropertyReport, trace: Trace) -> None:
@@ -344,18 +337,35 @@ def _audit_subject_reduction(
 def _audit_decrease(
     rep: PropertyReport, trace: Trace, terms: list[Term], disc: bool
 ) -> None:
-    # step i's "after" is step i + 1's "before"; only that one list is kept
-    held, held_at = None, -1
+    """Every redex after a step stays within the bound the decrease clause
+    of the fired redex's group sets for its own group: the state after is
+    listed only when some group's complexity peak breaks its bound."""
     for i, ts in enumerate(trace.steps):
         if ts.phase == PHASE_PARALLEL:
             continue
-        k = ts.redex.kind
-        if k in (RedexKind.PAR_PERM, RedexKind.PAR_PAR_PERM, RedexKind.ACTIVATION):
+        fired = ts.redex
+        if fired.kind in (
+            RedexKind.PAR_PERM, RedexKind.PAR_PAR_PERM, RedexKind.ACTIVATION
+        ):
             continue
-        before = held if held_at == i else find_redexes(terms[i], disc)
-        after = find_redexes(terms[i + 1], disc)
-        _check_decrease(rep, i, ts.redex, before, after)
-        held, held_at = after, i + 1
+        tau = fired.complexity
+        *caps, case_perm = redex_peaks(terms[i], disc)
+        if fired.group == GROUP1:
+            clause, floor = "first", max(tau - 1, case_perm)
+        else:
+            clause, floor = "second", tau
+        bounds = [max(floor, c) for c in caps]
+        if all(p <= b for p, b in zip(redex_peaks(terms[i + 1], disc), bounds)):
+            continue
+        bound = dict(zip(PEAK_GROUPS, bounds))
+        for q in find_redexes(terms[i + 1], disc):
+            if q.complexity > bound[q.group]:
+                rep.add(
+                    f"step {i}",
+                    f"after {fired.rule} (complexity {tau}), redex {q.rule} at "
+                    f"{list(q.position)} has complexity {q.complexity}, above "
+                    f"every bound of the {clause} decrease clause",
+                )
 
 
 def _phase_spans(trace: Trace, phase: str) -> list[tuple[int, int]]:
@@ -383,10 +393,9 @@ def _audit_activation_phases(
     rep: PropertyReport, trace: Trace, terms: list[Term], disc: bool
 ) -> None:
     for start, end in _phase_spans(trace, PHASE_ACTIVATION):
-        pre = find_redexes(terms[start], disc)
-        tau = _max_c(pre, lambda r: is_communication(r.kind))
-        post = find_redexes(terms[end], disc)
-        for q in post:
+        pre = find_redexes(terms[start], disc, COMMUNICATION)
+        tau = max((r.complexity for r in pre), default=-1)
+        for q in find_redexes(terms[end], disc, INTUITIONISTIC | COMMUNICATION):
             if q.kind == RedexKind.ACTIVATION:
                 rep.add(
                     f"step {end - 1}",
@@ -399,7 +408,7 @@ def _audit_activation_phases(
                     "activation phase ended with an intuitionistic redex at "
                     f"{list(q.position)}",
                 )
-            elif is_communication(q.kind) and q.complexity > tau:
+            elif q.kind in COMMUNICATION and q.complexity > tau:
                 rep.add(
                     f"step {end - 1}",
                     f"activation raised the communication bound: {q.rule} has "
@@ -418,6 +427,9 @@ def _chase_end(trace: Trace, i: int) -> int:
     return j
 
 
+_ACTIVATION = frozenset({RedexKind.ACTIVATION})
+
+
 def _audit_freeze(
     rep: PropertyReport, trace: Trace, terms: list[Term], disc: bool
 ) -> None:
@@ -425,13 +437,12 @@ def _audit_freeze(
         if ts.phase != PHASE_COMMUNICATION or ts.redex.kind not in CROSSES:
             continue
         j = _chase_end(trace, i)
-        for q in find_redexes(terms[j], disc):
-            if q.kind == RedexKind.ACTIVATION:
-                rep.add(
-                    f"step {i}",
-                    f"cross {ts.redex.rule} left an activation redex at "
-                    f"{list(q.position)} after its chase",
-                )
+        for q in find_redexes(terms[j], disc, _ACTIVATION):
+            rep.add(
+                f"step {i}",
+                f"cross {ts.redex.rule} left an activation redex at "
+                f"{list(q.position)} after its chase",
+            )
 
 
 def _audit_communication_measure(
@@ -480,6 +491,11 @@ def _cycle_entry_indices(trace: Trace) -> dict[int, int]:
     return entries
 
 
+def _top_peak(t: Term, disc: bool) -> int:
+    """The highest complexity of any redex of t, -1 when it has none."""
+    return max(redex_peaks(t, disc)[: len(PEAK_GROUPS)])
+
+
 def _audit_cycle_complexity(
     rep: PropertyReport, trace: Trace, terms: list[Term], disc: bool
 ) -> None:
@@ -489,12 +505,10 @@ def _audit_cycle_complexity(
     if not entries:
         return
     cycles = sorted(entries)
-    taus = {}
-    for k in cycles:
-        taus[k] = _max_c(find_redexes(terms[entries[k]], disc), lambda r: True)
+    taus = {k: _top_peak(terms[entries[k]], disc) for k in cycles}
     # the final, quiescent cycle leaves no steps; its entry state is the end
     last = cycles[-1] + 1
-    taus[last] = _max_c(find_redexes(terms[-1], disc), lambda r: True)
+    taus[last] = _top_peak(terms[-1], disc)
     ks = cycles + [last]
     for a, b in zip(ks, ks[1:]):
         if taus[b] > taus[a]:

@@ -36,6 +36,17 @@ demand, once per underline discipline; until then its own bits are what its
 activity allows (_SESSION_BITS), a superset, and a walk that asks for no
 session kind never scans a session. The facts depend on nothing but the
 node's subtree, and nodes never change, so they cannot go stale.
+
+The strategy fires one redex at a time, so pick_redex finds one without
+the list: leftmost-outermost, find_redexes' walk stopped at its first
+redex; leftmost-innermost, a descent from the root into the first child
+whose mask meets the kinds, taking the first own redex of the node where
+no child's does. The descent is exact only for kinds no session offers,
+since a session's own bits are a superset until it is scanned; the
+strategy asks it for INTUITIONISTIC. The audit's decrease and cycle checks
+read maxima, so each node also remembers, per discipline, its complexity
+peaks (redex_peaks): the highest complexity of each redex group in its
+subtree and of its CasePerm redexes.
 """
 
 from __future__ import annotations
@@ -202,7 +213,7 @@ CHASE = frozenset({RedexKind.PROJ_PAIR, RedexKind.CASE_PERM})
 CROSSES = frozenset(
     {RedexKind.BASIC_CROSS, RedexKind.FULL_CROSS, RedexKind.BROADCAST_CROSS}
 )
-_COMMUNICATION = CROSSES | {RedexKind.ACTIVATION, RedexKind.GARBAGE_CROSS}
+COMMUNICATION = CROSSES | {RedexKind.ACTIVATION, RedexKind.GARBAGE_CROSS}
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,10 +251,6 @@ class Redex:
             "complexity": self.complexity,
             "group": self.group,
         }
-
-
-def is_communication(kind: RedexKind) -> bool:
-    return kind in _COMMUNICATION
 
 
 # ---------------------------------------------------------------------------
@@ -324,25 +331,51 @@ def _redex_facts(t: Term) -> tuple[int, object]:
     return remembered(t, "redexes", _node_redex_facts)
 
 
-def _emit(
-    out: list[Redex], s: Term, path: Path, discipline: bool, want: int
-) -> None:
-    """Append s's own redexes of the kinds in want, moved to path."""
+def _own(s: Term, discipline: bool) -> tuple:
+    """s's own (bit, redex) pairs, at (); a session is scanned on first
+    demand, once per discipline."""
     own = s._facts.redexes[1]
     if type(s) is ParBind:
-        if not _SESSION_BITS[s.active] & want:
-            return  # no scan for a session that offers none of them
         d = 1 if discipline else 0
         if own[d] is None:
             own[d] = tuple((_BIT[r.kind], r) for r in _session_redexes(s, discipline))
         own = own[d]
-    for bit, r in own:
-        if bit & want:
-            out.append(
-                Redex(r.kind, path, r.complexity, r.which, r.comp, r.sender,
-                      r.receiver, r.survivors)
-                if path else r
-            )
+    return own
+
+
+def _moved(r: Redex, path: Path) -> Redex:
+    if not path:
+        return r
+    return Redex(r.kind, path, r.complexity, r.which, r.comp, r.sender,
+                 r.receiver, r.survivors)
+
+
+def _offers(s: Term, want: int) -> bool:
+    """s may have own redexes of the kinds in want: a session that offers
+    none of them is not scanned."""
+    return type(s) is not ParBind or bool(_SESSION_BITS[s.active] & want)
+
+
+def _want(kinds: Optional[frozenset]) -> int:
+    return _ALL_BITS if kinds is None else _bits(frozenset(kinds))
+
+
+def _preorder(t: Term, discipline: bool, want: int) -> Iterator[Redex]:
+    """The redexes of the kinds in want, lazily, in preorder; a subtree
+    whose mask does not meet want is not entered."""
+    if not _redex_facts(t)[0] & want:
+        return
+    todo = [((), t)]
+    while todo:
+        path, s = todo.pop()
+        if _offers(s, want):
+            for bit, r in _own(s, discipline):
+                if bit & want:
+                    yield _moved(r, path)
+        cs = children(s)
+        for i in range(len(cs) - 1, -1, -1):
+            if cs[i]._facts.redexes[0] & want:
+                todo.append((path + (i,), cs[i]))
 
 
 def find_redexes(
@@ -356,19 +389,44 @@ def find_redexes(
     find_redexes(t, d, kinds) == [r for r in find_redexes(t, d) if r.kind
     in kinds], and the walk skips every subtree that holds none of them.
     """
-    want = _ALL_BITS if kinds is None else _bits(frozenset(kinds))
-    out: list[Redex] = []
+    return list(_preorder(t, underline_discipline, _want(kinds)))
+
+
+_ANY_SESSION_BITS = _SESSION_BITS[False] | _SESSION_BITS[True]
+
+
+def pick_redex(
+    t: Term,
+    underline_discipline: bool = False,
+    kinds: Optional[frozenset] = None,
+    innermost: bool = False,
+) -> Optional[Redex]:
+    """One redex of the kinds asked for, or None, without building a list.
+
+    By default the leftmost-outermost one, find_redexes(t, d, kinds)[0]: the
+    same preorder walk, stopped at the first redex it emits. With
+    innermost, the leftmost-innermost one, the first redex at the least
+    position among those with no redex of these kinds strictly below them:
+    the walk descends from the root into the first child whose kind mask
+    meets kinds and takes the first own redex of the node where no child's
+    does. Masks are exact for the kinds no session offers, but a session's
+    own bits are a superset until it is scanned, so innermost refuses
+    session kinds (the strategy asks it for INTUITIONISTIC only).
+    """
+    want = _want(kinds)
+    if not innermost:
+        return next(_preorder(t, underline_discipline, want), None)
+    if want & _ANY_SESSION_BITS:
+        raise ValueError("the innermost descent needs kinds no session offers")
     if not _redex_facts(t)[0] & want:
-        return out
-    todo = [((), t)]
-    while todo:
-        path, s = todo.pop()
-        _emit(out, s, path, underline_discipline, want)
+        return None
+    path, s = (), t
+    while True:
         cs = children(s)
-        for i in range(len(cs) - 1, -1, -1):
-            if cs[i]._facts.redexes[0] & want:
-                todo.append((path + (i,), cs[i]))
-    return out
+        i = next((i for i in range(len(cs)) if cs[i]._facts.redexes[0] & want), None)
+        if i is None:  # s is no session, so its own redexes are listed
+            return next(_moved(r, path) for bit, r in s._facts.redexes[1] if bit & want)
+        path, s = path + (i,), cs[i]
 
 
 def redexes_at(
@@ -376,11 +434,63 @@ def redexes_at(
 ) -> list[Redex]:
     """The redexes rooted at s, the subterm at path, in find_redexes order;
     with kinds, only those of these kinds."""
-    out: list[Redex] = []
     _redex_facts(s)
-    want = _ALL_BITS if kinds is None else _bits(frozenset(kinds))
-    _emit(out, s, path, discipline, want)
-    return out
+    want = _want(kinds)
+    if not _offers(s, want):
+        return []
+    return [_moved(r, path) for bit, r in _own(s, discipline) if bit & want]
+
+
+# the groups in the order redex_peaks gives their peaks
+PEAK_GROUPS = (GROUP1, GROUP2, GROUP_OTHER)
+_PEAK_SLOT = {k: PEAK_GROUPS.index(g) for k, g in _GROUPS.items()}
+_CASE_PERM_SLOT = len(PEAK_GROUPS)
+_NO_PEAKS = (-1,) * (_CASE_PERM_SLOT + 1)
+
+
+def redex_peaks(t: Term, discipline: bool = False) -> tuple[int, int, int, int]:
+    """The highest complexity among t's redexes of each group in
+    PEAK_GROUPS, then among its CasePerm redexes; -1 where there is none.
+
+    The same maxima as over find_redexes(t, discipline), from a subtree
+    fact each node remembers per discipline: it is filled bottom-up, on an
+    explicit stack, only for the nodes that lack it, and a subtree whose
+    kind mask is 0 is not entered. A session contributes its scanned own
+    redexes.
+    """
+    if not _redex_facts(t)[0]:
+        return _NO_PEAKS
+    d = 1 if discipline else 0
+    todo = [t]
+    while todo:
+        s = todo[-1]
+        if _known_peaks(s, d) is not None:
+            todo.pop()  # shared below two parents, done
+            continue
+        kids = [c for c in children(s) if c._facts.redexes[0]]
+        missing = [c for c in kids if _known_peaks(c, d) is None]
+        if missing:
+            todo.extend(missing)
+            continue
+        todo.pop()
+        top = list(_NO_PEAKS)
+        for _, r in _own(s, discipline):
+            k = _PEAK_SLOT[r.kind]
+            top[k] = max(top[k], r.complexity)
+            if r.kind is RedexKind.CASE_PERM:
+                top[_CASE_PERM_SLOT] = max(top[_CASE_PERM_SLOT], r.complexity)
+        for c in kids:
+            top = list(map(max, top, _known_peaks(c, d)))
+        f = s._facts
+        if f.peaks is None:
+            f.peaks = [None, None]
+        f.peaks[d] = tuple(top)
+    return t._facts.peaks[d]
+
+
+def _known_peaks(s: Term, d: int) -> Optional[tuple]:
+    peaks = s._facts.peaks
+    return None if peaks is None else peaks[d]
 
 
 def _local_redexes(s: Term) -> list[Redex]:
@@ -595,7 +705,7 @@ def _contract(s: Term, r: Redex, host: Term) -> Term:
             raise InvalidRedex(r.rule)
         return rebind(replace(s, active=True), 0, fresh_name(s.chan, all_names(host)))
 
-    if is_communication(k):
+    if k in COMMUNICATION:
         if not isinstance(s, ParBind):
             raise InvalidRedex(r.rule)
         if k == RedexKind.GARBAGE_CROSS:

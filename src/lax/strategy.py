@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import groupby, pairwise
-from operator import attrgetter, itemgetter
-from typing import Callable, Optional
+from typing import Optional
 
 from .printer import show_term
 from .rewrite import (
@@ -33,6 +31,7 @@ from .rewrite import (
     RedexKind,
     find_redexes,
     is_parallel_form,
+    pick_redex,
     redexes_at,
     step,
 )
@@ -165,53 +164,33 @@ _GARBAGE = frozenset({RedexKind.GARBAGE_CROSS})
 def _parallel_form(run: _Run) -> None:
     run.phase = PHASE_PARALLEL
     while not is_parallel_form(run.t):
-        perms = find_redexes(run.t, run.discipline, _PAR_PERM)
-        if not perms:
+        perm = pick_redex(run.t, run.discipline, _PAR_PERM)
+        if perm is None:
             raise ParallelFormFailure(
                 "no permutation applies; a parallel node sits under a case "
                 "branch, which no rule can permute out"
             )
-        run.fire(perms[0])
+        run.fire(perm)
 
 
-def _leftmost_innermost(rs: list[Redex]) -> Redex:
-    """The first redex in rs, a preorder list, with no redex below it.
-
-    In preorder a redex's descendants follow it directly, so a redex is
-    innermost when the next redex at another position does not extend its
-    path; of several redexes at one position, the first stands for all.
-    """
-    firsts = [next(g) for _, g in groupby(rs, key=attrgetter("position"))]
-    for r, q in pairwise(firsts):
-        if q.position[: len(r.position)] != r.position:
-            return r
-    return firsts[-1]
-
-
-def _exhaust(
-    run: _Run, kinds: frozenset, pick: Callable[[list[Redex]], Redex]
-) -> int:
-    """Fire pick(redexes of these kinds) until there are none; the count."""
+def _exhaust(run: _Run, kinds: frozenset, innermost: bool = False) -> int:
+    """Fire the leftmost-outermost (or -innermost) redex of these kinds
+    until there is none; the count."""
     made = 0
-    while True:
-        rs = find_redexes(run.t, run.discipline, kinds)
-        if not rs:
-            return made
-        run.fire(pick(rs))
+    while (r := pick_redex(run.t, run.discipline, kinds, innermost)) is not None:
+        run.fire(r)
         made += 1
-
-
-_first = itemgetter(0)  # preorder first = leftmost outermost
+    return made
 
 
 def _intuitionistic(run: _Run) -> int:
     run.phase = PHASE_INTUITIONISTIC
-    return _exhaust(run, INTUITIONISTIC, _leftmost_innermost)
+    return _exhaust(run, INTUITIONISTIC, innermost=True)
 
 
 def _activation(run: _Run) -> int:
     run.phase = PHASE_ACTIVATION
-    return _exhaust(run, _ACTIVATION, _first)
+    return _exhaust(run, _ACTIVATION)
 
 
 def _side_step(run: _Run, path: Path, session: ParBind) -> bool:
@@ -243,7 +222,7 @@ def _side_step(run: _Run, path: Path, session: ParBind) -> bool:
 
 def _chase(run: _Run) -> None:
     """Clear the projections and case permutations a cross just created."""
-    _exhaust(run, CHASE, _first)
+    _exhaust(run, CHASE)
 
 
 def _sweep_inactive_garbage(run: _Run) -> int:

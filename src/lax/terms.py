@@ -25,8 +25,8 @@ terms, or sitting at several positions of one, has the same facts at each.
 Each node remembers whether its subtree holds a parallel node or mark and
 whether it holds an active session (is_simply_typed,
 contains_active_session, uppermost_active_sessions), and its free channels
-(free_chans); rewrite adds each node's redexes, and typecheck the
-judgement of a state or of a subterm a step rewrote.
+(free_chans); rewrite adds each node's redexes and complexity peaks, and
+typecheck the judgement of a state or of a subterm a step rewrote.
 """
 
 from __future__ import annotations
@@ -280,16 +280,16 @@ def term_size(t: Term) -> int:
 class Facts:
     """What one node remembers, None until known: its subtree flags (see
     is_simply_typed), its free channels (free_chans), its redex facts (see
-    rewrite.find_redexes), and its type in one context (see
-    typecheck.check_subject_reduction).
+    rewrite.find_redexes) and complexity peaks (rewrite.redex_peaks), and
+    its type in one context (see typecheck.check_subject_reduction).
 
     One record per node, in a slot of Term outside the dataclass fields.
     """
 
-    __slots__ = ("flags", "chans", "redexes", "judgement")
+    __slots__ = ("flags", "chans", "redexes", "peaks", "judgement")
 
     def __init__(self):
-        self.flags = self.chans = self.redexes = self.judgement = None
+        self.flags = self.chans = self.redexes = self.peaks = self.judgement = None
 
 
 def facts(t: Term) -> Facts:

@@ -38,13 +38,24 @@ from lax import (
     step,
     value_complexity,
 )
-from lax.rewrite import CHASE, CROSSES, GROUP1, GROUP2, INTUITIONISTIC, Redex
+from lax.rewrite import (
+    CHASE,
+    CROSSES,
+    GROUP1,
+    GROUP2,
+    INTUITIONISTIC,
+    PEAK_GROUPS,
+    Redex,
+    pick_redex,
+    redex_peaks,
+)
 from lax.terms import facts, iter_subterms, subterm_at
 
 from oracles import (
     brute_force_redexes,
     find_redexes_oracle,
     fresh_copy,
+    leftmost_innermost_oracle,
     value_complexity_oracle,
 )
 
@@ -301,6 +312,88 @@ def test_a_phase_that_asks_no_session_kind_scans_no_session():
     assert facts(t).redexes[1] == [None, None]
     assert [r.rule for r in find_redexes(t)] == ["Beta"]
     assert facts(t).redexes[1][0] == ()
+
+
+# --------------------------------------------------------------------------
+# one redex, and the complexity peaks, without the list
+
+
+def _peaks_oracle(rs):
+    """Each group's highest complexity, then CasePerm's; -1 for none."""
+    groups = tuple(
+        max((r.complexity for r in rs if r.group == g), default=-1) for g in PEAK_GROUPS
+    )
+    case_perm = max(
+        (r.complexity for r in rs if r.kind == RedexKind.CASE_PERM), default=-1
+    )
+    return groups + (case_perm,)
+
+
+def _assert_one_redex_and_peaks_match_the_oracle(states, discipline):
+    """On each state, which the run walked, and on a fresh copy of it, whose
+    peaks are asked before anything else is remembered."""
+    for i, state in enumerate(states):
+        copy = fresh_copy(state)
+        first = redex_peaks(copy, discipline)
+        for u in (copy, state):
+            inner = find_redexes_oracle(u, discipline, INTUITIONISTIC)
+            got = pick_redex(u, discipline, INTUITIONISTIC, innermost=True)
+            assert got == (leftmost_innermost_oracle(inner) if inner else None), i
+            for kinds in KIND_SETS + [None]:
+                rs = find_redexes_oracle(u, discipline, kinds)
+                assert pick_redex(u, discipline, kinds) == (rs[0] if rs else None), i
+            want = _peaks_oracle(find_redexes_oracle(u, discipline))
+            assert redex_peaks(u, discipline) == want, i
+        assert first == want, i
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["em", "em3", "c3", "g2", "godel", None]),
+    st.booleans(),
+)
+def test_one_redex_and_peaks_match_the_oracle(seed, preset, discipline):
+    _, t = generate(seed, GenConfig(preset=preset, max_size=18))
+    states, _ = _run_states(t, discipline)
+    _assert_one_redex_and_peaks_match_the_oracle(states, discipline)
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+@pytest.mark.parametrize("discipline", [False, True])
+def test_one_redex_and_peaks_match_the_oracle_on_the_examples(name, discipline):
+    states, _ = _run_states(_example(name), discipline)
+    _assert_one_redex_and_peaks_match_the_oracle(states, discipline)
+
+
+def test_peaks_of_a_node_at_two_positions():
+    t = _typed("(\\x : A -> A -> A. <x, x>) (\\u : A. (\\v : A -> A. v) (\\w : A. u))")
+    after = step(t, find_redexes(t)[0])
+    assert after.left is after.right
+    assert redex_peaks(after.left) == (3, -1, -1, -1)
+    assert redex_peaks(after) == _peaks_oracle(find_redexes_oracle(after))
+
+
+def test_peaks_keep_the_case_permutations_apart():
+    """The CasePerm (complexity 1) sits below a ProjPair of complexity 2 in
+    its group; the first decrease clause's floor reads the former."""
+    from lax import Disj
+
+    gamma = {"s": Disj(A, B), "y": A, "x": A}
+    t = _typed(
+        "<(case s of {u. \\z : A. z | w. \\z : A. z}) y, "
+        "<\\p : A. \\q : A. p, x> pi0>",
+        gamma,
+    )
+    assert sorted(r.rule for r in find_redexes(t)) == ["CasePerm", "ProjPair"]
+    assert redex_peaks(t) == (-1, 2, -1, 1)
+
+
+def test_peaks_count_a_session_s_own_redexes():
+    t = _typed("nu a : EM[A -> A]. [ efq[B](nota (\\u : A. u)) || y ]", {"y": B})
+    rs = find_redexes_oracle(t)
+    assert [r.rule for r in rs] == ["Activation", "GarbageCross[1]"]
+    assert redex_peaks(fresh_copy(t)) == _peaks_oracle(rs) == (-1, 1, -1, -1)
 
 
 def test_message_binders_are_not_captured_variables():

@@ -27,11 +27,14 @@ from lax import (
     step,
     to_parallel_form,
 )
-from lax.rewrite import INTUITIONISTIC, Redex, find_redexes
-from lax.strategy import _leftmost_innermost
+from lax.rewrite import INTUITIONISTIC, find_redexes, pick_redex
 from lax.terms import uppermost_active_sessions
 
-from oracles import leftmost_innermost_oracle, uppermost_active_oracle
+from oracles import (
+    find_redexes_oracle,
+    leftmost_innermost_oracle,
+    uppermost_active_oracle,
+)
 
 A, B, C, Z = Atom("A"), Atom("B"), Atom("C"), Atom("Z")
 
@@ -180,15 +183,63 @@ def test_leftmost_redex_fires_first_within_a_phase():
     assert first.position < second.position
 
 
-_paths = st.lists(st.integers(0, 2), max_size=4).map(tuple)
+def _innermost(u):
+    return pick_redex(u, False, INTUITIONISTIC, innermost=True)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(_paths, st.sampled_from(list(RedexKind))), min_size=1))
-def test_leftmost_innermost_matches_the_oracle_on_preorder_lists(entries):
-    """Positions repeat (several rules at one node) and nest arbitrarily."""
-    rs = sorted((Redex(kind, path, 0) for path, kind in entries), key=lambda r: r.position)
-    assert _leftmost_innermost(rs) is leftmost_innermost_oracle(rs)
+def _innermost_oracle(u):
+    return leftmost_innermost_oracle(find_redexes_oracle(u, False, INTUITIONISTIC))
+
+
+_NESTED = [
+    # a Beta whose argument holds a ProjPair
+    ("(\\x : A. x) (<y, y> pi0)", [("ProjPair", (1,)), ("Beta", ())]),
+    # a CasePerm frame over a CaseInj
+    (
+        "(case inj0[A \\/ B](y) of {u. \\z : A. z | w. \\z : A. z}) y",
+        [("CaseInj", (0,)), ("Beta", ())],
+    ),
+    # a Beta nested in the left half, a Beta in the right
+    (
+        "<(\\x : A. x) ((\\x : A. x) y), (\\x : A. x) y>",
+        [("Beta", (0, 1)), ("Beta", (0,)), ("Beta", (1,))],
+    ),
+    # the CasePerm under a Beta, over a CaseInj under another Beta
+    (
+        "(\\f : A. f) ((case inj1[A \\/ B]((\\v : B. v) b) of "
+        "{u. \\z : A. z | w. \\z : A. z}) y)",
+        [("Beta", (1, 0, 0, 0)), ("CaseInj", (1, 0)), ("Beta", (1,)), ("Beta", ())],
+    ),
+]
+
+
+def test_leftmost_innermost_matches_the_oracle_on_nested_redexes():
+    for src, want in _NESTED:
+        t = _typed(src, {"y": A, "b": B})
+        _, trace = normalize(t)
+        assert [(s.redex.rule, s.redex.position) for s in trace.steps] == want, src
+        for u in [t] + [s.term_after for s in trace.steps[:-1]]:
+            assert _innermost(u) == _innermost_oracle(u), src
+        assert _innermost(trace.final) is None
+
+
+def test_leftmost_innermost_on_a_node_at_two_positions():
+    """The outer Beta shares its argument between the two occurrences of x:
+    the shared node's redex is innermost at both, the left one first."""
+    t = _typed("(\\x : A -> A. <x, x>) (\\u : A. (\\v : A. v) u)")
+    after = step(t, find_redexes(t)[0])
+    assert after.left is after.right
+    assert _innermost(after) == _innermost_oracle(after)
+    assert _innermost(after).position == (0, 0)
+    again = step(after, _innermost(after))
+    assert _innermost(again) == _innermost_oracle(again)
+    assert _innermost(again).position == (1, 0)
+
+
+def test_the_innermost_descent_refuses_session_kinds():
+    t = _typed("x", {"x": A})
+    with pytest.raises(ValueError):
+        pick_redex(t, False, frozenset({RedexKind.GARBAGE_CROSS}), innermost=True)
 
 
 @settings(max_examples=30, deadline=None)
@@ -201,9 +252,9 @@ def test_leftmost_innermost_matches_the_oracle_on_run_states(seed, preset, disci
     _, t = generate(seed, GenConfig(preset=preset, max_size=25))
     _, trace = normalize(t, max_steps=10_000, underline_discipline=discipline)
     for u in [t] + [s.term_after for s in trace.steps]:
-        for rs in (find_redexes(u, discipline), find_redexes(u, discipline, INTUITIONISTIC)):
-            if rs:
-                assert _leftmost_innermost(rs) is leftmost_innermost_oracle(rs)
+        rs = find_redexes(u, discipline, INTUITIONISTIC)
+        got = pick_redex(u, discipline, INTUITIONISTIC, innermost=True)
+        assert got == (leftmost_innermost_oracle(rs) if rs else None)
 
 
 @settings(max_examples=30, deadline=None)
