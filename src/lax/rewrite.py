@@ -20,8 +20,8 @@ Conventions used throughout:
   constructor, the attributes a parallel node can be permuted out of, each
   with its trace label, in the order discovery tries them (the first match
   wins; case branches are not listed, so a parallel node there is stuck).
-  An eliminator's first slot is labelled "stack": it is the hole of its
-  one-frame stack, which is also where the case permutation looks.
+  An eliminator's first slot is labelled "stack": it is its hole
+  (terms.HOLES), which is also where the case permutation looks.
 - EM's basic cross is the broadcast cross with a single receiver; only the
   full cross, which ships an open message, is EM's own.
 
@@ -32,10 +32,16 @@ children whose mask meets the kinds asked for and moves the remembered
 redexes to their absolute path, so a state that step() rebuilt along one
 path is discovered again at the cost of that path. A session's own redexes
 come from its channel-occurrence scan, so they are computed on first
-demand, once per underline discipline; until then its own bits are what its
-activity allows (_SESSION_BITS), a superset, and a walk that asks for no
-session kind never scans a session. The facts depend on nothing but the
-node's subtree, and nodes never change, so they cannot go stale.
+demand, once, with no discipline; the underline discipline is a filter on
+what the scan found. Until then its own bits are what its activity allows
+(_SESSION_BITS), a superset, and a walk that asks for no session kind
+never scans a session. The facts depend on nothing but the node's subtree,
+and nodes never change, so they cannot go stale.
+
+The remembered redexes are also the one judge of whether a redex applies:
+step(t, r) contracts r exactly when the subterm at r.position offers it,
+with no discipline, and raises InvalidRedex otherwise. Each rule's side
+conditions are stated once, in discovery; the contractions assume them.
 
 The strategy fires one redex at a time, so pick_redex finds one without
 the list: leftmost-outermost, find_redexes' walk stopped at its first
@@ -61,10 +67,10 @@ from .formulas import BOT, Bot, Formula, Impl, complexity
 from .terms import (
     App,
     Case,
-    CaseFrame,
     Chan,
     Contract,
     Efq,
+    HOLES,
     Inj,
     Lam,
     Occurrence,
@@ -149,19 +155,15 @@ def value_complexity(t: Term) -> int:
         return complexity(type_of(t))
     if isinstance(t, Pair):
         return max(value_complexity(t.left), value_complexity(t.right))
-    head, stack = decompose_stack(t)
-    last_case = None
-    for i, f in enumerate(stack):
-        if isinstance(f, CaseFrame):
-            last_case = i
-    if last_case is not None:
-        frame = stack[last_case]
-        sigma = stack[last_case + 1:]
-        return max(
-            value_complexity(apply_stack(frame.lbody, sigma)),
-            value_complexity(apply_stack(frame.rbody, sigma)),
-        )
-    return 0
+    _, stack = decompose_stack(t)
+    cases = [i for i, f in enumerate(stack) if isinstance(f, Case)]
+    if not cases:
+        return 0
+    case, sigma = stack[cases[-1]], stack[cases[-1] + 1:]
+    return max(
+        value_complexity(apply_stack(case.lbody, sigma)),
+        value_complexity(apply_stack(case.rbody, sigma)),
+    )
 
 
 def _vc_safe(t: Term) -> int:
@@ -241,7 +243,7 @@ class Redex:
         if self.kind == RedexKind.BASIC_CROSS:
             return f"BasicCross({self.sender},{self.receiver})"
         if self.kind == RedexKind.GARBAGE_CROSS:
-            return f"GarbageCross{list(self.survivors)}"
+            return f"GarbageCross{list(self.survivors or ())}"
         return self.kind.value
 
     def to_json(self) -> dict:
@@ -310,13 +312,13 @@ _SESSION_BITS = {
 
 
 def _node_redex_facts(s: Term, kids: list) -> tuple[int, object]:
-    """(mask, own): own is a tuple of (bit, redex) pairs, or for a session a
-    list holding them per discipline once scanned."""
+    """(mask, own): own is a tuple of (bit, redex) pairs, or for a session
+    None until it is scanned, then the pair (all, disciplined) of them."""
     mask = 0
     for m, _ in kids:
         mask |= m
     if type(s) is ParBind:
-        return mask | _SESSION_BITS[s.active], [None, None]
+        return mask | _SESSION_BITS[s.active], None
     if type(s) not in _PERM_SLOTS:  # the only hosts of the other rules
         return mask, ()
     own = _local_redexes(s)
@@ -332,19 +334,34 @@ def _redex_facts(t: Term) -> tuple[int, object]:
 
 
 def _own(s: Term, discipline: bool) -> tuple:
-    """s's own (bit, redex) pairs, at (); a session is scanned on first
-    demand, once per discipline."""
-    own = s._facts.redexes[1]
+    """s's own (bit, redex) pairs, at (); a session is scanned once, on
+    first demand."""
+    f = s._facts
+    own = f.redexes[1]
     if type(s) is ParBind:
-        d = 1 if discipline else 0
-        if own[d] is None:
-            own[d] = tuple((_BIT[r.kind], r) for r in _session_redexes(s, discipline))
-        own = own[d]
+        if own is None:
+            own = _scanned(s)
+            f.redexes = (f.redexes[0], own)
+        own = own[1] if discipline else own[0]
     return own
 
 
+def _scanned(s: ParBind) -> tuple[tuple, tuple]:
+    """(all, disciplined): the session's own (bit, redex) pairs, and those
+    the underline discipline keeps. In a general session with a marked
+    component, only a marked sender's basic crosses are kept."""
+    every = tuple((_BIT[r.kind], r) for r in _session_redexes(s))
+    marked = {i for i, c in enumerate(s.comps) if comp_marked(c)}
+    if not marked or s.axiom.mode != "general":
+        return every, every
+    return every, tuple(
+        (bit, r) for bit, r in every
+        if r.kind is not RedexKind.BASIC_CROSS or r.sender in marked
+    )
+
+
 def _moved(r: Redex, path: Path) -> Redex:
-    if not path:
+    if path == r.position:
         return r
     return Redex(r.kind, path, r.complexity, r.which, r.comp, r.sender,
                  r.receiver, r.survivors)
@@ -383,8 +400,8 @@ def find_redexes(
 ) -> list[Redex]:
     """Every redex of every rule, leftmost-outermost (preorder) order.
 
-    With underline_discipline=True, sessions that carry a component mark
-    only offer basic crosses whose sender is the marked component. With
+    With underline_discipline=True, general sessions that carry a component
+    mark only offer basic crosses whose sender is the marked component. With
     kinds, only redexes of those kinds come out, in the same order:
     find_redexes(t, d, kinds) == [r for r in find_redexes(t, d) if r.kind
     in kinds], and the walk skips every subtree that holds none of them.
@@ -505,7 +522,7 @@ def _local_redexes(s: Term) -> list[Redex]:
         out.append(Redex(RedexKind.CASE_INJ, (), complexity(s.scrut.disj)))
 
     # one-frame permutation over a case term
-    hole = _FRAME_HOLES.get(type(s))
+    hole = HOLES.get(type(s))
     if hole is not None and isinstance(getattr(s, hole), Case):
         out.append(Redex(RedexKind.CASE_PERM, (), _vc_safe(getattr(s, hole))))
 
@@ -516,20 +533,16 @@ def _local_redexes(s: Term) -> list[Redex]:
     return out
 
 
-# constructor -> ((attribute, ParPerm label), ...), first match wins
+# constructor -> ((attribute, ParPerm label), ...), first match wins; an
+# eliminator's first slot is its hole
 _PERM_SLOTS = {
-    App: (("fun", "stack"), ("arg", "app-left")),
-    Proj: (("arg", "stack"),),
-    Efq: (("arg", "stack"),),
-    Case: (("scrut", "stack"),),
+    App: ((HOLES[App], "stack"), ("arg", "app-left")),
+    Proj: ((HOLES[Proj], "stack"),),
+    Efq: ((HOLES[Efq], "stack"),),
+    Case: ((HOLES[Case], "stack"),),
     Lam: (("body", "lam"),),
     Inj: (("arg", "inj"),),
     Pair: (("left", "pair-left"), ("right", "pair-right")),
-}
-
-# eliminator -> the attribute holding the hole of its one-frame stack
-_FRAME_HOLES = {
-    ctor: slots[0][0] for ctor, slots in _PERM_SLOTS.items() if slots[0][1] == "stack"
 }
 
 _PERM_HOSTS = (ParBind, Contract)
@@ -543,7 +556,7 @@ def _perm_slot(s: Term) -> Optional[tuple[str, str]]:
     return None
 
 
-def _session_redexes(s: ParBind, discipline: bool) -> Iterator[Redex]:
+def _session_redexes(s: ParBind) -> Iterator[Redex]:
     """The redexes rooted at the session s, at position ()."""
     a = s.chan
     bodies = [comp_body(c) for c in s.comps]
@@ -560,7 +573,7 @@ def _session_redexes(s: ParBind, discipline: bool) -> Iterator[Redex]:
         ):
             yield Redex(RedexKind.ACTIVATION, (), comm)
     else:
-        yield from _cross_redexes(s, bodies, occs, comm, discipline)
+        yield from _cross_redexes(s, bodies, occs, comm)
 
     # garbage: keep the components that do not mention a (any activity)
     survivors = tuple(i for i, o in enumerate(occs) if not o)
@@ -579,7 +592,6 @@ def _cross_redexes(
     bodies: list[Term],
     occs: list[list[Occurrence]],
     comm: int,
-    discipline: bool,
 ) -> Iterator[Redex]:
     ax = s.axiom
     simple = [is_simply_typed(b) for b in bodies]
@@ -603,9 +615,7 @@ def _cross_redexes(
         return
 
     # general mode
-    marked = [i for i, c in enumerate(s.comps) if comp_marked(c)]
-    allowed_senders = marked if (discipline and marked) else range(len(bodies))
-    for i in allowed_senders:
+    for i in range(len(bodies)):
         if not simple[i] or not occs[i]:
             continue
         sender_occ = occs[i][-1]
@@ -664,64 +674,61 @@ def multiple_subst(u: Term, ys: list[Var], v: Term) -> Term:
 # stepping
 
 def step(t: Term, r: Redex) -> Term:
-    """Contract the redex r inside t; raises InvalidRedex when r does not
-    match the current term."""
-    s = subterm_at(t, r.position)
-    new = _contract(s, r, t)
-    return replace_at(t, r.position, new)
+    """Contract the redex r inside t.
+
+    r applies exactly when the subterm at r.position offers it with no
+    underline discipline: a redex of the same kind, complexity, which, comp,
+    sender, receiver and survivors. Otherwise, or when the position
+    addresses no subterm, step raises InvalidRedex.
+    """
+    s = _offering(t, r)
+    if s is None:
+        raise InvalidRedex(r.rule)
+    return replace_at(t, r.position, _contract(s, r, t))
+
+
+def _offering(t: Term, r: Redex) -> Optional[Term]:
+    """The subterm at r.position when it offers r, else None; the facts
+    discovery left on it are read, not recomputed."""
+    try:
+        s = subterm_at(t, r.position)
+    except IndexError:
+        return None
+    _redex_facts(s)
+    here = _moved(r, ())
+    return s if any(q == here for _, q in _own(s, False)) else None
 
 
 def _contract(s: Term, r: Redex, host: Term) -> Term:
+    """The contractum of r at s, which offers it (see step)."""
     k = r.kind
     if k == RedexKind.BETA:
-        if not (isinstance(s, App) and isinstance(s.fun, Lam)):
-            raise InvalidRedex(r.rule)
         return subst(s.fun.body, s.fun.var, s.arg)
-
     if k == RedexKind.PROJ_PAIR:
-        if not (isinstance(s, Proj) and isinstance(s.arg, Pair)):
-            raise InvalidRedex(r.rule)
         return s.arg.left if s.index == 0 else s.arg.right
-
     if k == RedexKind.CASE_INJ:
-        if not (isinstance(s, Case) and isinstance(s.scrut, Inj)):
-            raise InvalidRedex(r.rule)
         inj = s.scrut
         if inj.index == 0:
             return subst(s.lbody, s.lvar, inj.arg)
         return subst(s.rbody, s.rvar, inj.arg)
-
     if k == RedexKind.CASE_PERM:
-        return _case_perm(s, r, host)
-
+        return _case_perm(s, host)
     if k == RedexKind.PAR_PERM:
-        return _par_perm(s, r, host)
-
+        return _par_perm(s, host)
     if k == RedexKind.PAR_PAR_PERM:
-        return _par_par_perm(s, r, host)
-
+        return _par_par_perm(s, r.comp, host)
     if k == RedexKind.ACTIVATION:
-        if not (isinstance(s, ParBind) and not s.active):
-            raise InvalidRedex(r.rule)
         return rebind(replace(s, active=True), 0, fresh_name(s.chan, all_names(host)))
-
-    if k in COMMUNICATION:
-        if not isinstance(s, ParBind):
-            raise InvalidRedex(r.rule)
-        if k == RedexKind.GARBAGE_CROSS:
-            return _garbage(s, r)
-        if not s.active:
-            raise InvalidRedex(f"{r.rule}: session inactive")
-        em = s.axiom.mode == "em"
-        if k == RedexKind.BROADCAST_CROSS or (em and k == RedexKind.BASIC_CROSS):
-            return _broadcast_cross(s, r)
-        if k == RedexKind.BASIC_CROSS:
-            return _general_basic_cross(s, r)
-        if em:
-            return _em_full_cross(s, r, host)
-        return _general_full_cross(s, r, host)
-
-    raise InvalidRedex(f"unknown redex kind {k!r}")
+    if k == RedexKind.GARBAGE_CROSS:
+        return contract_join([comp_body(s.comps[i]) for i in r.survivors])
+    em = s.axiom.mode == "em"
+    if k == RedexKind.BROADCAST_CROSS or (em and k == RedexKind.BASIC_CROSS):
+        return _broadcast_cross(s)
+    if k == RedexKind.BASIC_CROSS:
+        return _general_basic_cross(s, r.sender, r.receiver)
+    if em:
+        return _em_full_cross(s, host)
+    return _general_full_cross(s, host)
 
 
 def _through_mark(c: Term, f) -> Term:
@@ -730,14 +737,11 @@ def _through_mark(c: Term, f) -> Term:
     return f(c)
 
 
-def _case_perm(s: Term, r: Redex, host: Term) -> Term:
-    hole = _FRAME_HOLES.get(type(s))
-    case = getattr(s, hole) if hole is not None else None
-    if not isinstance(case, Case):
-        raise InvalidRedex(r.rule)
+def _case_perm(s: Term, host: Term) -> Term:
+    hole = HOLES[type(s)]
     # the frame moves under the branch binders, which beta may have
     # duplicated
-    case = _freshen(case, replace(s, **{hole: TT}), host)
+    case = _freshen(getattr(s, hole), replace(s, **{hole: TT}), host)
     return Case(
         case.scrut,
         case.lvar,
@@ -759,11 +763,8 @@ def _freshen(t: Term, other: Term, host: Term) -> Term:
     return t
 
 
-def _par_perm(s: Term, r: Redex, host: Term) -> Term:
-    slot = _perm_slot(s)
-    if slot is None or slot[1] != r.which:
-        raise InvalidRedex(r.rule)
-    attr = slot[0]
+def _par_perm(s: Term, host: Term) -> Term:
+    attr = _perm_slot(s)[0]
     # everything else in s moves under the parallel node's binder
     par = _freshen(getattr(s, attr), replace(s, **{attr: TT}), host)
 
@@ -775,18 +776,10 @@ def _par_perm(s: Term, r: Redex, host: Term) -> Term:
     return Contract(rebuild(par.left), rebuild(par.right))
 
 
-def _par_par_perm(s: Term, r: Redex, host: Term) -> Term:
-    if not (isinstance(s, ParBind) and s.active):
-        raise InvalidRedex(r.rule)
-    k = r.comp
-    inner = comp_body(s.comps[k])
-    if not is_parallel_node(inner):
-        raise InvalidRedex(r.rule)
-    if any(contains_active_session(comp_body(c)) for c in s.comps):
-        raise InvalidRedex(f"{r.rule}: active session inside a component")
+def _par_par_perm(s: ParBind, k: int, host: Term) -> Term:
     # the host's other components move under the inner binder
     others = [c for i, c in enumerate(s.comps) if i != k]
-    inner = _freshen(inner, contract_join(others), host)
+    inner = _freshen(comp_body(s.comps[k]), contract_join(others), host)
     others_marked = any(comp_marked(c) for c in others)
 
     def embed(w: Term) -> Term:
@@ -809,45 +802,22 @@ def _par_par_perm(s: Term, r: Redex, host: Term) -> Term:
 
 
 def _rightmost(bind: ParBind, i: int) -> Occurrence:
-    occs = chan_occurrences(comp_body(bind.comps[i]), bind.chan)
-    if not occs:
-        raise InvalidRedex(f"component {i} has no occurrence of {bind.chan}")
-    return occs[-1]
+    return chan_occurrences(comp_body(bind.comps[i]), bind.chan)[-1]
 
 
-def _garbage(s: ParBind, r: Redex) -> Term:
-    survivors = [
-        i
-        for i, c in enumerate(s.comps)
-        if not chan_occurrences(comp_body(c), s.chan)
-    ]
-    if not survivors or tuple(survivors) != r.survivors:
-        raise InvalidRedex(r.rule)
-    return contract_join([comp_body(s.comps[i]) for i in survivors])
-
-
-def _broadcast_cross(s: ParBind, r: Redex) -> Term:
+def _broadcast_cross(s: ParBind) -> Term:
     """Every receiver gets the closed message; EM's basic cross is the case
     of one receiver."""
-    occ = _rightmost(s, 0)
-    if not occ.negated or occ.arg is None or not _closed_at(occ, occ.arg):
-        raise InvalidRedex(r.rule)
-    receivers = [
-        subst_chan_bare(comp_body(c), s.chan, occ.arg) for c in s.comps[1:]
-    ]
+    msg = _rightmost(s, 0).arg
+    receivers = [subst_chan_bare(comp_body(c), s.chan, msg) for c in s.comps[1:]]
     return contract_join(receivers)
 
 
-def _em_full_cross(s: ParBind, r: Redex, host: Term) -> Term:
+def _em_full_cross(s: ParBind, host: Term) -> Term:
     occ = _rightmost(s, 0)
-    if not occ.negated or occ.arg is None:
-        raise InvalidRedex(r.rule)
     msg = occ.arg
     captured = _captured_vars(occ, msg)
-    if not captured or _captured_chans(occ, msg):
-        raise InvalidRedex(r.rule)
-    used = all_names(host)
-    b = fresh_name("b", used)
+    b = fresh_name("b", all_names(host))
     b_ty = tuple_type(tuple(ty for _, ty in captured))
     ys = [Var(n, ty) for n, ty in captured]
 
@@ -867,21 +837,11 @@ def _em_full_cross(s: ParBind, r: Redex, host: Term) -> Term:
     return ParBind(b, False, em_axiom(b_ty), (inner, copy))
 
 
-def _general_basic_cross(s: ParBind, r: Redex) -> Term:
-    i, j = r.sender, r.receiver
-    ax = s.axiom
-    occ_i = _rightmost(s, i)
+def _general_basic_cross(s: ParBind, i: int, j: int) -> Term:
+    msg = _rightmost(s, i).arg
     occ_j = _rightmost(s, j)
-    if occ_i.arg is None or occ_j.arg is None:
-        raise InvalidRedex(r.rule)
-    if not _closed_at(occ_i, occ_i.arg):
-        raise InvalidRedex(f"{r.rule}: message is not closed")
-    if ax.components[i][0] != ax.components[j][1]:
-        raise InvalidRedex(f"{r.rule}: types do not fit")
     comps = list(s.comps)
-    comps[j] = _through_mark(
-        comps[j], lambda u: replace_at(u, occ_j.app_path, occ_i.arg)
-    )
+    comps[j] = _through_mark(comps[j], lambda u: replace_at(u, occ_j.app_path, msg))
     if any(comp_marked(c) for c in s.comps):
         # the mark rides along with the message to the receiver
         comps = [
@@ -891,15 +851,11 @@ def _general_basic_cross(s: ParBind, r: Redex) -> Term:
     return ParBind(s.chan, s.active, s.axiom, tuple(comps))
 
 
-def _general_full_cross(s: ParBind, r: Redex, host: Term) -> Term:
+def _general_full_cross(s: ParBind, host: Term) -> Term:
     ax = s.axiom
     m = len(s.comps)
     occs = [_rightmost(s, z) for z in range(m)]
-    if any(o.arg is None for o in occs):
-        raise InvalidRedex(r.rule)
     captured = [_captured_vars(o, o.arg) for o in occs]
-    if any(_captured_chans(o, o.arg) for o in occs):
-        raise InvalidRedex(r.rule)
     b_tys = [tuple_type(tuple(ty for _, ty in cap)) for cap in captured]
 
     new_pairs = []
@@ -908,9 +864,7 @@ def _general_full_cross(s: ParBind, r: Redex, host: Term) -> Term:
         hi = BOT if isinstance(gi, Bot) else b_tys[ax.jmap[i]]
         new_pairs.append((b_tys[i], hi))
     derived = general_axiom(tuple(new_pairs), derived=True)
-
-    used = all_names(host)
-    b = fresh_name("b", used)
+    b = fresh_name("b", all_names(host))
 
     def copy_for(i: int) -> Term:
         gi = ax.components[i][1]

@@ -287,7 +287,6 @@ def run_phase_intuitionistic(
 def normalize(
     t: Term,
     max_steps: Optional[int] = None,
-    max_cycles: Optional[int] = None,
     underline_discipline: bool = False,
 ) -> tuple[Term, Trace]:
     """Run the full strategy; returns the final term and the trace.
@@ -301,9 +300,6 @@ def normalize(
     cycle = 0
     while True:
         cycle += 1
-        if max_cycles is not None and cycle > max_cycles:
-            run.trace.limit_hit = True
-            raise StepLimitExceeded(run.t, run.trace)
         run.cycle = cycle
         made = _intuitionistic(run)
         made += _activation(run)

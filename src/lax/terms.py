@@ -7,11 +7,12 @@ redex positions refer to.
 One table, _SHAPES, states each constructor's shape: the fields holding its
 subterms, in path order, and which field names what it binds in which
 child. children(), with_children(), binder() and binder_names() are read off
-it. Free names, renaming, channel substitution, alpha-equivalence and
-channel occurrences are walks over children() that read binder_names();
-rebind() is the only code that renames a bound name, and substitution, the
-parser's hygiene pass, the permutations' freshening and activation all go
-through it.
+it, and so is HOLES, the hole of each eliminator: its first child. Free
+names, renaming, channel substitution, alpha-equivalence and channel
+occurrences are walks over children() that read binder_names(); rebind() is
+the only code that renames a bound name, and substitution, the parser's
+hygiene pass, the permutations' freshening and activation all go through
+it.
 
 Variable occurrences and channel occurrences carry the type the checker
 assigned to them (ty is None straight out of the parser). All engine code
@@ -232,10 +233,18 @@ def with_children(t: Term, cs: tuple[Term, ...]) -> Term:
 
 Path = tuple[int, ...]
 
+# eliminator -> the field holding its hole, its first child
+HOLES = {cls: _SHAPES[cls].kids[0] for cls in (App, Proj, Case, Efq)}
+
 
 def subterm_at(t: Term, path: Path) -> Term:
+    """The subterm at path; IndexError when path addresses none, by an
+    index out of range or negative."""
     for i in path:
-        t = children(t)[i]
+        cs = children(t)
+        if not 0 <= i < len(cs):
+            raise IndexError(f"{type(t).__name__} has no child {i}")
+        t = cs[i]
     return t
 
 
@@ -388,7 +397,6 @@ def rebind(t: Term, child_index: int, new: str) -> Term:
 
 @dataclass(frozen=True, slots=True)
 class Occurrence:
-    chan_path: Path  # path of the Chan node within the component body
     app_path: Optional[Path]  # path of the App node when applied
     negated: bool
     arg: Optional[Term]
@@ -406,12 +414,12 @@ def chan_occurrences(comp: Term, name: str) -> list[Occurrence]:
     while todo:
         t, path, above = todo.pop()
         if isinstance(t, App) and isinstance(t.fun, Chan) and t.fun.name == name:
-            out.append(Occurrence(path + (0,), path, t.fun.negated, t.arg, above))
+            out.append(Occurrence(path, t.fun.negated, t.arg, above))
             todo.append((t.arg, path + (1,), above))
             continue
         if isinstance(t, Chan):
             if t.name == name:
-                out.append(Occurrence(path, None, t.negated, None, above))
+                out.append(Occurrence(None, t.negated, None, above))
             continue
         cs = children(t)
         binds = type(t) in _BINDERS
@@ -602,71 +610,23 @@ def tuple_type(tys: tuple[Formula, ...]) -> Formula:
     return acc
 
 
-@dataclass(frozen=True)
-class ArgFrame:
-    arg: Term
-
-
-@dataclass(frozen=True)
-class ProjFrame:
-    index: int
-
-
-@dataclass(frozen=True)
-class CaseFrame:
-    lvar: str
-    lbody: Term
-    rvar: str
-    rbody: Term
-
-
-@dataclass(frozen=True)
-class EfqFrame:
-    target: Formula
-
-
-Frame = ArgFrame | ProjFrame | CaseFrame | EfqFrame
-Stack = tuple[Frame, ...]
-
-
-def decompose_stack(t: Term) -> tuple[Term, Stack]:
+def decompose_stack(t: Term) -> tuple[Term, tuple[Term, ...]]:
     """Maximal spine walk: head plus the stack applied to it, innermost first.
 
-    x pi0 u decomposes to (x, [ProjFrame 0, ArgFrame u]).
+    A stack is a tuple of eliminator nodes whose holes (HOLES) are ignored:
+    x pi0 u decomposes to (x, (x pi0, x pi0 u)).
     """
-    frames: list[Frame] = []
-    while True:
-        if isinstance(t, App):
-            frames.append(ArgFrame(t.arg))
-            t = t.fun
-        elif isinstance(t, Proj):
-            frames.append(ProjFrame(t.index))
-            t = t.arg
-        elif isinstance(t, Case):
-            frames.append(CaseFrame(t.lvar, t.lbody, t.rvar, t.rbody))
-            t = t.scrut
-        elif isinstance(t, Efq):
-            frames.append(EfqFrame(t.target))
-            t = t.arg
-        else:
-            return t, tuple(reversed(frames))
+    frames = []
+    while (hole := HOLES.get(type(t))) is not None:
+        frames.append(t)
+        t = getattr(t, hole)
+    return t, tuple(reversed(frames))
 
 
-def apply_frame(t: Term, f: Frame) -> Term:
-    if isinstance(f, ArgFrame):
-        return App(t, f.arg)
-    if isinstance(f, ProjFrame):
-        return Proj(t, f.index)
-    if isinstance(f, CaseFrame):
-        return Case(t, f.lvar, f.lbody, f.rvar, f.rbody)
-    if isinstance(f, EfqFrame):
-        return Efq(t, f.target)
-    raise TypeError(f"not a frame: {f!r}")
-
-
-def apply_stack(t: Term, s: Stack) -> Term:
+def apply_stack(t: Term, s: tuple[Term, ...]) -> Term:
+    """t with each eliminator of s, innermost first, put over it."""
     for f in s:
-        t = apply_frame(t, f)
+        t = replace(f, **{HOLES[type(f)]: t})
     return t
 
 

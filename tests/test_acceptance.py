@@ -28,7 +28,7 @@ from lax import (
     parse_term,
     value_complexity,
 )
-from lax.terms import ArgFrame, EfqFrame, ParBind, ProjFrame, apply_stack, iter_subterms
+from lax.terms import TT, App, Efq, ParBind, Proj, apply_stack, iter_subterms
 from lax.formulas import Bot, Conj, Impl, Top
 
 from oracles import brute_force_redexes, value_complexity_oracle
@@ -239,7 +239,7 @@ def test_acceptance_6_oracle_equivalence():
 
 def _random_stack(rng, ty):
     """A type-directed, case-free, possibly empty stack over a term of
-    type ty, together with the result type."""
+    type ty, together with the result type; each eliminator's hole is tt."""
     frames = []
     atoms = [Atom("A"), Atom("B"), Atom("C"), TOP]
     while True:
@@ -247,15 +247,15 @@ def _random_stack(rng, ty):
             break
         if isinstance(ty, Impl):
             _, arg = generate(rng, GenConfig(preset=None, max_size=8, goal=ty.left))
-            frames.append(ArgFrame(arg))
+            frames.append(App(TT, arg))
             ty = ty.right
         elif isinstance(ty, Conj):
             i = rng.randrange(2)
-            frames.append(ProjFrame(i))
+            frames.append(Proj(TT, i))
             ty = ty.left if i == 0 else ty.right
         elif isinstance(ty, Bot):
             target = rng.choice(atoms)
-            frames.append(EfqFrame(target))
+            frames.append(Efq(TT, target))
             ty = target
         else:
             break

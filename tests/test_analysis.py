@@ -319,6 +319,41 @@ def test_a_deep_chain_audits_clean():
 
 
 # --------------------------------------------------------------------------
+# a recorded redex the replay cannot fire
+
+
+def _one_step_audit(src, gamma, phase, redex, after):
+    t = _typed(src, gamma)
+    trace = Trace(initial=t)
+    trace.steps.append(TraceStep(1, phase, redex, _typed(after, gamma)))
+    return audit_trace(TypingContext(ivars=dict(gamma)), trace).witnesses
+
+
+@pytest.mark.parametrize("src, redex, after", [
+    # a position out of range, at depth and at the root's children
+    ("(\\x : A. x) y", Redex(RedexKind.BETA, (0, 0, 7), 1), "y"),
+    ("(\\x : A. x) y", Redex(RedexKind.BETA, (3,), 1), "y"),
+    # a negative index, which would address the last child, a Beta
+    ("<y, (\\x : A. x) y>", Redex(RedexKind.BETA, (-1,), 1), "<y, y>"),
+    # the complexity off by one
+    ("(\\x : A. x) y", Redex(RedexKind.BETA, (), 2), "y"),
+])
+def test_a_recorded_beta_that_is_not_offered_is_reported(src, redex, after):
+    witnesses = _one_step_audit(src, {"y": A}, "Intuitionistic", redex, after)
+    assert ("step 0", "recorded redex no longer applies: Beta") in witnesses
+
+
+@pytest.mark.parametrize("position", [(5,), (-1,)])
+def test_a_recorded_garbage_cross_at_no_subterm_is_reported(position):
+    """The communication measure reads the recorded position too."""
+    gamma = {"x0": B, "x": A}
+    src = "nu a : EM[A]. [ efq[B](nota x) || x0 ]"
+    redex = Redex(RedexKind.GARBAGE_CROSS, position, 0, survivors=(1,))
+    witnesses = _one_step_audit(src, gamma, "Communication", redex, "x0")
+    assert ("step 0", "recorded redex no longer applies: GarbageCross[1]") in witnesses
+
+
+# --------------------------------------------------------------------------
 # the communication measure
 
 def test_measure_of_a_quiet_term_is_empty():

@@ -1,5 +1,6 @@
 """Single-step reduction: values, complexity measures, discovery, contraction."""
 
+import dataclasses
 from importlib import resources
 
 import pytest
@@ -309,7 +310,7 @@ def test_a_phase_that_asks_no_session_kind_scans_no_session():
     gamma = {"f": Impl(A, B), "x": A}
     t = _typed("nu a : EM[A]. [ efq[B](nota x) || f ((\\u : A. u) a) ]", gamma)
     assert [r.rule for r in find_redexes(t, kinds=INTUITIONISTIC)] == ["Beta"]
-    assert facts(t).redexes[1] == [None, None]
+    assert facts(t).redexes[1] is None
     assert [r.rule for r in find_redexes(t)] == ["Beta"]
     assert facts(t).redexes[1][0] == ()
 
@@ -438,6 +439,11 @@ def test_discipline_restricts_senders_to_the_marked_component():
     tight = {r.rule for r in find_redexes(t, True)}
     assert "BasicCross(1,0)" in free
     assert tight == {"BasicCross(0,1)", "FullCross"}
+    # the session still offers the unmarked sender's cross, so it steps:
+    # step reads the view with no discipline
+    (r,) = [r for r in find_redexes(t) if r.rule == "BasicCross(1,0)"]
+    after = step(t, r)
+    assert _eq(after, "nu a* : AX{A -> B, B -> A}. [ @f y || g (a y) ]", gamma)
 
 
 # --------------------------------------------------------------------------
@@ -721,6 +727,87 @@ def test_step_rejects_a_stale_garbage_cross():
     moved = _typed("nu a : EM[A]. [ x0 || f a ]", gamma)
     with pytest.raises(InvalidRedex):
         step(moved, r)
+    # one that names no survivors is refused the same way
+    with pytest.raises(InvalidRedex):
+        step(t, Redex(RedexKind.GARBAGE_CROSS, (), 0))
+
+
+@pytest.mark.parametrize("position", [(3,), (0, 0, 7), (-1,)])
+def test_step_rejects_a_position_that_addresses_no_subterm(position):
+    """A negative index would address the last child, here a Beta."""
+    t = _typed("<y, (\\x : A. x) y>", {"y": A})
+    with pytest.raises(InvalidRedex):
+        step(t, Redex(RedexKind.BETA, position, 1))
+
+
+# --------------------------------------------------------------------------
+# the one gate: step accepts exactly the redexes discovery offers
+
+_PERM_LABELS = ("stack", "app-left", "lam", "inj", "pair-left", "pair-right")
+
+
+def _positions_off(path):
+    """The position one index off either way; below the root, its first
+    and its last child."""
+    if not path:
+        return [(0,), (-1,)]
+    return [path[:-1] + (path[-1] + d,) for d in (1, -1)]
+
+
+def _perturbations(r):
+    """r with one field changed at a time."""
+    out = [
+        dataclasses.replace(r, complexity=r.complexity + 1),
+        dataclasses.replace(r, complexity=r.complexity - 1),
+        dataclasses.replace(r, kind=next(k for k in RedexKind if k != r.kind)),
+    ]
+    out += [dataclasses.replace(r, position=p) for p in _positions_off(r.position)]
+    if r.which is not None:
+        out += [dataclasses.replace(r, which=w) for w in _PERM_LABELS if w != r.which]
+    if r.comp is not None:
+        out.append(dataclasses.replace(r, comp=r.comp + 1))
+    if r.sender is not None:
+        out.append(dataclasses.replace(r, sender=r.receiver, receiver=r.sender))
+    if r.survivors is not None:
+        out.append(dataclasses.replace(r, survivors=r.survivors[1:]))
+    return out
+
+
+def _assert_step_accepts_exactly_the_offered(states):
+    """Every redex offered with no discipline steps; a perturbation of one
+    steps only when it is offered too (a shared sibling, say)."""
+    for i, u in enumerate(states):
+        offered = find_redexes(u)
+        for r in offered:
+            step(u, r)
+            for q in _perturbations(r):
+                if q in offered:
+                    continue
+                with pytest.raises(InvalidRedex):
+                    step(u, q)
+                    pytest.fail(f"state {i}: {q} stepped")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["em", "em3", "c3", "g2", "godel", None]),
+    st.booleans(),
+)
+def test_step_accepts_exactly_the_offered_redexes(seed, preset, discipline):
+    _, t = generate(seed, GenConfig(preset=preset, max_size=18))
+    states, _ = _run_states(t, discipline)
+    _assert_step_accepts_exactly_the_offered(states)
+
+
+def test_step_accepts_exactly_the_offered_redexes_on_the_examples():
+    fired = set()
+    for name in EXAMPLES:
+        for discipline in (False, True):
+            states, trace = _run_states(_example(name), discipline)
+            _assert_step_accepts_exactly_the_offered(states)
+            fired |= {s.redex.kind for s in trace.steps}
+    assert CROSSES | {RedexKind.GARBAGE_CROSS} <= fired
 
 
 def test_parallel_form_and_height():

@@ -129,13 +129,6 @@ def test_malformed_step_budget_variable_is_refused(raw, monkeypatch):
     assert normalize(t, max_steps=5)[1].steps  # an explicit budget wins
 
 
-def test_cycle_limit_raises_too():
-    gamma = {"f": Impl(Z, B), "y": Z}
-    t = _typed("nu a : EM[Z -> Z]. [ efq[B](nota (\\z : Z. z)) || f (a y) ]", gamma)
-    with pytest.raises(StepLimitExceeded):
-        normalize(t, max_cycles=0)
-
-
 def test_session_under_a_case_branch_cannot_reach_parallel_form():
     gamma = {"s": Disj(C, C), "x": A, "y": B}
     src = "case s of {u. nu a : EM[A]. [ efq[B](nota x) || y ] | w. y}"
