@@ -24,7 +24,6 @@ from .axioms import (  # noqa: F401
     general_axiom,
     goedel_axiom,
     preset,
-    preset_names,
     show_axiom,
 )
 from .formulas import (  # noqa: F401
@@ -79,8 +78,6 @@ from .strategy import (  # noqa: F401
     Trace,
     TraceStep,
     normalize,
-    run_phase_intuitionistic,
-    to_parallel_form,
 )
 from .terms import (  # noqa: F401
     App,
@@ -109,7 +106,6 @@ from .typecheck import (  # noqa: F401
     TypingContext,
     TypingError,
     check,
-    check_report,
     check_subject_reduction,
     infer_type,
     type_of,

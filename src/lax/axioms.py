@@ -201,10 +201,6 @@ def preset(name: str) -> AxiomScheme:
     return _PRESETS[key]()
 
 
-def preset_names() -> list[str]:
-    return sorted(_PRESETS)
-
-
 def show_axiom(ax: AxiomScheme) -> str:
     if ax.mode == "em":
         return f"EM[{show_formula(ax.carrier)}]"

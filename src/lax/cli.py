@@ -107,6 +107,8 @@ def _load(path: str) -> Program:
             text = fh.read()
     except OSError as e:
         raise _InputError(str(e))
+    except UnicodeDecodeError as e:
+        raise _InputError(f"{path}: not UTF-8 text: {e}")
     return parse_program(text)
 
 

@@ -31,12 +31,25 @@ its subtree, its own OR its children's. find_redexes enters only the
 children whose mask meets the kinds asked for and moves the remembered
 redexes to their absolute path, so a state that step() rebuilt along one
 path is discovered again at the cost of that path. A session's own redexes
-come from its channel-occurrence scan, so they are computed on first
-demand, once, with no discipline; the underline discipline is a filter on
-what the scan found. Until then its own bits are what its activity allows
-(_SESSION_BITS), a superset, and a walk that asks for no session kind
-never scans a session. The facts depend on nothing but the node's subtree,
-and nodes never change, so they cannot go stale.
+come from its scan, so they are computed on first demand, once, with no
+discipline; the underline discipline is a filter on what the scan found.
+Until then its own bits are what its activity allows (_SESSION_BITS), a
+superset, and a walk that asks for no session kind never scans a session.
+The facts depend on nothing but the node's subtree, and nodes never
+change, so they cannot go stale.
+
+A scan walks no component. Each node remembers its send summary (_sends):
+per free channel, the highest _vc_safe of an argument applied to it and
+whether one such argument is a value. A component's entry for the
+session's channel says whether it mentions the channel (the garbage
+cross's survivors), whether it sends a value (activation), and the
+highest complexity it sends (the communication complexity, which
+session_comm_complexity alone computes). The crosses need the rightmost
+occurrence, which terms.rightmost_occurrence finds by a descent along the
+summaries and the component remembers, and the contractions read the same
+descent (_rightmost). So a session that a step rebuilt around components
+shared with the state before is scanned again at the cost of its arity,
+plus the nodes the step rebuilt and a descent into each rebuilt component.
 
 The remembered redexes are also the one judge of whether a redex applies:
 step(t, r) contracts r exactly when the subterm at r.position offers it,
@@ -86,7 +99,6 @@ from .terms import (
     apply_stack,
     binder_names,
     build_tuple,
-    chan_occurrences,
     children,
     comp_body,
     comp_marked,
@@ -94,7 +106,6 @@ from .terms import (
     contract_join,
     decompose_stack,
     flatten_pairs,
-    free_chans,
     free_names,
     free_occurrences,
     fresh_name,
@@ -103,6 +114,7 @@ from .terms import (
     rebind,
     remembered,
     replace_at,
+    rightmost_occurrence,
     subst,
     subst_chan_bare,
     subterm_at,
@@ -276,21 +288,74 @@ def _captured_vars(occ: Occurrence, msg: Term) -> list[tuple[str, Formula]]:
 
 
 def _captured_chans(occ: Occurrence, msg: Term) -> frozenset[str]:
-    return free_chans(msg) & occ.binders_above
+    return occ.binders_above.intersection(_sends(msg))
+
+
+# ---------------------------------------------------------------------------
+# send summaries (see the module docstring): a bare occurrence counts as
+# (0, False), and a node shares its child's map when that holds its own
+
+_NO_SENDS: dict[str, tuple[int, bool]] = {}
+
+
+@functools.cache  # one map per channel name, shared by its bare occurrences
+def _bare(name: str) -> dict[str, tuple[int, bool]]:
+    return {name: (0, False)}
+
+
+def _joined(a: dict, b: dict) -> dict:
+    """The summaries a and b together; a itself when it holds b's."""
+    out = None
+    for c, (vc, value) in b.items():
+        old = a.get(c)
+        if old is not None:
+            if old[0] >= vc and (old[1] or not value):
+                continue
+            vc, value = max(old[0], vc), old[1] or value
+        if out is None:
+            out = dict(a)
+        out[c] = (vc, value)
+    return a if out is None else out
+
+
+def _node_sends(s: Term, kids: list[dict]) -> dict:
+    cls = type(s)
+    if cls is Chan:
+        return _bare(s.name)
+    if cls is App and type(s.fun) is Chan:
+        # the head's bare entry is below the send's own
+        return _joined(kids[1], {s.fun.name: (_vc_safe(s.arg), is_value(s.arg))})
+    out = _NO_SENDS
+    for k in kids:
+        if k and k is not out:
+            out = _joined(k, out) if len(k) > len(out) else _joined(out, k)
+    if cls is ParBind and s.chan in out:
+        out = {c: v for c, v in out.items() if c != s.chan} or _NO_SENDS
+    return out
+
+
+def _sends(t: Term) -> dict[str, tuple[int, bool]]:
+    return remembered(t, "sends", _node_sends)
+
+
+def _sends_on(s: ParBind) -> list[Optional[tuple[int, bool]]]:
+    """Each component's summary of what it sends on s's channel, None for
+    a component that does not mention it."""
+    return [_sends(comp_body(c)).get(s.chan) for c in s.comps]
 
 
 def session_comm_complexity(bind: ParBind) -> int:
-    return _comm_complexity(
-        [chan_occurrences(comp_body(c), bind.chan) for c in bind.comps]
-    )
+    """The highest value complexity among the messages sent on bind's
+    channel, 0 when there are none."""
+    return max((e[0] for e in _sends_on(bind) if e is not None), default=0)
 
 
-def _comm_complexity(occs: list[list[Occurrence]]) -> int:
-    """Maximum value complexity over the applied occurrences' arguments."""
-    return max(
-        (_vc_safe(o.arg) for per in occs for o in per if o.arg is not None),
-        default=0,
-    )
+def _rightmost(bind: ParBind, i: int) -> Occurrence:
+    """The rightmost occurrence of bind's channel in its i-th component,
+    which mentions it."""
+    body = comp_body(bind.comps[i])
+    _sends(body)  # the descent reads the summaries below body
+    return rightmost_occurrence(body, bind.chan)
 
 
 # ---------------------------------------------------------------------------
@@ -558,25 +623,20 @@ def _perm_slot(s: Term) -> Optional[tuple[str, str]]:
 
 def _session_redexes(s: ParBind) -> Iterator[Redex]:
     """The redexes rooted at the session s, at position ()."""
-    a = s.chan
     bodies = [comp_body(c) for c in s.comps]
-    # free_chans also lets the scan skip the subtrees that never mention a
-    occs = [chan_occurrences(b, a) if a in free_chans(b) else [] for b in bodies]
-    comm = _comm_complexity(occs)
+    sends = _sends_on(s)
+    comm = session_comm_complexity(s)
 
     # activation: inactive binder, some applied occurrence of a value
     if not s.active:
-        if any(
-            occ.arg is not None and is_value(occ.arg)
-            for comp_occs in occs
-            for occ in comp_occs
-        ):
+        if any(e is not None and e[1] for e in sends):
             yield Redex(RedexKind.ACTIVATION, (), comm)
     else:
-        yield from _cross_redexes(s, bodies, occs, comm)
+        yield from _cross_redexes(s, bodies, sends, comm)
 
-    # garbage: keep the components that do not mention a (any activity)
-    survivors = tuple(i for i, o in enumerate(occs) if not o)
+    # garbage: keep the components that do not mention the channel (any
+    # activity)
+    survivors = tuple(i for i, e in enumerate(sends) if e is None)
     if survivors:
         yield Redex(RedexKind.GARBAGE_CROSS, (), comm, survivors=survivors)
 
@@ -590,7 +650,7 @@ def _session_redexes(s: ParBind) -> Iterator[Redex]:
 def _cross_redexes(
     s: ParBind,
     bodies: list[Term],
-    occs: list[list[Occurrence]],
+    sends: list[Optional[tuple[int, bool]]],
     comm: int,
 ) -> Iterator[Redex]:
     ax = s.axiom
@@ -598,9 +658,9 @@ def _cross_redexes(
 
     # EM is the broadcast with one receiver, plus the full cross
     if ax.mode in ("em", "broadcast"):
-        if not all(simple) or not occs[0]:
+        if not all(simple) or sends[0] is None:
             return
-        last = occs[0][-1]
+        last = _rightmost(s, 0)
         msg = last.arg
         if not last.negated or msg is None or _captured_chans(last, msg):
             return
@@ -614,28 +674,29 @@ def _cross_redexes(
             yield Redex(RedexKind.FULL_CROSS, (), comm)
         return
 
-    # general mode
-    for i in range(len(bodies)):
-        if not simple[i] or not occs[i]:
+    # general mode: the rightmost occurrence in each simply typed component
+    # that mentions the channel
+    last = [
+        _rightmost(s, i) if simple[i] and sends[i] is not None else None
+        for i in range(len(bodies))
+    ]
+    for i, sender_occ in enumerate(last):
+        if sender_occ is None:
             continue
-        sender_occ = occs[i][-1]
         msg = sender_occ.arg
         if msg is None or not _closed_at(sender_occ, msg):
             continue
         fi, _ = ax.components[i]
-        for j in range(len(bodies)):
-            if j == i or not simple[j] or not occs[j]:
-                continue
-            recv_occ = occs[j][-1]
-            if recv_occ.arg is None:
+        for j, recv_occ in enumerate(last):
+            if j == i or recv_occ is None or recv_occ.arg is None:
                 continue
             _, gj = ax.components[j]
             if fi == gj:
                 yield Redex(RedexKind.BASIC_CROSS, (), comm, sender=i, receiver=j)
 
     if all(simple) and all(
-        o and o[-1].arg is not None and not _captured_chans(o[-1], o[-1].arg)
-        for o in occs
+        o is not None and o.arg is not None and not _captured_chans(o, o.arg)
+        for o in last
     ):
         yield Redex(RedexKind.FULL_CROSS, (), comm)
 
@@ -799,10 +860,6 @@ def _par_par_perm(s: ParBind, k: int, host: Term) -> Term:
             tuple(embed(w) for w in inner.comps),
         )
     return Contract(embed(inner.left), embed(inner.right))
-
-
-def _rightmost(bind: ParBind, i: int) -> Occurrence:
-    return chan_occurrences(comp_body(bind.comps[i]), bind.chan)[-1]
 
 
 def _broadcast_cross(s: ParBind) -> Term:

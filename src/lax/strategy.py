@@ -265,25 +265,6 @@ def _communication(run: _Run) -> int:
 # ---------------------------------------------------------------------------
 # public driver
 
-def to_parallel_form(
-    t: Term,
-    max_steps: Optional[int] = None,
-    underline_discipline: bool = False,
-) -> tuple[Term, Trace]:
-    run = _Run(t, max_steps, underline_discipline)
-    _parallel_form(run)
-    return run.t, run.trace
-
-
-def run_phase_intuitionistic(
-    t: Term, max_steps: Optional[int] = None
-) -> tuple[Term, Trace]:
-    run = _Run(t, max_steps, False)
-    run.cycle = 1
-    _intuitionistic(run)
-    return run.t, run.trace
-
-
 def normalize(
     t: Term,
     max_steps: Optional[int] = None,

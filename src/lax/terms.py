@@ -25,9 +25,12 @@ nodes, so a remembered fact cannot go stale; a node shared by several
 terms, or sitting at several positions of one, has the same facts at each.
 Each node remembers whether its subtree holds a parallel node or mark and
 whether it holds an active session (is_simply_typed,
-contains_active_session, uppermost_active_sessions), and its free channels
-(free_chans); rewrite adds each node's redexes and complexity peaks, and
-typecheck the judgement of a state or of a subterm a step rewrote.
+contains_active_session, uppermost_active_sessions); rewrite adds each
+node's redexes and complexity peaks and its send summary, a map from each
+free channel to what the subtree sends on it, and typecheck the judgement
+of a state or of a subterm a step rewrote. rightmost_occurrence descends
+along the send summaries to a channel's rightmost occurrence, and a
+session's component remembers the answer per channel.
 """
 
 from __future__ import annotations
@@ -288,17 +291,22 @@ def term_size(t: Term) -> int:
 
 class Facts:
     """What one node remembers, None until known: its subtree flags (see
-    is_simply_typed), its free channels (free_chans), its redex facts (see
-    rewrite.find_redexes) and complexity peaks (rewrite.redex_peaks), and
-    its type in one context (see typecheck.check_subject_reduction).
+    is_simply_typed), its redex facts (see rewrite.find_redexes) and
+    complexity peaks (rewrite.redex_peaks), its send summary (sends: each
+    free channel mapped to rewrite's summary of the messages sent on it,
+    see rewrite.session_comm_complexity), the rightmost occurrence of each
+    channel asked of it as a component root (rightmost, see
+    rightmost_occurrence), and its type in one context (see
+    typecheck.check_subject_reduction).
 
     One record per node, in a slot of Term outside the dataclass fields.
     """
 
-    __slots__ = ("flags", "chans", "redexes", "peaks", "judgement")
+    __slots__ = ("flags", "redexes", "peaks", "sends", "rightmost", "judgement")
 
     def __init__(self):
-        self.flags = self.chans = self.redexes = self.peaks = self.judgement = None
+        self.flags = self.redexes = self.peaks = self.sends = None
+        self.rightmost = self.judgement = None
 
 
 def facts(t: Term) -> Facts:
@@ -404,11 +412,7 @@ class Occurrence:
 
 
 def chan_occurrences(comp: Term, name: str) -> list[Occurrence]:
-    """Free occurrences of `name` in preorder; the last one is rightmost.
-
-    The walk skips each subtree whose remembered free channels (free_chans)
-    are known and lack name.
-    """
+    """Free occurrences of `name` in preorder; the last one is rightmost."""
     out: list[Occurrence] = []
     todo: list[tuple[Term, Path, frozenset[str]]] = [(comp, (), frozenset())]
     while todo:
@@ -424,9 +428,6 @@ def chan_occurrences(comp: Term, name: str) -> list[Occurrence]:
         cs = children(t)
         binds = type(t) in _BINDERS
         for i in range(len(cs) - 1, -1, -1):
-            f = getattr(cs[i], "_facts", None)
-            if f is not None and f.chans is not None and name not in f.chans:
-                continue
             inner = above
             if binds:
                 vs, chs = binder_names(t, i)
@@ -435,6 +436,47 @@ def chan_occurrences(comp: Term, name: str) -> list[Occurrence]:
                 inner = above.union(vs, chs)
             todo.append((cs[i], path + (i,), inner))
     return out
+
+
+def rightmost_occurrence(body: Term, name: str) -> Occurrence:
+    """chan_occurrences(body, name)[-1], for a channel name free in body,
+    whose send summary (Facts.sends) is known.
+
+    A descent from body: at each node it takes the last child in which name
+    is free, which its send summary says, and gathers the names bound on
+    the way, so it costs O(depth x arity). It stops at a bare occurrence,
+    or at an application of name whose argument does not mention name.
+    body remembers the answer per channel.
+    """
+    f = body._facts
+    known = f.rightmost
+    if known is None:
+        known = f.rightmost = {}
+    occ = known.get(name)
+    if occ is not None:
+        return occ
+    path: list[int] = []
+    above: frozenset[str] = frozenset()
+    t = body
+    while True:
+        cls = type(t)
+        if cls is Chan:
+            occ = Occurrence(None, t.negated, None, above)
+            break
+        if (cls is App and type(t.fun) is Chan and t.fun.name == name
+                and name not in t.arg._facts.sends):
+            occ = Occurrence(tuple(path), t.fun.negated, t.arg, above)
+            break
+        cs = children(t)
+        i = len(cs) - 1
+        while name not in cs[i]._facts.sends:
+            i -= 1
+        if cls in _BINDERS:
+            above = above.union(*binder_names(t, i))
+        path.append(i)
+        t = cs[i]
+    known[name] = occ
+    return occ
 
 
 def free_occurrences(t: Term) -> tuple[dict[str, Var], dict[str, Chan]]:
@@ -487,24 +529,8 @@ def free_vars(t: Term) -> frozenset[str]:
 
 
 def free_chans(t: Term) -> frozenset[str]:
-    """Names of channels with at least one free occurrence in t; a subtree
-    fact each node remembers."""
-    return remembered(t, "chans", _node_chans)
-
-
-_NO_NAMES: frozenset[str] = frozenset()
-
-
-def _node_chans(s: Term, kids: list[frozenset[str]]) -> frozenset[str]:
-    if type(s) is Chan:
-        return frozenset((s.name,))
-    out = _NO_NAMES
-    for k in kids:  # a child's set is shared when it holds all the others
-        if not k <= out:
-            out = k if out <= k else out | k
-    if type(s) is ParBind and s.chan in out:
-        out = out - {s.chan}
-    return out
+    """Names of channels with at least one free occurrence in t."""
+    return frozenset(free_occurrences(t)[1])
 
 
 def all_names(t: Term) -> set[str]:

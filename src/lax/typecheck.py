@@ -355,16 +355,7 @@ def type_of(t: Term) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# reporting
-
-def check_report(t: Term, ctx: Optional[TypingContext] = None) -> dict:
-    """Machine-readable result: {ok, type, errors: [{code, position, message}]}."""
-    try:
-        _, ty = check(t, ctx)
-        return {"ok": True, "type": show_formula(ty), "errors": []}
-    except TypingError as e:
-        return {"ok": False, "type": None, "errors": [e.issue.to_json()]}
-
+# subject reduction
 
 @dataclass(frozen=True)
 class SubjectReductionReport:

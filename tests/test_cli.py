@@ -64,6 +64,34 @@ def test_missing_file_is_an_input_error(capsys):
     assert main(["check", "/nonexistent/nowhere.lax"]) == 1
 
 
+@pytest.fixture
+def not_utf8(tmp_path):
+    p = tmp_path / "bin.lax"
+    p.write_bytes(b"\xff\xfe free y : A ; y")
+    return str(p)
+
+
+@pytest.mark.parametrize("command", ["check", "normalize"])
+def test_a_file_that_is_not_utf8_is_an_input_error(not_utf8, command, capsys):
+    assert main([command, not_utf8]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("error: ") and "not UTF-8" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("command", ["check", "normalize"])
+def test_a_file_that_is_not_utf8_is_an_error_event_in_json(not_utf8, command, capsys):
+    assert main([command, not_utf8, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.out.splitlines()
+    payload = json.loads(line)
+    if command == "check":
+        assert payload["command"] == "check" and payload["ok"] is False
+    else:
+        assert payload["event"] == "error"
+    assert "not UTF-8" in payload["error"] and captured.err == ""
+
+
 def test_normalize_pretty_trace(prog, capsys):
     assert main(["normalize", prog(GOOD), "--trace", "--audit"]) == 0
     out = capsys.readouterr().out

@@ -47,12 +47,30 @@ from lax.rewrite import (
     INTUITIONISTIC,
     PEAK_GROUPS,
     Redex,
+    _rightmost,
+    _sends,
     pick_redex,
     redex_peaks,
 )
-from lax.terms import facts, iter_subterms, subterm_at
+from lax.terms import (
+    chan_occurrences,
+    comp_body,
+    comp_marked,
+    contains_active_session,
+    facts,
+    free_chans,
+    free_names,
+    is_parallel_node,
+    is_simply_typed,
+    iter_subterms,
+    rename_chan,
+    subterm_at,
+)
 
 from oracles import (
+    _free_names,
+    _mentions_parallel,
+    _occurrences,
     brute_force_redexes,
     find_redexes_oracle,
     fresh_copy,
@@ -444,6 +462,192 @@ def test_discipline_restricts_senders_to_the_marked_component():
     (r,) = [r for r in find_redexes(t) if r.rule == "BasicCross(1,0)"]
     after = step(t, r)
     assert _eq(after, "nu a* : AX{A -> B, B -> A}. [ @f y || g (a y) ]", gamma)
+
+
+# --------------------------------------------------------------------------
+# session scans on send summaries, against whole-component walks
+
+
+def _message_complexity_oracle(arg):
+    return 0 if _mentions_parallel(arg) else value_complexity_oracle(arg)
+
+
+def _sends_oracle(s):
+    """Each free channel of s: (highest complexity of a message sent on
+    it, whether one is a value), from the oracle's occurrence walk."""
+    out = {}
+    for c in _free_names(s)[1]:
+        args = [o["arg"] for o in _occurrences(s, c) if o["arg"] is not None]
+        out[c] = (
+            max((_message_complexity_oracle(m) for m in args), default=0),
+            any(is_value(m) for m in args),
+        )
+    return out
+
+
+def _comm_oracle(s):
+    return max(
+        (
+            _message_complexity_oracle(o["arg"])
+            for c in s.comps
+            for o in _occurrences(comp_body(c), s.chan)
+            if o["arg"] is not None
+        ),
+        default=0,
+    )
+
+
+def _comm_complexity(occs):
+    """Maximum value complexity over the applied occurrences' arguments."""
+    return max(
+        (
+            value_complexity(o.arg) if is_simply_typed(o.arg) else 0
+            for per in occs
+            for o in per
+            if o.arg is not None
+        ),
+        default=0,
+    )
+
+
+def _closed_at(occ, msg):
+    fv, fc = free_names(msg)
+    return occ.binders_above.isdisjoint(fv | fc)
+
+
+def _reference_session_redexes(s, discipline):
+    """The session's own redexes, at (), with every component walked whole
+    by chan_occurrences."""
+    bodies = [comp_body(c) for c in s.comps]
+    occs = [chan_occurrences(b, s.chan) for b in bodies]
+    comm = _comm_complexity(occs)
+    out = []
+    if not s.active:
+        if any(o.arg is not None and is_value(o.arg) for per in occs for o in per):
+            out.append(Redex(RedexKind.ACTIVATION, (), comm))
+    else:
+        out += _reference_crosses(s, bodies, occs, comm)
+    survivors = tuple(i for i, per in enumerate(occs) if not per)
+    if survivors:
+        out.append(Redex(RedexKind.GARBAGE_CROSS, (), comm, survivors=survivors))
+    if s.active and not any(contains_active_session(b) for b in bodies):
+        out += [
+            Redex(RedexKind.PAR_PAR_PERM, (), 0, comp=k)
+            for k, b in enumerate(bodies) if is_parallel_node(b)
+        ]
+    marked = {i for i, c in enumerate(s.comps) if comp_marked(c)}
+    if discipline and marked and s.axiom.mode == "general":
+        out = [r for r in out
+               if r.kind is not RedexKind.BASIC_CROSS or r.sender in marked]
+    return out
+
+
+def _reference_crosses(s, bodies, occs, comm):
+    ax = s.axiom
+    simple = [is_simply_typed(b) for b in bodies]
+    if ax.mode in ("em", "broadcast"):
+        if not all(simple) or not occs[0]:
+            return []
+        last = occs[0][-1]
+        msg = last.arg
+        if not last.negated or msg is None or free_chans(msg) & last.binders_above:
+            return []
+        if _closed_at(last, msg):
+            if ax.mode == "em":
+                return [Redex(RedexKind.BASIC_CROSS, (), comm, sender=0, receiver=1)]
+            return [Redex(RedexKind.BROADCAST_CROSS, (), comm)]
+        return [Redex(RedexKind.FULL_CROSS, (), comm)] if ax.mode == "em" else []
+    out = []
+    for i in range(len(bodies)):
+        if not simple[i] or not occs[i]:
+            continue
+        sender = occs[i][-1]
+        if sender.arg is None or not _closed_at(sender, sender.arg):
+            continue
+        for j in range(len(bodies)):
+            if j == i or not simple[j] or not occs[j] or occs[j][-1].arg is None:
+                continue
+            if ax.components[i][0] == ax.components[j][1]:
+                out.append(
+                    Redex(RedexKind.BASIC_CROSS, (), comm, sender=i, receiver=j)
+                )
+    if all(simple) and all(
+        per and per[-1].arg is not None
+        and not free_chans(per[-1].arg) & per[-1].binders_above
+        for per in occs
+    ):
+        out.append(Redex(RedexKind.FULL_CROSS, (), comm))
+    return out
+
+
+def _assert_session_scans_match_the_walks(states, discipline):
+    """On each state as run, and on a fresh copy, which remembers nothing
+    and is asked for the rightmost occurrences before anything else."""
+    for k, state in enumerate(states):
+        for u, descent_first in ((fresh_copy(state), True), (state, False)):
+            sessions = [(p, s) for p, s in iter_subterms(u) if isinstance(s, ParBind)]
+            for path, s in sessions:
+                where = f"state {k}, session at {path}"
+                mentioned = [
+                    i for i, c in enumerate(s.comps)
+                    if chan_occurrences(comp_body(c), s.chan)
+                ]
+                rightmost = [
+                    chan_occurrences(comp_body(s.comps[i]), s.chan)[-1]
+                    for i in mentioned
+                ]
+                if descent_first:
+                    assert [_rightmost(s, i) for i in mentioned] == rightmost, where
+                assert redexes_at(s, path, discipline) == [
+                    dataclasses.replace(r, position=path)
+                    for r in _reference_session_redexes(s, discipline)
+                ], where
+                assert session_comm_complexity(s) == _comm_oracle(s), where
+                assert [_rightmost(s, i) for i in mentioned] == rightmost, where
+            for _, s in iter_subterms(u):
+                assert _sends(s) == _sends_oracle(s), f"state {k}: {s}"
+
+
+def _shadowed():
+    """A session whose second component is a session rebinding its
+    channel, which sends a message of complexity 1 there."""
+    gamma = {"f": Impl(Z, B), "y": Z, "x": A}
+    t = _typed(
+        "nu a : EM[A]. [ efq[B](nota x) || "
+        "nu b : EM[Z -> Z]. [ efq[B](notb (\\z : Z. z)) || f (b y) ] ]",
+        gamma,
+    )
+    inner = t.comps[1]
+    comps = tuple(rename_chan(c, "b", "a", inner.active) for c in inner.comps)
+    return dataclasses.replace(t, comps=(t.comps[0], ParBind("a", False, inner.axiom, comps)))
+
+
+def test_a_rebound_channel_is_not_the_session_s():
+    t = _shadowed()
+    assert show_term(t).count("nu a") == 2
+    assert session_comm_complexity(t) == 0
+    assert [r.rule for r in redexes_at(t, (), False)] == ["GarbageCross[1]"]
+    for discipline in (False, True):
+        _assert_session_scans_match_the_walks(_run_states(t, discipline)[0], discipline)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["em", "em3", "c3", "g2", "godel", None]),
+    st.booleans(),
+)
+def test_session_scans_match_the_walks(seed, preset, discipline):
+    _, t = generate(seed, GenConfig(preset=preset, max_size=18))
+    states, _ = _run_states(t, discipline)
+    _assert_session_scans_match_the_walks(states, discipline)
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+@pytest.mark.parametrize("discipline", [False, True])
+def test_session_scans_match_the_walks_on_the_examples(name, discipline):
+    states, _ = _run_states(_example(name), discipline)
+    _assert_session_scans_match_the_walks(states, discipline)
 
 
 # --------------------------------------------------------------------------

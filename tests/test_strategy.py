@@ -23,11 +23,10 @@ from lax import (
     normalize,
     parse_program,
     parse_term,
-    run_phase_intuitionistic,
     step,
-    to_parallel_form,
 )
 from lax.rewrite import INTUITIONISTIC, find_redexes, pick_redex
+from lax.strategy import _intuitionistic, _parallel_form, _Run
 from lax.terms import uppermost_active_sessions
 
 from oracles import (
@@ -45,6 +44,21 @@ def _typed(src, gamma=None):
     gamma = dict(gamma or {})
     t, _ = check(parse_term(src, gamma), TypingContext(ivars=gamma))
     return t
+
+
+def to_parallel_form(t, max_steps=None, underline_discipline=False):
+    """The strategy's first phase alone: (its result, its trace)."""
+    run = _Run(t, max_steps, underline_discipline)
+    _parallel_form(run)
+    return run.t, run.trace
+
+
+def run_phase_intuitionistic(t, max_steps=None):
+    """One intuitionistic phase of the first cycle alone."""
+    run = _Run(t, max_steps, False)
+    run.cycle = 1
+    _intuitionistic(run)
+    return run.t, run.trace
 
 
 def test_simply_typed_terms_normalize_in_one_cycle():

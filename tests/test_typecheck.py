@@ -28,7 +28,6 @@ from lax import (
     Var,
     alpha_eq,
     check,
-    check_report,
     check_subject_reduction,
     em_axiom,
     find_redexes,
@@ -37,6 +36,7 @@ from lax import (
     normalize,
     parse_program,
     parse_term,
+    show_formula,
     step,
     type_of,
 )
@@ -50,6 +50,15 @@ A, B, C = Atom("A"), Atom("B"), Atom("C")
 
 def _infer(src: str, gamma=None):
     return infer_type(parse_term(src, gamma or {}), TypingContext(ivars=gamma or {}))
+
+
+def check_report(t, ctx=None) -> dict:
+    """Machine-readable result: {ok, type, errors: [{code, position, message}]}."""
+    try:
+        _, ty = check(t, ctx)
+        return {"ok": True, "type": show_formula(ty), "errors": []}
+    except TypingError as e:
+        return {"ok": False, "type": None, "errors": [e.issue.to_json()]}
 
 
 # --------------------------------------------------------------------------
