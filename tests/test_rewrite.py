@@ -328,9 +328,13 @@ def test_a_phase_that_asks_no_session_kind_scans_no_session():
     gamma = {"f": Impl(A, B), "x": A}
     t = _typed("nu a : EM[A]. [ efq[B](nota x) || f ((\\u : A. u) a) ]", gamma)
     assert [r.rule for r in find_redexes(t, kinds=INTUITIONISTIC)] == ["Beta"]
+    assert pick_redex(t, kinds=INTUITIONISTIC, innermost=True).rule == "Beta"
     assert facts(t).redexes[1] is None
+    # nor does it fill any send summary
+    assert all(facts(s).sends is None for _, s in iter_subterms(t))
     assert [r.rule for r in find_redexes(t)] == ["Beta"]
     assert facts(t).redexes[1][0] == ()
+    assert all(facts(c).sends is not None for c in t.comps)
 
 
 # --------------------------------------------------------------------------
