@@ -31,6 +31,7 @@ from .rewrite import (
     find_redexes,
     is_parallel_form,
     redex_peaks,
+    uppermost_active_sessions,
 )
 from .rewrite import height  # noqa: F401  (re-export: part of this module's API)
 from .strategy import (
@@ -51,7 +52,6 @@ from .terms import (
     iter_subterms,
     node_data,
     subterm_at,
-    uppermost_active_sessions,
 )
 from .typecheck import TypingContext, check_subject_reduction, infer_type, type_of
 

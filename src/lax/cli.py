@@ -302,7 +302,8 @@ def cmd_fuzz(args) -> int:
         max_steps_seen = max(max_steps_seen, len(trace.steps))
         for s in trace.steps:
             max_complexity = max(max_complexity, s.redex.complexity)
-            phase_counts[s.phase] = phase_counts.get(s.phase, 0) + 1
+        for phase, n in trace.phase_counts().items():
+            phase_counts[phase] = phase_counts.get(phase, 0) + n
         reports = [
             audit_trace(ctx, trace),
             check_parallel_nf_property(final),

@@ -111,9 +111,9 @@ def _lex(text: str) -> list[_Tok]:
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(_Tok("int", text[i:j], line, col))
             col += j - i

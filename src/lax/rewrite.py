@@ -38,6 +38,12 @@ superset, and a walk that asks for no session kind never scans a session.
 The facts depend on nothing but the node's subtree, and nodes never
 change, so they cannot go stale.
 
+The mask also answers the strategy's structural questions. One bit above
+the kind bits (_PARALLEL), which sessions, joins and marks set, says the
+subtree is not simply typed (is_simply_typed). A cross bit says it holds
+an active session, since only an active session's own bits set one
+(contains_active_session, uppermost_active_sessions).
+
 A scan walks no component. Each node remembers its send summary (_sends):
 per free channel, the highest _vc_safe of an argument applied to it and
 whether one such argument is a value. A component's entry for the
@@ -45,11 +51,12 @@ session's channel says whether it mentions the channel (the garbage
 cross's survivors), whether it sends a value (activation), and the
 highest complexity it sends (the communication complexity, which
 session_comm_complexity alone computes). The crosses need the rightmost
-occurrence, which terms.rightmost_occurrence finds by a descent along the
-summaries and the component remembers, and the contractions read the same
-descent (_rightmost). So a session that a step rebuilt around components
-shared with the state before is scanned again at the cost of its arity,
-plus the nodes the step rebuilt and a descent into each rebuilt component.
+occurrence, which _rightmost finds by a descent along the summaries and
+the component remembers; the contractions read the same descent, and no
+other module reads a summary. So a session that a step rebuilt around
+components shared with the state before is scanned again at the cost of
+its arity, plus the nodes the step rebuilt and a descent into each
+rebuilt component.
 
 The remembered redexes are also the one judge of whether a redex applies:
 step(t, r) contracts r exactly when the subterm at r.position offers it,
@@ -65,7 +72,9 @@ since a session's own bits are a superset until it is scanned; the
 strategy asks it for INTUITIONISTIC. The audit's decrease and cycle checks
 read maxima, so each node also remembers, per discipline, its complexity
 peaks (redex_peaks): the highest complexity of each redex group in its
-subtree and of its CasePerm redexes.
+subtree and of its CasePerm redexes. They are filled through the same
+terms.remembered loop, entering only the children whose kind mask is not
+0.
 """
 
 from __future__ import annotations
@@ -76,7 +85,7 @@ from enum import Enum
 from typing import Iterator, Optional
 
 from .axioms import em_axiom, general_axiom
-from .formulas import BOT, Bot, Formula, Impl, complexity
+from .formulas import BOT, Bot, Formula, Impl, complexity, conj
 from .terms import (
     App,
     Case,
@@ -102,7 +111,6 @@ from .terms import (
     children,
     comp_body,
     comp_marked,
-    contains_active_session,
     contract_join,
     decompose_stack,
     flatten_pairs,
@@ -110,15 +118,12 @@ from .terms import (
     free_occurrences,
     fresh_name,
     is_parallel_node,
-    is_simply_typed,
     rebind,
     remembered,
     replace_at,
-    rightmost_occurrence,
     subst,
     subst_chan_bare,
     subterm_at,
-    tuple_type,
 )
 from .typecheck import type_of
 
@@ -352,10 +357,47 @@ def session_comm_complexity(bind: ParBind) -> int:
 
 def _rightmost(bind: ParBind, i: int) -> Occurrence:
     """The rightmost occurrence of bind's channel in its i-th component,
-    which mentions it."""
-    body = comp_body(bind.comps[i])
+    which mentions it: chan_occurrences(body, chan)[-1] for the
+    component's body.
+
+    A descent from body: at each node it takes the last child in which the
+    channel is free, which its send summary says, and gathers the names
+    bound on the way, so it costs O(depth x arity). It stops at a bare
+    occurrence, or at an application of the channel whose argument does not
+    mention it. body remembers the answer per channel.
+    """
+    body, name = comp_body(bind.comps[i]), bind.chan
     _sends(body)  # the descent reads the summaries below body
-    return rightmost_occurrence(body, bind.chan)
+    f = body._facts
+    known = f.rightmost
+    if known is None:
+        known = f.rightmost = {}
+    occ = known.get(name)
+    if occ is not None:
+        return occ
+    path: list[int] = []
+    above: frozenset[str] = frozenset()
+    t = body
+    while True:
+        cls = type(t)
+        if cls is Chan:
+            occ = Occurrence(None, t.negated, None, above)
+            break
+        if (cls is App and type(t.fun) is Chan and t.fun.name == name
+                and name not in t.arg._facts.sends):
+            occ = Occurrence(tuple(path), t.fun.negated, t.arg, above)
+            break
+        cs = children(t)
+        k = len(cs) - 1
+        while name not in cs[k]._facts.sends:
+            k -= 1
+        vs, chs = binder_names(t, k)
+        if vs or chs:
+            above = above.union(vs, chs)
+        path.append(k)
+        t = cs[k]
+    known[name] = occ
+    return occ
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +417,13 @@ _SESSION_BITS = {
     True: _bits(CROSSES | {RedexKind.GARBAGE_CROSS, RedexKind.PAR_PAR_PERM}),
 }
 
+# the mask's structural bit, above the kind bits: a parallel node or a
+# component mark in the subtree
+_PARALLEL = 1 << len(RedexKind)
+# an active session in the subtree: a cross bit, which only an active
+# session's own bits set
+_ACTIVE = _bits(CROSSES)
+
 
 def _node_redex_facts(s: Term, kids: list) -> tuple[int, object]:
     """(mask, own): own is a tuple of (bit, redex) pairs, or for a session
@@ -382,9 +431,12 @@ def _node_redex_facts(s: Term, kids: list) -> tuple[int, object]:
     mask = 0
     for m, _ in kids:
         mask |= m
-    if type(s) is ParBind:
-        return mask | _SESSION_BITS[s.active], None
-    if type(s) not in _PERM_SLOTS:  # the only hosts of the other rules
+    cls = type(s)
+    if cls is ParBind:
+        return mask | _PARALLEL | _SESSION_BITS[s.active], None
+    if cls is Contract or cls is Underline:
+        return mask | _PARALLEL, ()
+    if cls not in _PERM_SLOTS:  # the only hosts of the other rules
         return mask, ()
     own = _local_redexes(s)
     if not own:
@@ -396,6 +448,36 @@ def _node_redex_facts(s: Term, kids: list) -> tuple[int, object]:
 
 def _redex_facts(t: Term) -> tuple[int, object]:
     return remembered(t, "redexes", _node_redex_facts)
+
+
+def is_simply_typed(t: Term) -> bool:
+    """No parallel nodes (and no stray marks) anywhere in t."""
+    return not _redex_facts(t)[0] & _PARALLEL
+
+
+def contains_active_session(t: Term) -> bool:
+    return bool(_redex_facts(t)[0] & _ACTIVE)
+
+
+def uppermost_active_sessions(t: Term) -> list[tuple[Path, ParBind]]:
+    """Active sessions with no active session inside, in preorder.
+
+    The walk enters only subtrees that hold an active session; a node that
+    holds one while none of its children does is such a session.
+    """
+    out: list[tuple[Path, ParBind]] = []
+    if not _redex_facts(t)[0] & _ACTIVE:
+        return out
+    todo = [((), t)]
+    while todo:
+        path, s = todo.pop()
+        cs = children(s)
+        inner = [i for i in range(len(cs)) if cs[i]._facts.redexes[0] & _ACTIVE]
+        if not inner:
+            out.append((path, s))
+        for i in reversed(inner):
+            todo.append((path + (i,), cs[i]))
+    return out
 
 
 def _own(s: Term, discipline: bool) -> tuple:
@@ -535,44 +617,34 @@ def redex_peaks(t: Term, discipline: bool = False) -> tuple[int, int, int, int]:
     PEAK_GROUPS, then among its CasePerm redexes; -1 where there is none.
 
     The same maxima as over find_redexes(t, discipline), from a subtree
-    fact each node remembers per discipline: it is filled bottom-up, on an
-    explicit stack, only for the nodes that lack it, and a subtree whose
-    kind mask is 0 is not entered. A session contributes its scanned own
-    redexes.
+    fact each node remembers per discipline (terms.remembered), which
+    enters only the children whose kind mask is not 0. A session
+    contributes its scanned own redexes.
     """
-    if not _redex_facts(t)[0]:
+    if not _redex_facts(t)[0] & _ALL_BITS:
         return _NO_PEAKS
-    d = 1 if discipline else 0
-    todo = [t]
-    while todo:
-        s = todo[-1]
-        if _known_peaks(s, d) is not None:
-            todo.pop()  # shared below two parents, done
-            continue
-        kids = [c for c in children(s) if c._facts.redexes[0]]
-        missing = [c for c in kids if _known_peaks(c, d) is None]
-        if missing:
-            todo.extend(missing)
-            continue
-        todo.pop()
-        top = list(_NO_PEAKS)
-        for _, r in _own(s, discipline):
-            k = _PEAK_SLOT[r.kind]
-            top[k] = max(top[k], r.complexity)
-            if r.kind is RedexKind.CASE_PERM:
-                top[_CASE_PERM_SLOT] = max(top[_CASE_PERM_SLOT], r.complexity)
-        for c in kids:
-            top = list(map(max, top, _known_peaks(c, d)))
-        f = s._facts
-        if f.peaks is None:
-            f.peaks = [None, None]
-        f.peaks[d] = tuple(top)
-    return t._facts.peaks[d]
+    return remembered(
+        t,
+        "disciplined_peaks" if discipline else "peaks",
+        lambda s, kids: _node_peaks(s, kids, discipline),
+        _with_redexes,
+    )
 
 
-def _known_peaks(s: Term, d: int) -> Optional[tuple]:
-    peaks = s._facts.peaks
-    return None if peaks is None else peaks[d]
+def _with_redexes(s: Term) -> list[Term]:
+    return [c for c in children(s) if c._facts.redexes[0] & _ALL_BITS]
+
+
+def _node_peaks(s: Term, kids: list[tuple], discipline: bool) -> tuple:
+    top = list(_NO_PEAKS)
+    for _, r in _own(s, discipline):
+        k = _PEAK_SLOT[r.kind]
+        top[k] = max(top[k], r.complexity)
+        if r.kind is RedexKind.CASE_PERM:
+            top[_CASE_PERM_SLOT] = max(top[_CASE_PERM_SLOT], r.complexity)
+    for peaks in kids:
+        top = list(map(max, top, peaks))
+    return tuple(top)
 
 
 def _local_redexes(s: Term) -> list[Redex]:
@@ -713,7 +785,7 @@ def multiple_subst(u: Term, ys: list[Var], v: Term) -> Term:
     n = len(ys)
     if n == 0:
         return u
-    want = tuple_type(tuple(y.ty for y in ys))
+    want = conj([y.ty for y in ys])
     got = type_of(v)
     if got != want:
         raise ValueError(f"multiple_subst: v has type {got}, the ys want {want}")
@@ -875,7 +947,7 @@ def _em_full_cross(s: ParBind, host: Term) -> Term:
     msg = occ.arg
     captured = _captured_vars(occ, msg)
     b = fresh_name("b", all_names(host))
-    b_ty = tuple_type(tuple(ty for _, ty in captured))
+    b_ty = conj([ty for _, ty in captured])
     ys = [Var(n, ty) for n, ty in captured]
 
     # sender keeps running, now telling b what it used to tell a
@@ -913,7 +985,7 @@ def _general_full_cross(s: ParBind, host: Term) -> Term:
     m = len(s.comps)
     occs = [_rightmost(s, z) for z in range(m)]
     captured = [_captured_vars(o, o.arg) for o in occs]
-    b_tys = [tuple_type(tuple(ty for _, ty in cap)) for cap in captured]
+    b_tys = [conj([ty for _, ty in cap]) for cap in captured]
 
     new_pairs = []
     for i in range(m):

@@ -34,14 +34,9 @@ from .rewrite import (
     pick_redex,
     redexes_at,
     step,
-)
-from .terms import (
-    ParBind,
-    Path,
-    Term,
-    subterm_at,
     uppermost_active_sessions,
 )
+from .terms import ParBind, Path, Term, subterm_at
 
 PHASE_PARALLEL = "ParallelForm"
 PHASE_INTUITIONISTIC = "Intuitionistic"

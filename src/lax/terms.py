@@ -18,19 +18,18 @@ Variable occurrences and channel occurrences carry the type the checker
 assigned to them (ty is None straight out of the parser). All engine code
 assumes elaborated terms, so a bottom-up type_of needs no environment.
 
-A node remembers facts in one record (Facts, facts(), remembered()) kept
-in a slot outside its dataclass fields, so equality, hashing, repr and
-replace() ignore them. Nodes are frozen and every change builds fresh
-nodes, so a remembered fact cannot go stale; a node shared by several
-terms, or sitting at several positions of one, has the same facts at each.
-Each node remembers whether its subtree holds a parallel node or mark and
-whether it holds an active session (is_simply_typed,
-contains_active_session, uppermost_active_sessions); rewrite adds each
-node's redexes and complexity peaks and its send summary, a map from each
-free channel to what the subtree sends on it, and typecheck the judgement
-of a state or of a subterm a step rewrote. rightmost_occurrence descends
-along the send summaries to a channel's rightmost occurrence, and a
-session's component remembers the answer per channel.
+A node remembers facts in one record (Facts, facts()) kept in a slot
+outside its dataclass fields, so equality, hashing, repr and replace()
+ignore them. Nodes are frozen and every change builds fresh nodes, so a
+remembered fact cannot go stale; a node shared by several terms, or
+sitting at several positions of one, has the same facts at each.
+remembered() is the one loop that fills a subtree fact: bottom-up, on an
+explicit stack, over the children a fact asks it to enter. This module
+defines no fact of its own. rewrite fills each node's redexes (whose mask
+also says whether the subtree is simply typed and holds an active
+session), its complexity peaks, its send summary and a component's
+rightmost occurrences; typecheck fills the judgement of a state or of a
+subterm a step rewrote.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from operator import attrgetter, is_
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .axioms import AxiomScheme
-from .formulas import Formula, Conj, TOP
+from .formulas import Formula
 
 
 class Term:
@@ -290,22 +289,25 @@ def term_size(t: Term) -> int:
 
 
 class Facts:
-    """What one node remembers, None until known: its subtree flags (see
-    is_simply_typed), its redex facts (see rewrite.find_redexes) and
-    complexity peaks (rewrite.redex_peaks), its send summary (sends: each
-    free channel mapped to rewrite's summary of the messages sent on it,
-    see rewrite.session_comm_complexity), the rightmost occurrence of each
-    channel asked of it as a component root (rightmost, see
-    rightmost_occurrence), and its type in one context (see
+    """What one node remembers, None until known: its redex facts, whose
+    mask also holds its subtree's structure (see rewrite.find_redexes and
+    rewrite.is_simply_typed), its complexity peaks without and with the
+    underline discipline (peaks, disciplined_peaks: rewrite.redex_peaks),
+    its send summary (sends: each free channel mapped to rewrite's summary
+    of the messages sent on it, see rewrite.session_comm_complexity), the
+    rightmost occurrence of each channel asked of it as a component root
+    (rightmost, see rewrite._rightmost), and its type in one context (see
     typecheck.check_subject_reduction).
 
     One record per node, in a slot of Term outside the dataclass fields.
     """
 
-    __slots__ = ("flags", "redexes", "peaks", "sends", "rightmost", "judgement")
+    __slots__ = (
+        "redexes", "peaks", "disciplined_peaks", "sends", "rightmost", "judgement"
+    )
 
     def __init__(self):
-        self.flags = self.redexes = self.peaks = self.sends = None
+        self.redexes = self.peaks = self.disciplined_peaks = self.sends = None
         self.rightmost = self.judgement = None
 
 
@@ -318,13 +320,18 @@ def facts(t: Term) -> Facts:
     return f
 
 
-def remembered(t: Term, key: str, compute: Callable[[Term, list], object]):
-    """The subtree fact key of t, where a node's fact is compute(node, its
-    children's facts).
+def remembered(
+    t: Term,
+    key: str,
+    compute: Callable[[Term, list], object],
+    enter: Callable[[Term], tuple | list] = children,
+):
+    """The subtree fact key of t, where a node's fact is compute(node, the
+    facts of the children enter(node) gives).
 
     The first time, compute runs bottom-up, on an explicit stack, on every
-    node below t that does not know the fact yet, and each keeps its value;
-    nodes that know it are not entered.
+    node below t that enter reaches and that does not know the fact yet,
+    and each keeps its value; nodes that know it are not entered.
     """
     f = getattr(t, "_facts", None)
     if f is not None and (known := getattr(f, key)) is not None:
@@ -333,24 +340,20 @@ def remembered(t: Term, key: str, compute: Callable[[Term, list], object]):
     todo = [t]
     while todo:
         s = todo[-1]
+        waiting = len(todo)
         kids = []
-        for c in children(s):
+        for c in enter(s):
             f = getattr(c, "_facts", None)
             v = None if f is None else get(f)
             if v is None:
-                break
-            kids.append(v)
-        else:
+                todo.append(c)  # the children first
+            else:
+                kids.append(v)
+        if len(todo) == waiting:
             todo.pop()
             f = facts(s)
             if get(f) is None:  # else shared below two parents, done
                 setattr(f, key, compute(s, kids))
-            continue
-        # the children first
-        todo.extend(
-            c for c in children(s)
-            if (f := getattr(c, "_facts", None)) is None or get(f) is None
-        )
     return get(t._facts)
 
 
@@ -436,47 +439,6 @@ def chan_occurrences(comp: Term, name: str) -> list[Occurrence]:
                 inner = above.union(vs, chs)
             todo.append((cs[i], path + (i,), inner))
     return out
-
-
-def rightmost_occurrence(body: Term, name: str) -> Occurrence:
-    """chan_occurrences(body, name)[-1], for a channel name free in body,
-    whose send summary (Facts.sends) is known.
-
-    A descent from body: at each node it takes the last child in which name
-    is free, which its send summary says, and gathers the names bound on
-    the way, so it costs O(depth x arity). It stops at a bare occurrence,
-    or at an application of name whose argument does not mention name.
-    body remembers the answer per channel.
-    """
-    f = body._facts
-    known = f.rightmost
-    if known is None:
-        known = f.rightmost = {}
-    occ = known.get(name)
-    if occ is not None:
-        return occ
-    path: list[int] = []
-    above: frozenset[str] = frozenset()
-    t = body
-    while True:
-        cls = type(t)
-        if cls is Chan:
-            occ = Occurrence(None, t.negated, None, above)
-            break
-        if (cls is App and type(t.fun) is Chan and t.fun.name == name
-                and name not in t.arg._facts.sends):
-            occ = Occurrence(tuple(path), t.fun.negated, t.arg, above)
-            break
-        cs = children(t)
-        i = len(cs) - 1
-        while name not in cs[i]._facts.sends:
-            i -= 1
-        if cls in _BINDERS:
-            above = above.union(*binder_names(t, i))
-        path.append(i)
-        t = cs[i]
-    known[name] = occ
-    return occ
 
 
 def free_occurrences(t: Term) -> tuple[dict[str, Var], dict[str, Chan]]:
@@ -627,15 +589,6 @@ def build_tuple(ts: tuple[Term, ...]) -> Term:
     return acc
 
 
-def tuple_type(tys: tuple[Formula, ...]) -> Formula:
-    if not tys:
-        return TOP
-    acc = tys[-1]
-    for a in reversed(tys[:-1]):
-        acc = Conj(a, acc)
-    return acc
-
-
 def decompose_stack(t: Term) -> tuple[Term, tuple[Term, ...]]:
     """Maximal spine walk: head plus the stack applied to it, innermost first.
 
@@ -678,56 +631,6 @@ def comp_marked(c: Term) -> bool:
 
 def is_parallel_node(t: Term) -> bool:
     return isinstance(t, (ParBind, Contract))
-
-
-# the subtree flags each node remembers
-_PARALLEL = 1  # a parallel node or a component mark
-_ACTIVE = 2  # an active session
-
-
-def _node_flags(s: Term, kids: list[int]) -> int:
-    f = 0
-    for k in kids:
-        f |= k
-    if isinstance(s, (ParBind, Contract, Underline)):
-        f |= _PARALLEL
-        if isinstance(s, ParBind) and s.active:
-            f |= _ACTIVE
-    return f
-
-
-def _flags(t: Term) -> int:
-    return remembered(t, "flags", _node_flags)
-
-
-def is_simply_typed(t: Term) -> bool:
-    """No parallel nodes (and no stray marks) anywhere in t."""
-    return not _flags(t) & _PARALLEL
-
-
-def contains_active_session(t: Term) -> bool:
-    return bool(_flags(t) & _ACTIVE)
-
-
-def uppermost_active_sessions(t: Term) -> list[tuple[Path, ParBind]]:
-    """Active sessions with no active session inside, in preorder.
-
-    The walk enters only subtrees that hold an active session; a node that
-    holds one while none of its children does is such a session.
-    """
-    out: list[tuple[Path, ParBind]] = []
-    if not _flags(t) & _ACTIVE:
-        return out
-    todo = [((), t)]
-    while todo:
-        path, s = todo.pop()
-        cs = children(s)
-        inner = [i for i in range(len(cs)) if cs[i]._facts.flags & _ACTIVE]
-        if not inner:
-            out.append((path, s))
-        for i in reversed(inner):
-            todo.append((path + (i,), cs[i]))
-    return out
 
 
 # ---------------------------------------------------------------------------

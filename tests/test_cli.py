@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lax import GenConfig, generate_corpus, normalize
 from lax.cli import main
 
 GOOD = """
@@ -90,6 +91,32 @@ def test_a_file_that_is_not_utf8_is_an_error_event_in_json(not_utf8, command, ca
     else:
         assert payload["event"] == "error"
     assert "not UTF-8" in payload["error"] and captured.err == ""
+
+
+# digits that str.isdigit accepts but int() rejects
+NOT_DECIMAL = ["\u00b2", "\u2778", "\u2460"]
+
+
+@pytest.mark.parametrize("digit", NOT_DECIMAL)
+@pytest.mark.parametrize("command", ["check", "normalize"])
+def test_a_digit_that_is_not_decimal_is_a_syntax_error(prog, digit, command, capsys):
+    path = prog(f"free f : A ;\nnu a : EMN[A;{digit}]. [f || f]\n")
+    assert main([command, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"error: 2:14: unexpected character {digit!r}\n"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("digit", NOT_DECIMAL)
+@pytest.mark.parametrize("command", ["check", "normalize"])
+def test_a_digit_that_is_not_decimal_is_an_error_in_json(prog, digit, command, capsys):
+    path = prog(f"free f : A ;\nnu a : EMN[A;{digit}]. [f || f]\n")
+    assert main([command, path, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.out.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == f"2:14: unexpected character {digit!r}"
+    assert captured.err == ""
 
 
 def test_normalize_pretty_trace(prog, capsys):
@@ -196,6 +223,21 @@ def test_fuzz_small_batch(capsys):
     stats = lines[-1]
     assert stats["terms"] == 10
     assert stats["violations"] == 0
+
+
+def test_fuzz_counts_phases_in_the_order_they_first_fire(capsys):
+    argv = ["fuzz", "--seed", "3", "--count", "30", "--axiom", "em"]
+    steps = [
+        s.phase
+        for _, t in generate_corpus(3, 30, GenConfig(preset="em", max_size=40))
+        for s in normalize(t)[1].steps
+    ]
+    want = {p: steps.count(p) for p in dict.fromkeys(steps)}
+    assert main(argv) == 0
+    assert f"phases {want}," in capsys.readouterr().out
+    assert main(argv + ["--format", "json"]) == 0
+    stats = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert stats["phase_counts"] == want and stats["total_steps"] == len(steps)
 
 
 def test_fuzz_without_sessions(capsys):

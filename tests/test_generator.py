@@ -19,7 +19,8 @@ from lax import (
     infer_type,
     term_size,
 )
-from lax.terms import children, is_simply_typed, iter_subterms
+from lax.rewrite import is_simply_typed
+from lax.terms import children, iter_subterms
 
 PRESETS = ["em", "em3", "c3", "g2", "godel"]
 

@@ -41,35 +41,45 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
-def _referenced(node: ast.AST) -> set[str]:
-    """Names node reads, as a bare name, an attribute, or an import."""
-    out = set()
+def _referenced(node: ast.AST) -> tuple[set[str], set[str]]:
+    """(names node reads bare, names it reads as an attribute or imports)."""
+    bare, qualified = set(), set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            bare.add(n.id)
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            qualified.add(n.attr)
         elif isinstance(n, ast.alias):
-            out.add(n.name)
-    return out
+            qualified.add(n.name)
+    return bare, qualified
 
 
 def _unused_definitions(paths: list[Path]) -> list[str]:
     """Module-level functions and classes that no module references outside
-    their own body (a recursive call does not keep one alive)."""
+    their own body (a recursive call does not keep one alive).
+
+    A bare name counts only in the module that defines it: elsewhere it is
+    a local of the same spelling. Another module must import the name or
+    read it as an attribute.
+    """
     defined: dict[tuple[str, str], int] = {}
-    users: dict[str, set[tuple[str, str | None]]] = {}
+    # name -> (module, owner, bare) of each top-level statement reading it
+    users: dict[str, set[tuple[str, str | None, bool]]] = {}
     for path in paths:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = node.name if isinstance(node, _DEFINITIONS) else None
             if owner is not None:
                 defined[(path.name, owner)] = node.lineno
-            for name in _referenced(node):
-                users.setdefault(name, set()).add((path.name, owner))
+            for bare, names in zip((True, False), _referenced(node)):
+                for name in names:
+                    users.setdefault(name, set()).add((path.name, owner, bare))
     return [
         f"{module}:{line}: {name}"
         for (module, name), line in defined.items()
-        if not users.get(name, set()) - {(module, name)}
+        if not any(
+            (m, owner) != (module, name) and (m == module or not bare)
+            for m, owner, bare in users.get(name, ())
+        )
     ]
 
 
@@ -85,3 +95,12 @@ def test_the_definition_scan_sees_a_helper_only_its_own_body_calls(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import Kept\n")
     assert _unused_definitions(sorted(tmp_path.glob("*.py"))) == ["a.py:4: orphan"]
+
+
+def test_the_definition_scan_ignores_a_local_of_the_same_name_elsewhere(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def conj(fs):\n    return fs\n\n"
+        "def used():\n    return 1\n"
+    )
+    (tmp_path / "b.py").write_text("from . import a\n\nconj = a.used()\nprint(conj)\n")
+    assert _unused_definitions(sorted(tmp_path.glob("*.py"))) == ["a.py:1: conj"]

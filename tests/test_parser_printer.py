@@ -104,6 +104,15 @@ def test_error_carries_line_and_column():
         raise AssertionError("expected a syntax error")
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u2778", "\u2460"])
+def test_only_decimal_digits_lex_as_integers(digit):
+    with pytest.raises(LaxSyntaxError, match="unexpected character") as e:
+        parse_program(f"free f : A;\nnu a : EMN[A;1{digit}]. [f || f]\n")
+    assert (e.value.line, e.value.col) == (2, 15)
+    # a decimal digit of another script is an integer all the same
+    parse_program("free f : A;\nnu a : EMN[A;\u0663]. [f || f]\n")
+
+
 BARE_GENERAL = "free va : A;\nfree vb : B;\nnu a : AX{A -> B, B -> A}. [a va || a]\n"
 
 

@@ -49,6 +49,8 @@ from lax.rewrite import (
     Redex,
     _rightmost,
     _sends,
+    contains_active_session,
+    is_simply_typed,
     pick_redex,
     redex_peaks,
 )
@@ -56,12 +58,10 @@ from lax.terms import (
     chan_occurrences,
     comp_body,
     comp_marked,
-    contains_active_session,
     facts,
     free_chans,
     free_names,
     is_parallel_node,
-    is_simply_typed,
     iter_subterms,
     rename_chan,
     subterm_at,
@@ -860,6 +860,27 @@ def test_general_basic_cross_feeds_the_receiver_and_keeps_the_sender():
     assert _eq(out01, "nu a* : AX{A -> B, B -> A}. [ f (a x) || g x ]", gamma)
     out10 = _step_rule(t, "BasicCross(1,0)")
     assert _eq(out10, "nu a* : AX{A -> B, B -> A}. [ f y || g (a y) ]", gamma)
+
+
+def test_the_rightmost_occurrence_is_under_the_last_child_that_holds_it():
+    """Each component applies the channel twice, under the two children of
+    one application, so a descent into the first child finds the wrong
+    occurrence and ships the wrong message."""
+    gamma = {"k": Impl(B, Impl(B, C)), "m": Impl(A, Impl(A, C)),
+             "x1": A, "x2": A, "y1": B, "y2": B}
+    src = "nu a* : AX{A -> B, B -> A}. [ k (a x1) (a x2) || m (a y1) (a y2) ]"
+    t = _typed(src, gamma)
+    for u in (fresh_copy(t), t):
+        for i, last in enumerate(("x2", "y2")):
+            occ = _rightmost(u, i)
+            assert occ == chan_occurrences(comp_body(u.comps[i]), "a")[-1]
+            assert occ.app_path == (1,) and occ.arg.name == last
+    out01 = _step_rule(t, "BasicCross(0,1)")
+    want = "nu a* : AX{A -> B, B -> A}. [ k (a x1) (a x2) || m (a y1) x2 ]"
+    assert _eq(out01, want, gamma)
+    out10 = _step_rule(t, "BasicCross(1,0)")
+    want = "nu a* : AX{A -> B, B -> A}. [ k (a x1) y2 || m (a y1) (a y2) ]"
+    assert _eq(out10, want, gamma)
 
 
 def test_full_cross_mints_a_channel_for_the_captured_variables():

@@ -25,9 +25,13 @@ from lax import (
     parse_term,
     step,
 )
-from lax.rewrite import INTUITIONISTIC, find_redexes, pick_redex
+from lax.rewrite import (
+    INTUITIONISTIC,
+    find_redexes,
+    pick_redex,
+    uppermost_active_sessions,
+)
 from lax.strategy import _intuitionistic, _parallel_form, _Run
-from lax.terms import uppermost_active_sessions
 
 from oracles import (
     find_redexes_oracle,

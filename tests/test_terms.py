@@ -39,15 +39,18 @@ from lax import (
     term_size,
 )
 from lax import terms
+from lax.rewrite import (
+    contains_active_session,
+    is_simply_typed,
+    uppermost_active_sessions,
+)
 from lax.terms import (
     TT,
     all_names,
     binder_names,
     children,
-    contains_active_session,
     facts,
     fresh_name,
-    is_simply_typed,
     iter_subterms,
     rebind,
     replace_at,
@@ -56,7 +59,6 @@ from lax.terms import (
     subst,
     subst_chan_bare,
     subterm_at,
-    uppermost_active_sessions,
     with_children,
 )
 
