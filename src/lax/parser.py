@@ -234,9 +234,13 @@ class _Parser:
                 ntok = self.peek()
                 if ntok.kind != "int":
                     self.err("expected a receiver count")
+                try:
+                    fanout = int(ntok.text)
+                except ValueError:  # more digits than int() converts
+                    self.err("receiver count too large")
                 self.advance()
                 self.eat("]")
-                return broadcast_axiom(f, int(ntok.text))
+                return broadcast_axiom(f, fanout)
             if t.text == "C":
                 self.advance()
                 self.eat("[")

@@ -451,7 +451,8 @@ def _redex_facts(t: Term) -> tuple[int, object]:
 
 
 def is_simply_typed(t: Term) -> bool:
-    """No parallel nodes (and no stray marks) anywhere in t."""
+    """No parallel nodes (and no stray marks) anywhere in t. The answer is
+    read off t's redex facts, so t must be elaborated."""
     return not _redex_facts(t)[0] & _PARALLEL
 
 

@@ -113,6 +113,12 @@ def test_only_decimal_digits_lex_as_integers(digit):
     parse_program("free f : A;\nnu a : EMN[A;\u0663]. [f || f]\n")
 
 
+def test_a_receiver_count_too_long_for_int_is_a_syntax_error():
+    with pytest.raises(LaxSyntaxError, match="receiver count too large") as e:
+        parse_program("free f : A;\nnu a : EMN[A;" + "1" * 5000 + "]. [f || f]\n")
+    assert (e.value.line, e.value.col) == (2, 14)
+
+
 BARE_GENERAL = "free va : A;\nfree vb : B;\nnu a : AX{A -> B, B -> A}. [a va || a]\n"
 
 
