@@ -16,12 +16,18 @@ lambda-bound `nota` stays an ordinary variable).
 Program files may open with `free NAME : FORMULA ;` declarations and may
 contain `#` line comments. Identifiers that are neither bound nor declared
 free are rejected.
+
+The parser is hygienic in the same pass: a binder (lambda or case variable,
+nu channel) whose name is declared free or already taken by a binder opened
+before it takes fresh_name instead, and the occurrences it binds are read as
+that name. So no binder shadows a free name and binders are pairwise
+distinct, which makes substitution renaming almost never fire.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from operator import is_
 
 from .axioms import (
     AxiomScheme,
@@ -48,13 +54,8 @@ from .terms import (
     TT,
     Underline,
     Var,
-    binder,
     chan_occurrences,
-    children,
-    free_names,
     fresh_name,
-    rebind,
-    with_children,
 )
 
 
@@ -75,60 +76,47 @@ _SYMBOLS = [
     ",", ".", ":", ";", "|", "~", "\\", "@", "*", "!",
 ]
 
+# (kind, text, line, col): kind is ident, int, sym or eof, and the eof
+# token's text is empty
+Token = tuple[str, str, int, int]
 
-@dataclass
-class _Tok:
-    kind: str  # ident | int | sym | eof
-    text: str
-    line: int
-    col: int
+# One match per token, after the blanks and the comment before it. Taken
+# greedily, they always leave a branch that matches, so no part of them is
+# read again as a token and every match ends where the next begins: what no
+# other branch takes is one `bad` character, and an input with nothing left
+# matches `eof`, empty. [^\W\d] also admits numerals that are not letters
+# (², ½); _lex rejects those, since an identifier starts where
+# str.isalpha() or _ holds.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:\#[^\n]*)?"
+    r"(?:(?P<nl>\n)|(?P<int>\d+)|(?P<ident>[^\W\d][\w']*)"
+    r"|(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + r")"
+    r"|(?P<bad>.)|(?P<eof>\Z))",
+    re.S,
+)
 
 
-def _lex(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+def _lex(text: str) -> list[Token]:
+    toks = []
+    line, bol = 1, 0  # bol: where the current line begins
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "nl":
             line += 1
-            col = 1
+            bol = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            toks.append(_Tok("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            toks.append(_Tok("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(_Tok("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise LaxSyntaxError(f"unexpected character {c!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
-    return toks
+        word = m[kind]
+        start = m.start(kind)
+        if kind == "bad" or kind == "ident" and not (word[0].isalpha() or word[0] == "_"):
+            raise LaxSyntaxError(f"unexpected character {word[0]!r}", line, start - bol + 1)
+        if kind == "eof":
+            # a comment ending the input leaves eof at the column of its #
+            hash_at = text.find("#", m.start())
+            if hash_at >= 0:
+                start = hash_at
+            toks.append((kind, word, line, start - bol + 1))
+            return toks
+        toks.append((kind, word, line, start - bol + 1))
 
 
 class _Parser:
@@ -136,35 +124,54 @@ class _Parser:
         self.toks = _lex(text)
         self.i = 0
         self.free_names = set(free_names) if free_names else set()
-        # innermost scope last; entries: name -> ("var",) | ("chan", mode, active)
-        self.scopes: list[dict[str, tuple]] = []
+        # every name a binder has taken, and the declared free names
+        self.used = set(self.free_names)
+        # innermost binder last: (source name, fresh name, the axiom mode of
+        # a channel or None for a variable, whether the session is active)
+        self.scopes: list[tuple[str, str, str | None, bool]] = []
 
-    def peek(self) -> _Tok:
+    def peek(self) -> Token:
         return self.toks[self.i]
 
-    def advance(self) -> _Tok:
+    def advance(self) -> Token:
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def err(self, msg: str, tok: _Tok | None = None):
-        tok = tok or self.peek()
-        raise LaxSyntaxError(msg, tok.line, tok.col)
+    def err(self, msg: str, tok: Token | None = None):
+        _, _, line, col = tok or self.peek()
+        raise LaxSyntaxError(msg, line, col)
 
-    def eat(self, text: str) -> _Tok:
-        t = self.peek()
-        if t.text != text or t.kind == "eof":
-            self.err(f"expected {text!r}, found {t.text!r}")
-        return self.advance()
+    def eat(self, text: str) -> Token:
+        t = self.toks[self.i]
+        if t[1] != text:
+            self.err(f"expected {text!r}, found {t[1]!r}")
+        self.i += 1
+        return t
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+        return self.toks[self.i][1] == text
 
-    def eat_ident(self) -> _Tok:
-        t = self.peek()
-        if t.kind != "ident" or t.text in KEYWORDS:
-            self.err(f"expected an identifier, found {t.text!r}")
-        return self.advance()
+    def eat_ident(self) -> Token:
+        t = self.toks[self.i]
+        if t[0] != "ident" or t[1] in KEYWORDS:
+            self.err(f"expected an identifier, found {t[1]!r}")
+        self.i += 1
+        return t
+
+    def finish(self, result):
+        """result, once the whole input has been read."""
+        if self.peek()[0] != "eof":
+            self.err(f"trailing input {self.peek()[1]!r}")
+        return result
+
+    def bind(self, name: str, mode: str | None = None, active: bool = False) -> str:
+        """Open the scope of a binder of name; the name it takes is fresh for
+        the declared free names and every binder opened before it."""
+        new = fresh_name(name, self.used)
+        self.used.add(new)
+        self.scopes.append((name, new, mode, active))
+        return new
 
     # ---- formulas ------------------------------------------------------
 
@@ -196,52 +203,53 @@ class _Parser:
         return self.f_atom()
 
     def f_atom(self) -> Formula:
-        t = self.peek()
-        if t.text == "(":
+        kind, text, _, _ = self.peek()
+        if text == "(":
             self.advance()
             f = self.formula()
             self.eat(")")
             return f
-        if t.kind == "ident":
-            if t.text == "Top":
+        if kind == "ident":
+            if text == "Top":
                 self.advance()
                 return TOP
-            if t.text == "Bot":
+            if text == "Bot":
                 self.advance()
                 return BOT
-            if t.text in KEYWORDS:
-                self.err(f"{t.text!r} is reserved")
+            if text in KEYWORDS:
+                self.err(f"{text!r} is reserved")
             self.advance()
-            return Atom(t.text)
-        self.err(f"expected a formula, found {t.text!r}")
+            return Atom(text)
+        self.err(f"expected a formula, found {text!r}")
 
     # ---- axiom literals ------------------------------------------------
 
     def axiom(self) -> AxiomScheme:
         t = self.peek()
+        text = t[1]
         try:
-            if t.text == "EM":
+            if text == "EM":
                 self.advance()
                 self.eat("[")
                 f = self.formula()
                 self.eat("]")
                 return em_axiom(f)
-            if t.text == "EMN":
+            if text == "EMN":
                 self.advance()
                 self.eat("[")
                 f = self.formula()
                 self.eat(";")
-                ntok = self.peek()
-                if ntok.kind != "int":
+                kind, count, _, _ = self.peek()
+                if kind != "int":
                     self.err("expected a receiver count")
                 try:
-                    fanout = int(ntok.text)
+                    fanout = int(count)
                 except ValueError:  # more digits than int() converts
                     self.err("receiver count too large")
                 self.advance()
                 self.eat("]")
                 return broadcast_axiom(f, fanout)
-            if t.text == "C":
+            if text == "C":
                 self.advance()
                 self.eat("[")
                 atoms = [self.f_atom()]
@@ -250,7 +258,7 @@ class _Parser:
                     atoms.append(self.f_atom())
                 self.eat("]")
                 return cyclic_axiom(atoms)
-            if t.text == "G":
+            if text == "G":
                 self.advance()
                 self.eat("[")
                 a = self.f_atom()
@@ -258,7 +266,7 @@ class _Parser:
                 b = self.f_atom()
                 self.eat("]")
                 return goedel_axiom(a, b)
-            if t.text == "AX":
+            if text == "AX":
                 self.advance()
                 derived = False
                 if self.at("!"):
@@ -273,7 +281,7 @@ class _Parser:
                 return general_axiom(tuple(comps), derived=derived)
         except AxiomValidationError as e:
             self.err(str(e), t)
-        self.err(f"expected an axiom literal, found {t.text!r}")
+        self.err(f"expected an axiom literal, found {text!r}")
 
     def _axiom_component(self) -> tuple[Formula, Formula]:
         tok = self.peek()
@@ -284,28 +292,25 @@ class _Parser:
 
     # ---- terms ---------------------------------------------------------
 
-    def resolve(self, name: str, tok: _Tok) -> Term:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                entry = scope[name]
-                if entry[0] == "var":
-                    return Var(name)
-                _, mode, active = entry
-                return Chan(name, None, active, False)
+    def resolve(self, tok: Token) -> Term:
+        name = tok[1]
+        for source, new, mode, active in reversed(self.scopes):
+            if source == name:
+                if mode is None:
+                    return Var(new)
+                return Chan(new, None, active, False)
         if name.startswith("not") and len(name) > 3:
             base = name[3:]
-            for scope in reversed(self.scopes):
-                if base in scope:
-                    entry = scope[base]
-                    if entry[0] == "chan":
-                        _, mode, active = entry
-                        if mode == "general":
-                            self.err(
-                                f"channel {base!r} has no sender polarity "
-                                "(general axiom)", tok,
-                            )
-                        return Chan(base, None, active, True)
-                    break
+            for source, new, mode, active in reversed(self.scopes):
+                if source == base:
+                    if mode is None:
+                        break
+                    if mode == "general":
+                        self.err(
+                            f"channel {base!r} has no sender polarity "
+                            "(general axiom)", tok,
+                        )
+                    return Chan(new, None, active, True)
         if name in self.free_names:
             return Var(name)
         self.err(f"unbound identifier {name!r}", tok)
@@ -313,14 +318,14 @@ class _Parser:
     def term(self) -> Term:
         if self.at("\\"):
             self.advance()
-            v = self.eat_ident()
+            v = self.eat_ident()[1]
             self.eat(":")
             ann = self.formula()
             self.eat(".")
-            self.scopes.append({v.text: ("var",)})
+            name = self.bind(v)
             body = self.term()
             self.scopes.pop()
-            return Lam(v.text, ann, body)
+            return Lam(name, ann, body)
         return self.contract()
 
     def contract(self) -> Term:
@@ -335,12 +340,12 @@ class _Parser:
     def juxt(self) -> Term:
         t = self.primary()
         while True:
-            nxt = self.peek()
-            if nxt.text in ("pi0", "pi1") and nxt.kind == "ident":
+            kind, text, _, _ = self.peek()
+            if text == "pi0" or text == "pi1":
                 self.advance()
-                t = Proj(t, 0 if nxt.text == "pi0" else 1)
-            elif nxt.text in self._PRIMARY_STARTS or (
-                nxt.kind == "ident" and nxt.text not in KEYWORDS
+                t = Proj(t, 0 if text == "pi0" else 1)
+            elif text in self._PRIMARY_STARTS or (
+                kind == "ident" and text not in KEYWORDS
             ):
                 t = App(t, self.primary())
             else:
@@ -348,12 +353,13 @@ class _Parser:
 
     def primary(self) -> Term:
         t = self.peek()
-        if t.text == "(":
+        text = t[1]
+        if text == "(":
             self.advance()
             inner = self.term()
             self.eat(")")
             return inner
-        if t.text == "<":
+        if text == "<":
             self.advance()
             parts = [self.term()]
             while self.at(","):
@@ -366,10 +372,10 @@ class _Parser:
             for u in reversed(parts[:-1]):
                 acc = Pair(u, acc)
             return acc
-        if t.text == "tt":
+        if text == "tt":
             self.advance()
             return TT
-        if t.text in ("inj0", "inj1"):
+        if text == "inj0" or text == "inj1":
             self.advance()
             self.eat("[")
             disj = self.formula()
@@ -377,8 +383,8 @@ class _Parser:
             self.eat("(")
             arg = self.term()
             self.eat(")")
-            return Inj(0 if t.text == "inj0" else 1, disj, arg)
-        if t.text == "efq":
+            return Inj(0 if text == "inj0" else 1, disj, arg)
+        if text == "efq":
             self.advance()
             self.eat("[")
             target = self.formula()
@@ -387,27 +393,27 @@ class _Parser:
             arg = self.term()
             self.eat(")")
             return Efq(arg, target)
-        if t.text == "case":
+        if text == "case":
             self.advance()
             scrut = self.term()
             self.eat("of")
             self.eat("{")
-            lv = self.eat_ident()
+            lv = self.eat_ident()[1]
             self.eat(".")
-            self.scopes.append({lv.text: ("var",)})
+            lv = self.bind(lv)
             lbody = self.term()
             self.scopes.pop()
             self.eat("|")
-            rv = self.eat_ident()
+            rv = self.eat_ident()[1]
             self.eat(".")
-            self.scopes.append({rv.text: ("var",)})
+            rv = self.bind(rv)
             rbody = self.term()
             self.scopes.pop()
             self.eat("}")
-            return Case(scrut, lv.text, lbody, rv.text, rbody)
-        if t.text == "nu":
+            return Case(scrut, lv, lbody, rv, rbody)
+        if text == "nu":
             self.advance()
-            name = self.eat_ident()
+            source = self.eat_ident()[1]
             active = False
             if self.at("*"):
                 self.advance()
@@ -416,7 +422,7 @@ class _Parser:
             ax = self.axiom()
             self.eat(".")
             self.eat("[")
-            self.scopes.append({name.text: ("chan", ax.mode, active)})
+            name = self.bind(source, ax.mode, active)
             comps = [self._component()]
             while self.at("||"):
                 self.advance()
@@ -425,88 +431,50 @@ class _Parser:
             self.eat("]")
             if len(comps) < 2:
                 self.err("a session needs at least two components", t)
-            bind = ParBind(name.text, active, ax, tuple(comps))
-            self._check_channel_applied(bind, t)
+            bind = ParBind(name, active, ax, tuple(comps))
+            self._check_channel_applied(bind, source, t)
             return bind
-        if t.kind == "ident":
+        if t[0] == "ident":
             self.advance()
-            return self.resolve(t.text, t)
-        self.err(f"expected a term, found {t.text!r}")
+            return self.resolve(t)
+        self.err(f"expected a term, found {text!r}")
 
     def _component(self) -> Term:
+        # components are full terms; the brackets delimit them
         if self.at("@"):
             self.advance()
-            return Underline(self.juxt_or_term())
-        return self.juxt_or_term()
-
-    def juxt_or_term(self) -> Term:
-        # components are full terms; the brackets delimit them
+            return Underline(self.term())
         return self.term()
 
-    def _check_channel_applied(self, bind: ParBind, tok: _Tok) -> None:
-        """Bare occurrences are only legal for EM/broadcast receivers."""
+    def _check_channel_applied(
+        self, bind: ParBind, source: str, tok: Token
+    ) -> None:
+        """Bare occurrences are only legal for EM/broadcast receivers; source
+        is the channel's name in the input."""
         if bind.axiom.mode == "general" and any(
             occ.app_path is None
             for comp in bind.comps
             for occ in chan_occurrences(comp, bind.chan)
         ):
             self.err(
-                f"channel {bind.chan!r} cannot occur alone; "
+                f"channel {source!r} cannot occur alone; "
                 "apply it to an argument", tok,
             )
 
 
-# ---------------------------------------------------------------------------
-# hygiene: after parsing, bound names never shadow free names, and binders
-# are pairwise distinct (makes substitution renaming almost never fire)
-
-def _hygiene(t: Term, used: set[str]) -> Term:
-    cs = children(t)
-    new = []
-    handled = set()  # a nu's binder is over every component; rename it once
-    for i in range(len(cs)):
-        b = binder(t, i)
-        if b is not None and b not in handled:
-            handled.add(b)
-            name = getattr(t, b[0])
-            if name in used:
-                name = fresh_name(name, used)
-                t = rebind(t, i, name)
-                cs = children(t)
-            used.add(name)
-        new.append(_hygiene(cs[i], used))
-    if all(map(is_, new, cs)):
-        return t
-    return with_children(t, tuple(new))
-
-
 def parse_formula(text: str) -> Formula:
     p = _Parser(text, None)
-    f = p.formula()
-    if p.peek().kind != "eof":
-        p.err(f"trailing input {p.peek().text!r}")
-    return f
+    return p.finish(p.formula())
 
 
 def parse_axiom(text: str) -> AxiomScheme:
     p = _Parser(text, None)
-    ax = p.axiom()
-    if p.peek().kind != "eof":
-        p.err(f"trailing input {p.peek().text!r}")
-    return ax
-
-
-def _hygienic_term(p: _Parser) -> Term:
-    """The term that runs to the end of p's input, renamed so that no binder
-    shadows a free name of the term or a name p declares free."""
-    t = p.term()
-    if p.peek().kind != "eof":
-        p.err(f"trailing input {p.peek().text!r}")
-    return _hygiene(t, p.free_names.union(*free_names(t)))
+    return p.finish(p.axiom())
 
 
 def parse_term(text: str, free_names: dict[str, Formula] | set[str] | None = None) -> Term:
-    return _hygienic_term(_Parser(text, free_names))
+    p = _Parser(text, free_names)
+    return p.finish(p.term())
 
 
 @dataclass(frozen=True)
@@ -522,10 +490,11 @@ def parse_program(text: str) -> Program:
     while p.at("free"):
         p.advance()
         name = p.eat_ident()
-        if name.text in gamma:
-            p.err(f"duplicate free declaration {name.text!r}", name)
+        if name[1] in gamma:
+            p.err(f"duplicate free declaration {name[1]!r}", name)
         p.eat(":")
-        gamma[name.text] = p.formula()
+        gamma[name[1]] = p.formula()
         p.eat(";")
     p.free_names = set(gamma)
-    return Program(gamma, _hygienic_term(p))
+    p.used = set(gamma)
+    return Program(gamma, p.finish(p.term()))

@@ -888,12 +888,20 @@ def _case_perm(s: Term, host: Term) -> Term:
 def _freshen(t: Term, other: Term, host: Term) -> Term:
     """Rename each binder of t that other, which moves under it, mentions
     free: the side condition of the permutations ("a not in w" for the
-    parallel ones)."""
-    fv, fc = free_names(other)
+    parallel ones). The names of other and of host are collected only when
+    first needed, host's once: renaming adds no name the next binder could
+    clash with, as each new name is fresh for host, which holds other."""
+    fv = fc = used = None
     for i in range(len(children(t))):
         vs, chs = binder_names(t, i)
+        if not (vs or chs):
+            continue
+        if fv is None:
+            fv, fc = free_names(other)
         if not (fv.isdisjoint(vs) and fc.isdisjoint(chs)):
-            t = rebind(t, i, fresh_name((vs + chs)[0], all_names(host)))
+            if used is None:
+                used = all_names(host)
+            t = rebind(t, i, fresh_name((vs + chs)[0], used))
     return t
 
 

@@ -27,6 +27,7 @@ from lax import (
     Impl,
     Inj,
     Lam,
+    LaxSyntaxError,
     Pair,
     ParBind,
     Proj,
@@ -629,3 +630,65 @@ def is_tautology_oracle(components) -> bool:
     for f, g in components:
         out |= _column(Impl(f, g), cols, full)
     return out == full
+
+
+# ---------------------------------------------------------------------------
+# tokens, by a character loop
+#
+# The engine lexes with one compiled pattern; here each character is looked
+# at in turn, with str's own classification of letters and digits.
+
+_SYMBOLS = [  # longest first so |+| wins over || wins over |
+    "|+|", "||", "->", "/\\", "\\/",
+    "(", ")", "[", "]", "{", "}", "<", ">",
+    ",", ".", ":", ";", "|", "~", "\\", "@", "*", "!",
+]
+
+
+def lex_oracle(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, col) of each token, ending with ("eof", "", line,
+    col); a `#` comment does not advance the column."""
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            toks.append(("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            toks.append(("int", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for sym in _SYMBOLS:
+            if text.startswith(sym, i):
+                toks.append(("sym", sym, line, col))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            raise LaxSyntaxError(f"unexpected character {c!r}", line, col)
+    toks.append(("eof", "", line, col))
+    return toks

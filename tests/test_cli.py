@@ -50,6 +50,18 @@ def test_check_json(prog, capsys):
     assert payload["type"] == "A"
 
 
+# three binders where the parser renames the middle one onto x0: the body
+# must stay the middle variable, of type B
+SHADOWED = "\\x:A. \\x:B. \\x0:C. x\n"
+
+
+def test_check_types_a_renamed_binder_by_its_own_variable(prog, capsys):
+    assert main(["check", prog(SHADOWED)]) == 0
+    assert capsys.readouterr().out.strip() == "ok: A -> B -> C -> B"
+    assert main(["check", prog(SHADOWED), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["type"] == "A -> B -> C -> B"
+
+
 def test_check_rejects_ill_typed(prog, capsys):
     assert main(["check", prog(ILL_TYPED)]) == 1
     assert "expected" in capsys.readouterr().out

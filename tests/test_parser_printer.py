@@ -1,5 +1,9 @@
 """Surface syntax round-trips and error reporting."""
 
+import json
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,13 +24,16 @@ from lax import (
     Unit,
     Var,
     alpha_eq,
+    em_axiom,
     generate,
     parse_program,
     parse_term,
     show_term,
 )
 from lax.cli import main
+from lax.parser import _lex
 from lax.terms import Chan
+from oracles import lex_oracle
 
 A, B = Atom("A"), Atom("B")
 
@@ -113,6 +120,58 @@ def test_only_decimal_digits_lex_as_integers(digit):
     parse_program("free f : A;\nnu a : EMN[A;\u0663]. [f || f]\n")
 
 
+# the lexer against the character loop of tests/oracles.py
+
+DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+
+
+def _frozen_texts() -> list[str]:
+    """Every frozen program's source, and its reference where it has one."""
+    out = []
+    for path in sorted(DATA.glob("*.jsonl")):
+        for line in path.read_text().splitlines()[1:]:
+            rec = json.loads(line)
+            out += [rec["source"]] + ([rec["reference"]] if rec["reference"] else [])
+    return out
+
+
+def _tokens(lex, text):
+    try:
+        return lex(text)
+    except LaxSyntaxError as e:
+        return ("error", e.message, e.line, e.col)
+
+
+# fragments the token rules treat specially: blanks, comments up to the end
+# of the input, numerals that are not decimal digits (², ½), letters outside
+# ASCII (ª, é), a decimal digit of another script (٣), and the symbols that
+# share a prefix
+_FRAGMENTS = [
+    " ", "\t", "\r", "\n", "#", "# c", "x", "x'", "_", "not", "pi0", "0", "12",
+    "\u00b2", "\u00bd", "\u00aa", "\u00e9", "\u0663", "|+|", "||", "|", "+",
+    "->", "-", "/\\", "\\/", "\\", "/", "(", ")", "[", "]", "<", ">", ".", ":", "@", "*",
+]
+
+
+def test_the_lexer_agrees_with_the_oracle_on_the_frozen_programs_and_their_mutants():
+    texts = _frozen_texts()
+    rng = random.Random(13)
+    mutants = []
+    for _ in range(2000):
+        s = rng.choice(texts)
+        i = rng.randrange(len(s) + 1)
+        c = rng.choice(_FRAGMENTS + [chr(rng.randrange(0x20, 0x3000))])[:1]
+        mutants.append(rng.choice([s[:i] + c + s[i:], s[:i] + c + s[i + 1:], s[:i] + s[i + 1:]]))
+    for text in texts + mutants:
+        assert _tokens(_lex, text) == _tokens(lex_oracle, text), text
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_FRAGMENTS), st.characters()), max_size=40).map("".join))
+def test_the_lexer_agrees_with_the_oracle_on_any_text(text):
+    assert _tokens(_lex, text) == _tokens(lex_oracle, text)
+
+
 def test_a_receiver_count_too_long_for_int_is_a_syntax_error():
     with pytest.raises(LaxSyntaxError, match="receiver count too large") as e:
         parse_program("free f : A;\nnu a : EMN[A;" + "1" * 5000 + "]. [f || f]\n")
@@ -164,6 +223,39 @@ def test_hygiene_renames_a_session_in_every_component_keeping_its_activity():
         ),
     )
     assert t == Pair(Var("a"), want)
+
+
+def test_hygiene_never_renames_a_binder_onto_a_name_bound_deeper():
+    C = Atom("C")
+    t = parse_term("\\x:A. \\x:B. \\x0:C. x")
+    assert t == Lam("x", A, Lam("x0", B, Lam("x00", C, Var("x0"))))
+
+
+def test_hygiene_keeps_an_occurrence_on_its_case_branch_variable():
+    t = parse_term("\\x:A. case y of {x. \\x0:B. x | z. z}", {"y"})
+    want = Case(Var("y"), "x0", Lam("x00", B, Var("x0")), "z", Var("z"))
+    assert t == Lam("x", A, want)
+
+
+def test_hygiene_keeps_a_negated_occurrence_on_its_session():
+    C = Atom("C")
+    t = parse_term(
+        "nu a : EM[A]. [a || nu a : EM[B]. [nu a0 : EM[C]. [nota vb || a0] || a]]",
+        {"vb"},
+    )
+    inner = ParBind(
+        "a00",
+        False,
+        em_axiom(C),
+        (App(Chan("a0", None, False, True), Var("vb")), Chan("a00")),
+    )
+    middle = ParBind("a0", False, em_axiom(B), (inner, Chan("a0")))
+    assert t == ParBind("a", False, em_axiom(A), (Chan("a"), middle))
+
+
+def test_a_renamed_channel_is_reported_by_its_name_in_the_input():
+    with pytest.raises(LaxSyntaxError, match="channel 'a' cannot occur alone"):
+        parse_program("free a : A;\nfree va : A;\nnu a : AX{A -> B, B -> A}. [a va || a]\n")
 
 
 def test_program_free_declarations():
