@@ -105,18 +105,17 @@ def _lex(text: str) -> list[Token]:
             line += 1
             bol = m.end()
             continue
-        word = m[kind]
-        start = m.start(kind)
-        if kind == "bad" or kind == "ident" and not (word[0].isalpha() or word[0] == "_"):
-            raise LaxSyntaxError(f"unexpected character {word[0]!r}", line, start - bol + 1)
         if kind == "eof":
-            # a comment ending the input leaves eof at the column of its #
-            hash_at = text.find("#", m.start())
-            if hash_at >= 0:
-                start = hash_at
-            toks.append((kind, word, line, start - bol + 1))
-            return toks
-        toks.append((kind, word, line, start - bol + 1))
+            break
+        word = m[kind]
+        col = m.start(kind) - bol + 1
+        if kind == "bad" or kind == "ident" and not (word[0].isalpha() or word[0] == "_"):
+            raise LaxSyntaxError(f"unexpected character {word[0]!r}", line, col)
+        toks.append((kind, word, line, col))
+    # a comment ending the input leaves eof at the column of its #
+    end = text.find("#", m.start())
+    toks.append(("eof", "", line, (len(text) if end < 0 else end) - bol + 1))
+    return toks
 
 
 class _Parser:
