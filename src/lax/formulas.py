@@ -100,24 +100,44 @@ def conj(factors: tuple[Formula, ...] | list[Formula]) -> Formula:
     return acc
 
 
-# precedence: -> (1, right assoc) < \/ (2) < /\ (3) < atoms
+# precedence: -> (1, right assoc) < \/ (2) < /\ (3) < atoms. Each binary
+# connective: its symbol, its own precedence, and the precedences its left
+# and right operands are printed at.
+_INFIX = {
+    Impl: (" -> ", 1, 2, 1),
+    Disj: (" \\/ ", 2, 3, 2),
+    Conj: (" /\\ ", 3, 4, 3),
+}
+_CONSTANTS = {Top: "Top", Bot: "Bot"}
+
+
 def show_formula(f: Formula, prec: int = 0) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Top):
-        return "Top"
-    if isinstance(f, Bot):
-        return "Bot"
-    if isinstance(f, Impl):
-        if isinstance(f.right, Bot):
+    """f in the surface syntax, parenthesised as an operand at precedence
+    prec needs. An explicit stack of formulas and closing text, so deep
+    formulas do not exhaust the call stack."""
+    out: list[str] = []
+    todo: list = [(f, prec)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        f, prec = item
+        cls = type(f)
+        if cls is Atom:
+            out.append(f.name)
+        elif cls in _CONSTANTS:
+            out.append(_CONSTANTS[cls])
+        elif cls is Impl and type(f.right) is Bot:
             # print the sugar form; reparsing yields the same tree
-            return "~" + show_formula(f.left, 4)
-        s = show_formula(f.left, 2) + " -> " + show_formula(f.right, 1)
-        return "(" + s + ")" if prec > 1 else s
-    if isinstance(f, Disj):
-        s = show_formula(f.left, 3) + " \\/ " + show_formula(f.right, 2)
-        return "(" + s + ")" if prec > 2 else s
-    if isinstance(f, Conj):
-        s = show_formula(f.left, 4) + " /\\ " + show_formula(f.right, 3)
-        return "(" + s + ")" if prec > 3 else s
-    raise TypeError(f"not a formula: {f!r}")
+            out.append("~")
+            todo.append((f.left, 4))
+        elif cls in _INFIX:
+            symbol, own, left, right = _INFIX[cls]
+            if prec > own:
+                out.append("(")
+                todo.append(")")
+            todo += ((f.right, right), symbol, (f.left, left))
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+    return "".join(out)

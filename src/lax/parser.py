@@ -54,7 +54,6 @@ from .terms import (
     TT,
     Underline,
     Var,
-    chan_occurrences,
     fresh_name,
 )
 
@@ -128,6 +127,9 @@ class _Parser:
         # innermost binder last: (source name, fresh name, the axiom mode of
         # a channel or None for a variable, whether the session is active)
         self.scopes: list[tuple[str, str, str | None, bool]] = []
+        # the channel of each open general session -> how many of its
+        # occurrences read so far are not the head of an application
+        self.bare: dict[str, int] = {}
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -170,6 +172,8 @@ class _Parser:
         new = fresh_name(name, self.used)
         self.used.add(new)
         self.scopes.append((name, new, mode, active))
+        if mode == "general":
+            self.bare[new] = 0
         return new
 
     # ---- formulas ------------------------------------------------------
@@ -297,6 +301,8 @@ class _Parser:
             if source == name:
                 if mode is None:
                     return Var(new)
+                if mode == "general":
+                    self.bare[new] += 1
                 return Chan(new, None, active, False)
         if name.startswith("not") and len(name) > 3:
             base = name[3:]
@@ -346,6 +352,8 @@ class _Parser:
             elif text in self._PRIMARY_STARTS or (
                 kind == "ident" and text not in KEYWORDS
             ):
+                if type(t) is Chan and t.name in self.bare:
+                    self.bare[t.name] -= 1  # an applied occurrence
                 t = App(t, self.primary())
             else:
                 return t
@@ -430,9 +438,13 @@ class _Parser:
             self.eat("]")
             if len(comps) < 2:
                 self.err("a session needs at least two components", t)
-            bind = ParBind(name, active, ax, tuple(comps))
-            self._check_channel_applied(bind, source, t)
-            return bind
+            if self.bare.pop(name, 0):
+                # bare occurrences are only legal for EM/broadcast receivers
+                self.err(
+                    f"channel {source!r} cannot occur alone; "
+                    "apply it to an argument", t,
+                )
+            return ParBind(name, active, ax, tuple(comps))
         if t[0] == "ident":
             self.advance()
             return self.resolve(t)
@@ -444,21 +456,6 @@ class _Parser:
             self.advance()
             return Underline(self.term())
         return self.term()
-
-    def _check_channel_applied(
-        self, bind: ParBind, source: str, tok: Token
-    ) -> None:
-        """Bare occurrences are only legal for EM/broadcast receivers; source
-        is the channel's name in the input."""
-        if bind.axiom.mode == "general" and any(
-            occ.app_path is None
-            for comp in bind.comps
-            for occ in chan_occurrences(comp, bind.chan)
-        ):
-            self.err(
-                f"channel {source!r} cannot occur alone; "
-                "apply it to an argument", tok,
-            )
 
 
 def parse_formula(text: str) -> Formula:

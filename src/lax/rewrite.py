@@ -95,7 +95,6 @@ from .terms import (
     HOLES,
     Inj,
     Lam,
-    Occurrence,
     Pair,
     ParBind,
     Path,
@@ -275,6 +274,14 @@ class Redex:
 # ---------------------------------------------------------------------------
 # channel occurrences
 
+@dataclass(frozen=True, slots=True)
+class Occurrence:
+    app_path: Optional[Path]  # path of the App node when applied
+    negated: bool
+    arg: Optional[Term]
+    binders_above: frozenset[str]  # variable and channel names bound above
+
+
 def _closed_at(occ: Occurrence, msg: Term) -> bool:
     """No free name of msg is bound between the component root and the hole."""
     fv, fc = free_names(msg)
@@ -357,7 +364,7 @@ def session_comm_complexity(bind: ParBind) -> int:
 
 def _rightmost(bind: ParBind, i: int) -> Occurrence:
     """The rightmost occurrence of bind's channel in its i-th component,
-    which mentions it: chan_occurrences(body, chan)[-1] for the
+    which mentions it: the last free occurrence in preorder in the
     component's body.
 
     A descent from body: at each node it takes the last child in which the

@@ -8,8 +8,8 @@ One table, _SHAPES, states each constructor's shape: the fields holding its
 subterms, in path order, and which field names what it binds in which
 child. children(), with_children(), binder() and binder_names() are read off
 it, and so is HOLES, the hole of each eliminator: its first child. Free
-names, renaming, channel substitution, alpha-equivalence and channel
-occurrences are walks over children() that read binder_names(); rebind() is
+names, renaming, channel substitution and alpha-equivalence are walks over
+children() that read binder_names(); rebind() is
 the only code that renames a bound name, and substitution, the
 permutations' freshening and activation all go through it.
 
@@ -27,8 +27,9 @@ explicit stack, over the children a fact asks it to enter. This module
 defines no fact of its own. rewrite fills each node's redexes (whose mask
 also says whether the subtree is simply typed and holds an active
 session), its complexity peaks, its send summary and a component's
-rightmost occurrences; typecheck fills the judgement of a state or of a
-subterm a step rewrote.
+rightmost occurrences; typecheck fills the judgement of every node the
+subject-reduction audit judges: its type, free names and mark, which
+depend on no context.
 """
 
 from __future__ import annotations
@@ -295,8 +296,8 @@ class Facts:
     its send summary (sends: each free channel mapped to rewrite's summary
     of the messages sent on it, see rewrite.session_comm_complexity), the
     rightmost occurrence of each channel asked of it as a component root
-    (rightmost, see rewrite._rightmost), and its type in one context (see
-    typecheck.check_subject_reduction).
+    (rightmost, see rewrite._rightmost), and its judgement: its type, free
+    names and mark, in no context (see typecheck._node_judgement).
 
     One record per node, in a slot of Term outside the dataclass fields.
     """
@@ -403,41 +404,6 @@ def rebind(t: Term, child_index: int, new: str) -> Term:
             else:
                 cs[j] = rename_chan(c, old, new, t.active)
     return replace(with_children(t, tuple(cs)), **{field: new})
-
-
-@dataclass(frozen=True, slots=True)
-class Occurrence:
-    app_path: Optional[Path]  # path of the App node when applied
-    negated: bool
-    arg: Optional[Term]
-    binders_above: frozenset[str]  # variable and channel names bound above
-
-
-def chan_occurrences(comp: Term, name: str) -> list[Occurrence]:
-    """Free occurrences of `name` in preorder; the last one is rightmost."""
-    out: list[Occurrence] = []
-    todo: list[tuple[Term, Path, frozenset[str]]] = [(comp, (), frozenset())]
-    while todo:
-        t, path, above = todo.pop()
-        if isinstance(t, App) and isinstance(t.fun, Chan) and t.fun.name == name:
-            out.append(Occurrence(path, t.fun.negated, t.arg, above))
-            todo.append((t.arg, path + (1,), above))
-            continue
-        if isinstance(t, Chan):
-            if t.name == name:
-                out.append(Occurrence(None, t.negated, None, above))
-            continue
-        cs = children(t)
-        binds = type(t) in _BINDERS
-        for i in range(len(cs) - 1, -1, -1):
-            inner = above
-            if binds:
-                vs, chs = binder_names(t, i)
-                if name in chs:  # a nu rebinding name shadows it
-                    continue
-                inner = above.union(vs, chs)
-            todo.append((cs[i], path + (i,), inner))
-    return out
 
 
 def free_occurrences(t: Term) -> tuple[dict[str, Var], dict[str, Chan]]:

@@ -11,17 +11,18 @@ the channel must appear exactly as the axiom dictates: sender polarity and
 application for the first EM/broadcast component, bare uses for the
 receiving components, and applied non-negated occurrences typed
 F_i -> G_i in the general mode, where bare channels are not terms at all.
-A context can hold such sessions around the term (TypingContext.sessions),
-so a subterm of a component types on its own as it does in place.
 
-check_subject_reduction audits one step by the replacement argument: every
-rule reads only the types of its subterms, except that a session reads
-whether a component is marked and an application whether its head is a
-channel. So when after is before with one subterm replaced, and no such
-parent reads the form of that subterm, after has before's type as soon as
-the old and the new subterm have one type in the context their path binds.
-A step goes through the whole-term judgement only when this does not
-settle it, so its failures read exactly as that judgement words them.
+check_subject_reduction audits one step from judgements that need no
+context. Each node of an elaborated term remembers its judgement (see
+_node_judgement): its type, its free variables with their annotated types,
+its free channels with the forms their occurrences take, and whether it is
+a component mark. A node makes _infer's checks against what its children's
+judgements say instead of against a context. A step rebuilds only the path
+to its redex and the contractum, so judging the state after costs the
+nodes the step built. When both states' judgements hold in the context,
+agree on the type and after has no free name before lacks, the step
+passes; otherwise both states go through the whole-term judgement, so a
+failure reads exactly as that judgement words it.
 """
 
 from __future__ import annotations
@@ -58,10 +59,8 @@ from .terms import (
     Underline,
     Unit,
     Var,
-    children,
-    facts,
     free_names,
-    node_data,
+    remembered,
 )
 
 
@@ -94,9 +93,6 @@ class TypingContext:
     ivars: dict[str, Formula] = field(default_factory=dict)
     # free channels: name -> the type of every occurrence
     chans: dict[str, Formula] = field(default_factory=dict)
-    # channels bound by sessions around the term, as inside component i of
-    # each: name -> (scheme, i, the session's activity)
-    sessions: _ChanEnv = field(default_factory=dict)
 
 
 def _fail(code: str, path: Path, msg: str):
@@ -111,7 +107,7 @@ def _mismatch(path: Path, expected: str, found: str, what: str = ""):
 def check(t: Term, ctx: Optional[TypingContext] = None) -> tuple[Term, Formula]:
     """Elaborate and type t; raises TypingError on the first violation."""
     ctx = ctx or TypingContext()
-    return _infer(t, dict(ctx.ivars), ctx.sessions, ctx.chans, ())
+    return _infer(t, dict(ctx.ivars), {}, ctx.chans, ())
 
 
 def infer_type(t: Term, ctx: Optional[TypingContext] = None) -> Formula:
@@ -365,152 +361,264 @@ class SubjectReductionReport:
     message: str = ""
 
 
-def _judgement(t: Term, key: tuple, ctx: TypingContext) -> list:
-    """[key, t's type in ctx or its TypingError, t's free names or None].
-
-    key names ctx in full: a copy of the caller's context and the binders
-    the path to t passes. The judgement is remembered on t with key, and
-    reused while the context is equal to it; free names are filled in when
-    first asked for (_names).
-    """
-    f = facts(t)
-    j = f.judgement
-    if j is None or j[0] != key:
-        try:
-            ty = infer_type(t, ctx)
-        except TypingError as e:
-            ty = e
-        f.judgement = j = [key, ty, None]
-    return j
-
-
-def _names(t: Term, j: list) -> tuple[frozenset[str], frozenset[str]]:
-    if j[2] is None:
-        j[2] = free_names(t)
-    return j[2]
-
-
 def check_subject_reduction(
     ctx: Optional[TypingContext], before: Term, after: Term
 ) -> SubjectReductionReport:
     """Type preservation plus no new free names, reported, never raised.
 
-    before is typed whole, unless it is the after of the step checked just
-    before in the same context, which leaves its type remembered. after is
-    then judged by replacement (_replaced): only the subterm the step
-    rewrote is typed, old and new, in the context its path binds. When that
-    does not settle the step, both states are judged whole, so a failed
-    step reports exactly what a whole-term check reports.
-
-    Along a trace a state's judgement is held until the next step takes it
-    up as its before; so is the judgement of the subterm a step wrote, in
-    case the next step rewrites that subterm again.
+    The step passes at once when both states' judgements (_judgement) hold
+    in ctx, give one type, and after has no free name before lacks. Each
+    node remembers its judgement, so a step judges only the nodes it built.
+    Every other step is judged on the whole states, as the theorem is
+    stated, so a failed step reports exactly what a whole-term check
+    reports.
     """
     ctx = ctx or TypingContext()
-    key = ((dict(ctx.ivars), dict(ctx.chans), dict(ctx.sessions)), ())
-    jb = _judgement(before, key, ctx)
-    key, tb = jb[0], jb[1]  # share the remembered copy of the context
-    replaced = not isinstance(tb, TypingError) and _replaced(ctx, key, before, after)
-    if before is not after:
-        facts(before).judgement = None
-    if isinstance(tb, TypingError):
-        return SubjectReductionReport(False, None, None, f"before does not type: {tb}")
-    if replaced:
-        fa = facts(after)
-        if fa.judgement is None or fa.judgement[0] != key:
-            fa.judgement = [key, tb, None]
-        return SubjectReductionReport(True, show_formula(tb), show_formula(tb))
-    ja = _judgement(after, key, ctx)
-    ta = ja[1]
-    if isinstance(ta, TypingError):
+    jb, ja = _judgement(before), _judgement(after)
+    if (
+        _holds(jb, ctx)
+        and _holds(ja, ctx)
+        and _same(jb[0], ja[0])
+        and ja[1].keys() <= jb[1].keys()
+        and ja[2].keys() <= jb[2].keys()
+    ):
+        ty = show_formula(jb[0])
+        return SubjectReductionReport(True, ty, ty)
+    try:
+        tb = infer_type(before, ctx)
+    except TypingError as e:
+        return SubjectReductionReport(False, None, None, f"before does not type: {e}")
+    try:
+        ta = infer_type(after, ctx)
+    except TypingError as e:
         return SubjectReductionReport(
-            False, show_formula(tb), None, f"after does not type: {ta}"
+            False, show_formula(tb), None, f"after does not type: {e}"
         )
-    if tb != ta:
+    if not _same(tb, ta):
         return SubjectReductionReport(
             False, show_formula(tb), show_formula(ta), "type changed"
         )
-    (fv_after, fc_after), (fv_before, fc_before) = _names(after, ja), _names(before, jb)
-    fv_new = fv_after - fv_before
-    fc_new = fc_after - fc_before
-    if fv_new or fc_new:
+    (fv_before, fc_before), (fv_after, fc_after) = free_names(before), free_names(after)
+    new = (fv_after - fv_before) | (fc_after - fc_before)
+    if new:
         return SubjectReductionReport(
             False,
             show_formula(tb),
             show_formula(ta),
-            f"new free names appeared: {sorted(fv_new | fc_new)}",
+            f"new free names appeared: {sorted(new)}",
         )
     return SubjectReductionReport(True, show_formula(tb), show_formula(ta))
 
 
-def _replaced(ctx: TypingContext, key: tuple, before: Term, after: Term) -> bool:
-    """True when the replacement argument shows that after, like before
-    (which types), has before's type and no free name before lacks.
+# ---------------------------------------------------------------------------
+# judgements: what check would say of a node, in no context
+#
+# A node's judgement is False, or (its type, its free variables, its free
+# channels, whether it is a component mark). Each free variable maps to the
+# type its occurrences are annotated with, and each free channel to the set
+# of its occurrence forms (type, activity, sender polarity, bare). A node
+# makes the checks _infer makes of it, reading its occurrences' annotations
+# where _infer reads its context: a binder checks what its occurrences say
+# against what it binds, then drops the name. False means some check
+# failed, or an occurrence is unelaborated; it settles nothing.
+#
+# So a judgement that holds in a context (_holds: each free name as the
+# context types it, no mark at the root) is what check gives there. An
+# annotation that disagrees with the context can only make it fail.
 
-    The walk goes down from the roots while the two nodes have one
-    constructor and equal data and exactly one child differs; it stops at
-    the first node where they part. It then climbs past each parent whose
-    rule reads more than that node's type: a mark (Underline) is read by
-    its session and a channel by the application it heads. Every rule above
-    reads only the types of its children, so the old and the new subterm,
-    typed in the context the path binds, must have one type, and every free
-    name the new one adds must be bound on the path. False only means this
-    argument does not settle the step.
-    """
-    spine, path = [(before, after)], []
-    b, a = before, after
-    while b is not a and type(b) is type(a) and node_data(b) == node_data(a):
-        cb, ca = children(b), children(a)
-        if len(cb) != len(ca):
-            break
-        diff = [i for i in range(len(cb)) if cb[i] is not ca[i]]
-        if len(diff) != 1:
-            break
-        path.append(diff[0])
-        b, a = cb[diff[0]], ca[diff[0]]
-        spine.append((b, a))
-    if b is a:  # before is after
-        return True
-    d = len(path)
-    while d and (
-        type(b) is Underline
-        or type(a) is Underline
-        or (path[d - 1] == 0 and type(spine[d - 1][0]) is App
-            and (type(b) is Chan or type(a) is Chan))
-    ):
-        d -= 1
-        b, a = spine[d]
+_NONE: dict = {}  # the empty map, shared
 
-    # the context at the path's end; binders lists what the path binds, in
-    # order: (variable, type) and (channel, axiom, component, activity)
-    local = TypingContext(dict(ctx.ivars), ctx.chans, dict(ctx.sessions))
-    binders: list[tuple] = []
-    bound_vars, bound_chans = set(), set()
-    for k in range(d):
-        node, i = spine[k][0], path[k]
-        cls = type(node)
-        if cls is Lam:
-            x, ty = node.var, node.ann
-        elif cls is Case and i:
-            st = _judgement(node.scrut, (key[0], tuple(binders)), local)[1]
-            if not isinstance(st, Disj):
-                return False
-            x, ty = (node.lvar, st.left) if i == 1 else (node.rvar, st.right)
-        elif cls is ParBind:
-            local.sessions[node.chan] = (node.axiom, i, node.active)
-            binders.append((node.chan, node.axiom, i, node.active))
-            bound_chans.add(node.chan)
-            continue
-        else:
-            continue
-        local.ivars[x] = ty
-        binders.append((x, ty))
-        bound_vars.add(x)
 
-    key = (key[0], tuple(binders))
-    jb, ja = _judgement(b, key, local), _judgement(a, key, local)
-    facts(b).judgement = None  # b is not in after
-    if isinstance(jb[1], TypingError) or jb[1] != ja[1]:
+def _judgement(t: Term):
+    return remembered(t, "judgement", _node_judgement)
+
+
+def _holds(j, ctx: TypingContext) -> bool:
+    """The judgement j says t types in ctx."""
+    if not j or j[3]:
         return False
-    (fv_b, fc_b), (fv_a, fc_a) = _names(b, jb), _names(a, ja)
-    return fv_a - fv_b <= bound_vars and fc_a - fc_b <= bound_chans
+    for x, ty in j[1].items():
+        want = ctx.ivars.get(x)
+        if want is None or not _same(want, ty):
+            return False
+    for a, forms in j[2].items():
+        want = ctx.chans.get(a)
+        if want is None:
+            return False
+        for ty, _, negated, _ in forms:
+            if negated or not _same(want, ty):
+                return False
+    return True
+
+
+def _same(f: Formula, g: Formula) -> bool:
+    """f == g, on an explicit stack; a formula shared by both is equal
+    without a look inside."""
+    if f is g:
+        return True
+    todo = [(f, g)]
+    while todo:
+        f, g = todo.pop()
+        if f is g:
+            continue
+        cls = type(f)
+        if cls is not type(g) or cls is Atom and f.name != g.name:
+            return False
+        if cls is Impl or cls is Conj or cls is Disj:
+            todo += ((f.right, g.right), (f.left, g.left))
+    return True
+
+
+def _vars_joined(a: dict, b: dict) -> Optional[dict]:
+    """The free variables of a and b together, a or b itself when it holds
+    the other's; None when they annotate one variable with two types."""
+    if not b or a is b:
+        return a
+    if len(b) > len(a):
+        a, b = b, a
+    out = None
+    for x, ty in b.items():
+        old = a.get(x)
+        if old is None:
+            if out is None:
+                out = dict(a)
+            out[x] = ty
+        elif not _same(old, ty):
+            return None
+    return a if out is None else out
+
+
+def _chans_joined(a: dict, b: dict) -> dict:
+    """The free channels of a and b together, each with the forms of both;
+    a or b itself when it holds the other's."""
+    if not b or a is b:
+        return a
+    if len(b) > len(a):
+        a, b = b, a
+    out = None
+    for c, forms in b.items():
+        old = a.get(c)
+        if old is not None and forms <= old:
+            continue
+        if out is None:
+            out = dict(a)
+        out[c] = forms if old is None else old | forms
+    return a if out is None else out
+
+
+def _dropped(names: dict, x: str) -> dict:
+    """names without x."""
+    if len(names) == 1:
+        return _NONE
+    return {y: v for y, v in names.items() if y != x}
+
+
+def _bound(fv: dict, x: str, ty: Formula) -> Optional[dict]:
+    """fv once a binder of x at ty closes it; None when x is annotated
+    with another type."""
+    old = fv.get(x)
+    if old is None:
+        return fv
+    return _dropped(fv, x) if _same(old, ty) else None
+
+
+def _forms(c: Chan, bare: bool) -> dict:
+    return {c.name: frozenset({(c.ty, c.active, c.negated, bare)})}
+
+
+_UNIT = (TOP, _NONE, _NONE, False)
+
+
+def _node_judgement(s: Term, kids: list):
+    cls = type(s)
+    if cls is Var:
+        return False if s.ty is None else (s.ty, {s.name: s.ty}, _NONE, False)
+    if cls is Chan:
+        return False if s.ty is None else (s.ty, _NONE, _forms(s, True), False)
+    if cls is Unit:
+        return _UNIT
+    if not all(kids):
+        return False
+    if cls is ParBind:
+        return _session_judgement(s, kids)
+    for k in kids:
+        if k[3]:  # a mark outside the components of a session
+            return False
+    if cls is App:
+        (fty, fv, fc, _), (aty, afv, afc, _) = kids
+        if type(fty) is not Impl or not _same(fty.left, aty):
+            return False
+        if type(s.fun) is Chan:  # an applied occurrence, not a bare one
+            fc = _forms(s.fun, False)
+        ty = fty.right
+        fv, fc = _vars_joined(fv, afv), _chans_joined(fc, afc)
+    elif cls is Lam:
+        ((bty, fv, fc, _),) = kids
+        fv = _bound(fv, s.var, s.ann)
+        ty = Impl(s.ann, bty)
+    elif cls is Pair or cls is Contract:
+        (lty, fv, fc, _), (rty, rfv, rfc, _) = kids
+        if cls is Contract and not _same(lty, rty):
+            return False
+        ty = Conj(lty, rty) if cls is Pair else lty
+        fv, fc = _vars_joined(fv, rfv), _chans_joined(fc, rfc)
+    elif cls is Proj:
+        ((aty, fv, fc, _),) = kids
+        if type(aty) is not Conj:
+            return False
+        ty = aty.left if s.index == 0 else aty.right
+    elif cls is Inj:
+        ((aty, fv, fc, _),) = kids
+        ty = s.disj
+        if type(ty) is not Disj or not _same(ty.left if s.index == 0 else ty.right, aty):
+            return False
+    elif cls is Case:
+        (sty, fv, fc, _), (ty, lfv, lfc, _), (rty, rfv, rfc, _) = kids
+        if type(sty) is not Disj or not _same(ty, rty):
+            return False
+        lfv, rfv = _bound(lfv, s.lvar, sty.left), _bound(rfv, s.rvar, sty.right)
+        if lfv is None or rfv is None:
+            return False
+        fv = _vars_joined(fv, lfv)
+        fv = fv if fv is None else _vars_joined(fv, rfv)
+        fc = _chans_joined(_chans_joined(fc, lfc), rfc)
+    elif cls is Efq:
+        ((aty, fv, fc, _),) = kids
+        ty = s.target
+        if type(ty) not in (Atom, Top) or type(aty) is not Bot:
+            return False
+    elif cls is Underline:
+        ((ty, fv, fc, _),) = kids
+        return (ty, fv, fc, True)
+    else:
+        raise TypeError(f"not a term: {s!r}")
+    return False if fv is None else (ty, fv, fc, False)
+
+
+def _session_judgement(s: ParBind, kids: list):
+    """A session checks its arity and its marks, and every form of its
+    channel in component i against what the axiom allows there."""
+    ax = s.axiom
+    if not kids or len(kids) != ax.arity:
+        return False
+    ty, fv, fc, marks = kids[0][0], _NONE, _NONE, 0
+    for i, (kty, kfv, kfc, marked) in enumerate(kids):
+        if not _same(ty, kty):
+            return False
+        marks += marked
+        forms = kfc.get(s.chan)
+        if forms is not None:
+            want, negated = ax.occurrence_type(i), ax.occurrence_negated(i)
+            bare_allowed = ax.bare_allowed(i)
+            for fty, active, neg, bare in forms:
+                if (active != s.active or neg != negated
+                        or bare and not bare_allowed or not _same(want, fty)):
+                    return False
+            kfc = _dropped(kfc, s.chan)
+        fv = _vars_joined(fv, kfv)
+        if fv is None:
+            return False
+        fc = _chans_joined(fc, kfc)
+    if marks > 1:
+        return False
+    return (ty, fv, fc, False)

@@ -1,9 +1,11 @@
 """Independent reference implementations used to cross-check the engine.
 
 The oracles deliberately avoid the library's traversal helpers
-(iter_subterms, chan_occurrences, decompose_stack) and re-derive every
-side condition from the raw constructors, so a bug in a shared helper
-cannot cancel out on both sides of a comparison.
+(iter_subterms, decompose_stack) and re-derive every side condition from
+the raw constructors, so a bug in a shared helper cannot cancel out on both
+sides of a comparison. chan_occurrences, the walk the engine used to find
+channel occurrences, and show_formula_oracle, the recursive printer, are
+kept here to check what replaced them.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from lax import (
     show_formula,
     type_of,
 )
-from lax.terms import with_children
+from lax.rewrite import Occurrence
+from lax.terms import binder_names, children, with_children
 
 Path = tuple[int, ...]
 
@@ -397,6 +400,29 @@ def _occurrences(body: Term, name: str) -> list[dict]:
     return out
 
 
+def chan_occurrences(comp: Term, name: str) -> list[Occurrence]:
+    """Free occurrences of `name` in preorder; the last one is rightmost."""
+    out: list[Occurrence] = []
+    todo: list[tuple[Term, Path, frozenset[str]]] = [(comp, (), frozenset())]
+    while todo:
+        t, path, above = todo.pop()
+        if isinstance(t, App) and isinstance(t.fun, Chan) and t.fun.name == name:
+            out.append(Occurrence(path, t.fun.negated, t.arg, above))
+            todo.append((t.arg, path + (1,), above))
+            continue
+        if isinstance(t, Chan):
+            if t.name == name:
+                out.append(Occurrence(None, t.negated, None, above))
+            continue
+        cs = children(t)
+        for i in range(len(cs) - 1, -1, -1):
+            vs, chs = binder_names(t, i)
+            if name in chs:  # a nu rebinding name shadows it
+                continue
+            todo.append((cs[i], path + (i,), above.union(vs, chs)))
+    return out
+
+
 def _captured(occ: dict) -> tuple[frozenset[str], frozenset[str]]:
     """Names free in the message but bound above the hole: (vars, chans)."""
     fv, fc = _free_names(occ["arg"])
@@ -587,6 +613,31 @@ def subject_reduction_oracle(
             f"new free names appeared: {sorted(new)}",
         )
     return SubjectReductionReport(True, show_formula(tb), show_formula(ta))
+
+
+# ---------------------------------------------------------------------------
+# formulas printed by recursion, as the library did before its printer
+# moved onto an explicit stack
+
+def show_formula_oracle(f: Formula, prec: int = 0) -> str:
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, Top):
+        return "Top"
+    if isinstance(f, Bot):
+        return "Bot"
+    if isinstance(f, Impl):
+        if isinstance(f.right, Bot):
+            return "~" + show_formula_oracle(f.left, 4)
+        s = show_formula_oracle(f.left, 2) + " -> " + show_formula_oracle(f.right, 1)
+        return "(" + s + ")" if prec > 1 else s
+    if isinstance(f, Disj):
+        s = show_formula_oracle(f.left, 3) + " \\/ " + show_formula_oracle(f.right, 2)
+        return "(" + s + ")" if prec > 2 else s
+    if isinstance(f, Conj):
+        s = show_formula_oracle(f.left, 4) + " /\\ " + show_formula_oracle(f.right, 3)
+        return "(" + s + ")" if prec > 3 else s
+    raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,9 @@ def _sr_witnesses(rep):
 
 
 def test_an_ill_typed_state_fails_the_step_into_it_and_the_step_out(monkeypatch):
-    """Each state is typed at most once, yet both of its steps report it."""
+    """Both steps report the ill-typed state. Its judgement does not hold
+    in the context, so neither step is settled by the judgements, and each
+    types its states whole until one fails."""
     gamma = {"y": A}
     states = [
         _typed("(\\x : A. x) ((\\x : A. x) y)", gamma),
@@ -213,7 +215,7 @@ def test_an_ill_typed_state_fails_the_step_into_it_and_the_step_out(monkeypatch)
         ("step 1", f"subject reduction failed: before does not type: {unbound}"),
     ]
     # once step 1's before fails, its after is not needed
-    assert typed == states[:2]
+    assert typed == [states[0], states[1], states[1]]
 
 
 def test_subject_reduction_judges_again_in_another_context():
@@ -300,6 +302,20 @@ def _pair_chain(depth, leaf):
     for _ in range(depth):
         t = Pair(Var("x"), t)
     return t
+
+
+def test_a_deep_chain_audits_clean_with_subject_reduction():
+    """Built elaborated, the 5 000-deep chain is judged on explicit stacks
+    only: its judgements, the types compared and the types printed."""
+    depth = 5_000
+    leaf = Proj(Pair(Var("a", A), Var("b", A)), 0)
+    t = leaf
+    for _ in range(depth):
+        t = Pair(Var("x", A), t)
+    _, trace = normalize(t)
+    assert len(trace.steps) == 1
+    rep = audit_trace(TypingContext(ivars={"a": A, "b": A, "x": A}), trace)
+    assert rep.holds, rep.witnesses
 
 
 def test_a_deep_chain_audits_clean():

@@ -1,4 +1,7 @@
-"""Formula algebra: connectives, measures, decompositions."""
+"""Formula algebra: connectives, measures, decompositions, printing."""
+
+import json
+from pathlib import Path
 
 from hypothesis import given, strategies as st
 
@@ -10,15 +13,22 @@ from lax import (
     Conj,
     Disj,
     Impl,
+    ParBind,
     Top,
+    TypingContext,
     complexity,
+    infer_type,
     neg,
     parse_formula,
+    parse_program,
     prime_factors,
     proper_subformulas,
     show_formula,
     subformulas,
 )
+from lax.terms import iter_subterms
+
+from oracles import show_formula_oracle
 
 atoms = st.sampled_from([Atom("A"), Atom("B"), Atom("C"), Atom("P1"), TOP, BOT])
 formulas = st.recursive(
@@ -104,3 +114,46 @@ def test_parse_formula_sugar():
     assert parse_formula("~~A") == neg(neg(Atom("A")))
     assert parse_formula("A /\\ B -> Bot") == Impl(Conj(Atom("A"), Atom("B")), BOT)
     assert parse_formula("A \\/ Top") == Disj(Atom("A"), TOP)
+
+
+# --------------------------------------------------------------------------
+# the printer on an explicit stack against the recursive one
+
+
+def _corpus_formulas():
+    """Every formula the frozen programs write: declared types, binder,
+    injection and efq annotations, axiom formulas, and each program's type."""
+    data = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+    out = []
+    for path in sorted(data.glob("*.jsonl")):
+        for line in path.read_text().splitlines()[1:]:
+            prog = parse_program(json.loads(line)["source"])
+            out += prog.gamma.values()
+            for _, s in iter_subterms(prog.term):
+                out += [getattr(s, f) for f in ("ann", "disj", "target") if hasattr(s, f)]
+                if isinstance(s, ParBind):
+                    ax = s.axiom
+                    out += [ax.carrier] if ax.carrier else []
+                    out += [f for comp in ax.components for f in comp]
+            out.append(infer_type(prog.term, TypingContext(ivars=dict(prog.gamma))))
+    return out
+
+
+def test_show_formula_prints_the_frozen_corpus_as_the_recursive_printer():
+    formulas = _corpus_formulas()
+    assert len(formulas) > 5_000
+    for f in formulas:
+        for prec in range(5):
+            assert show_formula(f, prec) == show_formula_oracle(f, prec)
+
+
+@given(formulas, st.integers(0, 4))
+def test_show_formula_prints_as_the_recursive_printer(f, prec):
+    assert show_formula(f, prec) == show_formula_oracle(f, prec)
+
+
+def test_show_formula_prints_a_deep_formula():
+    f = Atom("A")
+    for _ in range(5_000):
+        f = Conj(Atom("A"), Impl(f, BOT))
+    assert show_formula(f) == "A /\\ ~(" * 4_999 + "A /\\ ~A" + ")" * 4_999

@@ -190,6 +190,31 @@ def test_a_bare_general_channel_is_a_syntax_error(tmp_path):
     assert main(["check", str(path)]) == 1
 
 
+GENERAL = "nu a : AX{A -> B, B -> A}. [%s]"
+
+
+@pytest.mark.parametrize("comps, bare", [
+    ("a va || (a) vb", False),  # a parenthesised head is applied
+    ("((a)) va || a (a vb)", False),
+    ("a va || a", True),
+    ("<a, a va> pi1 || a vb", True),
+    ("(\\h : A -> B. h va) a || a vb", True),
+    ("a va pi0 || a vb", False),
+    ("a pi0 va || a vb", True),
+    # a general session inside another checks its own channel only
+    ("nu b : AX{A -> B, B -> A}. [b va || b (a vb)] || a va", False),
+    ("nu b : AX{A -> B, B -> A}. [b va || b a] || a va", True),
+])
+def test_a_general_channel_is_bare_unless_it_heads_an_application(comps, bare):
+    src = "free va : A;\nfree vb : B;\n" + GENERAL % comps
+    if not bare:
+        parse_program(src)
+        return
+    with pytest.raises(LaxSyntaxError, match="channel 'a' cannot occur alone") as e:
+        parse_program(src)
+    assert (e.value.line, e.value.col) == (3, 1)
+
+
 def test_a_bare_channel_is_legal_where_em_binds_it():
     # an EM receiver, and an EM session inside a general one that rebinds a
     parse_program("free va : A;\nnu a : EM[A]. [nota va || a]\n")

@@ -55,7 +55,6 @@ from lax.rewrite import (
     redex_peaks,
 )
 from lax.terms import (
-    chan_occurrences,
     comp_body,
     comp_marked,
     facts,
@@ -72,6 +71,7 @@ from oracles import (
     _mentions_parallel,
     _occurrences,
     brute_force_redexes,
+    chan_occurrences,
     find_redexes_oracle,
     fresh_copy,
     leftmost_innermost_oracle,

@@ -4,6 +4,8 @@ from dataclasses import replace
 from importlib import resources
 
 import pytest
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from lax import (
@@ -30,6 +32,7 @@ from lax import (
     check,
     check_subject_reduction,
     em_axiom,
+    free_names,
     find_redexes,
     generate,
     infer_type,
@@ -41,9 +44,9 @@ from lax import (
     type_of,
 )
 from lax import typecheck
-from lax.terms import replace_at, subterm_at, term_size
+from lax.terms import iter_subterms, replace_at, subterm_at
 
-from oracles import subject_reduction_oracle
+from oracles import fresh_copy, subject_reduction_oracle
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -300,8 +303,8 @@ def _judged(before, after, gamma=GAMMA):
 
 
 def _typed_whole(monkeypatch):
-    """The terms typed through infer_type: whole states, and each subterm
-    the replacement argument types."""
+    """The terms typed through infer_type: the states of each step that the
+    judgements do not settle."""
     typed = []
     infer = typecheck.infer_type
 
@@ -313,8 +316,23 @@ def _typed_whole(monkeypatch):
     return typed
 
 
-def _held(t, typed):
-    return any(s is t for s in typed)
+def _judging(monkeypatch):
+    """The nodes whose judgement is computed."""
+    judged = []
+    judge = typecheck._node_judgement
+
+    def counted(s, kids):
+        judged.append(s)
+        return judge(s, kids)
+
+    monkeypatch.setattr(typecheck, "_node_judgement", counted)
+    return judged
+
+
+def _built(before, after):
+    """The ids of the nodes of after that are not nodes of before."""
+    old = {id(s) for _, s in iter_subterms(before)}
+    return sorted({id(s) for _, s in iter_subterms(after)} - old)
 
 
 @pytest.mark.parametrize("src, path, new, message", [
@@ -367,14 +385,17 @@ def test_a_remembered_subterm_is_typed_again_under_other_binders():
 
 
 def test_a_step_that_changes_a_sibling_is_typed_where_the_walk_stops(monkeypatch):
+    """The judgements settle the step: only the nodes it built are judged,
+    and no state is typed whole."""
     before = _typed("\\u : A. <(\\v : A. v) x, y>")
-    typed = _typed_whole(monkeypatch)
-    after = replace_at(before, (0,), Pair(x, u))  # u is bound on the path
+    assert _judged(before, before).ok  # judges every node of before
+    typed, judged = _typed_whole(monkeypatch), _judging(monkeypatch)
+    after = replace_at(before, (0,), Pair(Var("x", A), Var("u", A)))  # u is bound
     assert _judged(before, after).ok
-    # the pair is typed, in the context the lambda binds, not the whole state
-    assert _held(after.body, typed) and not _held(after, typed)
-    wrong = replace_at(before, (0,), Pair(x, f))
+    assert sorted(map(id, judged)) == _built(before, after) and typed == []
+    wrong = replace_at(before, (0,), Pair(Var("x", A), Var("f", Impl(A, A))))
     assert _judged(before, wrong).message == "type changed"
+    assert typed == [before, wrong]  # the types differ: judged whole
 
 
 SESSION = "nu a : EM[A]. [ efq[A](nota x) || (\\v : A. v) a ]"
@@ -406,31 +427,38 @@ def test_a_contractum_that_adds_or_removes_a_component_mark(src, path, new, mess
 def test_a_bare_channel_that_becomes_an_applied_head(monkeypatch):
     before = _typed("nu a : EM[A -> A]. [ efq[A](nota f) || (\\h : A -> A. h) a x ]")
     typed = _typed_whole(monkeypatch)
-    after = replace_at(before, (1, 0), Chan("a"))
-    assert _judged(before, after).ok
-    # the walk stops at the channel and climbs to the application it heads
-    assert _held(after.comps[1], typed) and not _held(after.comps[1].fun, typed)
+    after = replace_at(before, (1, 0), before.comps[1].fun.arg)  # the channel
+    assert _judged(before, after).ok and typed == []
+    # one occurrence, bare in before and the head of an application in after
+    form = (Impl(A, A), False, False)
+    judgement = typecheck._judgement
+    assert judgement(before.comps[1])[2] == {"a": frozenset({form + (True,)})}
+    assert judgement(after.comps[1])[2] == {"a": frozenset({form + (False,)})}
     # in a general session the channel may only occur applied
-    before = _typed("nu a : AX{A -> B, B -> A}. [ (\\v : B. g v) (a x) || a z ]")
-    after = replace_at(before, (0, 1), Chan("a"))
+    before = _typed(
+        "nu a : AX{A -> B, B -> A}. [ (\\h : A -> B. g (h x)) (\\v : A. a v) || a z ]"
+    )
+    after = replace_at(before, (0, 1), before.comps[0].arg.body.fun)
     assert _judged(before, after).message == (
         "after does not type: ChannelDisciplineViolation at [0, 1]: channel a "
         "cannot occur alone in component 0"
     )
+    # the component alone types; its session refuses the bare form
+    bare = (Impl(A, B), False, False, True)
+    assert judgement(after.comps[0])[2] == {"a": frozenset({bare})}
+    assert judgement(after) is False and typed == [before, after]
 
 
 def test_a_new_free_name_bound_on_the_path_or_free_elsewhere(monkeypatch):
     typed = _typed_whole(monkeypatch)
     before = _typed("\\u : A. (\\v : A. v) y")
-    after = replace_at(before, (0,), u)
-    assert _judged(before, after).ok
-    assert not _held(after, typed)  # the lambda binds u: settled locally
+    assert _judged(before, replace_at(before, (0,), Var("u", A))).ok
     before = _typed("<(\\v : A. v) y, x>")
-    after = replace_at(before, (0,), x)
-    assert _judged(before, after).ok
-    assert _held(after, typed)  # x is free elsewhere: judged whole
-    after = replace_at(before, (0,), w)
+    assert _judged(before, replace_at(before, (0,), Var("x", A))).ok
+    assert typed == []  # the lambda binds u, and x is free in before too
+    after = replace_at(before, (0,), Var("w", A))
     assert _judged(before, after).message == "new free names appeared: ['w']"
+    assert typed == [before, after]
     # a variable named as the channel bound on the path is still new
     gamma = {**GAMMA, "a": A}
     before = check(
@@ -440,7 +468,8 @@ def test_a_new_free_name_bound_on_the_path_or_free_elsewhere(monkeypatch):
         )),
         TypingContext(ivars=dict(gamma)),
     )[0]
-    after = replace_at(before, (1,), Var("a"))
+    after = replace_at(before, (1,), Var("a", A))
+    assert typecheck._judgement(after)[1] == {"x": A, "a": A}
     assert _judged(before, after, gamma).message == "new free names appeared: ['a']"
 
 
@@ -452,7 +481,7 @@ def test_checking_a_deep_step_types_only_the_redex(monkeypatch):
     before, _ = check(t, ctx)
     (redex,) = find_redexes(before)
     after = step(before, redex)
-    assert check_subject_reduction(ctx, before, before).ok  # before, judged whole
+    assert check_subject_reduction(ctx, before, before).ok  # judges before
     calls = []
     infer = typecheck._infer
 
@@ -461,9 +490,58 @@ def test_checking_a_deep_step_types_only_the_redex(monkeypatch):
         return infer(t, *rest)
 
     monkeypatch.setattr(typecheck, "_infer", counted)
+    judged = _judging(monkeypatch)
     assert check_subject_reduction(ctx, before, after).ok
-    old, new = subterm_at(before, redex.position), subterm_at(after, redex.position)
-    assert len(calls) == term_size(old) + term_size(new) == 5
+    assert calls == []
+    # the 400 pairs on the path; the contractum x is a node of before
+    assert sorted(map(id, judged)) == _built(before, after) and len(judged) == 400
+
+
+@pytest.mark.parametrize("src, path, new, message", [
+    # a free variable annotated with a type its context does not give it
+    ("<x, g z> pi1", (), lambda t: App(Var("g", Impl(B, A)), Var("x", B)),
+     "TypeMismatch at [1]: argument: expected B, found A"),
+    # a bound variable annotated with a type its binder does not give it
+    ("\\v : A. (\\u : B. x) z", (0,), lambda t: App(Var("g", Impl(B, A)), Var("v", B)),
+     "TypeMismatch at [0, 1]: argument: expected B, found A"),
+    # a channel occurrence annotated with a type its session does not give it
+    (SESSION, (1,), lambda t: App(Var("g", Impl(B, A)), Chan("a", B)),
+     "TypeMismatch at [1, 1]: argument: expected B, found A"),
+    # a mark off the components, and a second mark
+    ("<x, y>", (0,), lambda t: Underline(t.left),
+     "ChannelDisciplineViolation at [0]: component mark outside a session"),
+    (MARKED, (1,), lambda t: Underline(t.comps[1].arg),
+     "ChannelDisciplineViolation at []: more than one marked component"),
+    # a session short of a component
+    ("nu a : EMN[A; 2]. [ efq[A](nota x) || a || a ]", (),
+     lambda t: replace(t, comps=t.comps[:2]),
+     "ChannelDisciplineViolation at []: axiom EMN[A;2] wants 3 components, got 2"),
+])
+def test_an_elaborated_node_whose_judgement_does_not_hold(src, path, new, message):
+    """Each new node is elaborated, and its annotations type it on their own;
+    its judgement refuses what check refuses in place."""
+    before = _typed(src)
+    after = replace_at(before, path, new(before))
+    assert _judged(before, after).message == f"after does not type: {message}"
+    ctx = TypingContext(ivars=dict(GAMMA))
+    assert not typecheck._holds(typecheck._judgement(after), ctx)
+
+
+def test_a_free_channel_judged_in_a_context_that_types_it():
+    ctx = TypingContext(chans={"c": A})
+    before, after = Chan("c", A), Chan("c", A, negated=True)
+    assert check_subject_reduction(ctx, before, before).ok
+    rep = check_subject_reduction(ctx, before, after)
+    assert rep == subject_reduction_oracle(ctx, before, after)
+    assert rep.message == (
+        "after does not type: ChannelDisciplineViolation at []: free channel c "
+        "has no sender polarity"
+    )
+    # check types a free channel as its context does, whatever it is annotated
+    ctx = TypingContext(chans={"c": B})
+    rep = check_subject_reduction(ctx, before, before)
+    assert rep == subject_reduction_oracle(ctx, before, before)
+    assert rep.ok and rep.type_before == "B"
 
 
 def _assert_steps_match_the_oracle(ctx, t, discipline):
@@ -503,3 +581,95 @@ def test_subject_reduction_matches_the_whole_state_oracle_on_the_examples(name):
     t, _ = check(prog.term, ctx)
     for discipline in (False, True):
         _assert_steps_match_the_oracle(ctx, t, discipline)
+
+
+# --------------------------------------------------------------------------
+# judgements: what check says of a node, with no context
+
+PRESETS = ["em", "em3", "c3", "g2", "godel", None]
+EXAMPLES = ["broadcast_em3", "godel", "mobility", "or", "scheduler_c3"]
+
+
+def _example(name):
+    source = (resources.files("lax") / "examples" / f"{name}.lax").read_text()
+    prog = parse_program(source)
+    ctx = TypingContext(ivars=dict(prog.gamma))
+    return ctx, check(prog.term, ctx)[0]
+
+
+def _states(t, discipline):
+    _, trace = normalize(t, max_steps=10_000, underline_discipline=discipline)
+    return [trace.initial] + [ts.term_after for ts in trace.steps]
+
+
+def _assert_judgements_hold(ctx, t, discipline):
+    """Every state's judgement, remembered and on a fresh copy, holds in
+    ctx with check's type and the state's free names."""
+    for state in _states(t, discipline):
+        for u in (state, fresh_copy(state)):
+            j = typecheck._judgement(u)
+            assert typecheck._holds(j, ctx)
+            assert j[0] == infer_type(u, ctx)
+            assert (j[1].keys(), j[2].keys()) == free_names(u)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(PRESETS), st.booleans())
+def test_every_state_is_judged_as_check_types_it(seed, preset, discipline):
+    gamma, t = generate(seed, GenConfig(preset=preset, max_size=20))
+    _assert_judgements_hold(TypingContext(ivars=gamma), t, discipline)
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_every_state_is_judged_as_check_types_it_on_the_examples(name):
+    ctx, t = _example(name)
+    for discipline in (False, True):
+        _assert_judgements_hold(ctx, t, discipline)
+
+
+def _tampers(t, rng):
+    """t with one annotation changed, a few times for each kind: a
+    variable's type, a channel's activity or polarity, a lambda's bound."""
+    kinds = {"ty": [], "active": [], "negated": [], "ann": []}
+    for path, s in iter_subterms(t):
+        if type(s) is Var:
+            kinds["ty"].append((path, replace(s, ty=Impl(s.ty, s.ty))))
+        elif type(s) is Chan:
+            kinds["active"].append((path, replace(s, active=not s.active)))
+            kinds["negated"].append((path, replace(s, negated=not s.negated)))
+        elif type(s) is Lam:
+            kinds["ann"].append((path, replace(s, ann=Conj(s.ann, s.ann))))
+    for found in kinds.values():
+        for path, new in rng.sample(found, min(3, len(found))):
+            yield replace_at(t, path, new)
+
+
+def _assert_tampers_match_the_oracle(ctx, t, discipline, rng):
+    """A tampered annotation in either state of a step gives the whole-state
+    oracle's report."""
+    states = _states(t, discipline)
+    for before, after in zip(states, states[1:]):
+        pairs = [(before, a) for a in _tampers(after, rng)]
+        pairs += [(b, after) for b in _tampers(before, rng)]
+        for b, a in pairs:
+            rep = check_subject_reduction(ctx, b, a)
+            assert rep == subject_reduction_oracle(ctx, b, a)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(PRESETS), st.booleans())
+def test_a_tampered_annotation_is_reported_as_the_oracle_reports_it(
+    seed, preset, discipline
+):
+    gamma, t = generate(seed, GenConfig(preset=preset, max_size=20))
+    ctx = TypingContext(ivars=gamma)
+    _assert_tampers_match_the_oracle(ctx, t, discipline, random.Random(seed))
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_a_tampered_annotation_is_reported_as_the_oracle_reports_it_on_the_examples(
+    name,
+):
+    ctx, t = _example(name)
+    for discipline in (False, True):
+        _assert_tampers_match_the_oracle(ctx, t, discipline, random.Random(name))
