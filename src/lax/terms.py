@@ -9,9 +9,9 @@ subterms, in path order, and which field names what it binds in which
 child. children(), with_children(), binder() and binder_names() are read off
 it, and so is HOLES, the hole of each eliminator: its first child. Free
 names, renaming, channel substitution and alpha-equivalence are walks over
-children() that read binder_names(); rebind() is
-the only code that renames a bound name, and substitution, the
-permutations' freshening and activation all go through it.
+children() that read binder_names(); rebind() is the only code that renames
+a bound name, and substitution, the permutations' freshening and activation
+all go through it.
 
 Variable occurrences and channel occurrences carry the type the checker
 assigned to them (ty is None straight out of the parser). All engine code
