@@ -17,11 +17,12 @@ Conventions used throughout:
   (arguments containing nested parallel nodes count 0; by the time
   communication fires the strategy has made the components simply typed).
 - the parallel permutations have one table, _PERM_SLOTS: for each
-  constructor, the attributes a parallel node can be permuted out of, each
-  with its trace label, in the order discovery tries them (the first match
-  wins; case branches are not listed, so a parallel node there is stuck).
-  An eliminator's first slot is labelled "stack": it is its hole
-  (terms.HOLES), which is also where the case permutation looks.
+  constructor, the children a parallel node can be permuted out of, by
+  child index, each with its trace label, in the order discovery tries
+  them (the first match wins; case branches are not listed, so a parallel
+  node there is stuck).
+  An eliminator's first slot, child 0, is labelled "stack": it is its
+  hole (terms.HOLES), which is also where the case permutation looks.
 - EM's basic cross is the broadcast cross with a single receiver; only the
   full cross, which ships an open message, is EM's own.
 
@@ -123,6 +124,8 @@ from .terms import (
     subst,
     subst_chan_bare,
     subterm_at,
+    with_child,
+    with_children,
 )
 from .typecheck import type_of
 
@@ -644,8 +647,11 @@ def _with_redexes(s: Term) -> list[Term]:
 
 
 def _node_peaks(s: Term, kids: list[tuple], discipline: bool) -> tuple:
+    own = _own(s, discipline)
+    if not own and len(kids) == 1:
+        return kids[0]
     top = list(_NO_PEAKS)
-    for _, r in _own(s, discipline):
+    for _, r in own:
         k = _PEAK_SLOT[r.kind]
         top[k] = max(top[k], r.complexity)
         if r.kind is RedexKind.CASE_PERM:
@@ -678,25 +684,27 @@ def _local_redexes(s: Term) -> list[Redex]:
     return out
 
 
-# constructor -> ((attribute, ParPerm label), ...), first match wins; an
-# eliminator's first slot is its hole
+# constructor -> ((child index, ParPerm label), ...), first match wins; an
+# eliminator's first slot is its hole, child 0
 _PERM_SLOTS = {
-    App: ((HOLES[App], "stack"), ("arg", "app-left")),
-    Proj: ((HOLES[Proj], "stack"),),
-    Efq: ((HOLES[Efq], "stack"),),
-    Case: ((HOLES[Case], "stack"),),
-    Lam: (("body", "lam"),),
-    Inj: (("arg", "inj"),),
-    Pair: (("left", "pair-left"), ("right", "pair-right")),
+    App: ((0, "stack"), (1, "app-left")),
+    Proj: ((0, "stack"),),
+    Efq: ((0, "stack"),),
+    Case: ((0, "stack"),),
+    Lam: ((0, "lam"),),
+    Inj: ((0, "inj"),),
+    Pair: ((0, "pair-left"), (1, "pair-right")),
 }
 
 _PERM_HOSTS = (ParBind, Contract)
 
 
-def _perm_slot(s: Term) -> Optional[tuple[str, str]]:
-    """(attribute, label) of the slot a parallel node permutes out of, if any."""
+def _perm_slot(s: Term) -> Optional[tuple[int, str]]:
+    """(child index, label) of the slot a parallel node permutes out of, if
+    any."""
+    cs = children(s)
     for slot in _PERM_SLOTS.get(type(s), ()):
-        if isinstance(getattr(s, slot[0]), _PERM_HOSTS):
+        if isinstance(cs[slot[0]], _PERM_HOSTS):
             return slot
     return None
 
@@ -879,16 +887,15 @@ def _through_mark(c: Term, f) -> Term:
 
 
 def _case_perm(s: Term, host: Term) -> Term:
-    hole = HOLES[type(s)]
     # the frame moves under the branch binders, which beta may have
-    # duplicated
-    case = _freshen(getattr(s, hole), replace(s, **{hole: TT}), host)
+    # duplicated; its hole is its child 0
+    case = _freshen(getattr(s, HOLES[type(s)]), with_child(s, 0, TT), host)
     return Case(
         case.scrut,
         case.lvar,
-        replace(s, **{hole: case.lbody}),
+        with_child(s, 0, case.lbody),
         case.rvar,
-        replace(s, **{hole: case.rbody}),
+        with_child(s, 0, case.rbody),
     )
 
 
@@ -913,15 +920,15 @@ def _freshen(t: Term, other: Term, host: Term) -> Term:
 
 
 def _par_perm(s: Term, host: Term) -> Term:
-    attr = _perm_slot(s)[0]
+    i = _perm_slot(s)[0]
     # everything else in s moves under the parallel node's binder
-    par = _freshen(getattr(s, attr), replace(s, **{attr: TT}), host)
+    par = _freshen(children(s)[i], with_child(s, i, TT), host)
 
     def rebuild(b: Term) -> Term:
-        return replace(s, **{attr: b})
+        return with_child(s, i, b)
 
     if isinstance(par, ParBind):
-        return replace(par, comps=tuple(_through_mark(c, rebuild) for c in par.comps))
+        return with_children(par, tuple(_through_mark(c, rebuild) for c in par.comps))
     return Contract(rebuild(par.left), rebuild(par.right))
 
 

@@ -6,8 +6,13 @@ redex positions refer to.
 
 One table, _SHAPES, states each constructor's shape: the fields holding its
 subterms, in path order, and which field names what it binds in which
-child. children(), with_children(), binder() and binder_names() are read off
-it, and so is HOLES, the hole of each eliminator: its first child. Free
+child. children(), node_data(), with_children(), with_child(), binder() and
+binder_names() are read off it, and so is HOLES, the hole of each
+eliminator: its first child. A node is rebuilt by one positional call of
+its constructor: at import, each constructor gets a getter of its children
+and functions that build it anew with all its children or with one,
+generated from its shape. replace_at() makes one such call per level of the
+path; dataclasses.replace is left for a field that is not a child. Free
 names, renaming, channel substitution and alpha-equivalence are walks over
 children() that read binder_names(); rebind() is the only code that renames
 a bound name, and substitution, the permutations' freshening and activation
@@ -17,19 +22,19 @@ Variable occurrences and channel occurrences carry the type the checker
 assigned to them (ty is None straight out of the parser). All engine code
 assumes elaborated terms, so a bottom-up type_of needs no environment.
 
-A node remembers facts in one record (Facts, facts()) kept in a slot
-outside its dataclass fields, so equality, hashing, repr and replace()
-ignore them. Nodes are frozen and every change builds fresh nodes, so a
-remembered fact cannot go stale; a node shared by several terms, or
-sitting at several positions of one, has the same facts at each.
-remembered() is the one loop that fills a subtree fact: bottom-up, on an
-explicit stack, over the children a fact asks it to enter. This module
-defines no fact of its own. rewrite fills each node's redexes (whose mask
-also says whether the subtree is simply typed and holds an active
-session), its complexity peaks, its send summary and a component's
-rightmost occurrences; typecheck fills the judgement of every node the
-subject-reduction audit judges: its type, free names and mark, which
-depend on no context.
+A node remembers facts in one record (Facts) kept in a slot outside its
+dataclass fields, so equality, hashing, repr and replace() ignore them.
+Nodes are frozen and every change builds fresh nodes, so a remembered fact
+cannot go stale; a node shared by several terms, or sitting at several
+positions of one, has the same facts at each. remembered() is the one loop
+that fills a subtree fact: bottom-up, on an explicit stack, over the
+children a fact asks it to enter; it makes a node's record when it first
+enters a node that has none. This module defines no fact of its own.
+rewrite fills each node's redexes (whose mask also says whether the
+subtree is simply typed and holds an active session), its complexity
+peaks, its send summary and a component's rightmost occurrences;
+typecheck fills the judgement of every node the subject-reduction audit
+judges: its type, free names and mark, which depend on no context.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .formulas import Formula
 
 
 class Term:
-    # every node has room for its Facts record (see facts())
+    # every node has room for its Facts record (see remembered())
     __slots__ = ("_facts",)
 
     def __str__(self) -> str:
@@ -185,36 +190,55 @@ _SHAPES: dict[type, _Shape] = {
 }
 
 
-def _getter(names: tuple[str, ...]):
-    """The function giving a node's fields `names` as a tuple."""
-    if len(names) == 1:
-        get = attrgetter(names[0])
-        return lambda t: (get(t),)
-    if names:
-        return attrgetter(*names)
-    return lambda t: ()
+def _compiled(cls: type, shape: _Shape) -> tuple[Callable, ...]:
+    """(kids, data, build, put) for cls, generated from its shape so that
+    no field is named twice: kids(t) gives t's children in path order,
+    data(t) its other fields in field order, build(t, cs) is t with the
+    children cs and put(t, i, c) is t with c for its i-th child, each one
+    positional call of the constructor."""
+    names = [f.name for f in fields(cls)]
+
+    def fields_of(ns) -> str:
+        return "(" + "".join(f"t.{n}, " for n in ns) + ")"
+
+    def call(kid: Callable[[str], str]) -> str:
+        args = (kid(n) if n in shape.kids else f"t.{n}" for n in names)
+        return f"{cls.__name__}({', '.join(args)})"
+
+    data = fields_of(n for n in names if n not in shape.kids)
+    if not shape.kids:
+        kids, build, put = "()", "t", "()[i]"  # a leaf has no child to put
+    elif shape.spread:
+        kids = f"t.{shape.kids[0]}"
+        build = call(lambda n: "cs")
+        put = call(lambda n: f"t.{n}[:i] + (c,) + t.{n}[i + 1:]")
+    else:
+        kids = fields_of(shape.kids)
+        build = call(lambda n: f"cs[{shape.kids.index(n)}]")
+        put = call(lambda n: "c" if n == shape.kids[-1] else f"t.{n}")
+        for i in range(len(shape.kids) - 2, -1, -1):
+            here = call(lambda n: "c" if n == shape.kids[i] else f"t.{n}")
+            put = f"{here} if i == {i} else {put}"
+    scope = {cls.__name__: cls}
+    return tuple(
+        eval(f"lambda {args}: {body}", scope)
+        for args, body in (("t", kids), ("t", data), ("t, cs", build), ("t, i, c", put))
+    )
 
 
-_CHILDREN = {
-    cls: attrgetter(shape.kids[0]) if shape.spread else _getter(shape.kids)
-    for cls, shape in _SHAPES.items()
-}
-
-# every other field: labels, annotations, bound names
-_DATA = {
-    cls: _getter(tuple(f.name for f in fields(cls) if f.name not in shape.kids))
-    for cls, shape in _SHAPES.items()
-}
+_CHILDREN, _DATA, _BUILD, _PUT = {}, {}, {}, {}
+for _cls, _shape in _SHAPES.items():
+    _CHILDREN[_cls], _DATA[_cls], _BUILD[_cls], _PUT[_cls] = _compiled(_cls, _shape)
 
 # the constructors that bind a name in some child
 _BINDERS = frozenset(cls for cls, shape in _SHAPES.items() if shape.binds)
 
 
 def children(t: Term) -> tuple[Term, ...]:
-    get = _CHILDREN.get(type(t))
-    if get is None:
-        raise TypeError(f"not a term: {t!r}")
-    return get(t)
+    try:
+        return _CHILDREN[type(t)](t)
+    except KeyError:
+        raise TypeError(f"not a term: {t!r}") from None
 
 
 def node_data(t: Term) -> tuple:
@@ -225,12 +249,13 @@ def node_data(t: Term) -> tuple:
 
 
 def with_children(t: Term, cs: tuple[Term, ...]) -> Term:
-    shape = _SHAPES[type(t)]
-    if not shape.kids:
-        return t
-    if shape.spread:
-        return replace(t, **{shape.kids[0]: cs})
-    return replace(t, **dict(zip(shape.kids, cs)))
+    """t with the children cs, in path order; a leaf is itself."""
+    return _BUILD[type(t)](t, cs)
+
+
+def with_child(t: Term, i: int, c: Term) -> Term:
+    """t with c for its i-th child, 0 <= i < len(children(t))."""
+    return _PUT[type(t)](t, i, c)
 
 
 Path = tuple[int, ...]
@@ -252,15 +277,16 @@ def subterm_at(t: Term, path: Path) -> Term:
 
 def replace_at(t: Term, path: Path, new: Term) -> Term:
     """t with the subterm at path replaced by new; only the nodes along the
-    path are rebuilt, every sibling is shared."""
+    path are rebuilt, every sibling is shared. IndexError when path
+    addresses no subterm, as for subterm_at."""
     spine = []
     for i in path:
         spine.append(t)
+        if i < 0:  # the rebuild below takes i as a child's number
+            raise IndexError(f"{type(t).__name__} has no child {i}")
         t = children(t)[i]
     for s, i in zip(reversed(spine), reversed(path)):
-        cs = list(children(s))
-        cs[i] = new
-        new = with_children(s, tuple(cs))
+        new = _PUT[type(s)](s, i, new)
     return new
 
 
@@ -311,13 +337,9 @@ class Facts:
         self.rightmost = self.judgement = None
 
 
-def facts(t: Term) -> Facts:
-    """The facts t remembers; an empty record the first time."""
-    f = getattr(t, "_facts", None)
-    if f is None:
-        f = Facts()
-        object.__setattr__(t, "_facts", f)
-    return f
+# one getter per fact
+_GET = {key: attrgetter(key) for key in Facts.__slots__}
+_set_facts = Term._facts.__set__
 
 
 def remembered(
@@ -331,12 +353,15 @@ def remembered(
 
     The first time, compute runs bottom-up, on an explicit stack, on every
     node below t that enter reaches and that does not know the fact yet,
-    and each keeps its value; nodes that know it are not entered.
+    and each keeps its value; a node entered with no Facts record yet gets
+    one then. Nodes that know the fact are not entered.
     """
+    get = _GET[key]
     f = getattr(t, "_facts", None)
-    if f is not None and (known := getattr(f, key)) is not None:
+    if f is None:
+        _set_facts(t, Facts())
+    elif (known := get(f)) is not None:
         return known
-    get = attrgetter(key)
     todo = [t]
     while todo:
         s = todo[-1]
@@ -344,14 +369,16 @@ def remembered(
         kids = []
         for c in enter(s):
             f = getattr(c, "_facts", None)
-            v = None if f is None else get(f)
-            if v is None:
+            if f is None:  # its record, made as it is entered
+                _set_facts(c, Facts())
+                todo.append(c)
+            elif (v := get(f)) is None:
                 todo.append(c)  # the children first
             else:
                 kids.append(v)
         if len(todo) == waiting:
             todo.pop()
-            f = facts(s)
+            f = s._facts
             if get(f) is None:  # else shared below two parents, done
                 setattr(f, key, compute(s, kids))
     return get(t._facts)
@@ -570,7 +597,7 @@ def decompose_stack(t: Term) -> tuple[Term, tuple[Term, ...]]:
 def apply_stack(t: Term, s: tuple[Term, ...]) -> Term:
     """t with each eliminator of s, innermost first, put over it."""
     for f in s:
-        t = replace(f, **{HOLES[type(f)]: t})
+        t = with_child(f, 0, t)
     return t
 
 

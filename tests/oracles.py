@@ -42,12 +42,14 @@ from lax import (
     Unit,
     Var,
     check,
+    find_redexes,
     redexes_at,
     show_formula,
+    step,
     type_of,
 )
 from lax.rewrite import Occurrence
-from lax.terms import binder_names, children, with_children
+from lax.terms import Facts, binder_names, children
 
 Path = tuple[int, ...]
 
@@ -222,12 +224,50 @@ def uppermost_active_oracle(t: Term) -> list[tuple[Path, Term]]:
 # kinds asked for; here every node is visited, in preorder, and asked for
 # the redexes rooted at it.
 
+# the fields _kids reads, in its order; a session's components are one field
+_KID_FIELDS = {
+    Lam: ("body",),
+    App: ("fun", "arg"),
+    Pair: ("left", "right"),
+    Proj: ("arg",),
+    Inj: ("arg",),
+    Efq: ("arg",),
+    Case: ("scrut", "lbody", "rbody"),
+    Contract: ("left", "right"),
+    Underline: ("body",),
+}
+
+
+def with_kids_oracle(t: Term, kids) -> Term:
+    """A new node like t with the children kids (_kids' order), built
+    through dataclasses.replace rather than the library's builders."""
+    if isinstance(t, ParBind):
+        return replace(t, comps=tuple(kids))
+    return replace(t, **dict(zip(_KID_FIELDS.get(type(t), ()), kids)))
+
+
+def replace_at_oracle(t: Term, path: Path, new: Term) -> Term:
+    """t with the subterm at path replaced by new, by recursion on path."""
+    if not path:
+        return new
+    kids = list(_kids(t))
+    kids[path[0]] = replace_at_oracle(kids[path[0]], path[1:], new)
+    return with_kids_oracle(t, kids)
+
+
 def fresh_copy(t: Term) -> Term:
     """A structurally equal term of new nodes, none remembering anything."""
-    kids = _kids(t)
-    if not kids:
-        return replace(t)
-    return with_children(t, tuple(fresh_copy(c) for c in kids))
+    return with_kids_oracle(t, [fresh_copy(c) for c in _kids(t)])
+
+
+def facts(t: Term) -> Facts:
+    """The facts t remembers; an empty record the first time, put where
+    terms.remembered keeps it."""
+    f = getattr(t, "_facts", None)
+    if f is None:
+        f = Facts()
+        object.__setattr__(t, "_facts", f)
+    return f
 
 
 def find_redexes_oracle(t: Term, underline_discipline: bool = False, kinds=None) -> list:
@@ -743,3 +783,29 @@ def lex_oracle(text: str) -> list[tuple[str, str, int, int]]:
             raise LaxSyntaxError(f"unexpected character {c!r}", line, col)
     toks.append(("eof", "", line, col))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# reduction in random order
+#
+# The paper states subject reduction for the reduction relation, and the
+# normal-form theorems for every normal term, not only for the master
+# strategy's runs. random_order_run contracts a redex drawn uniformly from
+# all the library offers, so it reaches the contractions the strategy
+# seldom or never picks.
+
+def random_order_run(t: Term, discipline: bool, rng, budget: int):
+    """(states, redexes, ended): a run from t that contracts, at each step,
+    a redex rng draws uniformly from find_redexes(state, discipline); the
+    states from t on, the redex contracted in each, and whether the last
+    state has no redex. The run stops after budget steps."""
+    states, fired = [t], []
+    for _ in range(budget):
+        redexes = find_redexes(t, discipline)
+        if not redexes:
+            return states, fired, True
+        r = rng.choice(redexes)
+        t = step(t, r)
+        states.append(t)
+        fired.append(r)
+    return states, fired, not find_redexes(t, discipline)

@@ -1,6 +1,8 @@
 """Run validation: normal forms, subformula checking, trace audits."""
 
 import dataclasses
+import random
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,14 +33,20 @@ from lax import (
     generate,
     is_normal,
     normalize,
+    parse_program,
     parse_term,
     subterm_types,
 )
 from lax import analysis, typecheck
-from lax.rewrite import Redex, RedexKind
+from lax.rewrite import CROSSES, Redex, RedexKind
 from lax.strategy import Trace, TraceStep
+from lax.terms import subterm_at
 
-from oracles import subterm_types_by_derivation
+from oracles import (
+    random_order_run,
+    subject_reduction_oracle,
+    subterm_types_by_derivation,
+)
 
 A, B, Z = Atom("A"), Atom("B"), Atom("Z")
 
@@ -115,6 +123,61 @@ def test_the_two_subterm_typers_agree_after_reduction(seed):
     _, t = generate(seed, GenConfig(preset="c3", max_size=20))
     final, _ = normalize(t, max_steps=10_000)
     assert subterm_types(final) == subterm_types_by_derivation(final)
+
+
+# --------------------------------------------------------------------------
+# every reduction order, not only the strategy's
+#
+# Subject reduction holds for the reduction relation, and the parallel
+# normal form and subformula properties for every normal term. A run in
+# random order that exhausts its budget is no failure: the paper proves
+# termination for the master strategy, not for every order.
+
+def _random_run(ctx, t, discipline, seed, budget=200):
+    """(state, redex contracted in it) along a random-order run from t, in
+    which every state types to t's type, and which, if it ends, ends in a
+    term with both properties."""
+    states, fired, ended = random_order_run(t, discipline, random.Random(seed), budget)
+    for k, s in enumerate(states[1:]):
+        rep = subject_reduction_oracle(ctx, t, s)
+        assert rep.ok, f"after {fired[k]}: {rep.message}"
+    if ended:
+        assert check_parallel_nf_property(states[-1], discipline).holds
+        assert check_subformula(ctx, states[-1]).holds
+    return list(zip(states, fired))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["em", "em3", "c3", "g2", "godel", None]),
+    st.booleans(),
+    st.integers(0, 10**9),
+)
+def test_every_reduction_order_keeps_the_type(seed, preset, discipline, order):
+    gamma, t = generate(seed, GenConfig(preset=preset, max_size=40))
+    ctx = TypingContext(ivars=gamma)
+    t, _ = check(t, ctx)
+    _random_run(ctx, t, discipline, order)
+
+
+def test_every_reduction_order_on_the_examples_fires_every_cross():
+    """Random orders reach what the strategy never picks on the examples,
+    the general full cross among them."""
+    fired = set()
+    for name in ["broadcast_em3", "godel", "mobility", "or", "scheduler_c3"]:
+        source = (resources.files("lax") / "examples" / f"{name}.lax").read_text()
+        prog = parse_program(source)
+        ctx = TypingContext(ivars=dict(prog.gamma))
+        t, _ = check(prog.term, ctx)
+        for discipline in (False, True):
+            for seed in range(10):
+                for s, r in _random_run(ctx, t, discipline, seed):
+                    mode = subterm_at(s, r.position).axiom.mode if r.kind in CROSSES else None
+                    fired.add((r.kind, mode))
+    kinds = {k for k, _ in fired}
+    assert kinds >= CROSSES | {RedexKind.GARBAGE_CROSS}
+    assert {(RedexKind.FULL_CROSS, "em"), (RedexKind.FULL_CROSS, "general")} <= fired
 
 
 # --------------------------------------------------------------------------

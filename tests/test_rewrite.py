@@ -57,7 +57,6 @@ from lax.rewrite import (
 from lax.terms import (
     comp_body,
     comp_marked,
-    facts,
     free_chans,
     free_names,
     is_parallel_node,
@@ -72,6 +71,7 @@ from oracles import (
     _occurrences,
     brute_force_redexes,
     chan_occurrences,
+    facts,
     find_redexes_oracle,
     fresh_copy,
     leftmost_innermost_oracle,

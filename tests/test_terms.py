@@ -4,7 +4,10 @@ alpha-equivalence, on terms built with the constructors (the parser's
 hygiene would rename the clashes these tests need)."""
 
 import dataclasses
+import json
 from importlib import resources
+from operator import is_
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,9 +39,10 @@ from lax import (
     generate,
     normalize,
     parse_program,
+    redex_peaks,
     term_size,
 )
-from lax import terms
+from lax import rewrite, terms
 from lax.rewrite import (
     contains_active_session,
     is_simply_typed,
@@ -49,9 +53,9 @@ from lax.terms import (
     all_names,
     binder_names,
     children,
-    facts,
     fresh_name,
     iter_subterms,
+    node_data,
     rebind,
     replace_at,
     rename_chan,
@@ -59,6 +63,7 @@ from lax.terms import (
     subst,
     subst_chan_bare,
     subterm_at,
+    with_child,
     with_children,
 )
 
@@ -67,8 +72,11 @@ from oracles import (
     _kids,
     _mentions_active_session,
     _mentions_parallel,
+    facts,
     fresh_copy,
+    replace_at_oracle,
     uppermost_active_oracle,
+    with_kids_oracle,
 )
 
 A, B = Atom("A"), Atom("B")
@@ -190,6 +198,68 @@ def test_a_redex_at_the_bottom_of_a_deep_chain_normalizes():
 
 
 # --------------------------------------------------------------------------
+# rebuilding: one positional constructor call per node
+
+DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+
+
+def _frozen_and_example_terms():
+    """The checked initial terms of the benchmark's 589 frozen programs,
+    then every state of the five examples' runs."""
+    for path in sorted(DATA.glob("*.jsonl")):
+        for line in path.read_text().splitlines()[1:]:
+            prog = parse_program(json.loads(line)["source"])
+            yield check(prog.term, TypingContext(ivars=dict(prog.gamma)))[0]
+    for name in EXAMPLES:
+        yield from _example_states(name)
+
+
+def test_the_builders_agree_with_replace_on_every_node():
+    new = Var("new")
+    seen = set()
+    for t in _frozen_and_example_terms():
+        for _, s in iter_subterms(t):
+            seen.add(type(s))
+            kids = children(s)
+            out = with_children(s, kids)
+            assert out == dataclasses.replace(s) and node_data(out) == node_data(s)
+            assert all(map(is_, children(out), kids)), s
+            if not kids:
+                assert out is s
+                continue
+            assert out is not s and getattr(out, "_facts", None) is None
+            for i in range(len(kids)):
+                put = with_child(s, i, new)
+                want = with_kids_oracle(s, kids[:i] + (new,) + kids[i + 1:])
+                assert put == want and node_data(put) == node_data(s)
+                assert all(map(is_, children(put), children(want))), (s, i)
+    assert seen == set(terms._SHAPES)
+
+
+@pytest.mark.parametrize("path", [(2,), (-1,), (0, 0), (1, -2)])
+def test_replace_at_refuses_a_path_that_addresses_no_subterm(path):
+    t = Pair(Var("a"), Case(Var("s"), "x", Var("x"), "y", Var("y")))
+    with pytest.raises(IndexError):
+        subterm_at(t, path)
+    with pytest.raises(IndexError):
+        replace_at(t, path, Var("new"))
+
+
+def test_replace_at_rebuilds_the_path_and_shares_every_sibling():
+    new = Var("new")
+    for t in _frozen_and_example_terms():
+        for path, _ in iter_subterms(t):
+            out = replace_at(t, path, new)
+            assert out == replace_at_oracle(t, path, new), path
+            old = t
+            for i in path:
+                kids, was = children(out), children(old)
+                assert all(kids[j] is was[j] for j in range(len(was)) if j != i)
+                out, old = kids[i], was[i]
+            assert out is new
+
+
+# --------------------------------------------------------------------------
 # remembered subtree facts
 
 
@@ -229,6 +299,56 @@ def test_remembered_facts_leave_equality_hashing_and_repr_alone():
     assert t == copy and hash(t) == hash(copy) and repr(t) == repr(copy)
     # replace() builds a new node, which knows nothing yet
     assert facts(dataclasses.replace(t)).redexes is None
+
+
+def _counting(calls):
+    """A compute for terms.remembered that records each node it is run on."""
+    def compute(s, kids):
+        calls.append(s)
+        return 1 + sum(kids)
+    return compute
+
+
+def test_remembered_computes_each_distinct_node_once():
+    t = fresh_copy(_example_states("scheduler_c3")[3])
+    calls = []
+    size = terms.remembered(t, "peaks", _counting(calls))
+    assert size == term_size(t) == len(calls)
+    assert {id(s) for s in calls} == {id(s) for _, s in iter_subterms(t)}
+    assert terms.remembered(t, "peaks", _counting(calls)) == size
+    assert len(calls) == size  # the second call computes nothing
+
+
+def test_remembered_computes_a_node_at_two_positions_once():
+    x = fresh_copy(App(Lam("y", A, Var("y", A)), Var("z", A)))
+    t = Pair(x, x)
+    calls = []
+    # x is entered from both positions; whichever comes second finds its
+    # fact known
+    assert terms.remembered(t, "peaks", _counting(calls)) == 1 + 2 * 4
+    assert [type(s) for s in calls].count(App) == 1 and len(calls) == 5
+    assert facts(x).peaks == 4
+
+
+def test_remembered_never_computes_a_child_enter_skips(monkeypatch):
+    """The peaks enter only the children with a redex below; the others are
+    never computed and keep no peaks."""
+    t = fresh_copy(_example_states("mobility")[0])
+    calls = []
+    real = rewrite._node_peaks
+    monkeypatch.setattr(
+        rewrite, "_node_peaks", lambda s, kids, d: calls.append(s) or real(s, kids, d)
+    )
+    redex_peaks(t)
+    entered, todo = [], [t]
+    while todo:
+        s = todo.pop()
+        entered.append(s)
+        todo.extend(rewrite._with_redexes(s))
+    assert {id(s) for s in calls} == {id(s) for s in entered}
+    assert len(calls) == len(entered) < term_size(t)
+    skipped = [s for _, s in iter_subterms(t) if all(s is not c for c in entered)]
+    assert skipped and all(facts(s).peaks is None for s in skipped)
 
 
 # --------------------------------------------------------------------------
