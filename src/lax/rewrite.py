@@ -127,7 +127,7 @@ from .terms import (
     with_child,
     with_children,
 )
-from .typecheck import type_of
+from .typecheck import _same, type_of
 
 
 class NotParallelForm(Exception):
@@ -803,7 +803,7 @@ def multiple_subst(u: Term, ys: list[Var], v: Term) -> Term:
         return u
     want = conj([y.ty for y in ys])
     got = type_of(v)
-    if got != want:
+    if not _same(got, want):
         raise ValueError(f"multiple_subst: v has type {got}, the ys want {want}")
 
     def sel(i: int) -> Term:

@@ -20,21 +20,23 @@ all go through it.
 
 Variable occurrences and channel occurrences carry the type the checker
 assigned to them (ty is None straight out of the parser). All engine code
-assumes elaborated terms, so a bottom-up type_of needs no environment.
+assumes elaborated terms, so type_of, read off a node's judgement, needs no
+environment.
 
 A node remembers facts in one record (Facts) kept in a slot outside its
 dataclass fields, so equality, hashing, repr and replace() ignore them.
 Nodes are frozen and every change builds fresh nodes, so a remembered fact
 cannot go stale; a node shared by several terms, or sitting at several
-positions of one, has the same facts at each. remembered() is the one loop
+positions of one, has the same facts at each. remembered() is the loop
 that fills a subtree fact: bottom-up, on an explicit stack, over the
 children a fact asks it to enter; it makes a node's record when it first
 enters a node that has none. This module defines no fact of its own.
 rewrite fills each node's redexes (whose mask also says whether the
 subtree is simply typed and holds an active session), its complexity
-peaks, its send summary and a component's rightmost occurrences;
-typecheck fills the judgement of every node the subject-reduction audit
-judges: its type, free names and mark, which depend on no context.
+peaks, its send summary and a component's rightmost occurrences.
+typecheck's check keeps the judgement of every node it types, through
+facts_of(), and remembered() fills it for the nodes a step builds: its
+type, free names and mark, which depend on no context.
 """
 
 from __future__ import annotations
@@ -357,10 +359,7 @@ def remembered(
     one then. Nodes that know the fact are not entered.
     """
     get = _GET[key]
-    f = getattr(t, "_facts", None)
-    if f is None:
-        _set_facts(t, Facts())
-    elif (known := get(f)) is not None:
+    if (known := get(facts_of(t))) is not None:
         return known
     todo = [t]
     while todo:
@@ -382,6 +381,16 @@ def remembered(
             if get(f) is None:  # else shared below two parents, done
                 setattr(f, key, compute(s, kids))
     return get(t._facts)
+
+
+def facts_of(t: Term) -> Facts:
+    """t's record, made now if it has none, for a walk that fills a fact
+    in its own order (typecheck.check keeps the judgements it makes)."""
+    f = getattr(t, "_facts", None)
+    if f is None:
+        f = Facts()
+        _set_facts(t, f)
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,19 @@
 """Type checking and elaboration.
 
-check() walks the term once, synthesizing every type from binder and
-constructor annotations. It returns an elaborated copy in which every
-variable and channel occurrence carries its type, so later passes can
-recompute any subterm's type bottom-up without an environment (type_of).
-A subterm that is elaborated already comes back as it is, not copied.
+Every typing rule is stated once, per node, in _node_judgement: a node's
+judgement (its type, free names and mark) is made from its children's
+alone, so it needs no context and each node remembers its own.
+
+check() walks the term once, on an explicit stack. Going down, it carries
+the variables and session channels in scope and makes the only checks that
+need them: a variable against its binder, and a channel occurrence against
+its session's (axiom, component, activity), by the form test the session
+rule uses too. It elaborates as it goes: every variable and channel
+occurrence comes back carrying its type, and a subterm that is elaborated
+already comes back as it is. Going up, it rebuilds a node only when a child
+changed and keeps the node's judgement, from which type_of reads a type
+with no environment. The first violation is the one the rules meet first,
+each child's constraint right after that child (see _raise).
 
 Channel occurrences are the delicate part. Inside component i of a session
 the channel must appear exactly as the axiom dictates: sender polarity and
@@ -12,24 +21,19 @@ application for the first EM/broadcast component, bare uses for the
 receiving components, and applied non-negated occurrences typed
 F_i -> G_i in the general mode, where bare channels are not terms at all.
 
-check_subject_reduction audits one step from judgements that need no
-context. Each node of an elaborated term remembers its judgement (see
-_node_judgement): its type, its free variables with their annotated types,
-its free channels with the forms their occurrences take, and whether it is
-a component mark. A node makes _infer's checks against what its children's
-judgements say instead of against a context. A step rebuilds only the path
-to its redex and the contractum, so judging the state after costs the
-nodes the step built. When both states' judgements hold in the context,
-agree on the type and after has no free name before lacks, the step
-passes; otherwise both states go through the whole-term judgement, so a
-failure reads exactly as that judgement words it.
+check_subject_reduction audits one step from the judgements: check judged
+the initial state, and a step rebuilds only the path to its redex and the
+contractum, so judging the state after costs the nodes the step built.
+When both states' judgements hold in the context, agree on the type and
+after has no free name before lacks, the step passes; otherwise both states
+are checked whole, so a failure reads exactly as check words it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import is_
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .axioms import AxiomScheme
 from .formulas import (
@@ -59,8 +63,11 @@ from .terms import (
     Underline,
     Unit,
     Var,
+    children,
+    facts_of,
     free_names,
     remembered,
+    with_children,
 )
 
 
@@ -95,259 +102,164 @@ class TypingContext:
     chans: dict[str, Formula] = field(default_factory=dict)
 
 
-def _fail(code: str, path: Path, msg: str):
-    raise TypingError(TypeIssue(code, path, msg))
-
-
-def _mismatch(path: Path, expected: str, found: str, what: str = ""):
-    lead = f"{what}: " if what else ""
-    _fail("TypeMismatch", path, f"{lead}expected {expected}, found {found}")
+_CDV = "ChannelDisciplineViolation"
+_OUTSIDE = "component mark outside a session"
 
 
 def check(t: Term, ctx: Optional[TypingContext] = None) -> tuple[Term, Formula]:
     """Elaborate and type t; raises TypingError on the first violation."""
     ctx = ctx or TypingContext()
-    return _infer(t, dict(ctx.ivars), {}, ctx.chans, ())
+    env = dict(ctx.ivars)  # the variables in scope, with their types
+    scopes: _ChanEnv = {}  # the session channels in scope
+    # one frame per node entered and not finished: [node, its children,
+    # their judgements and elaborations so far, the binding to undo when
+    # the child entered returns, the channel the node applies if it must]
+    frames: list = []
+    node = t
+    while True:
+        cls = type(node)
+        if cls is Var:
+            ty = env.get(node.name)
+            if ty is None:
+                _raise(frames, "UnboundName", f"unbound variable {node.name!r}")
+            out = node if _same(node.ty, ty) else Var(node.name, ty)
+        elif cls is Chan:
+            out = _chan(node, scopes, ctx.chans, frames)
+        elif cls is Unit:
+            out = node
+        else:
+            if cls is Underline:
+                if not frames or type(frames[-1][0]) is not ParBind:
+                    _raise(frames, _CDV, _OUTSIDE)
+                if type(node.body) is Underline:
+                    _raise(frames, _CDV, "nested component marks")
+            applied = None
+            if cls is App and type(node.fun) is Chan:
+                scope = scopes.get(node.fun.name)
+                if scope is not None and not scope[0].bare_allowed(scope[1]):
+                    applied = node.fun.name
+            frames.append([node, children(node), [], [], None, applied])
+            if cls is ParBind and len(node.comps) != node.axiom.arity:
+                _raise(frames)  # before a component is entered
+            out = None
+        if out is not None:
+            j = _kept(out, ())
+        # hand out up, finish every frame whose children are all done, and
+        # enter the next child
+        while True:
+            if out is not None:
+                if not frames:
+                    return out, j[0]
+                frame = frames[-1]
+                if frame[4] is not None:  # the child's binding goes
+                    scope, name, old = frame[4]
+                    scope[name], frame[4] = old, None
+                frame[2].append(j)
+                frame[3].append(out)
+            frame = frames[-1]
+            s, cs, kids, elab = frame[0], frame[1], frame[2], frame[3]
+            k = len(kids)
+            if k < len(cs):
+                cls = type(s)
+                if cls is Lam:
+                    frame[4] = _bind(env, s.var, s.ann)
+                elif cls is Case and k:
+                    sty = kids[0][0]
+                    if type(sty) is not Disj:
+                        _raise(frames)  # the scrutinee's rule
+                    if k == 1:
+                        frame[4] = _bind(env, s.lvar, sty.left)
+                    else:
+                        frame[4] = _bind(env, s.rvar, sty.right)
+                elif cls is ParBind:
+                    frame[4] = _bind(scopes, s.chan, (s.axiom, k, s.active))
+                node = cs[k]
+                break
+            if not all(map(is_, elab, cs)):
+                s = frame[0] = with_children(s, tuple(elab))
+            j = _kept(s, kids)
+            if not j:
+                _raise(frames)
+            frames.pop()
+            out = s
 
 
 def infer_type(t: Term, ctx: Optional[TypingContext] = None) -> Formula:
     return check(t, ctx)[1]
 
 
-def _infer(
-    t: Term,
-    env: dict[str, Formula],
-    chans: _ChanEnv,
-    free_chan_tys: dict[str, Formula],
-    path: Path,
-) -> tuple[Term, Formula]:
-    if isinstance(t, Var):
-        if t.name not in env:
-            _fail("UnboundName", path, f"unbound variable {t.name!r}")
-        ty = env[t.name]
-        return (t if t.ty == ty else Var(t.name, ty)), ty
-
-    if isinstance(t, Chan):
-        return _infer_chan(t, chans, free_chan_tys, path, applied=False)
-
-    if isinstance(t, Unit):
-        return t, TOP
-
-    if isinstance(t, Lam):
-        env2 = dict(env)
-        env2[t.var] = t.ann
-        body, bt = _infer(t.body, env2, chans, free_chan_tys, path + (0,))
-        return (t if body is t.body else Lam(t.var, t.ann, body)), Impl(t.ann, bt)
-
-    if isinstance(t, App):
-        if isinstance(t.fun, Chan):
-            name = t.fun.name
-            if name in chans and not chans[name][0].bare_allowed(chans[name][1]):
-                fun, fty = _infer_chan(
-                    t.fun, chans, free_chan_tys, path + (0,), applied=True
-                )
-                arg, at = _infer(t.arg, env, chans, free_chan_tys, path + (1,))
-                assert isinstance(fty, Impl)
-                if at != fty.left:
-                    _mismatch(
-                        path + (1,),
-                        show_formula(fty.left),
-                        show_formula(at),
-                        f"argument of channel {name}",
-                    )
-                return _app(t, fun, arg), fty.right
-        fun, fty = _infer(t.fun, env, chans, free_chan_tys, path + (0,))
-        if not isinstance(fty, Impl):
-            _mismatch(path + (0,), "a function type", show_formula(fty))
-        arg, at = _infer(t.arg, env, chans, free_chan_tys, path + (1,))
-        if at != fty.left:
-            _mismatch(path + (1,), show_formula(fty.left), show_formula(at), "argument")
-        return _app(t, fun, arg), fty.right
-
-    if isinstance(t, Pair):
-        l, lt = _infer(t.left, env, chans, free_chan_tys, path + (0,))
-        r, rt = _infer(t.right, env, chans, free_chan_tys, path + (1,))
-        return (t if l is t.left and r is t.right else Pair(l, r)), Conj(lt, rt)
-
-    if isinstance(t, Proj):
-        arg, at = _infer(t.arg, env, chans, free_chan_tys, path + (0,))
-        if not isinstance(at, Conj):
-            _mismatch(path + (0,), "a conjunction", show_formula(at), "projection")
-        proj = t if arg is t.arg else Proj(arg, t.index)
-        return proj, at.left if t.index == 0 else at.right
-
-    if isinstance(t, Inj):
-        if not isinstance(t.disj, Disj):
-            _mismatch(path, "a disjunction annotation", show_formula(t.disj))
-        want = t.disj.left if t.index == 0 else t.disj.right
-        arg, at = _infer(t.arg, env, chans, free_chan_tys, path + (0,))
-        if at != want:
-            _mismatch(path + (0,), show_formula(want), show_formula(at),
-                      f"inj{t.index} argument")
-        return (t if arg is t.arg else Inj(t.index, t.disj, arg)), t.disj
-
-    if isinstance(t, Case):
-        scrut, st = _infer(t.scrut, env, chans, free_chan_tys, path + (0,))
-        if not isinstance(st, Disj):
-            _mismatch(path + (0,), "a disjunction", show_formula(st), "case scrutinee")
-        envl = dict(env)
-        envl[t.lvar] = st.left
-        lbody, lt = _infer(t.lbody, envl, chans, free_chan_tys, path + (1,))
-        envr = dict(env)
-        envr[t.rvar] = st.right
-        rbody, rt = _infer(t.rbody, envr, chans, free_chan_tys, path + (2,))
-        if lt != rt:
-            _mismatch(path + (2,), show_formula(lt), show_formula(rt), "case branches")
-        if scrut is t.scrut and lbody is t.lbody and rbody is t.rbody:
-            return t, lt
-        return Case(scrut, t.lvar, lbody, t.rvar, rbody), lt
-
-    if isinstance(t, Efq):
-        if isinstance(t.target, Bot) or not isinstance(t.target, (Atom, Top)):
-            _fail(
-                "EfqTargetNotAtomic",
-                path,
-                f"efq target must be an atom or Top, got {show_formula(t.target)}",
-            )
-        arg, at = _infer(t.arg, env, chans, free_chan_tys, path + (0,))
-        if not isinstance(at, Bot):
-            _mismatch(path + (0,), "Bot", show_formula(at), "efq argument")
-        return (t if arg is t.arg else Efq(arg, t.target)), t.target
-
-    if isinstance(t, ParBind):
-        ax = t.axiom
-        if len(t.comps) != ax.arity:
-            _fail(
-                "ChannelDisciplineViolation",
-                path,
-                f"axiom {ax} wants {ax.arity} components, got {len(t.comps)}",
-            )
-        marks = 0
-        out = []
-        session_ty: Optional[Formula] = None
-        for i, comp in enumerate(t.comps):
-            chans2 = dict(chans)
-            chans2[t.chan] = (ax, i, t.active)
-            inner = comp
-            if isinstance(comp, Underline):
-                marks += 1
-                inner = comp.body
-                if isinstance(inner, Underline):
-                    _fail("ChannelDisciplineViolation", path + (i,),
-                          "nested component marks")
-            body, bt = _infer(inner, env, chans2, free_chan_tys, path + (i,))
-            if session_ty is None:
-                session_ty = bt
-            elif bt != session_ty:
-                _mismatch(
-                    path + (i,),
-                    show_formula(session_ty),
-                    show_formula(bt),
-                    f"component {i} of session {t.chan}",
-                )
-            if isinstance(comp, Underline):
-                body = comp if body is inner else Underline(body)
-            out.append(body)
-        if marks > 1:
-            _fail("ChannelDisciplineViolation", path,
-                  "more than one marked component")
-        if all(map(is_, out, t.comps)):
-            return t, session_ty
-        return ParBind(t.chan, t.active, ax, tuple(out)), session_ty
-
-    if isinstance(t, Contract):
-        l, lt = _infer(t.left, env, chans, free_chan_tys, path + (0,))
-        r, rt = _infer(t.right, env, chans, free_chan_tys, path + (1,))
-        if lt != rt:
-            _mismatch(path + (1,), show_formula(lt), show_formula(rt), "contraction")
-        return (t if l is t.left and r is t.right else Contract(l, r)), lt
-
-    if isinstance(t, Underline):
-        _fail("ChannelDisciplineViolation", path,
-              "component mark outside a session")
-
-    raise TypeError(f"not a term: {t!r}")
+def _bind(scope: dict, name: str, value) -> tuple:
+    """Bind name to value in scope; what undoes it (None is no binding)."""
+    old = scope.get(name)
+    scope[name] = value
+    return scope, name, old
 
 
-def _infer_chan(
-    t: Chan,
-    chans: _ChanEnv,
-    free_chan_tys: dict[str, Formula],
-    path: Path,
-    applied: bool,
-) -> tuple[Term, Formula]:
-    if t.name in chans:
-        ax, i, active = chans[t.name]
-        if t.active != active:
-            _fail(
-                "ChannelDisciplineViolation",
-                path,
-                f"occurrence of {t.name} has activity {t.active}, binder says {active}",
-            )
-        if t.negated != ax.occurrence_negated(i):
-            want = "sender (not-) polarity" if ax.occurrence_negated(i) else "plain polarity"
-            _fail(
-                "ChannelDisciplineViolation",
-                path,
-                f"occurrence of {t.name} in component {i} must have {want}",
-            )
-        if not applied and not ax.bare_allowed(i):
-            _fail(
-                "ChannelDisciplineViolation",
-                path,
-                f"channel {t.name} cannot occur alone in component {i}",
-            )
+def _kept(s: Term, kids) -> object:
+    """The judgement of s, made from kids and kept if s has none yet."""
+    facts = facts_of(s)
+    if facts.judgement is None:
+        facts.judgement = _node_judgement(s, kids)
+    return facts.judgement
+
+
+def _chan(c: Chan, scopes: _ChanEnv, free: dict, frames: list) -> Chan:
+    """The occurrence c typed in the scope of the sessions in scopes and
+    the free channels free."""
+    name = c.name
+    scope = scopes.get(name)
+    if scope is not None:
+        ax, i, active = scope
+        # the head of an application is an applied occurrence
+        bare = not frames or type(frames[-1][0]) is not App or bool(frames[-1][2])
+        why = _misplaced(name, ax, i, active, (c.ty, c.active, c.negated, bare))
+        if why:
+            _raise(frames, _CDV, why)
         ty = ax.occurrence_type(i)
-        return (t if t.ty == ty else Chan(t.name, ty, t.active, t.negated)), ty
-    if t.name in free_chan_tys:
-        if t.negated:
-            _fail("ChannelDisciplineViolation", path,
-                  f"free channel {t.name} has no sender polarity")
-        ty = free_chan_tys[t.name]
-        return (t if t.ty == ty else Chan(t.name, ty, t.active, False)), ty
-    _fail("UnboundName", path, f"unbound channel {t.name!r}")
+        return c if _same(c.ty, ty) else Chan(name, ty, c.active, c.negated)
+    ty = free.get(name)
+    if ty is None:
+        _raise(frames, "UnboundName", f"unbound channel {name!r}")
+    if c.negated:
+        _raise(frames, _CDV, f"free channel {name} has no sender polarity")
+    return c if _same(c.ty, ty) else Chan(name, ty, c.active, False)
 
 
-def _app(t: App, fun: Term, arg: Term) -> Term:
-    return t if fun is t.fun and arg is t.arg else App(fun, arg)
+def _misplaced(name: str, ax: AxiomScheme, i: int, active: bool, form) -> Optional[str]:
+    """Why an occurrence of the channel name of this form (type, activity,
+    sender polarity, bare) may not stand in component i of its session, on
+    ax with activity active; None when it may."""
+    _, occ_active, negated, bare = form
+    if occ_active != active:
+        return f"occurrence of {name} has activity {occ_active}, binder says {active}"
+    if negated != ax.occurrence_negated(i):
+        want = "sender (not-) polarity" if ax.occurrence_negated(i) else "plain polarity"
+        return f"occurrence of {name} in component {i} must have {want}"
+    if bare and not ax.bare_allowed(i):
+        return f"channel {name} cannot occur alone in component {i}"
+    return None
 
 
-# ---------------------------------------------------------------------------
-# bottom-up type synthesis on elaborated terms
-
-def type_of(t: Term) -> Formula:
-    """Type of an elaborated term. No environment: occurrences carry types."""
-    if isinstance(t, (Var, Chan)):
-        if t.ty is None:
-            raise ValueError(f"type_of on unelaborated occurrence {t!r}")
-        return t.ty
-    if isinstance(t, Unit):
-        return TOP
-    if isinstance(t, Lam):
-        return Impl(t.ann, type_of(t.body))
-    if isinstance(t, App):
-        ft = type_of(t.fun)
-        assert isinstance(ft, Impl), f"ill-typed application head: {show_formula(ft)}"
-        return ft.right
-    if isinstance(t, Pair):
-        return Conj(type_of(t.left), type_of(t.right))
-    if isinstance(t, Proj):
-        pt = type_of(t.arg)
-        assert isinstance(pt, Conj)
-        return pt.left if t.index == 0 else pt.right
-    if isinstance(t, Inj):
-        return t.disj
-    if isinstance(t, Case):
-        return type_of(t.lbody)
-    if isinstance(t, Efq):
-        return t.target
-    if isinstance(t, ParBind):
-        return type_of(t.comps[0])
-    if isinstance(t, Contract):
-        return type_of(t.left)
-    if isinstance(t, Underline):
-        return type_of(t.body)
-    raise TypeError(f"not a term: {t!r}")
+def _raise(frames: list, code: str = "", message: str = ""):
+    """Raise the first violation: the typing rules read outside in and
+    left to right, each child's constraint right after that child, so it
+    is the first refusal of a node on the stack, outermost first, asked of
+    the children it has judged; when none refuses, code and message at
+    the node being entered. The path is read off the stack, where the mark
+    of a session component is not a level of its own."""
+    path = []
+    for s, _, kids, _, _, applied in frames:
+        r = _node_judgement(s, kids)
+        if type(r) is _Refusal:
+            if r.child is not None:
+                path.append(r.child)
+            code, message = r.code, r.message
+            if applied is not None and r.child == 1:  # names the channel
+                message = message.replace("argument", f"argument of channel {applied}", 1)
+            break
+        if type(s) is not Underline:  # a component's mark adds no level
+            path.append(len(kids))
+    raise TypingError(TypeIssue(code, tuple(path), message))
 
 
 # ---------------------------------------------------------------------------
@@ -411,22 +323,44 @@ def check_subject_reduction(
 
 
 # ---------------------------------------------------------------------------
-# judgements: what check would say of a node, in no context
+# judgements: the typing rules, one node at a time, in no context
 #
-# A node's judgement is False, or (its type, its free variables, its free
-# channels, whether it is a component mark). Each free variable maps to the
-# type its occurrences are annotated with, and each free channel to the set
-# of its occurrence forms (type, activity, sender polarity, bare). A node
-# makes the checks _infer makes of it, reading its occurrences' annotations
-# where _infer reads its context: a binder checks what its occurrences say
-# against what it binds, then drops the name. False means some check
-# failed, or an occurrence is unelaborated; it settles nothing.
+# A node's judgement is (its type, its free variables, its free channels,
+# whether it is a component mark), or a _Refusal. Each free variable maps
+# to the type its occurrences are annotated with, and each free channel to
+# the set of its occurrence forms (type, activity, sender polarity, bare).
+# A node reads its occurrences' annotations where check reads its scope: a
+# binder checks what its occurrences say against what it binds, then drops
+# the name. A refusal below is the node's, and an unelaborated occurrence
+# is refused.
 #
 # So a judgement that holds in a context (_holds: each free name as the
 # context types it, no mark at the root) is what check gives there. An
 # annotation that disagrees with the context can only make it fail.
 
+class _Refusal(NamedTuple):
+    """A failed judgement: the violation's code, the child it is reported
+    at (None for the node itself) and its message. False, as a truth
+    value."""
+
+    code: str
+    child: Optional[int]
+    message: str
+
+    def __bool__(self) -> bool:
+        return False
+
+
 _NONE: dict = {}  # the empty map, shared
+
+
+def type_of(t: Term) -> Formula:
+    """Type of an elaborated term, read off its judgement. No environment:
+    occurrences carry types. ValueError when the judgement refuses t."""
+    j = _judgement(t)
+    if not j:
+        raise ValueError(f"type_of on a term that does not type: {j.message}")
+    return j[0]
 
 
 def _judgement(t: Term):
@@ -526,99 +460,151 @@ def _forms(c: Chan, bare: bool) -> dict:
     return {c.name: frozenset({(c.ty, c.active, c.negated, bare)})}
 
 
+def _mismatch(child: Optional[int], expected: str, found: str, what: str = "") -> _Refusal:
+    lead = f"{what}: " if what else ""
+    return _Refusal("TypeMismatch", child, f"{lead}expected {expected}, found {found}")
+
+
 _UNIT = (TOP, _NONE, _NONE, False)
+_UNELABORATED = _Refusal("TypeMismatch", None, "an occurrence carries no type")
+_TWO_TYPES = _Refusal("TypeMismatch", None, "a variable annotated with two types")
 
 
-def _node_judgement(s: Term, kids: list):
+def _node_judgement(s: Term, kids):
+    """The judgement of s from its children's, kids, or the refusal of the
+    first check that fails, each child's constraint right after that
+    child. kids may judge only the first children (see _raise): then the
+    checks those settle are made, and None says they pass."""
     cls = type(s)
     if cls is Var:
-        return False if s.ty is None else (s.ty, {s.name: s.ty}, _NONE, False)
+        return _UNELABORATED if s.ty is None else (s.ty, {s.name: s.ty}, _NONE, False)
     if cls is Chan:
-        return False if s.ty is None else (s.ty, _NONE, _forms(s, True), False)
+        return _UNELABORATED if s.ty is None else (s.ty, _NONE, _forms(s, True), False)
     if cls is Unit:
         return _UNIT
     if not all(kids):
-        return False
+        return next(k for k in kids if not k)
     if cls is ParBind:
         return _session_judgement(s, kids)
-    for k in kids:
+    for i, k in enumerate(kids):
         if k[3]:  # a mark outside the components of a session
-            return False
+            return _Refusal(_CDV, i, _OUTSIDE)
+    n = len(kids)
     if cls is App:
-        (fty, fv, fc, _), (aty, afv, afc, _) = kids
-        if type(fty) is not Impl or not _same(fty.left, aty):
-            return False
+        if not n:
+            return None
+        fty = kids[0][0]
+        if type(fty) is not Impl:
+            return _mismatch(0, "a function type", show_formula(fty))
+        if n == 1:
+            return None
+        (_, fv, fc, _), (aty, afv, afc, _) = kids
+        if not _same(fty.left, aty):
+            return _mismatch(1, show_formula(fty.left), show_formula(aty), "argument")
         if type(s.fun) is Chan:  # an applied occurrence, not a bare one
             fc = _forms(s.fun, False)
         ty = fty.right
         fv, fc = _vars_joined(fv, afv), _chans_joined(fc, afc)
     elif cls is Lam:
+        if not n:
+            return None
         ((bty, fv, fc, _),) = kids
         fv = _bound(fv, s.var, s.ann)
         ty = Impl(s.ann, bty)
     elif cls is Pair or cls is Contract:
+        if n < 2:
+            return None
         (lty, fv, fc, _), (rty, rfv, rfc, _) = kids
         if cls is Contract and not _same(lty, rty):
-            return False
+            return _mismatch(1, show_formula(lty), show_formula(rty), "contraction")
         ty = Conj(lty, rty) if cls is Pair else lty
         fv, fc = _vars_joined(fv, rfv), _chans_joined(fc, rfc)
     elif cls is Proj:
+        if not n:
+            return None
         ((aty, fv, fc, _),) = kids
         if type(aty) is not Conj:
-            return False
+            return _mismatch(0, "a conjunction", show_formula(aty), "projection")
         ty = aty.left if s.index == 0 else aty.right
     elif cls is Inj:
-        ((aty, fv, fc, _),) = kids
         ty = s.disj
-        if type(ty) is not Disj or not _same(ty.left if s.index == 0 else ty.right, aty):
-            return False
+        if type(ty) is not Disj:
+            return _mismatch(None, "a disjunction annotation", show_formula(ty))
+        if not n:
+            return None
+        ((aty, fv, fc, _),) = kids
+        want = ty.left if s.index == 0 else ty.right
+        if not _same(want, aty):
+            return _mismatch(0, show_formula(want), show_formula(aty),
+                             f"inj{s.index} argument")
     elif cls is Case:
-        (sty, fv, fc, _), (ty, lfv, lfc, _), (rty, rfv, rfc, _) = kids
-        if type(sty) is not Disj or not _same(ty, rty):
-            return False
+        if not n:
+            return None
+        sty = kids[0][0]
+        if type(sty) is not Disj:
+            return _mismatch(0, "a disjunction", show_formula(sty), "case scrutinee")
+        if n < 3:
+            return None
+        (_, fv, fc, _), (ty, lfv, lfc, _), (rty, rfv, rfc, _) = kids
+        if not _same(ty, rty):
+            return _mismatch(2, show_formula(ty), show_formula(rty), "case branches")
         lfv, rfv = _bound(lfv, s.lvar, sty.left), _bound(rfv, s.rvar, sty.right)
         if lfv is None or rfv is None:
-            return False
+            return _TWO_TYPES
         fv = _vars_joined(fv, lfv)
         fv = fv if fv is None else _vars_joined(fv, rfv)
         fc = _chans_joined(_chans_joined(fc, lfc), rfc)
     elif cls is Efq:
-        ((aty, fv, fc, _),) = kids
         ty = s.target
-        if type(ty) not in (Atom, Top) or type(aty) is not Bot:
-            return False
+        if type(ty) is not Atom and type(ty) is not Top:
+            return _Refusal("EfqTargetNotAtomic", None,
+                            f"efq target must be an atom or Top, got {show_formula(ty)}")
+        if not n:
+            return None
+        ((aty, fv, fc, _),) = kids
+        if type(aty) is not Bot:
+            return _mismatch(0, "Bot", show_formula(aty), "efq argument")
     elif cls is Underline:
+        if not n:
+            return None
         ((ty, fv, fc, _),) = kids
         return (ty, fv, fc, True)
     else:
         raise TypeError(f"not a term: {s!r}")
-    return False if fv is None else (ty, fv, fc, False)
+    return _TWO_TYPES if fv is None else (ty, fv, fc, False)
 
 
-def _session_judgement(s: ParBind, kids: list):
-    """A session checks its arity and its marks, and every form of its
-    channel in component i against what the axiom allows there."""
-    ax = s.axiom
-    if not kids or len(kids) != ax.arity:
-        return False
-    ty, fv, fc, marks = kids[0][0], _NONE, _NONE, 0
+def _session_judgement(s: ParBind, kids):
+    """A session checks its arity, every component's type against the
+    first's and every form of its channel in component i against what the
+    axiom allows there, and, once all are judged, that at most one is
+    marked."""
+    ax, name = s.axiom, s.chan
+    if len(s.comps) != ax.arity:
+        return _Refusal(_CDV, None, f"axiom {ax} wants {ax.arity} components, "
+                                    f"got {len(s.comps)}")
+    fv, fc, marks = _NONE, _NONE, 0
     for i, (kty, kfv, kfc, marked) in enumerate(kids):
+        ty = kids[0][0]
         if not _same(ty, kty):
-            return False
+            return _mismatch(i, show_formula(ty), show_formula(kty),
+                             f"component {i} of session {name}")
         marks += marked
-        forms = kfc.get(s.chan)
+        forms = kfc.get(name)
         if forms is not None:
-            want, negated = ax.occurrence_type(i), ax.occurrence_negated(i)
-            bare_allowed = ax.bare_allowed(i)
-            for fty, active, neg, bare in forms:
-                if (active != s.active or neg != negated
-                        or bare and not bare_allowed or not _same(want, fty)):
-                    return False
-            kfc = _dropped(kfc, s.chan)
+            want = ax.occurrence_type(i)
+            for form in forms:
+                why = _misplaced(name, ax, i, s.active, form)
+                if why or not _same(want, form[0]):
+                    return _Refusal(_CDV, i, why or f"occurrence of {name} in "
+                                    f"component {i} not typed {show_formula(want)}")
+            kfc = _dropped(kfc, name)
         fv = _vars_joined(fv, kfv)
         if fv is None:
-            return False
+            return _TWO_TYPES
         fc = _chans_joined(fc, kfc)
+    if len(kids) < len(s.comps):
+        return None
     if marks > 1:
-        return False
-    return (ty, fv, fc, False)
+        return _Refusal(_CDV, None, "more than one marked component")
+    return (kids[0][0], fv, fc, False)

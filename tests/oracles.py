@@ -4,20 +4,26 @@ The oracles deliberately avoid the library's traversal helpers
 (iter_subterms, decompose_stack) and re-derive every side condition from
 the raw constructors, so a bug in a shared helper cannot cancel out on both
 sides of a comparison. chan_occurrences, the walk the engine used to find
-channel occurrences, and show_formula_oracle, the recursive printer, are
-kept here to check what replaced them.
+channel occurrences, show_formula_oracle, the recursive printer, and
+check_oracle and type_of_oracle, the recursive typer and type synthesis,
+are kept here to check what replaced them. The oracles that type a term
+(subject_reduction_oracle, value_complexity_oracle) use these two, so they
+stay independent of the engine's one typer and its judgements.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from functools import cache
+from operator import is_
+from typing import Optional
 
 from lax import (
     BOT,
     TOP,
     App,
     Atom,
+    AxiomScheme,
     Bot,
     Case,
     Chan,
@@ -36,20 +42,19 @@ from lax import (
     SubjectReductionReport,
     Term,
     Top,
+    TypeIssue,
     TypingContext,
     TypingError,
     Underline,
     Unit,
     Var,
-    check,
     find_redexes,
     redexes_at,
     show_formula,
     step,
-    type_of,
 )
 from lax.rewrite import Occurrence
-from lax.terms import Facts, binder_names, children
+from lax.terms import binder_names, children
 
 Path = tuple[int, ...]
 
@@ -71,7 +76,7 @@ def value_complexity_oracle(t: Term) -> int:
     if isinstance(t, (ParBind, Contract, Underline)):
         raise ValueError("oracle only covers simply typed terms")
     if isinstance(t, (Lam, Inj)):
-        return _formula_weight(type_of(t))
+        return _formula_weight(type_of_oracle(t))
     if isinstance(t, Pair):
         return max(value_complexity_oracle(t.left), value_complexity_oracle(t.right))
     return _peel(t, [])
@@ -258,16 +263,6 @@ def replace_at_oracle(t: Term, path: Path, new: Term) -> Term:
 def fresh_copy(t: Term) -> Term:
     """A structurally equal term of new nodes, none remembering anything."""
     return with_kids_oracle(t, [fresh_copy(c) for c in _kids(t)])
-
-
-def facts(t: Term) -> Facts:
-    """The facts t remembers; an empty record the first time, put where
-    terms.remembered keeps it."""
-    f = getattr(t, "_facts", None)
-    if f is None:
-        f = Facts()
-        object.__setattr__(t, "_facts", f)
-    return f
 
 
 def find_redexes_oracle(t: Term, underline_discipline: bool = False, kinds=None) -> list:
@@ -619,6 +614,267 @@ def _crosses(s: ParBind, bodies, occs, simple, disc: bool) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# the typer by recursion, as the library typed before check moved onto an
+# explicit stack: types flow down through environments, every error is
+# worded where it is found, and type_of_oracle recomputes a type bottom-up
+
+# chan_env entries: name -> (scheme, component index, binder activity)
+_ChanEnv = dict[str, tuple[AxiomScheme, int, bool]]
+
+
+def _fail(code: str, path: Path, msg: str):
+    raise TypingError(TypeIssue(code, path, msg))
+
+
+def _mismatch(path: Path, expected: str, found: str, what: str = ""):
+    lead = f"{what}: " if what else ""
+    _fail("TypeMismatch", path, f"{lead}expected {expected}, found {found}")
+
+
+def check_oracle(t: Term, ctx: Optional[TypingContext] = None) -> tuple[Term, Formula]:
+    """Elaborate and type t; raises TypingError on the first violation."""
+    ctx = ctx or TypingContext()
+    return _infer(t, dict(ctx.ivars), {}, ctx.chans, ())
+
+
+def _infer(
+    t: Term,
+    env: dict[str, Formula],
+    chans: _ChanEnv,
+    free_chan_tys: dict[str, Formula],
+    path: Path,
+) -> tuple[Term, Formula]:
+    if isinstance(t, Var):
+        if t.name not in env:
+            _fail("UnboundName", path, f"unbound variable {t.name!r}")
+        ty = env[t.name]
+        return (t if t.ty == ty else Var(t.name, ty)), ty
+
+    if isinstance(t, Chan):
+        return _infer_chan(t, chans, free_chan_tys, path, applied=False)
+
+    if isinstance(t, Unit):
+        return t, TOP
+
+    if isinstance(t, Lam):
+        env2 = dict(env)
+        env2[t.var] = t.ann
+        body, bt = _infer(t.body, env2, chans, free_chan_tys, path + (0,))
+        return (t if body is t.body else Lam(t.var, t.ann, body)), Impl(t.ann, bt)
+
+    if isinstance(t, App):
+        if isinstance(t.fun, Chan):
+            name = t.fun.name
+            if name in chans and not chans[name][0].bare_allowed(chans[name][1]):
+                fun, fty = _infer_chan(
+                    t.fun, chans, free_chan_tys, path + (0,), applied=True
+                )
+                arg, at = _infer(t.arg, env, chans, free_chan_tys, path + (1,))
+                assert isinstance(fty, Impl)
+                if at != fty.left:
+                    _mismatch(
+                        path + (1,),
+                        show_formula(fty.left),
+                        show_formula(at),
+                        f"argument of channel {name}",
+                    )
+                return _app(t, fun, arg), fty.right
+        fun, fty = _infer(t.fun, env, chans, free_chan_tys, path + (0,))
+        if not isinstance(fty, Impl):
+            _mismatch(path + (0,), "a function type", show_formula(fty))
+        arg, at = _infer(t.arg, env, chans, free_chan_tys, path + (1,))
+        if at != fty.left:
+            _mismatch(path + (1,), show_formula(fty.left), show_formula(at), "argument")
+        return _app(t, fun, arg), fty.right
+
+    if isinstance(t, Pair):
+        l, lt = _infer(t.left, env, chans, free_chan_tys, path + (0,))
+        r, rt = _infer(t.right, env, chans, free_chan_tys, path + (1,))
+        return (t if l is t.left and r is t.right else Pair(l, r)), Conj(lt, rt)
+
+    if isinstance(t, Proj):
+        arg, at = _infer(t.arg, env, chans, free_chan_tys, path + (0,))
+        if not isinstance(at, Conj):
+            _mismatch(path + (0,), "a conjunction", show_formula(at), "projection")
+        proj = t if arg is t.arg else Proj(arg, t.index)
+        return proj, at.left if t.index == 0 else at.right
+
+    if isinstance(t, Inj):
+        if not isinstance(t.disj, Disj):
+            _mismatch(path, "a disjunction annotation", show_formula(t.disj))
+        want = t.disj.left if t.index == 0 else t.disj.right
+        arg, at = _infer(t.arg, env, chans, free_chan_tys, path + (0,))
+        if at != want:
+            _mismatch(path + (0,), show_formula(want), show_formula(at),
+                      f"inj{t.index} argument")
+        return (t if arg is t.arg else Inj(t.index, t.disj, arg)), t.disj
+
+    if isinstance(t, Case):
+        scrut, st = _infer(t.scrut, env, chans, free_chan_tys, path + (0,))
+        if not isinstance(st, Disj):
+            _mismatch(path + (0,), "a disjunction", show_formula(st), "case scrutinee")
+        envl = dict(env)
+        envl[t.lvar] = st.left
+        lbody, lt = _infer(t.lbody, envl, chans, free_chan_tys, path + (1,))
+        envr = dict(env)
+        envr[t.rvar] = st.right
+        rbody, rt = _infer(t.rbody, envr, chans, free_chan_tys, path + (2,))
+        if lt != rt:
+            _mismatch(path + (2,), show_formula(lt), show_formula(rt), "case branches")
+        if scrut is t.scrut and lbody is t.lbody and rbody is t.rbody:
+            return t, lt
+        return Case(scrut, t.lvar, lbody, t.rvar, rbody), lt
+
+    if isinstance(t, Efq):
+        if isinstance(t.target, Bot) or not isinstance(t.target, (Atom, Top)):
+            _fail(
+                "EfqTargetNotAtomic",
+                path,
+                f"efq target must be an atom or Top, got {show_formula(t.target)}",
+            )
+        arg, at = _infer(t.arg, env, chans, free_chan_tys, path + (0,))
+        if not isinstance(at, Bot):
+            _mismatch(path + (0,), "Bot", show_formula(at), "efq argument")
+        return (t if arg is t.arg else Efq(arg, t.target)), t.target
+
+    if isinstance(t, ParBind):
+        ax = t.axiom
+        if len(t.comps) != ax.arity:
+            _fail(
+                "ChannelDisciplineViolation",
+                path,
+                f"axiom {ax} wants {ax.arity} components, got {len(t.comps)}",
+            )
+        marks = 0
+        out = []
+        session_ty: Optional[Formula] = None
+        for i, comp in enumerate(t.comps):
+            chans2 = dict(chans)
+            chans2[t.chan] = (ax, i, t.active)
+            inner = comp
+            if isinstance(comp, Underline):
+                marks += 1
+                inner = comp.body
+                if isinstance(inner, Underline):
+                    _fail("ChannelDisciplineViolation", path + (i,),
+                          "nested component marks")
+            body, bt = _infer(inner, env, chans2, free_chan_tys, path + (i,))
+            if session_ty is None:
+                session_ty = bt
+            elif bt != session_ty:
+                _mismatch(
+                    path + (i,),
+                    show_formula(session_ty),
+                    show_formula(bt),
+                    f"component {i} of session {t.chan}",
+                )
+            if isinstance(comp, Underline):
+                body = comp if body is inner else Underline(body)
+            out.append(body)
+        if marks > 1:
+            _fail("ChannelDisciplineViolation", path,
+                  "more than one marked component")
+        if all(map(is_, out, t.comps)):
+            return t, session_ty
+        return ParBind(t.chan, t.active, ax, tuple(out)), session_ty
+
+    if isinstance(t, Contract):
+        l, lt = _infer(t.left, env, chans, free_chan_tys, path + (0,))
+        r, rt = _infer(t.right, env, chans, free_chan_tys, path + (1,))
+        if lt != rt:
+            _mismatch(path + (1,), show_formula(lt), show_formula(rt), "contraction")
+        return (t if l is t.left and r is t.right else Contract(l, r)), lt
+
+    if isinstance(t, Underline):
+        _fail("ChannelDisciplineViolation", path,
+              "component mark outside a session")
+
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _infer_chan(
+    t: Chan,
+    chans: _ChanEnv,
+    free_chan_tys: dict[str, Formula],
+    path: Path,
+    applied: bool,
+) -> tuple[Term, Formula]:
+    if t.name in chans:
+        ax, i, active = chans[t.name]
+        if t.active != active:
+            _fail(
+                "ChannelDisciplineViolation",
+                path,
+                f"occurrence of {t.name} has activity {t.active}, binder says {active}",
+            )
+        if t.negated != ax.occurrence_negated(i):
+            want = "sender (not-) polarity" if ax.occurrence_negated(i) else "plain polarity"
+            _fail(
+                "ChannelDisciplineViolation",
+                path,
+                f"occurrence of {t.name} in component {i} must have {want}",
+            )
+        if not applied and not ax.bare_allowed(i):
+            _fail(
+                "ChannelDisciplineViolation",
+                path,
+                f"channel {t.name} cannot occur alone in component {i}",
+            )
+        ty = ax.occurrence_type(i)
+        return (t if t.ty == ty else Chan(t.name, ty, t.active, t.negated)), ty
+    if t.name in free_chan_tys:
+        if t.negated:
+            _fail("ChannelDisciplineViolation", path,
+                  f"free channel {t.name} has no sender polarity")
+        ty = free_chan_tys[t.name]
+        return (t if t.ty == ty else Chan(t.name, ty, t.active, False)), ty
+    _fail("UnboundName", path, f"unbound channel {t.name!r}")
+
+
+def _app(t: App, fun: Term, arg: Term) -> Term:
+    return t if fun is t.fun and arg is t.arg else App(fun, arg)
+
+
+# ---------------------------------------------------------------------------
+# bottom-up type synthesis on elaborated terms
+
+
+def type_of_oracle(t: Term) -> Formula:
+    """Type of an elaborated term. No environment: occurrences carry types."""
+    if isinstance(t, (Var, Chan)):
+        if t.ty is None:
+            raise ValueError(f"type_of on unelaborated occurrence {t!r}")
+        return t.ty
+    if isinstance(t, Unit):
+        return TOP
+    if isinstance(t, Lam):
+        return Impl(t.ann, type_of_oracle(t.body))
+    if isinstance(t, App):
+        ft = type_of_oracle(t.fun)
+        assert isinstance(ft, Impl), f"ill-typed application head: {show_formula(ft)}"
+        return ft.right
+    if isinstance(t, Pair):
+        return Conj(type_of_oracle(t.left), type_of_oracle(t.right))
+    if isinstance(t, Proj):
+        pt = type_of_oracle(t.arg)
+        assert isinstance(pt, Conj)
+        return pt.left if t.index == 0 else pt.right
+    if isinstance(t, Inj):
+        return t.disj
+    if isinstance(t, Case):
+        return type_of_oracle(t.lbody)
+    if isinstance(t, Efq):
+        return t.target
+    if isinstance(t, ParBind):
+        return type_of_oracle(t.comps[0])
+    if isinstance(t, Contract):
+        return type_of_oracle(t.left)
+    if isinstance(t, Underline):
+        return type_of_oracle(t.body)
+    raise TypeError(f"not a term: {t!r}")
+
+
+# ---------------------------------------------------------------------------
 # subject reduction, judged on whole states
 #
 # The engine types only the subterm a step rewrote; here both states are
@@ -630,11 +886,11 @@ def subject_reduction_oracle(
 ) -> SubjectReductionReport:
     ctx = ctx or TypingContext()
     try:
-        _, tb = check(before, ctx)
+        _, tb = check_oracle(before, ctx)
     except TypingError as e:
         return SubjectReductionReport(False, None, None, f"before does not type: {e}")
     try:
-        _, ta = check(after, ctx)
+        _, ta = check_oracle(after, ctx)
     except TypingError as e:
         return SubjectReductionReport(
             False, show_formula(tb), None, f"after does not type: {e}"

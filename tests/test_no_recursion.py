@@ -1,0 +1,55 @@
+"""No function of the typer calls itself, directly or through other
+functions of its module: its walks over terms and formulas run on explicit
+stacks, so no nesting depth exhausts the interpreter's recursion limit.
+"""
+
+import ast
+from pathlib import Path
+
+import lax
+
+TYPECHECK = Path(lax.__file__).parent / "typecheck.py"
+
+
+def _cycles(source: str) -> list[list[str]]:
+    """Each call cycle among the functions source defines, as the names on
+    it from the first one called; a call counts when it names the function
+    bare."""
+    defined = {
+        node.name: node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    calls = {
+        name: sorted({
+            n.func.id for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            and n.func.id in defined
+        })
+        for name, node in defined.items()
+    }
+    found = []
+    for start in sorted(defined):
+        todo = [[start]]
+        while todo:
+            path = todo.pop()
+            for callee in calls[path[-1]]:
+                if callee == start:
+                    found.append(path)
+                elif callee not in path and callee > start:
+                    todo.append(path + [callee])
+    return found
+
+
+def test_no_function_in_the_typer_recurses():
+    assert _cycles(TYPECHECK.read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_sees_a_function_call_itself_directly_or_through_another():
+    source = (
+        "def down(n):\n    return down(n - 1) if n else 0\n\n"
+        "def even(n):\n    return n == 0 or odd(n - 1)\n\n"
+        "def odd(n):\n    return n != 0 and even(n - 1)\n\n"
+        "def leaf(n):\n    return down(n)\n"
+    )
+    assert _cycles(source) == [["down"], ["even", "odd"]]

@@ -57,6 +57,7 @@ from lax.rewrite import (
 from lax.terms import (
     comp_body,
     comp_marked,
+    facts_of,
     free_chans,
     free_names,
     is_parallel_node,
@@ -71,7 +72,6 @@ from oracles import (
     _occurrences,
     brute_force_redexes,
     chan_occurrences,
-    facts,
     find_redexes_oracle,
     fresh_copy,
     leftmost_innermost_oracle,
@@ -329,12 +329,12 @@ def test_a_phase_that_asks_no_session_kind_scans_no_session():
     t = _typed("nu a : EM[A]. [ efq[B](nota x) || f ((\\u : A. u) a) ]", gamma)
     assert [r.rule for r in find_redexes(t, kinds=INTUITIONISTIC)] == ["Beta"]
     assert pick_redex(t, kinds=INTUITIONISTIC, innermost=True).rule == "Beta"
-    assert facts(t).redexes[1] is None
+    assert facts_of(t).redexes[1] is None
     # nor does it fill any send summary
-    assert all(facts(s).sends is None for _, s in iter_subterms(t))
+    assert all(facts_of(s).sends is None for _, s in iter_subterms(t))
     assert [r.rule for r in find_redexes(t)] == ["Beta"]
-    assert facts(t).redexes[1][0] == ()
-    assert all(facts(c).sends is not None for c in t.comps)
+    assert facts_of(t).redexes[1][0] == ()
+    assert all(facts_of(c).sends is not None for c in t.comps)
 
 
 # --------------------------------------------------------------------------

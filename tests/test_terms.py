@@ -53,6 +53,7 @@ from lax.terms import (
     all_names,
     binder_names,
     children,
+    facts_of,
     fresh_name,
     iter_subterms,
     node_data,
@@ -72,7 +73,6 @@ from oracles import (
     _kids,
     _mentions_active_session,
     _mentions_parallel,
-    facts,
     fresh_copy,
     replace_at_oracle,
     uppermost_active_oracle,
@@ -298,7 +298,7 @@ def test_remembered_facts_leave_equality_hashing_and_repr_alone():
     is_simply_typed(t)
     assert t == copy and hash(t) == hash(copy) and repr(t) == repr(copy)
     # replace() builds a new node, which knows nothing yet
-    assert facts(dataclasses.replace(t)).redexes is None
+    assert facts_of(dataclasses.replace(t)).redexes is None
 
 
 def _counting(calls):
@@ -327,7 +327,7 @@ def test_remembered_computes_a_node_at_two_positions_once():
     # fact known
     assert terms.remembered(t, "peaks", _counting(calls)) == 1 + 2 * 4
     assert [type(s) for s in calls].count(App) == 1 and len(calls) == 5
-    assert facts(x).peaks == 4
+    assert facts_of(x).peaks == 4
 
 
 def test_remembered_never_computes_a_child_enter_skips(monkeypatch):
@@ -348,7 +348,7 @@ def test_remembered_never_computes_a_child_enter_skips(monkeypatch):
     assert {id(s) for s in calls} == {id(s) for s in entered}
     assert len(calls) == len(entered) < term_size(t)
     skipped = [s for _, s in iter_subterms(t) if all(s is not c for c in entered)]
-    assert skipped and all(facts(s).peaks is None for s in skipped)
+    assert skipped and all(facts_of(s).peaks is None for s in skipped)
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Typing rules, elaboration, and the subject-reduction report."""
 
+import json
+import random
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import pytest
-import random
 
 from hypothesis import given, settings, strategies as st
 
@@ -12,8 +14,10 @@ from lax import (
     App,
     Atom,
     Bot,
+    Case,
     Chan,
     Conj,
+    Contract,
     Disj,
     Efq,
     GenConfig,
@@ -27,8 +31,11 @@ from lax import (
     TypingContext,
     TypingError,
     Underline,
+    Unit,
     Var,
     alpha_eq,
+    audit_trace,
+    broadcast_axiom,
     check,
     check_subject_reduction,
     em_axiom,
@@ -44,9 +51,15 @@ from lax import (
     type_of,
 )
 from lax import typecheck
-from lax.terms import iter_subterms, replace_at, subterm_at
+from lax.rewrite import multiple_subst
+from lax.terms import facts_of, iter_subterms, replace_at, subterm_at
 
-from oracles import fresh_copy, subject_reduction_oracle
+from oracles import (
+    check_oracle,
+    fresh_copy,
+    subject_reduction_oracle,
+    type_of_oracle,
+)
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -203,6 +216,8 @@ def test_generated_terms_check_and_reports_agree(seed, preset):
     assert infer_type(t, ctx) == ty
     assert check_report(t, ctx)["ok"]
     assert type_of(elab) == ty
+    for _, u in iter_subterms(elab):
+        assert type_of(u) == type_of_oracle(u)
 
 
 @settings(max_examples=50, deadline=None)
@@ -313,6 +328,19 @@ def _typed_whole(monkeypatch):
         return infer(t, ctx)
 
     monkeypatch.setattr(typecheck, "infer_type", counted)
+    return typed
+
+
+def _checked_whole(monkeypatch):
+    """The terms typed whole through check."""
+    typed = []
+    whole = typecheck.check
+
+    def counted(t, ctx=None):
+        typed.append(t)
+        return whole(t, ctx)
+
+    monkeypatch.setattr(typecheck, "check", counted)
     return typed
 
 
@@ -446,7 +474,9 @@ def test_a_bare_channel_that_becomes_an_applied_head(monkeypatch):
     # the component alone types; its session refuses the bare form
     bare = (Impl(A, B), False, False, True)
     assert judgement(after.comps[0])[2] == {"a": frozenset({bare})}
-    assert judgement(after) is False and typed == [before, after]
+    refusal = judgement(after)
+    assert not refusal and typed == [before, after]
+    assert refusal.message == "channel a cannot occur alone in component 0"
 
 
 def test_a_new_free_name_bound_on_the_path_or_free_elsewhere(monkeypatch):
@@ -481,15 +511,8 @@ def test_checking_a_deep_step_types_only_the_redex(monkeypatch):
     before, _ = check(t, ctx)
     (redex,) = find_redexes(before)
     after = step(before, redex)
-    assert check_subject_reduction(ctx, before, before).ok  # judges before
-    calls = []
-    infer = typecheck._infer
-
-    def counted(t, *rest):
-        calls.append(t)
-        return infer(t, *rest)
-
-    monkeypatch.setattr(typecheck, "_infer", counted)
+    assert check_subject_reduction(ctx, before, before).ok  # check judged before
+    calls = _checked_whole(monkeypatch)
     judged = _judging(monkeypatch)
     assert check_subject_reduction(ctx, before, after).ok
     assert calls == []
@@ -673,3 +696,280 @@ def test_a_tampered_annotation_is_reported_as_the_oracle_reports_it_on_the_examp
     ctx, t = _example(name)
     for discipline in (False, True):
         _assert_tampers_match_the_oracle(ctx, t, discipline, random.Random(name))
+
+
+# --------------------------------------------------------------------------
+# check on an explicit stack: the recursive typer's results, first errors,
+# deep terms and deep types
+
+def _result(typer, t, ctx):
+    try:
+        return typer(t, ctx)
+    except TypingError as e:
+        return e.issue
+
+
+def _assert_checks_as_the_oracle(t, ctx):
+    """The same type and elaborated term, or the same error (code, path and
+    message); an elaborated term comes back as it is, and type_of reads
+    every subterm's type as the recursive type_of computes it."""
+    got, want = _result(check, t, ctx), _result(check_oracle, t, ctx)
+    if isinstance(want, typecheck.TypeIssue):
+        assert got == want
+        return want
+    (elab, ty), (oracle_elab, oracle_ty) = got, want
+    assert alpha_eq(elab, oracle_elab) and ty == oracle_ty
+    assert check(elab, ctx)[0] is elab
+    for _, u in iter_subterms(elab):
+        assert type_of(u) == type_of_oracle(u)
+    return None
+
+
+def _formula_pool(t, gamma):
+    pool = [A, Atom("Z"), Bot(), Top(), Impl(A, B), Conj(A, B), Disj(A, B)]
+    pool += gamma.values()
+    for _, s in iter_subterms(t):
+        pool += [getattr(s, f) for f in ("ann", "disj", "target") if hasattr(s, f)]
+    return pool
+
+
+def _typing_mutant(rng, t, ctx):
+    """One seeded typing mutant of t, or None: a swapped annotation or free
+    type, a tampered occurrence type, activity or polarity, a component or
+    mark dropped or added, a subterm moved, a session component taken out
+    of its session. It may change ctx, a context of its own."""
+    subs, pool = list(iter_subterms(t)), _formula_pool(t, ctx.ivars)
+
+    def pick(cls):
+        found = [(p, s) for p, s in subs if isinstance(s, cls)]
+        return rng.choice(found) if found else (None, None)
+
+    def at(cls, new):
+        p, s = pick(cls)
+        return None if s is None else replace_at(t, p, new(s))
+
+    def comps(s):
+        cs = list(s.comps)
+        how = rng.randrange(4)
+        if how == 0:
+            cs.pop(rng.randrange(len(cs)))
+        elif how == 1:
+            cs.insert(rng.randrange(len(cs) + 1), rng.choice(cs))
+        elif how == 2:
+            rng.shuffle(cs)
+        else:
+            i = rng.randrange(len(cs))
+            cs[i] = Underline(cs[i])
+        return replace(s, comps=tuple(cs))
+
+    kind = rng.randrange(16)
+    if kind == 0:
+        return at(Lam, lambda s: replace(s, ann=rng.choice(pool)))
+    if kind == 1:
+        return at(Inj, lambda s: replace(s, disj=rng.choice(pool)))
+    if kind == 2:
+        return at(Efq, lambda s: replace(s, target=rng.choice(pool)))
+    if kind == 3:
+        args = [Unit(), rng.choice(subs)[1]] + [Var(x) for x in sorted(ctx.ivars)]
+        return at(Efq, lambda s: replace(s, arg=rng.choice(args)))
+    if kind in (4, 5) and ctx.ivars:
+        x = rng.choice(sorted(ctx.ivars))
+        if kind == 4:
+            ctx.ivars[x] = rng.choice(pool)
+        else:
+            del ctx.ivars[x]
+        return t
+    if kind == 6:
+        return at((Var, Chan), lambda s: replace(s, ty=rng.choice(pool + [None])))
+    if kind == 7:
+        return at(Chan, lambda s: replace(s, active=not s.active))
+    if kind == 8:
+        return at(Chan, lambda s: replace(s, negated=not s.negated))
+    if kind == 9:
+        return at(ParBind, comps)
+    if kind == 10:
+        if rng.random() < 0.5:
+            return at(Underline, lambda s: rng.choice([Underline(s), s.body]))
+        p, s = rng.choice(subs)
+        return replace_at(t, p, Underline(s))
+    if kind == 11:
+        (p, _), (_, u) = rng.choice(subs), rng.choice(subs)
+        return replace_at(t, p, u)
+    if kind == 12:
+        axioms = [s.axiom for _, s in subs if isinstance(s, ParBind)]
+        return at(ParBind, lambda s: replace(s, axiom=rng.choice(axioms)))
+    if kind == 13:
+        _, s = pick(ParBind)
+        if s is None:
+            return None
+        if rng.random() < 0.8:  # its channel free, typed by the context
+            ctx.chans[s.chan] = s.axiom.carrier or rng.choice(pool)
+        comp = rng.choice(s.comps)
+        return comp.body if isinstance(comp, Underline) else comp
+    if kind == 14:
+        (p, u), (_, v) = rng.choice(subs), rng.choice(subs)
+        return replace_at(t, p, Contract(u, v))
+    if kind == 15:
+        heads = [(p, s) for p, s in subs if isinstance(s, App) and isinstance(s.fun, Chan)]
+        if heads:
+            p, s = rng.choice(heads)
+            return replace_at(t, p, rng.choice([s.fun, replace(s, fun=rng.choice(subs)[1])]))
+    return None
+
+
+def _frozen_programs():
+    data = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+    for path in sorted(data.glob("*.jsonl")):
+        for line in path.read_text().splitlines()[1:]:
+            record = json.loads(line)
+            prog = parse_program(record["source"])
+            yield prog.term, dict(prog.gamma)
+            if record["reference"] is not None:
+                yield parse_term(record["reference"], dict(prog.gamma)), dict(prog.gamma)
+    for name in EXAMPLES:
+        prog = parse_program((resources.files("lax") / "examples" / f"{name}.lax").read_text())
+        yield prog.term, dict(prog.gamma)
+
+
+# a pattern for each of the 22 errors check words; a message is the first
+# one's it contains
+_ERROR_SITES = [
+    "unbound variable", "unbound channel", "argument of channel", "a function type",
+    "inj", "efq argument", "argument:", "projection:", "a disjunction annotation",
+    "case scrutinee", "case branches", "efq target", "wants", "nested component marks",
+    "of session", "more than one marked", "contraction", "outside a session",
+    "has activity", "must have", "cannot occur alone", "no sender polarity",
+]
+
+
+def _site(issue):
+    return next(s for s in _ERROR_SITES if s in issue.message)
+
+
+def test_check_is_the_recursive_typer_on_the_frozen_corpus_and_its_mutants():
+    """The 589 frozen programs, their references and the examples, each as
+    it is and elaborated, then 6 000 seeded typing mutants of them; every
+    error check fires."""
+    programs = []
+    for t, gamma in _frozen_programs():
+        ctx = TypingContext(ivars=gamma)
+        assert _assert_checks_as_the_oracle(t, ctx) is None
+        programs.append((t, gamma))
+        programs.append((check_oracle(t, ctx)[0], gamma))
+    assert len(programs) == 2 * 1_183
+    rng, fired, made = random.Random(2026), set(), 0
+    while made < 6_000:
+        t, gamma = rng.choice(programs)
+        ctx = TypingContext(ivars=dict(gamma))
+        bad = _typing_mutant(rng, t, ctx)
+        if bad is not None:
+            made += 1
+            issue = _assert_checks_as_the_oracle(bad, ctx)
+            if issue is not None:
+                fired.add(_site(issue))
+    assert fired == set(_ERROR_SITES)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(PRESETS))
+def test_check_is_the_recursive_typer_on_generated_terms(seed, preset):
+    gamma, t = generate(seed, GenConfig(preset=preset, max_size=30))
+    ctx, rng = TypingContext(ivars=gamma), random.Random(seed)
+    elab = check(t, ctx)[0]
+    for u in [t, elab, *_tampers(elab, rng)]:
+        _assert_checks_as_the_oracle(u, ctx)
+    for _ in range(20):
+        mutant_ctx = TypingContext(ivars=dict(gamma))
+        bad = _typing_mutant(rng, t, mutant_ctx)
+        if bad is not None:
+            _assert_checks_as_the_oracle(bad, mutant_ctx)
+
+
+NOBODY = Var("nobody")
+
+
+@pytest.mark.parametrize("t, error", [
+    # a head that is no function, then an unbound argument
+    (App(Pair(x, y), NOBODY), "TypeMismatch at [0]: expected a function type, found A /\\ A"),
+    # a scrutinee that is no disjunction, then branches that fail
+    (Case(x, "l", NOBODY, "r", Underline(x)),
+     "TypeMismatch at [0]: case scrutinee: expected a disjunction, found A"),
+    # a component of the wrong type, then a later one that fails
+    (ParBind("a", False, broadcast_axiom(A, 2), (
+        Efq(App(Chan("a", negated=True), x), B), x, NOBODY)),
+     "TypeMismatch at [1]: component 1 of session a: expected B, found A"),
+    # an annotation, a target or a mark refused before the subterm is read
+    (Inj(0, A, NOBODY), "TypeMismatch at []: expected a disjunction annotation, found A"),
+    (Efq(NOBODY, Conj(A, B)), "EfqTargetNotAtomic at []: efq target must be an atom "
+     "or Top, got A /\\ B"),
+    (Pair(x, Underline(NOBODY)), "ChannelDisciplineViolation at [1]: component mark "
+     "outside a session"),
+    # an argument after its head, and a channel's argument
+    (App(f, App(NOBODY, x)), "UnboundName at [1, 0]: unbound variable 'nobody'"),
+    (ParBind("a", False, em_axiom(A), (Efq(App(Chan("a", negated=True), z), A), Chan("a"))),
+     "TypeMismatch at [0, 0, 1]: argument of channel a: expected A, found B"),
+    # the mark of a component is no level of the path
+    (ParBind("a", False, em_axiom(A), (
+        Underline(Efq(App(Chan("a", negated=True), x), A)), Lam("v", A, NOBODY))),
+     "UnboundName at [1, 0]: unbound variable 'nobody'"),
+    (ParBind("a", False, em_axiom(A), (
+        Underline(Efq(App(Chan("a", negated=True), NOBODY), A)), Chan("a"))),
+     "UnboundName at [0, 0, 1]: unbound variable 'nobody'"),
+])
+def test_the_first_error_is_the_one_the_rules_meet_first(t, error):
+    ctx = TypingContext(ivars=dict(GAMMA))
+    with pytest.raises(TypingError) as e:
+        check(t, ctx)
+    assert str(e.value) == error
+    assert e.value.issue == _result(check_oracle, t, ctx)
+
+
+def _conj_chain(depth):
+    f = A
+    for _ in range(depth):
+        f = Conj(A, f)
+    return f
+
+
+@pytest.mark.parametrize("grow", [
+    lambda t: Lam("x", A, t), lambda t: Pair(x, t), lambda t: App(f, t),
+], ids=["lambda", "pair", "application"])
+def test_a_deep_chain_checks(grow):
+    """5 000 deep, check, infer_type and type_of run on explicit stacks;
+    the types are compared without recursion."""
+    t = x
+    for _ in range(5_000):
+        t = grow(t)
+    ctx = TypingContext(ivars=dict(GAMMA))
+    elab, ty = check(t, ctx)
+    assert typecheck._same(infer_type(t, ctx), ty)
+    assert type_of(elab) is ty
+    again, again_ty = check(elab, ctx)  # judged already: the same objects
+    assert again is elab and again_ty is ty
+
+
+def test_a_deep_type_is_compared_without_recursion():
+    """Two 5 000-deep conjunctions built apart: the argument matches its
+    binder, and a multiple substitution accepts one for the other."""
+    deep, again = _conj_chain(5_000), _conj_chain(5_000)
+    t = App(Lam("y", deep, Var("y")), Var("z"))
+    elab, ty = check(t, TypingContext(ivars={"z": again}))
+    assert ty is deep and type_of(elab) is deep
+    v = elab.arg
+    assert multiple_subst(Var("y", deep), [Var("y", deep)], v) is v
+
+
+def test_a_state_fresh_from_check_holds_its_judgements(monkeypatch):
+    """check keeps every node's judgement, so the audit's first step judges
+    only the nodes that step built."""
+    ctx = TypingContext(ivars=dict(GAMMA))
+    before, ty = check(parse_term("\\u : A. <(\\v : A. v) x, <y, f u>>", GAMMA), ctx)
+    assert all(facts_of(u).judgement for _, u in iter_subterms(before))
+    assert type_of(before) is ty
+    _, trace = normalize(before)
+    (first,) = trace.steps
+    judged = _judging(monkeypatch)
+    rep = audit_trace(ctx, trace)
+    assert rep.holds, rep.witnesses
+    assert sorted(map(id, judged)) == _built(before, first.term_after)
+    assert len(judged) == 2  # the lambda and the pair above the contractum
