@@ -50,14 +50,15 @@ per free channel, the highest _vc_safe of an argument applied to it and
 whether one such argument is a value. A component's entry for the
 session's channel says whether it mentions the channel (the garbage
 cross's survivors), whether it sends a value (activation), and the
-highest complexity it sends (the communication complexity, which
-session_comm_complexity alone computes). The crosses need the rightmost
-occurrence, which _rightmost finds by a descent along the summaries and
-the component remembers; the contractions read the same descent, and no
-other module reads a summary. So a session that a step rebuilt around
-components shared with the state before is scanned again at the cost of
-its arity, plus the nodes the step rebuilt and a descent into each
-rebuilt component.
+highest complexity it sends (the communication complexity, which _comm
+alone computes). An inactive session offers only those two rules, so
+inactive sessions share one scan per entry tuple (_inactive_scan). The
+crosses need the rightmost occurrence, which _rightmost finds by a
+descent along the summaries and the component remembers; the
+contractions read the same descent, and no other module reads a summary.
+So a session that a step rebuilt around components shared with the
+state before is scanned again at the cost of its arity, plus the nodes
+the step rebuilt and, if it is active, a descent into each rebuilt one.
 
 The remembered redexes are also the one judge of whether a redex applies:
 step(t, r) contracts r exactly when the subterm at r.position offers it,
@@ -83,7 +84,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .axioms import em_axiom, general_axiom
 from .formulas import BOT, Bot, Formula, Impl, complexity, conj
@@ -362,7 +363,11 @@ def _sends_on(s: ParBind) -> list[Optional[tuple[int, bool]]]:
 def session_comm_complexity(bind: ParBind) -> int:
     """The highest value complexity among the messages sent on bind's
     channel, 0 when there are none."""
-    return max((e[0] for e in _sends_on(bind) if e is not None), default=0)
+    return _comm(_sends_on(bind))
+
+
+def _comm(sends: Sequence[Optional[tuple[int, bool]]]) -> int:
+    return max((e[0] for e in sends if e is not None), default=0)
 
 
 def _rightmost(bind: ParBind, i: int) -> Occurrence:
@@ -508,9 +513,14 @@ def _scanned(s: ParBind) -> tuple[tuple, tuple]:
     """(all, disciplined): the session's own (bit, redex) pairs, and those
     the underline discipline keeps. In a general session with a marked
     component, only a marked sender's basic crosses are kept."""
-    every = tuple((_BIT[r.kind], r) for r in _session_redexes(s))
+    sends = _sends_on(s)
+    if not s.active:
+        return _inactive_scan(tuple(sends))
+    every = tuple((_BIT[r.kind], r) for r in _session_redexes(sends, s))
+    if s.axiom.mode != "general":
+        return every, every
     marked = {i for i, c in enumerate(s.comps) if comp_marked(c)}
-    if not marked or s.axiom.mode != "general":
+    if not marked:
         return every, every
     return every, tuple(
         (bit, r) for bit, r in every
@@ -709,17 +719,27 @@ def _perm_slot(s: Term) -> Optional[tuple[int, str]]:
     return None
 
 
-def _session_redexes(s: ParBind) -> Iterator[Redex]:
-    """The redexes rooted at the session s, at position ()."""
-    bodies = [comp_body(c) for c in s.comps]
-    sends = _sends_on(s)
-    comm = session_comm_complexity(s)
+@functools.cache  # inactive sessions with the same entries share one scan
+def _inactive_scan(sends: tuple) -> tuple[tuple, tuple]:
+    """(all, disciplined), equal: the discipline filters basic crosses."""
+    every = tuple((_BIT[r.kind], r) for r in _session_redexes(sends))
+    return every, every
+
+
+def _session_redexes(
+    sends: Sequence[Optional[tuple[int, bool]]], s: Optional[ParBind] = None
+) -> Iterator[Redex]:
+    """The redexes rooted at a session, at position (), whose components
+    have these entries (_sends_on): the active session s, or an inactive
+    one, whose redexes depend on its entries alone."""
+    comm = _comm(sends)
 
     # activation: inactive binder, some applied occurrence of a value
-    if not s.active:
+    if s is None:
         if any(e is not None and e[1] for e in sends):
             yield Redex(RedexKind.ACTIVATION, (), comm)
     else:
+        bodies = [comp_body(c) for c in s.comps]
         yield from _cross_redexes(s, bodies, sends, comm)
 
     # garbage: keep the components that do not mention the channel (any
@@ -729,7 +749,7 @@ def _session_redexes(s: ParBind) -> Iterator[Redex]:
         yield Redex(RedexKind.GARBAGE_CROSS, (), comm, survivors=survivors)
 
     # hoisting a nested parallel component out of an active session
-    if s.active and not any(contains_active_session(b) for b in bodies):
+    if s is not None and not any(contains_active_session(b) for b in bodies):
         for k, b in enumerate(bodies):
             if is_parallel_node(b):
                 yield Redex(RedexKind.PAR_PAR_PERM, (), 0, comp=k)

@@ -1,6 +1,7 @@
 """Single-step reduction: values, complexity measures, discovery, contraction."""
 
 import dataclasses
+import random
 from importlib import resources
 
 import pytest
@@ -47,8 +48,11 @@ from lax.rewrite import (
     INTUITIONISTIC,
     PEAK_GROUPS,
     Redex,
+    _inactive_scan,
     _rightmost,
+    _scanned,
     _sends,
+    _sends_on,
     contains_active_session,
     is_simply_typed,
     pick_redex,
@@ -75,6 +79,7 @@ from oracles import (
     find_redexes_oracle,
     fresh_copy,
     leftmost_innermost_oracle,
+    random_order_run,
     value_complexity_oracle,
 )
 
@@ -652,6 +657,69 @@ def test_session_scans_match_the_walks(seed, preset, discipline):
 def test_session_scans_match_the_walks_on_the_examples(name, discipline):
     states, _ = _run_states(_example(name), discipline)
     _assert_session_scans_match_the_walks(states, discipline)
+
+
+def test_inactive_sessions_with_equal_entries_share_one_scan():
+    gamma = {"x": A, "z": C, "y": B}
+    t = _typed(
+        "<nu a : EM[A]. [ efq[B](nota x) || y ], "
+        "nu b : EM[C]. [ efq[B](notb z) || y ]>",
+        gamma,
+    )
+    s, u = t.left, t.right
+    assert s.axiom != u.axiom and _sends_on(s) == _sends_on(u)
+    assert _scanned(s) is _scanned(u)
+    everything, disciplined = _scanned(s)
+    assert everything is disciplined
+    assert [r.position for r in find_redexes(t) if r.kind == RedexKind.GARBAGE_CROSS] == [
+        (0,), (1,)
+    ]
+    assert s._facts.redexes[1] is u._facts.redexes[1]
+
+
+@pytest.mark.parametrize("entries, other", [
+    (((1, True), None), ((1, False), None)),  # the value flag alone
+    (((1, True), None), ((2, True), None)),  # the complexity alone
+    (((0, False), (1, True)), (None, (1, True))),  # a bare mention or none
+    (((0, False), None), (None, None)),
+])
+def test_inactive_scans_tell_every_part_of_an_entry_apart(entries, other):
+    assert _inactive_scan(entries) != _inactive_scan(other)
+
+
+def test_an_inactive_scan_is_activation_and_garbage_at_the_best_message():
+    def scan(entries):
+        return [r for _, r in _inactive_scan(entries)[0]]
+
+    assert scan(((2, True), (0, False), None)) == [
+        Redex(RedexKind.ACTIVATION, (), 2),
+        Redex(RedexKind.GARBAGE_CROSS, (), 2, survivors=(2,)),
+    ]
+    assert scan(((1, False), (0, False))) == []
+    assert scan((None, None)) == [
+        Redex(RedexKind.GARBAGE_CROSS, (), 0, survivors=(0, 1))
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["em", "em3", "c3", "g2", "godel", None]),
+    st.booleans(),
+)
+def test_shared_inactive_scans_match_the_walks(seed, preset, discipline):
+    """Along a random-order run, which wakes sessions the strategy leaves
+    asleep and rebuilds them around shared components."""
+    _, t = generate(seed, GenConfig(preset=preset, max_size=18))
+    states, _, _ = random_order_run(t, discipline, random.Random(seed), 60)
+    for k, state in enumerate(states):
+        for u in (state, fresh_copy(state)):
+            for path, s in iter_subterms(u):
+                if isinstance(s, ParBind) and not s.active:
+                    assert redexes_at(s, path, discipline) == [
+                        dataclasses.replace(r, position=path)
+                        for r in _reference_session_redexes(s, discipline)
+                    ], f"state {k}, session at {path}"
 
 
 # --------------------------------------------------------------------------
