@@ -6,47 +6,124 @@ the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class Formula:
-    __slots__ = ()
+    """A formula. The constructors hand out one object per structure, so
+    formulas compare by identity (the default ==). Each stores, when it is
+    built, its complexity and its hash: the hash of the tuple of its
+    fields, as a frozen dataclass's."""
+
+    __slots__ = ("_hash", "complexity")
+    _fields: tuple[str, ...] = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def _frozen(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot set or delete field {name!r} of a formula")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __deepcopy__(self, memo) -> Formula:
+        # copy and pickle rebuild through __reduce__, and the table gives
+        # them this formula back; deepcopy would copy the children first,
+        # by recursion
+        return self
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._fields)
 
     def __str__(self) -> str:
         return show_formula(self)
 
+    def __repr__(self) -> str:
+        """Constructor syntax with field names, as a dataclass prints, on an
+        explicit stack."""
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            f = todo.pop()
+            if type(f) is str:
+                out.append(f)
+            elif type(f) is Atom:
+                out.append(f"Atom(name={f.name!r})")
+            elif isinstance(f, _Binary):
+                out.append(f"{type(f).__name__}(left=")
+                todo += (")", f.right, ", right=", f.left)
+            else:
+                out.append(f"{type(f).__name__}()")
+        return "".join(out)
 
-@dataclass(frozen=True)
+
+# Every formula built, by structure: (Atom, name) for an atom, the class
+# for a constant, (class, id(left), id(right)) for a connective. The ids
+# are safe keys because the table keeps each formula, and so its children,
+# alive.
+_TABLE: dict = {}
+
+
+def _made(key, cls, complexity: int, *values) -> Formula:
+    f = object.__new__(cls)
+    object.__setattr__(f, "_hash", hash(values))
+    object.__setattr__(f, "complexity", complexity)
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(f, name, value)
+    # not a store: of two threads that build one formula at once, both get
+    # the first one's
+    return _TABLE.setdefault(key, f)
+
+
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
+    _fields = ("name",)
+
+    def __new__(cls, name: str) -> Atom:
+        f = _TABLE.get((cls, name))
+        return _made((cls, name), cls, 0, name) if f is None else f
 
 
-@dataclass(frozen=True)
-class Top(Formula):
-    pass
+class _Constant(Formula):
+    __slots__ = ()
+
+    def __new__(cls) -> Formula:
+        f = _TABLE.get(cls)
+        return _made(cls, cls, 0) if f is None else f
 
 
-@dataclass(frozen=True)
-class Bot(Formula):
-    pass
+class Top(_Constant):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Impl(Formula):
-    left: Formula
-    right: Formula
+class Bot(_Constant):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Conj(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula) -> Formula:
+        key = (cls, id(left), id(right))
+        f = _TABLE.get(key)
+        if f is None:
+            # a hit needs no check: only formulas' ids are in the keys, and
+            # another object's id could be reused once it is freed
+            if not isinstance(left, Formula) or not isinstance(right, Formula):
+                raise TypeError(f"{cls.__name__} of a non-formula: {left!r}, {right!r}")
+            f = _made(key, cls, 1 + left.complexity + right.complexity, left, right)
+        return f
 
 
-@dataclass(frozen=True)
-class Disj(Formula):
-    left: Formula
-    right: Formula
+class Impl(_Binary):
+    __slots__ = ()
+
+
+class Conj(_Binary):
+    __slots__ = ()
+
+
+class Disj(_Binary):
+    __slots__ = ()
 
 
 TOP = Top()
@@ -58,19 +135,21 @@ def neg(f: Formula) -> Formula:
 
 
 def complexity(f: Formula) -> int:
-    """Number of connective occurrences (atoms and constants count 0)."""
-    if isinstance(f, (Atom, Top, Bot)):
-        return 0
-    assert isinstance(f, (Impl, Conj, Disj))
-    return 1 + complexity(f.left) + complexity(f.right)
+    """Number of connective occurrences (atoms and constants count 0),
+    stored when f is built."""
+    return f.complexity
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:
     """All subformulas of f, including f itself."""
-    out = {f}
-    if isinstance(f, (Impl, Conj, Disj)):
-        out |= subformulas(f.left)
-        out |= subformulas(f.right)
+    out = set()
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if g not in out:
+            out.add(g)
+            if isinstance(g, _Binary):
+                todo += (g.right, g.left)
     return frozenset(out)
 
 
@@ -84,9 +163,15 @@ def prime_factors(f: Formula) -> tuple[Formula, ...]:
     Anything that is not a conjunction is its own single factor, so the
     result is never empty.
     """
-    if isinstance(f, Conj):
-        return prime_factors(f.left) + prime_factors(f.right)
-    return (f,)
+    out = []
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is Conj:
+            todo += (g.right, g.left)
+        else:
+            out.append(g)
+    return tuple(out)
 
 
 def conj(factors: tuple[Formula, ...] | list[Formula]) -> Formula:

@@ -87,7 +87,7 @@ from enum import Enum
 from typing import Iterator, Optional, Sequence
 
 from .axioms import em_axiom, general_axiom
-from .formulas import BOT, Bot, Formula, Impl, complexity, conj
+from .formulas import BOT, Bot, Formula, Impl, conj
 from .terms import (
     App,
     Case,
@@ -128,7 +128,7 @@ from .terms import (
     with_child,
     with_children,
 )
-from .typecheck import _same, type_of
+from .typecheck import type_of
 
 
 class NotParallelForm(Exception):
@@ -172,7 +172,7 @@ def value_complexity(t: Term) -> int:
     if isinstance(t, (ParBind, Contract, Underline)):
         raise NotSimplyTyped(f"value complexity of a parallel term: {t}")
     if isinstance(t, (Lam, Inj)):
-        return complexity(type_of(t))
+        return type_of(t).complexity
     if isinstance(t, Pair):
         return max(value_complexity(t.left), value_complexity(t.right))
     _, stack = decompose_stack(t)
@@ -676,11 +676,11 @@ def _local_redexes(s: Term) -> list[Redex]:
     out = []
     # intuitionistic redexes
     if isinstance(s, App) and isinstance(s.fun, Lam):
-        out.append(Redex(RedexKind.BETA, (), complexity(type_of(s.fun))))
+        out.append(Redex(RedexKind.BETA, (), type_of(s.fun).complexity))
     if isinstance(s, Proj) and isinstance(s.arg, Pair):
         out.append(Redex(RedexKind.PROJ_PAIR, (), _vc_safe(s.arg)))
     if isinstance(s, Case) and isinstance(s.scrut, Inj):
-        out.append(Redex(RedexKind.CASE_INJ, (), complexity(s.scrut.disj)))
+        out.append(Redex(RedexKind.CASE_INJ, (), s.scrut.disj.complexity))
 
     # one-frame permutation over a case term
     hole = HOLES.get(type(s))
@@ -823,7 +823,7 @@ def multiple_subst(u: Term, ys: list[Var], v: Term) -> Term:
         return u
     want = conj([y.ty for y in ys])
     got = type_of(v)
-    if not _same(got, want):
+    if got is not want:
         raise ValueError(f"multiple_subst: v has type {got}, the ys want {want}")
 
     def sel(i: int) -> Term:

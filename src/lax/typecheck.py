@@ -122,7 +122,7 @@ def check(t: Term, ctx: Optional[TypingContext] = None) -> tuple[Term, Formula]:
             ty = env.get(node.name)
             if ty is None:
                 _raise(frames, "UnboundName", f"unbound variable {node.name!r}")
-            out = node if _same(node.ty, ty) else Var(node.name, ty)
+            out = node if node.ty is ty else Var(node.name, ty)
         elif cls is Chan:
             out = _chan(node, scopes, ctx.chans, frames)
         elif cls is Unit:
@@ -216,13 +216,13 @@ def _chan(c: Chan, scopes: _ChanEnv, free: dict, frames: list) -> Chan:
         if why:
             _raise(frames, _CDV, why)
         ty = ax.occurrence_type(i)
-        return c if _same(c.ty, ty) else Chan(name, ty, c.active, c.negated)
+        return c if c.ty is ty else Chan(name, ty, c.active, c.negated)
     ty = free.get(name)
     if ty is None:
         _raise(frames, "UnboundName", f"unbound channel {name!r}")
     if c.negated:
         _raise(frames, _CDV, f"free channel {name} has no sender polarity")
-    return c if _same(c.ty, ty) else Chan(name, ty, c.active, False)
+    return c if c.ty is ty else Chan(name, ty, c.active, False)
 
 
 def _misplaced(name: str, ax: AxiomScheme, i: int, active: bool, form) -> Optional[str]:
@@ -290,7 +290,7 @@ def check_subject_reduction(
     if (
         _holds(jb, ctx)
         and _holds(ja, ctx)
-        and _same(jb[0], ja[0])
+        and jb[0] is ja[0]
         and ja[1].keys() <= jb[1].keys()
         and ja[2].keys() <= jb[2].keys()
     ):
@@ -306,7 +306,7 @@ def check_subject_reduction(
         return SubjectReductionReport(
             False, show_formula(tb), None, f"after does not type: {e}"
         )
-    if not _same(tb, ta):
+    if tb is not ta:
         return SubjectReductionReport(
             False, show_formula(tb), show_formula(ta), "type changed"
         )
@@ -373,33 +373,15 @@ def _holds(j, ctx: TypingContext) -> bool:
         return False
     for x, ty in j[1].items():
         want = ctx.ivars.get(x)
-        if want is None or not _same(want, ty):
+        if want is None or want is not ty:
             return False
     for a, forms in j[2].items():
         want = ctx.chans.get(a)
         if want is None:
             return False
         for ty, _, negated, _ in forms:
-            if negated or not _same(want, ty):
+            if negated or want is not ty:
                 return False
-    return True
-
-
-def _same(f: Formula, g: Formula) -> bool:
-    """f == g, on an explicit stack; a formula shared by both is equal
-    without a look inside."""
-    if f is g:
-        return True
-    todo = [(f, g)]
-    while todo:
-        f, g = todo.pop()
-        if f is g:
-            continue
-        cls = type(f)
-        if cls is not type(g) or cls is Atom and f.name != g.name:
-            return False
-        if cls is Impl or cls is Conj or cls is Disj:
-            todo += ((f.right, g.right), (f.left, g.left))
     return True
 
 
@@ -417,7 +399,7 @@ def _vars_joined(a: dict, b: dict) -> Optional[dict]:
             if out is None:
                 out = dict(a)
             out[x] = ty
-        elif not _same(old, ty):
+        elif old is not ty:
             return None
     return a if out is None else out
 
@@ -453,7 +435,7 @@ def _bound(fv: dict, x: str, ty: Formula) -> Optional[dict]:
     old = fv.get(x)
     if old is None:
         return fv
-    return _dropped(fv, x) if _same(old, ty) else None
+    return _dropped(fv, x) if old is ty else None
 
 
 def _forms(c: Chan, bare: bool) -> dict:
@@ -499,7 +481,7 @@ def _node_judgement(s: Term, kids):
         if n == 1:
             return None
         (_, fv, fc, _), (aty, afv, afc, _) = kids
-        if not _same(fty.left, aty):
+        if fty.left is not aty:
             return _mismatch(1, show_formula(fty.left), show_formula(aty), "argument")
         if type(s.fun) is Chan:  # an applied occurrence, not a bare one
             fc = _forms(s.fun, False)
@@ -515,7 +497,7 @@ def _node_judgement(s: Term, kids):
         if n < 2:
             return None
         (lty, fv, fc, _), (rty, rfv, rfc, _) = kids
-        if cls is Contract and not _same(lty, rty):
+        if cls is Contract and lty is not rty:
             return _mismatch(1, show_formula(lty), show_formula(rty), "contraction")
         ty = Conj(lty, rty) if cls is Pair else lty
         fv, fc = _vars_joined(fv, rfv), _chans_joined(fc, rfc)
@@ -534,7 +516,7 @@ def _node_judgement(s: Term, kids):
             return None
         ((aty, fv, fc, _),) = kids
         want = ty.left if s.index == 0 else ty.right
-        if not _same(want, aty):
+        if want is not aty:
             return _mismatch(0, show_formula(want), show_formula(aty),
                              f"inj{s.index} argument")
     elif cls is Case:
@@ -546,7 +528,7 @@ def _node_judgement(s: Term, kids):
         if n < 3:
             return None
         (_, fv, fc, _), (ty, lfv, lfc, _), (rty, rfv, rfc, _) = kids
-        if not _same(ty, rty):
+        if ty is not rty:
             return _mismatch(2, show_formula(ty), show_formula(rty), "case branches")
         lfv, rfv = _bound(lfv, s.lvar, sty.left), _bound(rfv, s.rvar, sty.right)
         if lfv is None or rfv is None:
@@ -586,7 +568,7 @@ def _session_judgement(s: ParBind, kids):
     fv, fc, marks = _NONE, _NONE, 0
     for i, (kty, kfv, kfc, marked) in enumerate(kids):
         ty = kids[0][0]
-        if not _same(ty, kty):
+        if ty is not kty:
             return _mismatch(i, show_formula(ty), show_formula(kty),
                              f"component {i} of session {name}")
         marks += marked
@@ -595,7 +577,7 @@ def _session_judgement(s: ParBind, kids):
             want = ax.occurrence_type(i)
             for form in forms:
                 why = _misplaced(name, ax, i, s.active, form)
-                if why or not _same(want, form[0]):
+                if why or want is not form[0]:
                     return _Refusal(_CDV, i, why or f"occurrence of {name} in "
                                     f"component {i} not typed {show_formula(want)}")
             kfc = _dropped(kfc, name)

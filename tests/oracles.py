@@ -13,7 +13,7 @@ stay independent of the engine's one typer and its judgements.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import make_dataclass, replace
 from functools import cache
 from operator import is_
 from typing import Optional
@@ -934,6 +934,30 @@ def show_formula_oracle(f: Formula, prec: int = 0) -> str:
         s = show_formula_oracle(f.left, 4) + " /\\ " + show_formula_oracle(f.right, 3)
         return "(" + s + ")" if prec > 3 else s
     raise TypeError(f"not a formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
+# formulas as the frozen dataclasses they were before interning: their ==,
+# hash and repr recurse through the structure and know no table
+
+_DATACLASSES = {
+    name: make_dataclass(name, fields, frozen=True)
+    for name, fields in [
+        ("Atom", ["name"]), ("Top", []), ("Bot", []),
+        ("Impl", ["left", "right"]), ("Conj", ["left", "right"]),
+        ("Disj", ["left", "right"]),
+    ]
+}
+
+
+def dataclass_oracle(f: Formula):
+    """f rebuilt, by recursion, as the frozen dataclass of its class."""
+    cls = _DATACLASSES[type(f).__name__]
+    if isinstance(f, Atom):
+        return cls(f.name)
+    if isinstance(f, (Top, Bot)):
+        return cls()
+    return cls(dataclass_oracle(f.left), dataclass_oracle(f.right))
 
 
 # ---------------------------------------------------------------------------

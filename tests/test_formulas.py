@@ -1,8 +1,12 @@
 """Formula algebra: connectives, measures, decompositions, printing."""
 
+import copy
 import json
+import pickle
+from functools import cache
 from pathlib import Path
 
+import pytest
 from hypothesis import given, strategies as st
 
 from lax import (
@@ -13,9 +17,12 @@ from lax import (
     Conj,
     Disj,
     Impl,
+    Pair,
     ParBind,
     Top,
     TypingContext,
+    Var,
+    check_subformula,
     complexity,
     infer_type,
     neg,
@@ -28,7 +35,7 @@ from lax import (
 )
 from lax.terms import iter_subterms
 
-from oracles import show_formula_oracle
+from oracles import _formula_weight, dataclass_oracle, show_formula_oracle
 
 atoms = st.sampled_from([Atom("A"), Atom("B"), Atom("C"), Atom("P1"), TOP, BOT])
 formulas = st.recursive(
@@ -120,6 +127,7 @@ def test_parse_formula_sugar():
 # the printer on an explicit stack against the recursive one
 
 
+@cache
 def _corpus_formulas():
     """Every formula the frozen programs write: declared types, binder,
     injection and efq annotations, axiom formulas, and each program's type."""
@@ -157,3 +165,96 @@ def test_show_formula_prints_a_deep_formula():
     for _ in range(5_000):
         f = Conj(Atom("A"), Impl(f, BOT))
     assert show_formula(f) == "A /\\ ~(" * 4_999 + "A /\\ ~A" + ")" * 4_999
+
+
+# --------------------------------------------------------------------------
+# interning: one object per structure, against the recursive definitions
+
+
+def _interned_as_the_oracles_say(f):
+    assert complexity(f) == f.complexity == _formula_weight(f)
+    as_dataclass = dataclass_oracle(f)
+    assert hash(f) == hash(as_dataclass)
+    assert repr(f) == repr(as_dataclass)
+    assert parse_formula(show_formula(f)) is f
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    if isinstance(f, (Impl, Conj, Disj)):
+        for cls in (Impl, Conj, Disj):
+            g = cls(f.left, f.right)
+            assert type(g) is cls and (g is f) == (cls is type(f))
+
+
+def test_the_frozen_corpus_is_interned_as_the_oracles_say():
+    formulas = _corpus_formulas()
+    assert len(formulas) > 5_000
+    by_structure = {}
+    for f in formulas:
+        _interned_as_the_oracles_say(f)
+        # structurally equal formulas are one object, and only they
+        assert by_structure.setdefault(dataclass_oracle(f), f) is f
+    assert len(by_structure) == len({id(f) for f in formulas})
+
+
+@given(formulas, formulas)
+def test_formulas_are_interned_as_the_oracles_say(f, g):
+    _interned_as_the_oracles_say(f)
+    assert (f is g) == (f == g) == (dataclass_oracle(f) == dataclass_oracle(g))
+
+
+def test_a_formula_refuses_assignment():
+    a = Atom("A")
+    for f, field in [(a, "name"), (TOP, "complexity"), (Impl(a, BOT), "left"),
+                     (Conj(a, a), "right"), (Disj(a, a), "extra")]:
+        with pytest.raises(AttributeError):
+            setattr(f, field, a)
+        with pytest.raises(AttributeError):
+            delattr(f, field)
+    assert Impl(a, BOT).left is a and a.name == "A"
+
+
+def test_a_connective_of_a_non_formula_is_refused():
+    with pytest.raises(TypeError):
+        Impl("A", BOT)
+    with pytest.raises(TypeError):
+        Conj(BOT, None)
+
+
+# --------------------------------------------------------------------------
+# depth: nothing on a formula recurses
+
+
+def _chain(n: int):
+    """P{n-1} /\\ ... /\\ P0 /\\ A, built from the bottom up."""
+    f = Atom("A")
+    for i in range(n):
+        f = Conj(Atom(f"P{i}"), f)
+    return f
+
+
+_FACTORS = tuple(Atom(f"P{i}") for i in reversed(range(5_000))) + (Atom("A"),)
+
+
+@pytest.mark.parametrize("holds", [
+    lambda f, g: f == g and f is g and f != _chain(4_999),
+    lambda f, g: hash(f) == hash(g) != hash(_chain(4_999)),
+    lambda f, g: complexity(f) == 5_000,
+    lambda f, g: len(subformulas(f)) == 10_001 and _chain(2_500) in subformulas(g),
+    lambda f, g: proper_subformulas(f) == subformulas(g) - {f},
+    lambda f, g: prime_factors(f) == _FACTORS,
+    lambda f, g: show_formula(f) == " /\\ ".join(map(show_formula, _FACTORS)),
+    lambda f, g: repr(f).startswith("Conj(left=Atom(name='P4999'), right=Conj("),
+    lambda f, g: copy.deepcopy(f) is f,
+], ids=["eq", "hash", "complexity", "subformulas", "proper_subformulas",
+        "prime_factors", "show_formula", "repr", "deepcopy"])
+def test_a_deep_formula_needs_no_recursion(holds):
+    """Two 5 000-deep conjunctions, built apart."""
+    assert holds(_chain(5_000), _chain(5_000))
+
+
+def test_the_subformula_property_reads_a_deep_context():
+    deep = _chain(5_000)
+    x, y = Var("x", deep), Var("y", Impl(deep, BOT))
+    ctx = TypingContext(ivars={"x": deep, "y": y.ty})
+    for t in (x, Pair(x, y)):
+        assert check_subformula(ctx, t).holds

@@ -1,6 +1,7 @@
-"""No function of the typer calls itself, directly or through other
-functions of its module: its walks over terms and formulas run on explicit
-stacks, so no nesting depth exhausts the interpreter's recursion limit.
+"""No function of the typer or of the formulas calls itself, directly or
+through other functions of its module: their walks over terms and formulas
+run on explicit stacks, so no nesting depth exhausts the interpreter's
+recursion limit.
 """
 
 import ast
@@ -9,6 +10,7 @@ from pathlib import Path
 import lax
 
 TYPECHECK = Path(lax.__file__).parent / "typecheck.py"
+FORMULAS = Path(lax.__file__).parent / "formulas.py"
 
 
 def _cycles(source: str) -> list[list[str]]:
@@ -43,6 +45,10 @@ def _cycles(source: str) -> list[list[str]]:
 
 def test_no_function_in_the_typer_recurses():
     assert _cycles(TYPECHECK.read_text(encoding="utf-8")) == []
+
+
+def test_no_function_of_the_formulas_recurses():
+    assert _cycles(FORMULAS.read_text(encoding="utf-8")) == []
 
 
 def test_the_scan_sees_a_function_call_itself_directly_or_through_another():

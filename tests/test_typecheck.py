@@ -942,7 +942,7 @@ def test_a_deep_chain_checks(grow):
         t = grow(t)
     ctx = TypingContext(ivars=dict(GAMMA))
     elab, ty = check(t, ctx)
-    assert typecheck._same(infer_type(t, ctx), ty)
+    assert infer_type(t, ctx) is ty
     assert type_of(elab) is ty
     again, again_ty = check(elab, ctx)  # judged already: the same objects
     assert again is elab and again_ty is ty
@@ -973,3 +973,76 @@ def test_a_state_fresh_from_check_holds_its_judgements(monkeypatch):
     assert rep.holds, rep.witnesses
     assert sorted(map(id, judged)) == _built(before, first.term_after)
     assert len(judged) == 2  # the lambda and the pair above the contractum
+
+
+# --------------------------------------------------------------------------
+# formulas that differ only in their connective, or Top against Bot, are
+# told apart wherever the typer compares two types
+
+def _other(ty):
+    """ty with its outermost class changed and its fields kept."""
+    if isinstance(ty, (Top, Bot)):
+        return Bot() if isinstance(ty, Top) else Top()
+    if isinstance(ty, Atom):
+        return Conj(ty, ty)
+    return (Conj if isinstance(ty, Impl) else Impl)(ty.left, ty.right)
+
+
+AB = Conj(A, B)
+
+
+@pytest.mark.parametrize("src, gamma", [
+    ("(\\v : A /\\ B. v) x", {"x": Impl(A, B)}),
+    ("x |+| y", {"x": AB, "y": Impl(A, B)}),
+    ("inj0[(A /\\ B) \\/ C](x)", {"x": Impl(A, B)}),
+    ("case s of {l. x | r. y}", {"s": Disj(C, C), "x": AB, "y": Disj(A, B)}),
+    ("nu a : EM[C]. [ x || y ]", {"x": AB, "y": Impl(A, B)}),
+    ("(\\v : Top. v) x", {"x": Bot()}),
+])
+def test_the_typer_refuses_a_type_that_differs_only_in_its_connective(src, gamma):
+    with pytest.raises(TypingError, match="TypeMismatch"):
+        _infer(src, gamma)
+
+
+def test_the_judgement_refuses_annotations_that_differ_only_in_the_connective():
+    ab, ba = Var("x", AB), Var("x", Impl(A, B))
+    for t in (Pair(ab, ba), Lam("x", AB, ba), Lam("x", Top(), Var("x", Bot()))):
+        with pytest.raises(ValueError, match="two types"):
+            type_of(t)
+    # the occurrence's annotation agrees with its component, not its axiom
+    t = ParBind("a", False, em_axiom(AB), (Var("f", Impl(A, B)), Chan("a", Impl(A, B))))
+    with pytest.raises(ValueError, match="not typed A /\\\\ B"):
+        type_of(t)
+
+
+def test_subject_reduction_tells_a_connective_apart():
+    before, _ = check(Pair(Unit(), Unit()))
+    after, _ = check(Lam("v", Top(), Var("v")))
+    rep = check_subject_reduction(None, before, after)
+    assert (rep.ok, rep.type_before, rep.type_after) == (False, "Top /\\ Top", "Top -> Top")
+    # occurrences annotated against another context are judged in this one
+    ctx = TypingContext(ivars={"x": Impl(A, B)}, chans={"a": Impl(A, B)})
+    for t in (Var("x", AB), Chan("a", AB)):
+        rep = check_subject_reduction(ctx, t, t)
+        assert (rep.ok, rep.type_before) == (True, "A -> B")
+
+
+def test_multiple_subst_refuses_a_tuple_of_another_connective():
+    with pytest.raises(ValueError, match="multiple_subst"):
+        multiple_subst(x, [Var("y", A), Var("v", B)], Var("p", Impl(A, B)))
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_an_occurrence_retyped_by_its_connective_is_typed_again(name):
+    """check puts back the type of every occurrence whose annotation differs
+    only in its connective, and the judgement refuses it where it is bound."""
+    ctx, elab = _example(name)
+    for path, s in iter_subterms(elab):
+        if not isinstance(s, (Var, Chan)):
+            continue
+        tampered = replace_at(elab, path, replace(s, ty=_other(s.ty)))
+        assert check(tampered, ctx)[0] == elab
+        free = ctx.ivars if isinstance(s, Var) else ctx.chans
+        if s.name not in free:
+            with pytest.raises(ValueError):
+                type_of(tampered)
