@@ -53,7 +53,7 @@ from .terms import (
     node_data,
     subterm_at,
 )
-from .typecheck import TypingContext, check_subject_reduction, infer_type, type_of
+from .typecheck import TypingContext, check, check_subject_reduction, type_of
 
 
 class NotNormal(Exception):
@@ -149,7 +149,7 @@ def check_subformula(ctx: TypingContext, t: Term) -> PropertyReport:
     """
     if not is_normal(t):
         raise NotNormal("subformula property is only claimed for normal terms")
-    conclusion = infer_type(t, ctx)
+    t, conclusion = check(t, ctx)  # the elaborated term, typed at each node
     allowed = _allowed_formulas(ctx, conclusion)
     rep = PropertyReport("subformula", True)
 

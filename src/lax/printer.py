@@ -27,40 +27,63 @@ from .terms import (
 
 
 def show_term(t: Term, prec: int = 0) -> str:
+    """t printed in a context of precedence prec, on an explicit stack: each
+    node gives its pieces, strings and (subterm, prec) slots, and a slot is
+    expanded in place."""
+    out = []
+    todo = [(t, prec)]
+    while todo:
+        piece = todo.pop()
+        if type(piece) is str:
+            out.append(piece)
+        else:
+            todo.extend(reversed(_pieces(*piece)))
+    return "".join(out)
+
+
+def _parens(wrap: bool, pieces: list) -> list:
+    return ["(", *pieces, ")"] if wrap else pieces
+
+
+def _between(sep: str, ts) -> list:
+    """The slots of ts at precedence 0, with sep between each two."""
+    pieces = []
+    for t in ts:
+        pieces += (sep, (t, 0))
+    return pieces[1:]
+
+
+def _pieces(t: Term, prec: int) -> list:
+    """The strings and (subterm, prec) slots that print t, in order."""
     if isinstance(t, Var):
-        return t.name
+        return [t.name]
     if isinstance(t, Chan):
-        return ("not" + t.name) if t.negated else t.name
+        return [("not" + t.name) if t.negated else t.name]
     if isinstance(t, Unit):
-        return "tt"
+        return ["tt"]
     if isinstance(t, Lam):
-        s = f"\\{t.var}:{show_formula(t.ann)}. {show_term(t.body)}"
-        return "(" + s + ")" if prec > 0 else s
+        return _parens(prec > 0, [f"\\{t.var}:{show_formula(t.ann)}. ", (t.body, 0)])
     if isinstance(t, Contract):
-        s = f"{show_term(t.left, 2)} |+| {show_term(t.right, 1)}"
-        return "(" + s + ")" if prec > 1 else s
+        return _parens(prec > 1, [(t.left, 2), " |+| ", (t.right, 1)])
     if isinstance(t, App):
-        s = f"{show_term(t.fun, 2)} {show_term(t.arg, 3)}"
-        return "(" + s + ")" if prec > 2 else s
+        return _parens(prec > 2, [(t.fun, 2), " ", (t.arg, 3)])
     if isinstance(t, Proj):
-        s = f"{show_term(t.arg, 2)} pi{t.index}"
-        return "(" + s + ")" if prec > 2 else s
+        return _parens(prec > 2, [(t.arg, 2), f" pi{t.index}"])
     if isinstance(t, Pair):
-        parts = flatten_pairs(t)
-        return "<" + ", ".join(show_term(p) for p in parts) + ">"
+        return ["<", *_between(", ", flatten_pairs(t)), ">"]
     if isinstance(t, Inj):
-        return f"inj{t.index}[{show_formula(t.disj)}]({show_term(t.arg)})"
+        return [f"inj{t.index}[{show_formula(t.disj)}](", (t.arg, 0), ")"]
     if isinstance(t, Case):
-        return (
-            f"case {show_term(t.scrut)} of "
-            f"{{{t.lvar}. {show_term(t.lbody)} | {t.rvar}. {show_term(t.rbody)}}}"
-        )
+        return [
+            "case ", (t.scrut, 0), f" of {{{t.lvar}. ", (t.lbody, 0),
+            f" | {t.rvar}. ", (t.rbody, 0), "}",
+        ]
     if isinstance(t, Efq):
-        return f"efq[{show_formula(t.target)}]({show_term(t.arg)})"
+        return [f"efq[{show_formula(t.target)}](", (t.arg, 0), ")"]
     if isinstance(t, ParBind):
         star = "*" if t.active else ""
-        comps = " || ".join(show_term(c) for c in t.comps)
-        return f"nu {t.chan}{star}:{show_axiom(t.axiom)}. [{comps}]"
+        head = f"nu {t.chan}{star}:{show_axiom(t.axiom)}. ["
+        return [head, *_between(" || ", t.comps), "]"]
     if isinstance(t, Underline):
-        return "@" + show_term(t.body, 3) if prec > 0 else "@" + show_term(t.body)
+        return ["@", (t.body, 3 if prec > 0 else 0)]
     raise TypeError(f"not a term: {t!r}")

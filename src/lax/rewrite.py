@@ -169,21 +169,22 @@ def value_complexity(t: Term) -> int:
     halves. A case term under a case-free stack: max over the branches with
     the stack pushed inside. Anything else: 0.
     """
-    if isinstance(t, (ParBind, Contract, Underline)):
-        raise NotSimplyTyped(f"value complexity of a parallel term: {t}")
-    if isinstance(t, (Lam, Inj)):
-        return type_of(t).complexity
-    if isinstance(t, Pair):
-        return max(value_complexity(t.left), value_complexity(t.right))
-    _, stack = decompose_stack(t)
-    cases = [i for i, f in enumerate(stack) if isinstance(f, Case)]
-    if not cases:
-        return 0
-    case, sigma = stack[cases[-1]], stack[cases[-1] + 1:]
-    return max(
-        value_complexity(apply_stack(case.lbody, sigma)),
-        value_complexity(apply_stack(case.rbody, sigma)),
-    )
+    best, todo = 0, [t]
+    while todo:  # left before right, as the clauses read
+        t = todo.pop()
+        if isinstance(t, (ParBind, Contract, Underline)):
+            raise NotSimplyTyped(f"value complexity of a parallel term: {t}")
+        if isinstance(t, (Lam, Inj)):
+            best = max(best, type_of(t).complexity)
+        elif isinstance(t, Pair):
+            todo += (t.right, t.left)
+        else:
+            _, stack = decompose_stack(t)
+            cases = [i for i, f in enumerate(stack) if isinstance(f, Case)]
+            if cases:
+                case, sigma = stack[cases[-1]], stack[cases[-1] + 1:]
+                todo += (apply_stack(case.rbody, sigma), apply_stack(case.lbody, sigma))
+    return best
 
 
 def _vc_safe(t: Term) -> int:
@@ -1061,18 +1062,30 @@ def _general_full_cross(s: ParBind, host: Term) -> Term:
 # ---------------------------------------------------------------------------
 # height
 
+def _parallel_height(t: Term) -> Optional[int]:
+    """t's height when it is in parallel form, None when it is not: parallel
+    nodes only at the top, simply typed components at the leaves. The
+    height is the most parallel nodes on a path from the root to a leaf."""
+    best, todo = 0, [(t, 0)]
+    while todo:  # leftmost first, as is_simply_typed fills its facts
+        s, depth = todo.pop()
+        body = comp_body(s)
+        if is_parallel_node(body):
+            todo += ((c, depth + 1) for c in reversed(children(body)))
+        elif is_simply_typed(body):
+            best = max(best, depth)
+        else:
+            return None
+    return best
+
+
 def is_parallel_form(t: Term) -> bool:
     """Parallel nodes only at the top, simply typed components at the leaves."""
-    body = comp_body(t)
-    if is_parallel_node(body):
-        return all(is_parallel_form(c) for c in children(body))
-    return is_simply_typed(body)
+    return _parallel_height(t) is not None
 
 
 def height(t: Term) -> int:
-    if not is_parallel_form(t):
+    h = _parallel_height(t)
+    if h is None:
         raise NotParallelForm(str(t))
-    body = comp_body(t)
-    if is_parallel_node(body):
-        return 1 + max(height(c) for c in children(body))
-    return 0
+    return h

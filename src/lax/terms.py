@@ -13,10 +13,12 @@ its constructor: at import, each constructor gets a getter of its children
 and functions that build it anew with all its children or with one,
 generated from its shape. replace_at() makes one such call per level of the
 path; dataclasses.replace is left for a field that is not a child. Free
-names, renaming, channel substitution and alpha-equivalence are walks over
-children() that read binder_names(); rebind() is the only code that renames
-a bound name, and substitution, the permutations' freshening and activation
-all go through it.
+names and alpha-equivalence are walks over children() that read
+binder_names(). Substitution, renaming and channel substitution share one
+walk, _map_free, on an explicit stack; it returns a node none of whose
+children changed itself, so an untouched subtree keeps its remembered facts.
+rebind() is the only code that renames a bound name, and substitution, the
+permutations' freshening and activation all go through it.
 
 Variable occurrences and channel occurrences carry the type the checker
 assigned to them (ty is None straight out of the parser). All engine code
@@ -575,9 +577,12 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
 
 def flatten_pairs(t: Term) -> tuple[Term, ...]:
     """Components of the maximal right-nested pair spine; [t] when not a pair."""
-    if isinstance(t, Pair):
-        return (t.left,) + flatten_pairs(t.right)
-    return (t,)
+    parts = []
+    while isinstance(t, Pair):
+        parts.append(t.left)
+        t = t.right
+    parts.append(t)
+    return tuple(parts)
 
 
 def build_tuple(ts: tuple[Term, ...]) -> Term:
@@ -637,16 +642,57 @@ def is_parallel_node(t: Term) -> bool:
 # ---------------------------------------------------------------------------
 # substitution
 
-def _map_free(t: Term, name: str, chan: bool, f) -> Term:
+def _map_free(t: Term, name: str, chan: bool, f, on_binder=None) -> Term:
     """t with f applied to every free occurrence of name: to its channel
-    occurrences when chan, to its variable occurrences otherwise."""
-    if isinstance(t, Chan if chan else Var):
-        return f(t) if t.name == name else t
-    cs = []
-    for i, c in enumerate(children(t)):
-        vs, chs = binder_names(t, i)
-        cs.append(c if name in (chs if chan else vs) else _map_free(c, name, chan, f))
-    return with_children(t, tuple(cs))
+    occurrences when chan, to its variable occurrences otherwise.
+
+    The one walk of substitution and renaming, on an explicit stack. A
+    child that a binder of name shields is not entered; on_binder, when
+    given, maps each binder to the node to walk before the walk enters it,
+    the root included: subst renames capturing binders apart there. The
+    renaming walks that this starts (through rebind) get no on_binder, so
+    walks nest at most two deep. A node none of whose children changed is
+    returned itself, so it keeps its remembered facts.
+    """
+    occ, side = (Chan, 1) if chan else (Var, 0)
+    # one frame per node entered and not finished: (node, its children,
+    # their images so far, the indices of the children still to map, last
+    # the one being mapped)
+    frames = []
+    s = t
+    while True:
+        cls = type(s)
+        if cls is occ:
+            out = f(s) if s.name == name else s
+        elif not (cs := children(s)):
+            out = s
+        else:
+            if cls in _BINDERS:
+                if on_binder is not None:
+                    s = on_binder(s)
+                    cs = children(s)
+                todo = [
+                    i for i in range(len(cs) - 1, -1, -1)
+                    if name not in binder_names(s, i)[side]
+                ]
+            else:
+                todo = list(range(len(cs) - 1, -1, -1))
+            if todo:
+                frames.append((s, cs, list(cs), todo))
+                s = cs[todo[-1]]
+                continue
+            out = s
+        # out is the image of the node just finished: it goes to its parent
+        while frames:
+            node, cs, new, todo = frames[-1]
+            new[todo.pop()] = out
+            if todo:
+                s = cs[todo[-1]]
+                break
+            frames.pop()
+            out = node if all(map(is_, new, cs)) else with_children(node, tuple(new))
+        else:
+            return out
 
 
 def rename_var(t: Term, old: str, new: str) -> Term:
@@ -659,24 +705,9 @@ def rename_var(t: Term, old: str, new: str) -> Term:
 
 def subst(t: Term, x: str, v: Term) -> Term:
     """Capture-avoiding substitution of v for the free variable x in t."""
-    return _subst(t, x, v, *free_names(v))
-
-
-def _subst(t: Term, x: str, v: Term, fv: frozenset[str], fc: frozenset[str]) -> Term:
-    if isinstance(t, Var):
-        return v if t.name == x else t
-    cs = children(t)
-    if type(t) not in _BINDERS:
-        new = [_subst(c, x, v, fv, fc) for c in cs]
-    else:
-        t = _unshadow(t, x, fv, fc)
-        new = [
-            c if x in binder_names(t, i)[0] else _subst(c, x, v, fv, fc)
-            for i, c in enumerate(children(t))
-        ]
-    if all(map(is_, new, cs)):
-        return t
-    return with_children(t, tuple(new))
+    fv, fc = free_names(v)
+    unshadow = (lambda s: _unshadow(s, x, fv, fc)) if fv or fc else None
+    return _map_free(t, x, False, lambda _: v, unshadow)
 
 
 def _unshadow(t: Term, x: str, fv: frozenset[str], fc: frozenset[str]) -> Term:

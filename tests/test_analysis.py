@@ -13,8 +13,10 @@ from lax import (
     Bot,
     Chan,
     Contract,
+    Efq,
     GenConfig,
     Impl,
+    Lam,
     NotNormal,
     Pair,
     ParBind,
@@ -35,12 +37,13 @@ from lax import (
     normalize,
     parse_program,
     parse_term,
+    show_term,
     subterm_types,
 )
 from lax import analysis, typecheck
 from lax.rewrite import CROSSES, Redex, RedexKind
 from lax.strategy import Trace, TraceStep
-from lax.terms import subterm_at
+from lax.terms import build_tuple, contract_join, subterm_at
 
 from oracles import (
     random_order_run,
@@ -99,6 +102,11 @@ def test_check_subformula_requires_a_normal_form():
     gamma = {"y": A}
     with pytest.raises(NotNormal):
         check_subformula(TypingContext(ivars=gamma), _typed("(\\x : A. x) y", gamma))
+
+
+def test_check_subformula_types_a_term_not_checked_first():
+    rep = check_subformula(TypingContext(ivars={"x": A}), Var("x"))
+    assert rep.holds, rep.witnesses
 
 
 def test_check_subformula_on_normal_forms():
@@ -378,6 +386,74 @@ def test_a_deep_chain_audits_clean_with_subject_reduction():
     _, trace = normalize(t)
     assert len(trace.steps) == 1
     rep = audit_trace(TypingContext(ivars={"a": A, "b": A, "x": A}), trace)
+    assert rep.holds, rep.witnesses
+
+
+# Each builds, for n: (a term, its context, its text, the rules the
+# strategy fires, the normal form's text).
+
+def _beta_into_a_deep_body(n):
+    body = Var("x")
+    for _ in range(n):
+        body = Pair(Var("x"), body)
+    return (
+        App(Lam("x", A, body), Var("y")), {"y": A},
+        "(\\x:A. <" + ", ".join(["x"] * (n + 1)) + ">) y",
+        ["Beta"], "<" + ", ".join(["y"] * (n + 1)) + ">",
+    )
+
+
+def _a_long_projected_tuple(n):
+    t = Proj(build_tuple(tuple(Lam("z", A, Var("z")) for _ in range(n))), 0)
+    text = "<" + ", ".join(["\\z:A. z"] * n) + "> pi0"
+    return t, {}, text, ["ProjPair"], "\\z:A. z"
+
+
+def _a_wide_join(n):
+    last = App(Lam("z", A, Var("z")), Var("x"))
+    return (
+        contract_join([Var("x")] * (n - 1) + [last]), {"x": A},
+        "x |+| " * (n - 1) + "(\\z:A. z) x", ["Beta"], "x |+| " * (n - 1) + "x",
+    )
+
+
+def _an_activation_over_a_deep_component(n):
+    """The activation renames the session's channel in the deep component,
+    which the cross then rebuilds."""
+    receiver = App(Var("f"), App(Chan("a"), Var("y")))
+    for _ in range(n):
+        receiver = App(Var("g"), receiver)
+    sender = Efq(App(Chan("a", negated=True), Lam("z", Z, Var("z"))), B)
+    return (
+        ParBind("a", False, em_axiom(Impl(Z, Z)), (sender, receiver)),
+        {"f": Impl(Z, B), "g": Impl(B, B), "y": Z},
+        "nu a:EM[Z -> Z]. [efq[B](nota (\\z:Z. z)) || "
+        + "g (" * n + "f (a y)" + ")" * n + "]",
+        ["Activation", "BasicCross(0,1)", "Beta"],
+        "g (" * n + "f y" + ")" * n,
+    )
+
+
+DEEP_TERMS = {
+    "beta": _beta_into_a_deep_body,
+    "tuple": _a_long_projected_tuple,
+    "join": _a_wide_join,
+    "activation": _an_activation_over_a_deep_component,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_TERMS))
+def test_a_deep_or_wide_term_checks_prints_normalizes_and_audits(shape):
+    """Substitution, renaming, printing, the value complexity and the
+    parallel-form test all run on explicit stacks."""
+    t, gamma, text, rules, final_text = DEEP_TERMS[shape](5_000)
+    ctx = TypingContext(ivars=gamma)
+    t, _ = check(t, ctx)
+    assert show_term(t) == text
+    final, trace = normalize(t)
+    assert [s.redex.rule for s in trace.steps] == rules
+    assert show_term(final) == final_text
+    rep = audit_trace(ctx, trace)
     assert rep.holds, rep.witnesses
 
 

@@ -1,16 +1,17 @@
-"""No function of the typer or of the formulas calls itself, directly or
-through other functions of its module: their walks over terms and formulas
-run on explicit stacks, so no nesting depth exhausts the interpreter's
-recursion limit.
+"""No function of the typer, the formulas, the terms, the printer or the
+rewrite rules calls itself, directly or through other functions of its
+module: their walks over terms and formulas run on explicit stacks, so no
+nesting depth exhausts the interpreter's recursion limit.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import lax
 
-TYPECHECK = Path(lax.__file__).parent / "typecheck.py"
-FORMULAS = Path(lax.__file__).parent / "formulas.py"
+MODULES = ("typecheck.py", "formulas.py", "terms.py", "printer.py", "rewrite.py")
 
 
 def _cycles(source: str) -> list[list[str]]:
@@ -43,12 +44,10 @@ def _cycles(source: str) -> list[list[str]]:
     return found
 
 
-def test_no_function_in_the_typer_recurses():
-    assert _cycles(TYPECHECK.read_text(encoding="utf-8")) == []
-
-
-def test_no_function_of_the_formulas_recurses():
-    assert _cycles(FORMULAS.read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_of_the_module_recurses(module):
+    source = (Path(lax.__file__).parent / module).read_text(encoding="utf-8")
+    assert _cycles(source) == []
 
 
 def test_the_scan_sees_a_function_call_itself_directly_or_through_another():

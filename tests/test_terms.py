@@ -464,6 +464,37 @@ def test_subst_chan_bare_passes_through_a_lambda_and_stops_at_a_nu():
     assert subst_chan_bare(t, "a", msg) == want
 
 
+def _assert_shared_where_not_free(old, new, a):
+    """Every child of old in which the channel a is not free is the same
+    object in new, at every depth."""
+    todo = [(old, new)]
+    while todo:
+        old, new = todo.pop()
+        if a not in free_chans(old):
+            assert new is old
+        elif new is not old:
+            todo.extend(zip(children(old), children(new)))
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_channel_renaming_and_substitution_keep_what_they_do_not_change(name):
+    """Each session's channel, renamed or substituted in each of its
+    components, in every state of the example's run."""
+    seen = 0
+    for state in _example_states(name):
+        for _, s in iter_subterms(state):
+            if not isinstance(s, ParBind):
+                continue
+            for c in s.comps:
+                seen += 1
+                for out in (
+                    rename_chan(c, s.chan, "fresh", True),
+                    subst_chan_bare(c, s.chan, Var("m")),
+                ):
+                    _assert_shared_where_not_free(c, out, s.chan)
+    assert seen
+
+
 # --------------------------------------------------------------------------
 # alpha-equivalence
 
