@@ -176,33 +176,61 @@ def check_subformula(ctx: TypingContext, t: Term) -> PropertyReport:
 # ---------------------------------------------------------------------------
 # trace auditing
 
-def _parallel_inside(s: ParBind) -> int:
-    """Parallel nodes properly contained in a session's components."""
-    n, todo = 0, [comp_body(c) for c in s.comps]
+# no channel occurs free; shared by every tally, and never changed
+_NO_OCCURRENCES: dict[str, int] = {}
+
+
+def _tally(t: Term, table: dict) -> tuple:
+    """(t, active sessions, parallel nodes, free occurrences per channel):
+    each counted at every position in t, t included. A session drops its
+    own channel from the occurrences, so no occurrence under a session that
+    binds the name again is counted.
+
+    table maps id(node) to the node's tally, which holds the node, so no
+    id is reused while table lives; a node already in it costs one lookup.
+    The walk is an explicit stack over children."""
+    entry = table.get(id(t))
+    if entry is not None:
+        return entry
+    todo: list = [(t, None)]
     while todo:
-        t = todo.pop()
-        if isinstance(t, (ParBind, Contract)):
-            n += 1
-        todo.extend(children(t))
-    return n
+        s, cs = todo.pop()
+        if cs is None:
+            if id(s) in table:  # pushed by two parents
+                continue
+            cs = children(s)
+            missing = [(c, None) for c in cs if id(c) not in table]
+            if missing:
+                todo.append((s, cs))
+                todo += missing
+                continue
+        active = par = 0
+        occ = {s.name: 1} if type(s) is Chan else _NO_OCCURRENCES
+        for c in cs:
+            _, a, p, o = table[id(c)]
+            active += a
+            par += p
+            if not occ:
+                occ = o
+            elif o:
+                occ = dict(occ)
+                for name, k in o.items():
+                    occ[name] = occ.get(name, 0) + k
+        if type(s) is ParBind:
+            active += s.active
+            par += 1
+            if s.chan in occ:
+                occ = dict(occ)
+                del occ[s.chan]
+        elif type(s) is Contract:
+            par += 1
+        table[id(s)] = (s, active, par, occ)
+    return table[id(t)]
 
 
-def _chan_occurrence_count(s: ParBind) -> int:
-    """Occurrences of the session's channel, not counting those under a
-    session that binds the name again."""
-    a = s.chan
-    n, todo = 0, [comp_body(c) for c in s.comps]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, ParBind) and t.chan == a:
-            continue
-        if isinstance(t, Chan) and t.name == a:
-            n += 1
-        todo.extend(children(t))
-    return n
-
-
-def communication_measure(t: Term) -> tuple[int, dict[int, int], dict[int, int]]:
+def communication_measure(
+    t: Term, table: dict | None = None
+) -> tuple[int, dict[int, int], dict[int, int]]:
     """The (n, h, g) triple the communication phase drives down: active
     non-uppermost sessions, then parallel material still buried inside
     uppermost active sessions, then their channel occurrence counts.
@@ -211,23 +239,26 @@ def communication_measure(t: Term) -> tuple[int, dict[int, int], dict[int, int]]
     than its tree height: a hoisting step replaces one session by copies
     that each contain strictly fewer parallel nodes, which stays a strict
     multiset decrease even when two components tie for the tallest
-    subtree (heights alone can tie and stall there)."""
+    subtree (heights alone can tie and stall there).
+
+    table holds each node's tally (see _tally); states that share nodes
+    and share a table pay only for the nodes not tallied before."""
+    if table is None:
+        table = {}
+    active = _tally(t, table)[1]
     upper = uppermost_active_sessions(t)
-    upper_paths = {p for p, _ in upper}
-    n = sum(
-        1
-        for path, s in iter_subterms(t)
-        if isinstance(s, ParBind) and s.active and path not in upper_paths
-    )
     h: dict[int, int] = {}
     g: dict[int, int] = {}
     for _, s in upper:
-        buried = _parallel_inside(s)
+        buried = occ = 0
+        for c in s.comps:
+            _, _, p, o = table[id(comp_body(c))]
+            buried += p
+            occ += o.get(s.chan, 0)
         if buried >= 1:
             h[buried] = h.get(buried, 0) + 1
-        occ = _chan_occurrence_count(s)
         g[occ] = g.get(occ, 0) + 1
-    return n, h, g
+    return active - len(upper), h, g
 
 
 def _fn_less(a: dict[int, int], b: dict[int, int]) -> bool:
@@ -449,10 +480,11 @@ def _audit_communication_measure(
     rep: PropertyReport, trace: Trace, terms: list[Term]
 ) -> None:
     measures: dict[int, tuple] = {}  # each state is measured once
+    table: dict = {}  # node tallies, shared by every state of the trace
 
     def measure(k: int) -> tuple:
         if k not in measures:
-            measures[k] = communication_measure(terms[k])
+            measures[k] = communication_measure(terms[k], table)
         return measures[k]
 
     for start, end in _phase_spans(trace, PHASE_COMMUNICATION):

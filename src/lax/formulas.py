@@ -31,7 +31,8 @@ class Formula:
         return self
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, n) for n in self._fields)
+        # one flat program, so pickle never descends into the children
+        return _rebuilt, (_postfix(self),)
 
     def __str__(self) -> str:
         return show_formula(self)
@@ -128,6 +129,47 @@ class Disj(_Binary):
 
 TOP = Top()
 BOT = Bot()
+
+
+def _postfix(f: Formula) -> tuple:
+    """f as a postfix program over its distinct subformulas, children
+    first: an atom is its name, a constant or a connective its class, and
+    a subformula met again the number of its first appearance."""
+    out: list = []
+    number: dict[Formula, int] = {}
+    todo: list = [(f, False)]
+    while todo:
+        g, ready = todo.pop()
+        k = number.get(g)
+        if k is not None:
+            out.append(k)
+        elif ready or not isinstance(g, _Binary):
+            number[g] = len(number)
+            out.append(g.name if type(g) is Atom else type(g))
+        else:
+            todo += ((g, True), (g.right, False), (g.left, False))
+    return tuple(out)
+
+
+def _rebuilt(program: tuple) -> Formula:
+    """The formula _postfix(f) encodes, built through the constructors,
+    so it is f itself."""
+    made: list[Formula] = []
+    stack: list[Formula] = []
+    for x in program:
+        if type(x) is int:
+            stack.append(made[x])
+            continue
+        if type(x) is str:
+            f = Atom(x)
+        elif issubclass(x, _Binary):
+            right = stack.pop()
+            f = x(stack.pop(), right)
+        else:
+            f = x()
+        made.append(f)
+        stack.append(f)
+    return stack.pop()
 
 
 def neg(f: Formula) -> Formula:

@@ -4,7 +4,8 @@ The oracles deliberately avoid the library's traversal helpers
 (iter_subterms, decompose_stack) and re-derive every side condition from
 the raw constructors, so a bug in a shared helper cannot cancel out on both
 sides of a comparison. chan_occurrences, the walk the engine used to find
-channel occurrences, show_formula_oracle, the recursive printer, and
+channel occurrences, communication_measure_oracle, the measure's
+whole-term walks, show_formula_oracle, the recursive printer, and
 check_oracle and type_of_oracle, the recursive typer and type synthesis,
 are kept here to check what replaced them. The oracles that type a term
 (subject_reduction_oracle, value_complexity_oracle) use these two, so they
@@ -220,6 +221,66 @@ def uppermost_active_oracle(t: Term) -> list[tuple[Path, Term]]:
 
     visit(t, ())
     return out
+
+
+# ---------------------------------------------------------------------------
+# the communication measure, by whole-term walks
+#
+# The library tallies each node once, into a table the states of a trace
+# share; here every state is walked whole: once to count the active
+# sessions that are not uppermost, and twice more inside each uppermost
+# session, for its parallel nodes and its channel's occurrences.
+
+def _comp_body(c: Term) -> Term:
+    return c.body if isinstance(c, Underline) else c
+
+
+def _parallel_inside(s: ParBind) -> int:
+    """Parallel nodes properly contained in a session's components."""
+    n, todo = 0, [_comp_body(c) for c in s.comps]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, (ParBind, Contract)):
+            n += 1
+        todo.extend(_kids(t))
+    return n
+
+
+def _chan_occurrence_count(s: ParBind) -> int:
+    """Occurrences of the session's channel, not counting those under a
+    session that binds the name again."""
+    a = s.chan
+    n, todo = 0, [_comp_body(c) for c in s.comps]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, ParBind) and t.chan == a:
+            continue
+        if isinstance(t, Chan) and t.name == a:
+            n += 1
+        todo.extend(_kids(t))
+    return n
+
+
+def communication_measure_oracle(t: Term) -> tuple[int, dict[int, int], dict[int, int]]:
+    """(active sessions that are not uppermost, buried parallel nodes per
+    uppermost session, channel occurrences per uppermost session)."""
+    upper = uppermost_active_oracle(t)
+    upper_paths = {p for p, _ in upper}
+    n, todo = 0, [((), t)]
+    while todo:
+        path, s = todo.pop()
+        if isinstance(s, ParBind) and s.active and path not in upper_paths:
+            n += 1
+        todo.extend((path + (i,), c) for i, c in enumerate(_kids(s)))
+    h: dict[int, int] = {}
+    g: dict[int, int] = {}
+    for _, s in upper:
+        buried = _parallel_inside(s)
+        if buried >= 1:
+            h[buried] = h.get(buried, 0) + 1
+        occ = _chan_occurrence_count(s)
+        g[occ] = g.get(occ, 0) + 1
+    return n, h, g
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Run validation: normal forms, subformula checking, trace audits."""
 
 import dataclasses
+import json
 import random
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from lax import (
     PropertyReport,
     StepLimitExceeded,
     TypingContext,
+    Underline,
     Var,
     audit_trace,
     check,
@@ -46,6 +49,7 @@ from lax.strategy import Trace, TraceStep
 from lax.terms import build_tuple, contract_join, subterm_at
 
 from oracles import (
+    communication_measure_oracle,
     random_order_run,
     subject_reduction_oracle,
     subterm_types_by_derivation,
@@ -548,3 +552,127 @@ def test_measure_skips_the_occurrences_a_namesake_session_binds():
     inner = ParBind("a", False, em_axiom(A), (occurrence(False), Var("y")))
     t = ParBind("a", True, em_axiom(A), (occurrence(True), inner))
     assert communication_measure(t) == (0, {1: 1}, {1: 1})
+
+
+def _measures_as_the_oracle_says(states):
+    """Every state measures as the oracle does, with one table shared
+    along the run, as the audit shares it."""
+    table = {}
+    for t in states:
+        assert communication_measure(t, table) == communication_measure_oracle(t)
+
+
+def test_the_measure_is_the_oracles_on_every_state_of_the_frozen_comm_programs():
+    data = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "comm.jsonl"
+    records = [json.loads(line) for line in data.read_text().splitlines()[1:]]
+    assert len(records) > 20
+    for rec in records:
+        prog = parse_program(rec["source"])
+        t, _ = check(prog.term, TypingContext(ivars=dict(prog.gamma)))
+        _, trace = normalize(t, underline_discipline=rec["underline"])
+        _measures_as_the_oracle_says([trace.initial] + [s.term_after for s in trace.steps])
+
+
+@pytest.mark.parametrize("name", ["broadcast_em3", "godel", "mobility", "or", "scheduler_c3"])
+def test_the_measure_is_the_oracles_on_the_examples(name):
+    source = (resources.files("lax") / "examples" / f"{name}.lax").read_text()
+    prog = parse_program(source)
+    t, _ = check(prog.term, TypingContext(ivars=dict(prog.gamma)))
+    for discipline in (False, True):
+        _, trace = normalize(t, underline_discipline=discipline)
+        _measures_as_the_oracle_says([trace.initial] + [s.term_after for s in trace.steps])
+        for seed in range(5):
+            states, _, _ = random_order_run(t, discipline, random.Random(seed), 200)
+            _measures_as_the_oracle_says(states)
+
+
+@pytest.mark.parametrize("preset", ["em", "em3", "c3", "g2", "godel"])
+def test_the_measure_is_the_oracles_along_random_orders(preset):
+    for seed in range(30):
+        _, t = generate(seed, GenConfig(preset=preset, max_size=40))
+        states, _, _ = random_order_run(t, seed % 2 == 1, random.Random(seed), 200)
+        _measures_as_the_oracle_says(states)
+
+
+def _sent(chan, active=True):
+    return App(Chan(chan, Impl(A, Bot()), active=active, negated=True), Var("x"))
+
+
+def _session(chan, active, *comps):
+    return ParBind(chan, active, em_axiom(A), comps)
+
+
+_JOIN = Contract(Var("u"), Var("v"))
+
+# (term, its measure), each built by hand
+HAND_MEASURED = {
+    "a component rebinds the name": (
+        _session("a", True, _sent("a"), _session("a", False, _sent("a", False), Var("y"))),
+        (0, {1: 1}, {1: 1}),
+    ),
+    "a rebinding deep inside a component": (
+        _session("a", True, Pair(_sent("a"), Lam("z", A, _session(
+            "a", False, _sent("a", False), _sent("a", False)))), Var("y")),
+        (0, {1: 1}, {1: 1}),
+    ),
+    "a session of another name": (
+        _session("a", True, _session("b", False, _sent("a"), _sent("b", False)), _sent("a")),
+        (0, {1: 1}, {2: 1}),
+    ),
+    "marked components": (
+        _session("a", True, Underline(_sent("a")), Underline(Pair(_sent("a"), _JOIN))),
+        (0, {1: 1}, {2: 1}),
+    ),
+    "contractions": (
+        _session("a", True, Contract(_sent("a"), _sent("a")), Contract(Var("u"), _JOIN)),
+        (0, {3: 1}, {2: 1}),
+    ),
+    "one join at two positions": (
+        _session("a", True, Pair(_JOIN, _JOIN), Var("y")),
+        (0, {2: 1}, {0: 1}),
+    ),
+    "an active session inside an inactive one": (
+        _session("b", False, _session("a", True, _sent("a"), Var("y")), _sent("b", False)),
+        (0, {}, {1: 1}),
+    ),
+    "an active session inside an active one": (
+        _session("b", True, _session("a", True, _sent("a"), Var("y")), _sent("b")),
+        (1, {}, {1: 1}),
+    ),
+    "two uppermost sessions": (
+        Pair(_session("a", True, _sent("a"), _JOIN), _session("b", True, _sent("b"), Var("y"))),
+        (0, {1: 1}, {1: 2}),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_MEASURED))
+def test_the_measure_of_a_hand_built_term(case):
+    t, measure = HAND_MEASURED[case]
+    assert communication_measure_oracle(t) == measure
+    assert communication_measure(t) == measure
+
+
+def test_one_table_serves_every_hand_built_term():
+    table = {}
+    for case in sorted(HAND_MEASURED) * 2:
+        t, measure = HAND_MEASURED[case]
+        assert communication_measure(t, table) == measure
+
+
+def test_the_measure_and_the_audit_pass_over_a_deep_active_component():
+    """The tallies are taken on an explicit stack: an active session over a
+    5 000-deep component measures, and its run audits clean."""
+    depth = 5_000
+    receiver = App(Var("f"), App(Chan("a", active=True), Var("y")))
+    for _ in range(depth):
+        receiver = App(Var("g"), receiver)
+    sender = Efq(App(Chan("a", active=True, negated=True), Lam("z", Z, Var("z"))), B)
+    t = ParBind("a", True, em_axiom(Impl(Z, Z)), (sender, receiver))
+    ctx = TypingContext(ivars={"f": Impl(Z, B), "g": Impl(B, B), "y": Z})
+    t, _ = check(t, ctx)
+    assert communication_measure(t) == (0, {}, {2: 1})
+    _, trace = normalize(t)
+    assert [s.phase for s in trace.steps][0] == "Communication"
+    rep = audit_trace(ctx, trace)
+    assert rep.holds, rep.witnesses

@@ -245,11 +245,23 @@ _FACTORS = tuple(Atom(f"P{i}") for i in reversed(range(5_000))) + (Atom("A"),)
     lambda f, g: show_formula(f) == " /\\ ".join(map(show_formula, _FACTORS)),
     lambda f, g: repr(f).startswith("Conj(left=Atom(name='P4999'), right=Conj("),
     lambda f, g: copy.deepcopy(f) is f,
+    lambda f, g: copy.copy(f) is f and pickle.loads(pickle.dumps(f)) is g,
 ], ids=["eq", "hash", "complexity", "subformulas", "proper_subformulas",
-        "prime_factors", "show_formula", "repr", "deepcopy"])
+        "prime_factors", "show_formula", "repr", "deepcopy", "pickle"])
 def test_a_deep_formula_needs_no_recursion(holds):
     """Two 5 000-deep conjunctions, built apart."""
     assert holds(_chain(5_000), _chain(5_000))
+
+
+def test_a_formula_pickles_each_subformula_once():
+    """5 000 levels whose two sides are one subformula: the pickle grows
+    with the depth, not with the tree, and loads as the formula itself."""
+    f = Atom("A")
+    for _ in range(5_000):
+        f = Impl(f, Conj(f, TOP))
+    data = pickle.dumps(f)
+    assert len(data) < 100_000
+    assert pickle.loads(data) is f
 
 
 def test_the_subformula_property_reads_a_deep_context():

@@ -1,7 +1,8 @@
-"""No function of the typer, the formulas, the terms, the printer or the
-rewrite rules calls itself, directly or through other functions of its
-module: their walks over terms and formulas run on explicit stacks, so no
-nesting depth exhausts the interpreter's recursion limit.
+"""No function of the typer, the formulas, the terms, the printer, the
+rewrite rules, the strategy or the checkers calls itself, directly or
+through other functions of its module: their walks over terms and formulas
+run on explicit stacks, so no nesting depth exhausts the interpreter's
+recursion limit.
 """
 
 import ast
@@ -11,7 +12,10 @@ import pytest
 
 import lax
 
-MODULES = ("typecheck.py", "formulas.py", "terms.py", "printer.py", "rewrite.py")
+MODULES = (
+    "typecheck.py", "formulas.py", "terms.py", "printer.py", "rewrite.py",
+    "strategy.py", "analysis.py",
+)
 
 
 def _cycles(source: str) -> list[list[str]]:
