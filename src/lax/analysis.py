@@ -20,6 +20,7 @@ from .formulas import (
     subformulas,
 )
 from .rewrite import (
+    ACTIVATION,
     CHASE,
     COMMUNICATION,
     CROSSES,
@@ -33,7 +34,6 @@ from .rewrite import (
     redex_peaks,
     uppermost_active_sessions,
 )
-from .rewrite import height  # noqa: F401  (re-export: part of this module's API)
 from .strategy import (
     PHASE_ACTIVATION,
     PHASE_COMMUNICATION,
@@ -458,9 +458,6 @@ def _chase_end(trace: Trace, i: int) -> int:
     return j
 
 
-_ACTIVATION = frozenset({RedexKind.ACTIVATION})
-
-
 def _audit_freeze(
     rep: PropertyReport, trace: Trace, terms: list[Term], disc: bool
 ) -> None:
@@ -468,7 +465,7 @@ def _audit_freeze(
         if ts.phase != PHASE_COMMUNICATION or ts.redex.kind not in CROSSES:
             continue
         j = _chase_end(trace, i)
-        for q in find_redexes(terms[j], disc, _ACTIVATION):
+        for q in find_redexes(terms[j], disc, ACTIVATION):
             rep.add(
                 f"step {i}",
                 f"cross {ts.redex.rule} left an activation redex at "

@@ -24,6 +24,7 @@ from .generator import GenConfig, generate_corpus
 from .formulas import show_formula
 from .parser import LaxSyntaxError, Program, parse_program, parse_term
 from .printer import show_term
+from .rewrite import RedexKind
 from .strategy import (
     DEFAULT_MAX_STEPS,
     ParallelFormFailure,
@@ -159,21 +160,12 @@ def cmd_normalize(args) -> int:
     max_steps = None
     if args.max_steps is not None:
         max_steps = parse_max_steps(args.max_steps, "--max-steps")
-    try:
-        prog = _load(args.file)
-        ctx, elab, _ = _typed(prog)
-    except (LaxSyntaxError, TypingError, _InputError) as e:
-        out.emit({"event": "error", "error": str(e)}, f"error: {e}")
-        return EXIT_INPUT
-
+    ctx, elab, _ = _typed(_load(args.file))
     discipline = args.underline == "on"
     try:
         final, trace = normalize(
             elab, max_steps=max_steps, underline_discipline=discipline
         )
-    except ParallelFormFailure as e:
-        out.emit({"event": "error", "error": str(e)}, f"error: {e}")
-        return EXIT_INPUT
     except StepLimitExceeded as e:
         if args.trace:
             _emit_trace(out, e.trace)
@@ -205,7 +197,7 @@ def cmd_normalize(args) -> int:
     return EXIT_OK
 
 
-def example_options(text: str) -> dict[str, str]:
+def _example_options(text: str) -> dict[str, str]:
     """The key=value pairs on an example's "# options:" lines."""
     opts: dict[str, str] = {}
     for line in text.splitlines():
@@ -234,7 +226,7 @@ def cmd_examples(args) -> int:
     out = _Out(args.format)
     worst = EXIT_OK
     for name, source, golden_text in _bundled_examples():
-        opts = example_options(source)
+        opts = _example_options(source)
         try:
             prog = parse_program(source)
             ctx, elab, _ = _typed(prog)
@@ -285,6 +277,7 @@ def cmd_fuzz(args) -> int:
     max_steps_seen = 0
     max_complexity = -1
     phase_counts: dict[str, int] = {}
+    rules: dict[str, int] = {}
     for i, (gamma, term) in enumerate(
         generate_corpus(args.seed, args.count, cfg)
     ):
@@ -302,6 +295,8 @@ def cmd_fuzz(args) -> int:
         max_steps_seen = max(max_steps_seen, len(trace.steps))
         for s in trace.steps:
             max_complexity = max(max_complexity, s.redex.complexity)
+            kind = s.redex.kind.value
+            rules[kind] = rules.get(kind, 0) + 1
         for phase, n in trace.phase_counts().items():
             phase_counts[phase] = phase_counts.get(phase, 0) + n
         reports = [
@@ -322,6 +317,7 @@ def cmd_fuzz(args) -> int:
                     f"violation at {i}: {rep.name} on {show_term(term)}\n  "
                     + "\n  ".join(f"{w}: {e}" for w, e in rep.witnesses),
                 )
+    never_fired = [k.value for k in RedexKind if k.value not in rules]
     out.emit(
         {
             "event": "stats",
@@ -332,12 +328,15 @@ def cmd_fuzz(args) -> int:
             "max_steps": max_steps_seen,
             "max_complexity": max_complexity,
             "phase_counts": phase_counts,
+            "rules": rules,
+            "never_fired": never_fired,
             "violations": violations,
         },
         f"{args.count} terms ({args.axiom}, seed {args.seed}): "
         f"{total_steps} steps total, longest run {max_steps_seen}, "
         f"max redex complexity {max_complexity}, phases {phase_counts}, "
-        f"{violations} violations",
+        f"{violations} violations, never fired: "
+        f"{', '.join(never_fired) or 'none'}",
     )
     return EXIT_VIOLATION if violations else EXIT_OK
 
@@ -409,7 +408,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT
     try:
         return args.fn(args)
-    except StepBudgetError as e:
+    except (
+        StepBudgetError, LaxSyntaxError, TypingError, _InputError,
+        ParallelFormFailure,
+    ) as e:
         _Out(args.format).emit({"event": "error", "error": str(e)}, f"error: {e}")
         return EXIT_INPUT
     except RecursionError:

@@ -47,13 +47,13 @@ from .terms import (
     Efq,
     Inj,
     Lam,
-    Pair,
     ParBind,
     Proj,
     Term,
     TT,
     Underline,
     Var,
+    build_tuple,
     fresh_name,
 )
 
@@ -375,10 +375,7 @@ class _Parser:
             self.eat(">")
             if len(parts) < 2:
                 self.err("a pair needs at least two components", t)
-            acc = parts[-1]
-            for u in reversed(parts[:-1]):
-                acc = Pair(u, acc)
-            return acc
+            return build_tuple(tuple(parts))
         if text == "tt":
             self.advance()
             return TT

@@ -98,6 +98,7 @@ from .terms import (
     Inj,
     Lam,
     Pair,
+    PARALLEL_NODES,
     ParBind,
     Path,
     Proj,
@@ -236,7 +237,8 @@ CHASE = frozenset({RedexKind.PROJ_PAIR, RedexKind.CASE_PERM})
 CROSSES = frozenset(
     {RedexKind.BASIC_CROSS, RedexKind.FULL_CROSS, RedexKind.BROADCAST_CROSS}
 )
-COMMUNICATION = CROSSES | {RedexKind.ACTIVATION, RedexKind.GARBAGE_CROSS}
+ACTIVATION = frozenset({RedexKind.ACTIVATION})
+COMMUNICATION = CROSSES | ACTIVATION | {RedexKind.GARBAGE_CROSS}
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,14 +268,6 @@ class Redex:
         if self.kind == RedexKind.GARBAGE_CROSS:
             return f"GarbageCross{list(self.survivors or ())}"
         return self.kind.value
-
-    def to_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "position": list(self.position),
-            "complexity": self.complexity,
-            "group": self.group,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -707,15 +701,13 @@ _PERM_SLOTS = {
     Pair: ((0, "pair-left"), (1, "pair-right")),
 }
 
-_PERM_HOSTS = (ParBind, Contract)
-
 
 def _perm_slot(s: Term) -> Optional[tuple[int, str]]:
     """(child index, label) of the slot a parallel node permutes out of, if
     any."""
     cs = children(s)
     for slot in _PERM_SLOTS.get(type(s), ()):
-        if isinstance(cs[slot[0]], _PERM_HOSTS):
+        if isinstance(cs[slot[0]], PARALLEL_NODES):
             return slot
     return None
 

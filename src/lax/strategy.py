@@ -24,6 +24,7 @@ from typing import Optional
 
 from .printer import show_term
 from .rewrite import (
+    ACTIVATION,
     CHASE,
     CROSSES,
     INTUITIONISTIC,
@@ -152,7 +153,6 @@ class _Run:
 # phases
 
 _PAR_PERM = frozenset({RedexKind.PAR_PERM})
-_ACTIVATION = frozenset({RedexKind.ACTIVATION})
 _GARBAGE = frozenset({RedexKind.GARBAGE_CROSS})
 
 
@@ -185,7 +185,7 @@ def _intuitionistic(run: _Run) -> int:
 
 def _activation(run: _Run) -> int:
     run.phase = PHASE_ACTIVATION
-    return _exhaust(run, _ACTIVATION)
+    return _exhaust(run, ACTIVATION)
 
 
 def _side_step(run: _Run, path: Path, session: ParBind) -> bool:

@@ -635,8 +635,11 @@ def comp_marked(c: Term) -> bool:
     return isinstance(c, Underline)
 
 
+PARALLEL_NODES = (ParBind, Contract)
+
+
 def is_parallel_node(t: Term) -> bool:
-    return isinstance(t, (ParBind, Contract))
+    return isinstance(t, PARALLEL_NODES)
 
 
 # ---------------------------------------------------------------------------

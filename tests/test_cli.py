@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lax import GenConfig, generate_corpus, normalize
+from lax import GenConfig, RedexKind, generate_corpus, normalize
 from lax.cli import main
 
 GOOD = """
@@ -203,6 +203,37 @@ def test_an_axiom_that_is_no_tautology_is_bad_input(prog, capsys):
     assert payload["event"] == "error" and "NotATautology" in payload["error"]
 
 
+CASE_BRANCH_SESSION = (
+    "case inj0[Top \\/ Top](tt) of "
+    "{x. nu a:EM[Top]. [efq[Top](nota tt) || a] | y. tt}\n"
+)
+
+NORMALIZE_ERRORS = {
+    "syntax": (BROKEN, "2:2: expected ';', found 'y'"),
+    "typing": (ILL_TYPED, "TypeMismatch at [0]: expected a function type, found A"),
+    "missing-file": (None, "[Errno 2] No such file or directory: {path!r}"),
+    "case-branch-session": (
+        CASE_BRANCH_SESSION,
+        "no permutation applies; a parallel node sits under a case branch, "
+        "which no rule can permute out",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+@pytest.mark.parametrize("name", sorted(NORMALIZE_ERRORS))
+def test_normalize_reports_each_input_error_on_one_line(prog, tmp_path, capsys, name, fmt):
+    text, message = NORMALIZE_ERRORS[name]
+    path = prog(text) if text is not None else str(tmp_path / "missing.lax")
+    message = message.format(path=path)
+    assert main(["normalize", path, "--trace", "--format", fmt]) == 1
+    want = (
+        json.dumps({"error": message, "event": "error"})
+        if fmt == "json" else f"error: {message}"
+    )
+    assert capsys.readouterr().out == want + "\n"
+
+
 def test_malformed_step_budget_env_var(prog, capsys, monkeypatch):
     monkeypatch.setenv("LAX_MAX_STEPS", "abc")
     path = prog(GOOD)
@@ -240,16 +271,48 @@ def test_fuzz_small_batch(capsys):
 def test_fuzz_counts_phases_in_the_order_they_first_fire(capsys):
     argv = ["fuzz", "--seed", "3", "--count", "30", "--axiom", "em"]
     steps = [
-        s.phase
+        s
         for _, t in generate_corpus(3, 30, GenConfig(preset="em", max_size=40))
         for s in normalize(t)[1].steps
     ]
-    want = {p: steps.count(p) for p in dict.fromkeys(steps)}
+    phases = [s.phase for s in steps]
+    want = {p: phases.count(p) for p in dict.fromkeys(phases)}
+    kinds = [s.redex.kind.value for s in steps]
     assert main(argv) == 0
     assert f"phases {want}," in capsys.readouterr().out
     assert main(argv + ["--format", "json"]) == 0
     stats = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert stats["phase_counts"] == want and stats["total_steps"] == len(steps)
+    assert stats["rules"] == {k: kinds.count(k) for k in set(kinds)}
+
+
+def _fuzz_stats(argv, capsys):
+    assert main(["fuzz", *argv, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    return json.loads(out.splitlines()[-1]), out
+
+
+@pytest.mark.parametrize(
+    "argv", [["--count", "0"], ["--seed", "5", "--count", "20", "--axiom", "c3"]]
+)
+def test_fuzz_rules_and_never_fired_partition_the_rule_kinds(argv, capsys):
+    stats, out = _fuzz_stats(argv, capsys)
+    fired, never = set(stats["rules"]), stats["never_fired"]
+    assert fired.isdisjoint(never)
+    assert fired | set(never) == {k.value for k in RedexKind}
+    assert never == [k.value for k in RedexKind if k.value in never]
+    assert sum(stats["rules"].values()) == stats["total_steps"]
+    assert _fuzz_stats(argv, capsys)[1] == out
+
+
+def test_a_broadcast_axiom_never_fires_the_full_cross(capsys):
+    argv = ["--seed", "1", "--count", "20", "--axiom", "em3"]
+    stats, _ = _fuzz_stats(argv, capsys)
+    assert "FullCross" in stats["never_fired"]
+    assert main(["fuzz", *argv]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(
+        "never fired: " + ", ".join(stats["never_fired"])
+    )
 
 
 def test_fuzz_without_sessions(capsys):

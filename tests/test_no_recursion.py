@@ -1,8 +1,11 @@
-"""No function of the typer, the formulas, the terms, the printer, the
-rewrite rules, the strategy or the checkers calls itself, directly or
-through other functions of its module: their walks over terms and formulas
-run on explicit stacks, so no nesting depth exhausts the interpreter's
-recursion limit.
+"""No function of the typer, the formulas, the axioms, the terms, the
+printer, the rewrite rules, the strategy, the checkers or the command line
+calls itself, directly or through other functions of its module: their
+walks over terms and formulas run on explicit stacks, so no nesting depth
+exhausts the interpreter's recursion limit.
+
+The modules left out still recurse: parser.py descends the grammar and
+generator.py draws terms by their types, both through methods.
 """
 
 import ast
@@ -13,15 +16,30 @@ import pytest
 import lax
 
 MODULES = (
-    "typecheck.py", "formulas.py", "terms.py", "printer.py", "rewrite.py",
-    "strategy.py", "analysis.py",
+    "typecheck.py", "formulas.py", "axioms.py", "terms.py", "printer.py",
+    "rewrite.py", "strategy.py", "analysis.py", "cli.py",
 )
+
+
+def _callee(call: ast.Call):
+    """The name a call gives its function when it names it bare or as a
+    method of self, else None."""
+    f = call.func
+    if isinstance(f, ast.Name):
+        return f.id
+    if (
+        isinstance(f, ast.Attribute)
+        and isinstance(f.value, ast.Name)
+        and f.value.id == "self"
+    ):
+        return f.attr
+    return None
 
 
 def _cycles(source: str) -> list[list[str]]:
     """Each call cycle among the functions source defines, as the names on
     it from the first one called; a call counts when it names the function
-    bare."""
+    bare or as a method of self."""
     defined = {
         node.name: node
         for node in ast.walk(ast.parse(source))
@@ -29,9 +47,8 @@ def _cycles(source: str) -> list[list[str]]:
     }
     calls = {
         name: sorted({
-            n.func.id for n in ast.walk(node)
-            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-            and n.func.id in defined
+            _callee(n) for n in ast.walk(node)
+            if isinstance(n, ast.Call) and _callee(n) in defined
         })
         for name, node in defined.items()
     }
@@ -62,3 +79,19 @@ def test_the_scan_sees_a_function_call_itself_directly_or_through_another():
         "def leaf(n):\n    return down(n)\n"
     )
     assert _cycles(source) == [["down"], ["even", "odd"]]
+
+
+def test_the_scan_sees_methods_call_each_other_through_self():
+    source = (
+        "class Parser:\n"
+        "    def term(self):\n        return self.atom()\n\n"
+        "    def atom(self):\n        return self.term() if self.more() else 0\n\n"
+        "    def more(self):\n        return False\n"
+    )
+    assert _cycles(source) == [["atom", "term"]]
+
+
+@pytest.mark.parametrize("module", ["parser.py", "generator.py"])
+def test_the_scan_sees_the_modules_left_out_recurse(module):
+    source = (Path(lax.__file__).parent / module).read_text(encoding="utf-8")
+    assert _cycles(source) != []
