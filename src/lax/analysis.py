@@ -279,9 +279,7 @@ def _measure_decreases(before: tuple, after: tuple) -> bool:
     return _fn_less(g1, g0)
 
 
-def audit_trace(
-    ctx: TypingContext, trace: Trace, check_sr: bool = True
-) -> PropertyReport:
+def audit_trace(ctx: TypingContext, trace: Trace) -> PropertyReport:
     """Everything the run promised, checked against the recorded steps:
     replay, phase order, per-step subject reduction, the two decrease
     clauses, no activations after a chased cross, the shrinking
@@ -292,8 +290,7 @@ def audit_trace(
 
     _audit_replay(rep, trace, terms)
     _audit_phase_order(rep, trace)
-    if check_sr:
-        _audit_subject_reduction(rep, ctx, trace, terms)
+    _audit_subject_reduction(rep, ctx, trace, terms)
     _audit_decrease(rep, trace, terms, disc)
     _audit_activation_phases(rep, trace, terms, disc)
     _audit_freeze(rep, trace, terms, disc)

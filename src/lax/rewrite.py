@@ -64,6 +64,9 @@ The remembered redexes are also the one judge of whether a redex applies:
 step(t, r) contracts r exactly when the subterm at r.position offers it,
 with no discipline, and raises InvalidRedex otherwise. Each rule's side
 conditions are stated once, in discovery; the contractions assume them.
+A contraction rebuilds through the shape table (terms.with_child and
+with_children), as discovery reads through children: a cross fills a
+component through _put, and only the full crosses build a new session.
 
 The strategy fires one redex at a time, so pick_redex finds one without
 the list: leftmost-outermost, find_redexes' walk stopped at its first
@@ -87,7 +90,7 @@ from enum import Enum
 from typing import Iterator, Optional, Sequence
 
 from .axioms import em_axiom, general_axiom
-from .formulas import BOT, Bot, Formula, Impl, conj
+from .formulas import BOT, Formula, Impl, conj
 from .terms import (
     App,
     Case,
@@ -283,8 +286,7 @@ class Occurrence:
 
 def _closed_at(occ: Occurrence, msg: Term) -> bool:
     """No free name of msg is bound between the component root and the hole."""
-    fv, fc = free_names(msg)
-    return occ.binders_above.isdisjoint(fv) and occ.binders_above.isdisjoint(fc)
+    return not (_captured_chans(occ, msg) or _captured_vars(occ, msg))
 
 
 def _captured_vars(occ: Occurrence, msg: Term) -> list[tuple[str, Formula]]:
@@ -893,22 +895,12 @@ def _contract(s: Term, r: Redex, host: Term) -> Term:
     return _general_full_cross(s, host)
 
 
-def _through_mark(c: Term, f) -> Term:
-    if isinstance(c, Underline):
-        return Underline(f(c.body))
-    return f(c)
-
-
 def _case_perm(s: Term, host: Term) -> Term:
     # the frame moves under the branch binders, which beta may have
     # duplicated; its hole is its child 0
     case = _freshen(getattr(s, HOLES[type(s)]), with_child(s, 0, TT), host)
-    return Case(
-        case.scrut,
-        case.lvar,
-        with_child(s, 0, case.lbody),
-        case.rvar,
-        with_child(s, 0, case.rbody),
+    return with_children(
+        case, (case.scrut, with_child(s, 0, case.lbody), with_child(s, 0, case.rbody))
     )
 
 
@@ -934,40 +926,32 @@ def _freshen(t: Term, other: Term, host: Term) -> Term:
 
 def _par_perm(s: Term, host: Term) -> Term:
     i = _perm_slot(s)[0]
-    # everything else in s moves under the parallel node's binder
+    # everything else in s moves under the parallel node's binder, and into
+    # each component below its mark
     par = _freshen(children(s)[i], with_child(s, i, TT), host)
-
-    def rebuild(b: Term) -> Term:
-        return with_child(s, i, b)
-
-    if isinstance(par, ParBind):
-        return with_children(par, tuple(_through_mark(c, rebuild) for c in par.comps))
-    return Contract(rebuild(par.left), rebuild(par.right))
+    return with_children(par, tuple(
+        replace_at(c, (0,) if comp_marked(c) else (), with_child(s, i, comp_body(c)))
+        for c in children(par)
+    ))
 
 
 def _par_par_perm(s: ParBind, k: int, host: Term) -> Term:
-    # the host's other components move under the inner binder
+    # the host's other components move under the inner binder; each inner
+    # component takes the hoisted one's slot, without its mark if the host
+    # already has one
     others = [c for i, c in enumerate(s.comps) if i != k]
     inner = _freshen(comp_body(s.comps[k]), contract_join(others), host)
     others_marked = any(comp_marked(c) for c in others)
+    return with_children(inner, tuple(
+        with_child(s, k, comp_body(w) if others_marked else w) for w in children(inner)
+    ))
 
-    def embed(w: Term) -> Term:
-        # w takes the hoisted component's slot; drop its mark if the host
-        # already has one
-        if isinstance(w, Underline) and others_marked:
-            w = w.body
-        comps = list(s.comps)
-        comps[k] = w
-        return ParBind(s.chan, s.active, s.axiom, tuple(comps))
 
-    if isinstance(inner, ParBind):
-        return ParBind(
-            inner.chan,
-            inner.active,
-            inner.axiom,
-            tuple(embed(w) for w in inner.comps),
-        )
-    return Contract(embed(inner.left), embed(inner.right))
+def _put(s: ParBind, i: int, new: Term) -> ParBind:
+    """s with new at the application of the rightmost occurrence in its i-th
+    component, below the component's mark."""
+    mark = (0,) if comp_marked(s.comps[i]) else ()
+    return replace_at(s, (i,) + mark + _rightmost(s, i).app_path, new)
 
 
 def _broadcast_cross(s: ParBind) -> Term:
@@ -980,75 +964,48 @@ def _broadcast_cross(s: ParBind) -> Term:
 
 def _em_full_cross(s: ParBind, host: Term) -> Term:
     occ = _rightmost(s, 0)
-    msg = occ.arg
-    captured = _captured_vars(occ, msg)
+    ys = [Var(n, ty) for n, ty in _captured_vars(occ, occ.arg)]
     b = fresh_name("b", all_names(host))
-    b_ty = conj([ty for _, ty in captured])
-    ys = [Var(n, ty) for n, ty in captured]
-
+    b_ty = conj([y.ty for y in ys])
     # sender keeps running, now telling b what it used to tell a
-    tuple_msg = build_tuple(tuple(Var(n, ty) for n, ty in captured))
-    new_send = App(Chan(b, Impl(b_ty, BOT), False, True), tuple_msg)
-    sender = _through_mark(
-        s.comps[0], lambda u: replace_at(u, occ.app_path, new_send)
-    )
-    inner = ParBind(s.chan, s.active, s.axiom, (sender, s.comps[1]))
-
+    send = App(Chan(b, Impl(b_ty, BOT), False, True), build_tuple(tuple(ys)))
+    inner = _put(s, 0, send)
     # the receiver copy gets the message with its captured variables read
     # off the fresh channel
-    recv_val = Chan(b, b_ty, False, False)
-    msg2 = multiple_subst(msg, ys, recv_val)
-    copy = subst_chan_bare(comp_body(s.comps[1]), s.chan, msg2)
+    msg = multiple_subst(occ.arg, ys, Chan(b, b_ty, False, False))
+    copy = subst_chan_bare(comp_body(s.comps[1]), s.chan, msg)
     return ParBind(b, False, em_axiom(b_ty), (inner, copy))
 
 
 def _general_basic_cross(s: ParBind, i: int, j: int) -> Term:
     msg = _rightmost(s, i).arg
-    occ_j = _rightmost(s, j)
-    comps = list(s.comps)
-    comps[j] = _through_mark(comps[j], lambda u: replace_at(u, occ_j.app_path, msg))
     if any(comp_marked(c) for c in s.comps):
         # the mark rides along with the message to the receiver
-        comps = [
-            Underline(comp_body(c)) if idx == j else comp_body(c)
-            for idx, c in enumerate(comps)
-        ]
-    return ParBind(s.chan, s.active, s.axiom, tuple(comps))
+        bodies = [comp_body(c) for c in s.comps]
+        bodies[j] = Underline(bodies[j])
+        s = with_children(s, tuple(bodies))
+    return _put(s, j, msg)
 
 
 def _general_full_cross(s: ParBind, host: Term) -> Term:
+    # component i's copy tells b its captured variables; unless its
+    # consequent is Bot (no target in jmap), the target's message reads them
     ax = s.axiom
-    m = len(s.comps)
-    occs = [_rightmost(s, z) for z in range(m)]
-    captured = [_captured_vars(o, o.arg) for o in occs]
-    b_tys = [conj([ty for _, ty in cap]) for cap in captured]
-
-    new_pairs = []
-    for i in range(m):
-        gi = ax.components[i][1]
-        hi = BOT if isinstance(gi, Bot) else b_tys[ax.jmap[i]]
-        new_pairs.append((b_tys[i], hi))
-    derived = general_axiom(tuple(new_pairs), derived=True)
+    occs = [_rightmost(s, i) for i in range(len(s.comps))]
+    ys = [[Var(n, ty) for n, ty in _captured_vars(o, o.arg)] for o in occs]
+    b_tys = [conj([y.ty for y in v]) for v in ys]
+    pairs = [(b_tys[i], BOT if j is None else b_tys[j]) for i, j in enumerate(ax.jmap)]
+    derived = general_axiom(tuple(pairs), derived=True)
     b = fresh_name("b", all_names(host))
 
-    def copy_for(i: int) -> Term:
-        gi = ax.components[i][1]
-        b_occ_ty = derived.occurrence_type(i)
-        b_i = Chan(b, b_occ_ty, False, False)
-        payload = App(b_i, build_tuple(tuple(Var(n, ty) for n, ty in captured[i])))
-        if isinstance(gi, Bot):
-            filling = payload
-        else:
-            j = ax.jmap[i]
-            ys = [Var(n, ty) for n, ty in captured[j]]
-            filling = multiple_subst(occs[j].arg, ys, payload)
-        comps = list(s.comps)
-        comps[i] = _through_mark(
-            comps[i], lambda u: replace_at(u, occs[i].app_path, filling)
-        )
-        return ParBind(s.chan, s.active, s.axiom, tuple(comps))
+    def copy_for(i: int, j: Optional[int]) -> Term:
+        b_i = Chan(b, derived.occurrence_type(i), False, False)
+        payload = App(b_i, build_tuple(tuple(ys[i])))
+        if j is not None:
+            payload = multiple_subst(occs[j].arg, ys[j], payload)
+        return _put(s, i, payload)
 
-    return ParBind(b, False, derived, tuple(copy_for(i) for i in range(m)))
+    return ParBind(b, False, derived, tuple(map(copy_for, range(len(ys)), ax.jmap)))
 
 
 # ---------------------------------------------------------------------------

@@ -250,14 +250,6 @@ def test_audit_flags_a_context_that_cannot_type_the_run():
     assert not rep.holds
 
 
-def test_audit_can_skip_subject_reduction():
-    gamma = {"y": A}
-    t = _typed("(\\x : A. x) y", gamma)
-    _, trace = normalize(t)
-    rep = audit_trace(TypingContext(), trace, check_sr=False)
-    assert rep.holds
-
-
 def _sr_witnesses(rep):
     return [(w, why) for w, why in rep.witnesses if "subject reduction" in why]
 
@@ -465,15 +457,16 @@ def test_a_deep_chain_audits_clean():
     """The replay comparison runs on an explicit stack: the 5 000-deep
     chain passes, and a change at its bottom is still seen."""
     depth = 5_000
+    ctx = TypingContext(ivars={"a": A, "b": A, "x": A})
     t = _pair_chain(depth, Proj(Pair(Var("a"), Var("b")), 0))
     _, trace = normalize(t)
-    rep = audit_trace(TypingContext(), trace, check_sr=False)
+    rep = audit_trace(ctx, trace)
     assert rep.holds, rep.witnesses
     tampered = Trace(initial=t)
     tampered.steps.append(dataclasses.replace(
         trace.steps[0], term_after=_pair_chain(depth, Var("b"))
     ))
-    rep = audit_trace(TypingContext(), tampered, check_sr=False)
+    rep = audit_trace(ctx, tampered)
     assert ("step 0", "replaying ProjPair gives a different term") in rep.witnesses
 
 

@@ -2,7 +2,8 @@
 every function and class a module defines is used by some module.
 
 Lines marked `# noqa: F401` (re-exports) are exempt from the first scan; a
-re-export in `__init__` counts as a use for the second.
+re-export in `__init__` counts as a use for the second. A third scan keeps
+the contractions in `rewrite.py` building through the shape table.
 """
 
 import ast
@@ -104,3 +105,27 @@ def test_the_definition_scan_ignores_a_local_of_the_same_name_elsewhere(tmp_path
     )
     (tmp_path / "b.py").write_text("from . import a\n\nconj = a.used()\nprint(conj)\n")
     assert _unused_definitions(sorted(tmp_path.glob("*.py"))) == ["a.py:1: conj"]
+
+
+def _constructor_calls(path: Path, names: set[str]) -> list[tuple[str, str]]:
+    """(top-level definition, constructor) for each call in path of a
+    constructor in names."""
+    out = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(node, "name", None)
+        for n in ast.walk(node):
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id in names):
+                out.append((owner, n.func.id))
+    return out
+
+
+def test_contractions_rebuild_through_the_shape_table():
+    """rewrite.py builds a session only where the two full crosses mint
+    their fresh one, and never a join or a case by hand: every other
+    contraction rebuilds through terms.with_child / with_children."""
+    path = Path(lax.__file__).parent / "rewrite.py"
+    assert sorted(_constructor_calls(path, {"ParBind", "Contract", "Case"})) == [
+        ("_em_full_cross", "ParBind"),
+        ("_general_full_cross", "ParBind"),
+    ]

@@ -863,6 +863,25 @@ def test_par_par_perm_keeps_marks_on_their_components():
     assert _eq(out, want, gamma)
 
 
+def test_par_perm_keeps_the_mark_on_its_component():
+    gamma = {"x": A}
+    src = "(nu a* : AX{A -> B, B -> A}. [ @(\\z : A. z) || (\\z : A. z) ]) x"
+    out = _step_rule(_typed(src, gamma), "ParPerm(stack)")
+    want = "nu a* : AX{A -> B, B -> A}. [ @((\\z : A. z) x) || (\\z : A. z) x ]"
+    assert _eq(out, want, gamma)
+
+
+def test_par_par_perm_drops_the_inner_mark_when_the_host_has_one():
+    """Each copy of the host keeps the host's mark, so the hoisted
+    component's own mark goes: a copy holds one mark at most."""
+    gamma = {"x": A, "u": B}
+    src = "nu a* : EM[A]. [ @efq[B](nota x) || nu c : EM[B]. [ @efq[B](notc u) || c ] ]"
+    out = _step_rule(_typed(src, gamma), "ParParPerm(1)")
+    want = ("nu c : EM[B]. [ nu a* : EM[A]. [ @efq[B](nota x) || efq[B](notc u) ] "
+            "|| nu a* : EM[A]. [ @efq[B](nota x) || c ] ]")
+    assert _eq(out, want, gamma)
+
+
 def test_par_par_perm_renames_an_inner_binder_a_sibling_mentions():
     # the sibling efq[B](nota c) reads the outer c; hoisting the inner
     # session named c over it must not capture that occurrence
@@ -958,6 +977,20 @@ def test_full_cross_mints_a_channel_for_the_captured_variables():
     out = _step_rule(t, "FullCross")
     want = ("nu b : EM[Z]. [ nu a* : EM[Z -> Z]. [ h (\\y : Z. efq[V0](notb y)) || f (a w) ] "
             "|| f ((\\q : Z. b) w) ]")
+    assert _eq(out, want, gamma)
+
+
+def test_general_full_cross_sends_each_component_its_target_s_message():
+    """Component 0 routes to component 1's antecedent, so its copy gets the
+    receiver's message with z read off b; component 1's consequent is Bot,
+    so its copy just tells b its captured variable."""
+    gamma = {"f": Impl(Impl(A, B), C), "h": Impl(Impl(B, Bot()), C)}
+    ax = "AX{A -> B, B -> Bot}"
+    t = _typed(f"nu a* : {ax}. [ f (\\y : A. a y) || h (\\z : B. a z) ]", gamma)
+    out = _step_rule(t, "FullCross")
+    want = (f"nu b : AX!{{A -> B, B -> Bot}}. [ "
+            f"nu a* : {ax}. [ f (\\y : A. b y) || h (\\z : B. a z) ] || "
+            f"nu a* : {ax}. [ f (\\y : A. a y) || h (\\z : B. b z) ] ]")
     assert _eq(out, want, gamma)
 
 
