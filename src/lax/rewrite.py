@@ -838,17 +838,25 @@ def multiple_subst(u: Term, ys: list[Var], v: Term) -> Term:
 # stepping
 
 def step(t: Term, r: Redex) -> Term:
-    """Contract the redex r inside t.
+    """Contract the redex r inside t: t with contractum(t, r) at
+    r.position, every node off that path shared. InvalidRedex when r does
+    not apply (see contractum)."""
+    return replace_at(t, r.position, contractum(t, r))
+
+
+def contractum(t: Term, r: Redex) -> Term:
+    """The term the redex r inside t contracts to, which step puts at
+    r.position; t itself is not rebuilt.
 
     r applies exactly when the subterm at r.position offers it with no
     underline discipline: a redex of the same kind, complexity, which, comp,
     sender, receiver and survivors. Otherwise, or when the position
-    addresses no subterm, step raises InvalidRedex.
+    addresses no subterm, contractum raises InvalidRedex.
     """
     s = _offering(t, r)
     if s is None:
         raise InvalidRedex(r.rule)
-    return replace_at(t, r.position, _contract(s, r, t))
+    return _contract(s, r, t)
 
 
 def _offering(t: Term, r: Redex) -> Optional[Term]:
@@ -864,7 +872,7 @@ def _offering(t: Term, r: Redex) -> Optional[Term]:
 
 
 def _contract(s: Term, r: Redex, host: Term) -> Term:
-    """The contractum of r at s, which offers it (see step)."""
+    """The contractum of r at s, which offers it (see contractum)."""
     k = r.kind
     if k == RedexKind.BETA:
         return subst(s.fun.body, s.fun.var, s.arg)

@@ -5,16 +5,17 @@ The oracles deliberately avoid the library's traversal helpers
 the raw constructors, so a bug in a shared helper cannot cancel out on both
 sides of a comparison. chan_occurrences, the walk the engine used to find
 channel occurrences, communication_measure_oracle, the measure's
-whole-term walks, show_formula_oracle, the recursive printer, and
-check_oracle and type_of_oracle, the recursive typer and type synthesis,
-are kept here to check what replaced them. The oracles that type a term
+whole-term walks, replay_oracle, the trace replay that rebuilds each
+state, show_formula_oracle, the recursive printer, and check_oracle and
+type_of_oracle, the recursive typer and type synthesis, are kept here to
+check what replaced them. The oracles that type a term
 (subject_reduction_oracle, value_complexity_oracle) use these two, so they
 stay independent of the engine's one typer and its judgements.
 """
 
 from __future__ import annotations
 
-from dataclasses import make_dataclass, replace
+from dataclasses import fields, make_dataclass, replace
 from functools import cache
 from operator import is_
 from typing import Optional
@@ -35,6 +36,7 @@ from lax import (
     Formula,
     Impl,
     Inj,
+    InvalidRedex,
     Lam,
     LaxSyntaxError,
     Pair,
@@ -1150,3 +1152,46 @@ def random_order_run(t: Term, discipline: bool, rng, budget: int):
         states.append(t)
         fired.append(r)
     return states, fired, not find_redexes(t, discipline)
+
+
+# ---------------------------------------------------------------------------
+# the trace replay, rebuilding each state
+#
+# The audit contracts each recorded redex where it sits and compares only
+# the recorded path of the state after. Here step rebuilds the whole state
+# and every node of it is compared with the recorded one.
+
+def _data_oracle(t: Term) -> tuple:
+    """t's fields other than the ones _kids reads."""
+    kids = ("comps",) if isinstance(t, ParBind) else _KID_FIELDS.get(type(t), ())
+    return tuple(getattr(t, f.name) for f in fields(t) if f.name not in kids)
+
+
+def _same_oracle(a: Term, b: Term) -> bool:
+    """a equals b node by node through _kids, by recursion."""
+    ka, kb = _kids(a), _kids(b)
+    return (
+        type(a) is type(b)
+        and _data_oracle(a) == _data_oracle(b)
+        and len(ka) == len(kb)
+        and all(map(_same_oracle, ka, kb))
+    )
+
+
+def replay_oracle(trace) -> list[tuple[str, str]]:
+    """The witnesses of the trace audit's replay, in its wording: step
+    fires each recorded redex in the state before it, and the state it
+    builds must equal the one recorded after."""
+    out, before = [], trace.initial
+    for i, ts in enumerate(trace.steps):
+        try:
+            redone = step(before, ts.redex)
+        except InvalidRedex as e:
+            out.append((f"step {i}", f"recorded redex no longer applies: {e}"))
+        else:
+            if not _same_oracle(redone, ts.term_after):
+                out.append(
+                    (f"step {i}", f"replaying {ts.redex.rule} gives a different term")
+                )
+        before = ts.term_after
+    return out

@@ -15,6 +15,7 @@ from lax import (
     Bot,
     Chan,
     Contract,
+    Disj,
     Efq,
     GenConfig,
     Impl,
@@ -35,22 +36,33 @@ from lax import (
     check_subformula,
     communication_measure,
     em_axiom,
+    find_redexes,
     generate,
     is_normal,
     normalize,
     parse_program,
     parse_term,
     show_term,
+    step,
     subterm_types,
 )
 from lax import analysis, typecheck
 from lax.rewrite import CROSSES, Redex, RedexKind
 from lax.strategy import Trace, TraceStep
-from lax.terms import build_tuple, contract_join, subterm_at
+from lax.terms import (
+    build_tuple,
+    children,
+    contract_join,
+    iter_subterms,
+    replace_at,
+    subterm_at,
+)
 
 from oracles import (
     communication_measure_oracle,
+    fresh_copy,
     random_order_run,
+    replay_oracle,
     subject_reduction_oracle,
     subterm_types_by_derivation,
 )
@@ -471,6 +483,71 @@ def test_a_deep_chain_audits_clean():
 
 
 # --------------------------------------------------------------------------
+# a recorded state after that the replay must reject
+
+# a Beta whose contractum is a pair, below a pair, an injection, a
+# projection and a pair again
+_SPINE = ("<z, inj0[(A /\\ A) \\/ B](<(\\x : A. <x, x>) y, z> pi0)>", {"y": A, "z": B})
+# a Beta in a session's second component
+_SESSION = ("nu a : EM[A]. [ efq[B](nota x) || (\\w : B. w) x0 ]", {"x0": B, "x": A})
+
+
+def _replay_witnesses(witnesses):
+    return [w for w in witnesses
+            if w[1].startswith(("recorded redex no longer applies: ", "replaying "))]
+
+
+def _at(t, path, make):
+    """t with make(s) for its subterm s at path."""
+    return replace_at(t, path, make(subterm_at(t, path)))
+
+
+def _replay_of_a_tampered_beta(program, tamper):
+    """The audit's witnesses when the Beta of program is recorded as giving
+    tamper(the state it gives)."""
+    src, gamma = program
+    t = _typed(src, gamma)
+    (r,) = [q for q in find_redexes(t) if q.kind == RedexKind.BETA]
+    trace = Trace(initial=t)
+    trace.steps.append(TraceStep(1, "Intuitionistic", r, tamper(step(t, r))))
+    return audit_trace(TypingContext(ivars=dict(gamma)), trace).witnesses
+
+
+@pytest.mark.parametrize("program, tamper", [
+    # another node at the root
+    (_SPINE, lambda h: h.left),
+    # a spine node with other data: the projection's index, the
+    # injection's disjunction
+    (_SPINE, lambda h: _at(h, (1, 0), lambda s: dataclasses.replace(s, index=1))),
+    (_SPINE, lambda h: _at(h, (1,), lambda s: dataclasses.replace(s, disj=Disj(B, B)))),
+    # a spine node of another class with the same data and as many children
+    (_SPINE, lambda h: _at(h, (1, 0, 0), lambda s: Contract(s.left, s.right))),
+    # a sibling off the path, deep and at the root
+    (_SPINE, lambda h: _at(h, (1, 0, 0, 1), lambda s: dataclasses.replace(s, name="y"))),
+    (_SPINE, lambda h: _at(h, (0,), lambda s: dataclasses.replace(s, name="y"))),
+    # inside the contractum
+    (_SPINE, lambda h: _at(h, (1, 0, 0, 0, 1), lambda s: dataclasses.replace(s, name="z"))),
+    # fewer levels than the path: the projection dropped
+    (_SPINE, lambda h: _at(h, (1, 0), lambda s: s.arg)),
+    # a session with one component more, or one fewer
+    (_SESSION, lambda h: dataclasses.replace(h, comps=h.comps + (h.comps[1],))),
+    (_SESSION, lambda h: dataclasses.replace(h, comps=h.comps[:1])),
+], ids=[
+    "root", "projection-index", "injection-disjunction", "spine-class",
+    "deep-sibling", "root-sibling", "contractum", "level-dropped",
+    "session-component-more", "session-component-fewer",
+])
+def test_the_replay_rejects_a_tampered_state_after(program, tamper):
+    witnesses = _replay_of_a_tampered_beta(program, tamper)
+    assert ("step 0", "replaying Beta gives a different term") in witnesses
+
+
+@pytest.mark.parametrize("program", [_SPINE, _SESSION], ids=["spine", "session"])
+def test_the_replay_accepts_the_state_after_built_afresh(program):
+    assert _replay_witnesses(_replay_of_a_tampered_beta(program, fresh_copy)) == []
+
+
+# --------------------------------------------------------------------------
 # a recorded redex the replay cannot fire
 
 
@@ -555,22 +632,37 @@ def _measures_as_the_oracle_says(states):
         assert communication_measure(t, table) == communication_measure_oracle(t)
 
 
-def test_the_measure_is_the_oracles_on_every_state_of_the_frozen_comm_programs():
+def _frozen_comm_runs():
+    """(context, trace) of each frozen comm program's run."""
     data = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "comm.jsonl"
     records = [json.loads(line) for line in data.read_text().splitlines()[1:]]
     assert len(records) > 20
     for rec in records:
         prog = parse_program(rec["source"])
-        t, _ = check(prog.term, TypingContext(ivars=dict(prog.gamma)))
-        _, trace = normalize(t, underline_discipline=rec["underline"])
+        ctx = TypingContext(ivars=dict(prog.gamma))
+        t, _ = check(prog.term, ctx)
+        yield ctx, normalize(t, underline_discipline=rec["underline"])[1]
+
+
+def _example(name):
+    """(context, checked term) of a bundled example."""
+    source = (resources.files("lax") / "examples" / f"{name}.lax").read_text()
+    prog = parse_program(source)
+    ctx = TypingContext(ivars=dict(prog.gamma))
+    return ctx, check(prog.term, ctx)[0]
+
+
+EXAMPLES = ["broadcast_em3", "godel", "mobility", "or", "scheduler_c3"]
+
+
+def test_the_measure_is_the_oracles_on_every_state_of_the_frozen_comm_programs():
+    for _, trace in _frozen_comm_runs():
         _measures_as_the_oracle_says([trace.initial] + [s.term_after for s in trace.steps])
 
 
-@pytest.mark.parametrize("name", ["broadcast_em3", "godel", "mobility", "or", "scheduler_c3"])
+@pytest.mark.parametrize("name", EXAMPLES)
 def test_the_measure_is_the_oracles_on_the_examples(name):
-    source = (resources.files("lax") / "examples" / f"{name}.lax").read_text()
-    prog = parse_program(source)
-    t, _ = check(prog.term, TypingContext(ivars=dict(prog.gamma)))
+    _, t = _example(name)
     for discipline in (False, True):
         _, trace = normalize(t, underline_discipline=discipline)
         _measures_as_the_oracle_says([trace.initial] + [s.term_after for s in trace.steps])
@@ -669,3 +761,97 @@ def test_the_measure_and_the_audit_pass_over_a_deep_active_component():
     assert [s.phase for s in trace.steps][0] == "Communication"
     rep = audit_trace(ctx, trace)
     assert rep.holds, rep.witnesses
+
+
+# --------------------------------------------------------------------------
+# the replay against its oracle, which rebuilds every state
+
+
+def _replays_as_the_oracle_says(ctx, trace):
+    witnesses = replay_oracle(trace)
+    assert _replay_witnesses(audit_trace(ctx, trace).witnesses) == witnesses
+    return witnesses
+
+
+def test_the_replay_is_the_oracles_on_the_frozen_comm_programs():
+    for ctx, trace in _frozen_comm_runs():
+        assert _replays_as_the_oracle_says(ctx, trace) == []
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_the_replay_is_the_oracles_on_the_examples(name):
+    ctx, t = _example(name)
+    for discipline in (False, True):
+        _, trace = normalize(t, underline_discipline=discipline)
+        assert _replays_as_the_oracle_says(ctx, trace) == []
+
+
+def _label(s):
+    """The first field of s that holds a flag, an index or a name, if any."""
+    return next((f.name for f in dataclasses.fields(s)
+                 if type(getattr(s, f.name)) in (bool, int, str)), None)
+
+
+def _tampered(trace, rng):
+    """(how, i, trace with its i-th state after tampered): a subterm swapped
+    for one of another state, one node's label changed (a flag flipped, an
+    index swapped, a name primed), or a node replaced by one of its
+    children (a level dropped)."""
+    states = [trace.initial] + [s.term_after for s in trace.steps]
+    i = rng.randrange(len(trace.steps))
+    after = states[i + 1]
+    nodes = list(iter_subterms(after))
+    labelled = [(p, s) for p, s in nodes if _label(s)]
+    inner = [(p, s) for p, s in nodes if children(s)]
+    how = rng.choice(["swap"] + ["data"] * bool(labelled) + ["drop"] * bool(inner))
+    if how == "swap":
+        other = rng.choice(states[: i + 1] + states[i + 2:])
+        path, new = rng.choice(nodes)[0], rng.choice(list(iter_subterms(other)))[1]
+    elif how == "data":
+        path, s = rng.choice(labelled)
+        name = _label(s)
+        v = getattr(s, name)
+        v = not v if type(v) is bool else 1 - v if type(v) is int else v + "'"
+        new = dataclasses.replace(s, **{name: v})
+    else:
+        path, s = rng.choice(inner)
+        new = rng.choice(children(s))
+    steps = list(trace.steps)
+    steps[i] = dataclasses.replace(steps[i], term_after=replace_at(after, path, new))
+    return how, i, dataclasses.replace(trace, steps=steps)
+
+
+def _outcome(replay, trace):
+    """replay(trace), or the error it raised: redex discovery raises
+    ValueError in a recorded state that does not type."""
+    try:
+        return replay(trace)
+    except ValueError as e:
+        return repr(e)
+
+
+def _replay_alone(trace):
+    """The witnesses of audit_trace's replay alone: the audits after it can
+    raise ValueError in a tampered state that does not type."""
+    rep = PropertyReport("trace-audit", True)
+    analysis._audit_replay(rep, trace, [trace.initial] + [s.term_after for s in trace.steps])
+    return rep.witnesses
+
+
+@pytest.mark.parametrize("preset", ["em", "em3", "c3", "g2", "godel"])
+def test_the_replay_is_the_oracles_on_tampered_traces(preset):
+    """A changed label or a dropped level is caught at its step unless the
+    replay raises first; a swapped subterm may happen to be equal."""
+    for seed in range(20):
+        gamma, t = generate(seed, GenConfig(preset=preset, max_size=40))
+        _, trace = normalize(t, underline_discipline=seed % 2 == 1)
+        if not trace.steps:
+            continue
+        rng = random.Random(seed)
+        for _ in range(3):
+            how, i, tampered = _tampered(trace, rng)
+            witnesses = _outcome(replay_oracle, tampered)
+            assert _outcome(_replay_alone, tampered) == witnesses
+            if how != "swap" and isinstance(witnesses, list):
+                rule = tampered.steps[i].redex.rule
+                assert (f"step {i}", f"replaying {rule} gives a different term") in witnesses

@@ -3,7 +3,8 @@ every function and class a module defines is used by some module.
 
 Lines marked `# noqa: F401` (re-exports) are exempt from the first scan; a
 re-export in `__init__` counts as a use for the second. A third scan keeps
-the contractions in `rewrite.py` building through the shape table.
+the contractions in `rewrite.py` building through the shape table, and a
+fourth keeps the trace audit in `analysis.py` from rebuilding a state.
 """
 
 import ast
@@ -107,16 +108,17 @@ def test_the_definition_scan_ignores_a_local_of_the_same_name_elsewhere(tmp_path
     assert _unused_definitions(sorted(tmp_path.glob("*.py"))) == ["a.py:1: conj"]
 
 
-def _constructor_calls(path: Path, names: set[str]) -> list[tuple[str, str]]:
-    """(top-level definition, constructor) for each call in path of a
-    constructor in names."""
+def _calls(path: Path, names: set[str]) -> list[tuple[str, str]]:
+    """(top-level definition, callee) for each call in path of a function
+    or constructor in names, bare or read as an attribute."""
     out = []
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         owner = getattr(node, "name", None)
         for n in ast.walk(node):
-            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-                    and n.func.id in names):
-                out.append((owner, n.func.id))
+            if isinstance(n, ast.Call):
+                callee = getattr(n.func, "id", getattr(n.func, "attr", None))
+                if callee in names:
+                    out.append((owner, callee))
     return out
 
 
@@ -125,7 +127,14 @@ def test_contractions_rebuild_through_the_shape_table():
     their fresh one, and never a join or a case by hand: every other
     contraction rebuilds through terms.with_child / with_children."""
     path = Path(lax.__file__).parent / "rewrite.py"
-    assert sorted(_constructor_calls(path, {"ParBind", "Contract", "Case"})) == [
+    assert sorted(_calls(path, {"ParBind", "Contract", "Case"})) == [
         ("_em_full_cross", "ParBind"),
         ("_general_full_cross", "ParBind"),
     ]
+
+
+def test_the_audit_never_rebuilds_a_state():
+    """The replay contracts each recorded redex where it sits and compares
+    the recorded path: analysis.py calls neither step nor replace_at."""
+    path = Path(lax.__file__).parent / "analysis.py"
+    assert _calls(path, {"step", "replace_at"}) == []
