@@ -13,7 +13,6 @@ from .analysis import (  # noqa: F401
     check_subformula,
     communication_measure,
     is_normal,
-    subterm_types,
 )
 from .axioms import (  # noqa: F401
     AxiomScheme,

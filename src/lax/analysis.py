@@ -51,11 +51,16 @@ from .terms import (
     Term,
     children,
     comp_body,
-    iter_subterms,
     node_data,
     subterm_at,
 )
-from .typecheck import TypingContext, check, check_subject_reduction, type_of
+from .typecheck import (
+    TypingContext,
+    check,
+    check_subject_reduction,
+    has_type,
+    type_of,
+)
 
 
 class NotNormal(Exception):
@@ -128,50 +133,44 @@ def _binder_kind_formulas(s: ParBind) -> list[Formula]:
     return out
 
 
-def subterm_types(t: Term) -> dict[Path, Formula]:
-    """Type of every subterm, from the elaborated occurrence annotations.
-
-    Channel occurrence nodes are omitted: their kinds are the business of
-    the binder clause, not the subterm clause.
-    """
-    out: dict[Path, Formula] = {}
-    for path, s in iter_subterms(t):
-        if isinstance(s, Chan):
-            continue
-        out[path] = type_of(s)
-    return out
-
-
 def check_subformula(ctx: TypingContext, t: Term) -> PropertyReport:
-    """Both clauses of the subformula property for a normal, typed term.
+    """Both clauses of the subformula property for a normal, typed term:
+    the witnesses of the sessions' channels, then of the subterms' types
+    (channel occurrences left to their binder), each in preorder.
 
     Top and Bot count as traceable everywhere: negation is implication
     into Bot and the unit type seeds fresh carriers, so both constants
-    appear even when the context never mentions them.
+    appear even when the context never mentions them. The walk is an
+    explicit stack, and a node holds only a link to its parent's place; a
+    path is spelled out for a witness alone.
     """
     if not is_normal(t):
         raise NotNormal("subformula property is only claimed for normal terms")
     t, conclusion = check(t, ctx)  # the elaborated term, typed at each node
     allowed = _allowed_formulas(ctx, conclusion)
-    rep = PropertyReport("subformula", True)
-
-    for path, s in iter_subterms(t):
+    chans: list[tuple[tuple, str]] = []
+    types: list[tuple[tuple, str]] = []
+    todo: list[tuple[Term, tuple]] = [(t, ())]
+    while todo:
+        s, at = todo.pop()
         if isinstance(s, ParBind):
             for f in _binder_kind_formulas(s):
                 if not _formula_traceable(f, allowed):
-                    rep.add(
-                        str(list(path)),
-                        f"channel {s.chan} transports {f}, whose prime "
-                        "factors do not all trace back to the context",
-                    )
-
-    for path, ty in subterm_types(t).items():
-        if not _formula_traceable(ty, allowed):
-            rep.add(
-                str(list(path)),
-                f"subterm has type {ty}, which is not a conjunction of "
-                "traceable subformulas",
-            )
+                    chans.append((at, f"channel {s.chan} transports {f}, whose "
+                                  "prime factors do not all trace back to the context"))
+        if type(s) is not Chan and not _formula_traceable(ty := type_of(s), allowed):
+            types.append((at, f"subterm has type {ty}, which is not a "
+                          "conjunction of traceable subformulas"))
+        cs = children(s)
+        for i in range(len(cs) - 1, -1, -1):
+            todo.append((cs[i], (at, i)))
+    rep = PropertyReport("subformula", True)
+    for at, why in chans + types:
+        path = []
+        while at:
+            at, i = at
+            path.append(i)
+        rep.add(str(path[::-1]), why)
     return rep
 
 
@@ -289,22 +288,29 @@ def audit_trace(ctx: TypingContext, trace: Trace) -> PropertyReport:
     rep = PropertyReport("trace-audit", True)
     disc = trace.underline_discipline
     terms = [trace.initial] + [s.term_after for s in trace.steps]
+    # discovery reads a state only if it types; subject reduction names
+    # every step into or out of one that does not
+    typed = [has_type(t) for t in terms]
 
-    _audit_replay(rep, trace, terms)
+    _audit_replay(rep, trace, terms, typed)
     _audit_phase_order(rep, trace)
     _audit_subject_reduction(rep, ctx, trace, terms)
-    _audit_decrease(rep, trace, terms, disc)
-    _audit_activation_phases(rep, trace, terms, disc)
-    _audit_freeze(rep, trace, terms, disc)
-    _audit_communication_measure(rep, trace, terms)
-    _audit_cycle_complexity(rep, trace, terms, disc)
+    _audit_decrease(rep, trace, terms, typed, disc)
+    _audit_activation_phases(rep, trace, terms, typed, disc)
+    _audit_freeze(rep, trace, terms, typed, disc)
+    _audit_communication_measure(rep, trace, terms, typed)
+    _audit_cycle_complexity(rep, trace, terms, typed, disc)
     return rep
 
 
-def _audit_replay(rep: PropertyReport, trace: Trace, terms: list[Term]) -> None:
+def _audit_replay(
+    rep: PropertyReport, trace: Trace, terms: list[Term], typed: list[bool]
+) -> None:
     for i, ts in enumerate(trace.steps):
         r = ts.redex
         try:
+            if not typed[i]:  # no redex applies in a state that does not type
+                raise InvalidRedex(r.rule)
             new = contractum(terms[i], r)
         except InvalidRedex as e:
             rep.add(f"step {i}", f"recorded redex no longer applies: {e}")
@@ -383,13 +389,14 @@ def _audit_subject_reduction(
 
 
 def _audit_decrease(
-    rep: PropertyReport, trace: Trace, terms: list[Term], disc: bool
+    rep: PropertyReport, trace: Trace, terms: list[Term], typed: list[bool],
+    disc: bool,
 ) -> None:
     """Every redex after a step stays within the bound the decrease clause
     of the fired redex's group sets for its own group: the state after is
     listed only when some group's complexity peak breaks its bound."""
     for i, ts in enumerate(trace.steps):
-        if ts.phase == PHASE_PARALLEL:
+        if ts.phase == PHASE_PARALLEL or not (typed[i] and typed[i + 1]):
             continue
         fired = ts.redex
         if fired.kind in (
@@ -438,9 +445,12 @@ def _phase_spans(trace: Trace, phase: str) -> list[tuple[int, int]]:
 
 
 def _audit_activation_phases(
-    rep: PropertyReport, trace: Trace, terms: list[Term], disc: bool
+    rep: PropertyReport, trace: Trace, terms: list[Term], typed: list[bool],
+    disc: bool,
 ) -> None:
     for start, end in _phase_spans(trace, PHASE_ACTIVATION):
+        if not (typed[start] and typed[end]):
+            continue
         pre = find_redexes(terms[start], disc, COMMUNICATION)
         tau = max((r.complexity for r in pre), default=-1)
         for q in find_redexes(terms[end], disc, INTUITIONISTIC | COMMUNICATION):
@@ -476,12 +486,15 @@ def _chase_end(trace: Trace, i: int) -> int:
 
 
 def _audit_freeze(
-    rep: PropertyReport, trace: Trace, terms: list[Term], disc: bool
+    rep: PropertyReport, trace: Trace, terms: list[Term], typed: list[bool],
+    disc: bool,
 ) -> None:
     for i, ts in enumerate(trace.steps):
         if ts.phase != PHASE_COMMUNICATION or ts.redex.kind not in CROSSES:
             continue
         j = _chase_end(trace, i)
+        if not typed[j]:
+            continue
         for q in find_redexes(terms[j], disc, ACTIVATION):
             rep.add(
                 f"step {i}",
@@ -491,7 +504,7 @@ def _audit_freeze(
 
 
 def _audit_communication_measure(
-    rep: PropertyReport, trace: Trace, terms: list[Term]
+    rep: PropertyReport, trace: Trace, terms: list[Term], typed: list[bool]
 ) -> None:
     measures: dict[int, tuple] = {}  # each state is measured once
     table: dict = {}  # node tallies, shared by every state of the trace
@@ -512,7 +525,7 @@ def _audit_communication_measure(
                 i += 1  # the inactive-session sweep sits outside the measure
                 continue
             j = _chase_end(trace, i) if kind in CROSSES else i + 1
-            if not _measure_decreases(measure(i), measure(j)):
+            if typed[i] and typed[j] and not _measure_decreases(measure(i), measure(j)):
                 rep.add(
                     f"step {i}",
                     f"side-strategy move {ts.redex.rule} did not shrink the "
@@ -546,27 +559,26 @@ def _top_peak(t: Term, disc: bool) -> int:
 
 
 def _audit_cycle_complexity(
-    rep: PropertyReport, trace: Trace, terms: list[Term], disc: bool
+    rep: PropertyReport, trace: Trace, terms: list[Term], typed: list[bool],
+    disc: bool,
 ) -> None:
     if trace.limit_hit:
         return  # a truncated run proves nothing about its cycles
     entries = _cycle_entry_indices(trace)
     if not entries:
         return
-    cycles = sorted(entries)
-    taus = {k: _top_peak(terms[entries[k]], disc) for k in cycles}
     # the final, quiescent cycle leaves no steps; its entry state is the end
-    last = cycles[-1] + 1
-    taus[last] = _top_peak(terms[-1], disc)
-    ks = cycles + [last]
+    entries[max(entries) + 1] = len(terms) - 1
+    ks = sorted(entries)
+    taus = {k: _top_peak(terms[i], disc) for k, i in entries.items() if typed[i]}
     for a, b in zip(ks, ks[1:]):
-        if taus[b] > taus[a]:
+        if a in taus and b in taus and taus[b] > taus[a]:
             rep.add(
                 f"cycle {b}",
                 f"max redex complexity rose from {taus[a]} to {taus[b]}",
             )
     for a, c in zip(ks, ks[2:]):
-        if taus[a] > 0 and not taus[c] < taus[a]:
+        if a in taus and c in taus and taus[a] > 0 and not taus[c] < taus[a]:
             rep.add(
                 f"cycle {c}",
                 f"max redex complexity {taus[c]} failed to drop below the "

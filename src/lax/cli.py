@@ -19,7 +19,12 @@ import sys
 from importlib import resources
 from typing import Optional
 
-from .analysis import audit_trace, check_parallel_nf_property, check_subformula
+from .analysis import (
+    PropertyReport,
+    audit_trace,
+    check_parallel_nf_property,
+    check_subformula,
+)
 from .generator import GenConfig, generate_corpus
 from .formulas import show_formula
 from .parser import LaxSyntaxError, Program, parse_program, parse_term
@@ -155,6 +160,16 @@ def _emit_reports(out: _Out, reports) -> bool:
     return ok
 
 
+def _verdicts(ctx: TypingContext, trace: Trace, final) -> list[PropertyReport]:
+    """The reports a run is judged by: its trace audit and the two
+    properties of its normal form."""
+    return [
+        audit_trace(ctx, trace),
+        check_parallel_nf_property(final, trace.underline_discipline),
+        check_subformula(ctx, final),
+    ]
+
+
 def cmd_normalize(args) -> int:
     out = _Out(args.format)
     max_steps = None
@@ -186,14 +201,8 @@ def cmd_normalize(args) -> int:
         },
         show_term(final),
     )
-    if args.audit:
-        reports = [
-            audit_trace(ctx, trace),
-            check_parallel_nf_property(final, discipline),
-            check_subformula(ctx, final),
-        ]
-        if not _emit_reports(out, reports):
-            return EXIT_VIOLATION
+    if args.audit and not _emit_reports(out, _verdicts(ctx, trace, final)):
+        return EXIT_VIOLATION
     return EXIT_OK
 
 
@@ -249,21 +258,22 @@ def cmd_examples(args) -> int:
             worst = max(worst, EXIT_LIMIT)
             continue
         ok = alpha_eq(final, golden)
-        audit = audit_trace(ctx, trace)
+        failed = [rep for rep in _verdicts(ctx, trace, final) if not rep.holds]
+        passed = ok and not failed
         out.emit(
             {
                 "event": "example",
                 "name": name,
-                "pass": bool(ok and audit.holds),
+                "pass": passed,
                 "steps": len(trace.steps),
                 "normal_form": show_term(final),
             },
-            f"{'PASS' if ok and audit.holds else 'FAIL'} {name} "
+            f"{'PASS' if passed else 'FAIL'} {name} "
             f"({len(trace.steps)} steps)"
             + ("" if ok else f"\n  got      {show_term(final)}\n  expected {golden_text.strip()}")
-            + ("" if audit.holds else f"\n  audit: {audit.witnesses}"),
+            + "".join(f"\n  {rep.name}: {rep.witnesses}" for rep in failed),
         )
-        if not (ok and audit.holds):
+        if not passed:
             worst = max(worst, EXIT_VIOLATION)
     return worst
 
@@ -299,12 +309,7 @@ def cmd_fuzz(args) -> int:
             rules[kind] = rules.get(kind, 0) + 1
         for phase, n in trace.phase_counts().items():
             phase_counts[phase] = phase_counts.get(phase, 0) + n
-        reports = [
-            audit_trace(ctx, trace),
-            check_parallel_nf_property(final),
-            check_subformula(ctx, final),
-        ]
-        for rep in reports:
+        for rep in _verdicts(ctx, trace, final):
             if not rep.holds:
                 violations += 1
                 out.emit(

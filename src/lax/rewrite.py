@@ -615,7 +615,12 @@ def redexes_at(
     s: Term, path: Path, discipline: bool, kinds: Optional[frozenset] = None
 ) -> list[Redex]:
     """The redexes rooted at s, the subterm at path, in find_redexes order;
-    with kinds, only those of these kinds."""
+    with kinds, only those of these kinds.
+
+    Within a kind the order is a contract, and the side strategy takes the
+    first of each kind: a session offers its hoists (ParParPerm) by
+    component, and its basic crosses by sender and then receiver, before
+    its full cross."""
     _redex_facts(s)
     want = _want(kinds)
     if not _offers(s, want):

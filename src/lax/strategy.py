@@ -7,10 +7,11 @@ cycles three phases until a full cycle makes no step:
    permutations, leftmost-innermost;
 2. activation: activate sessions holding a transmittable value,
    outermost first;
-3. communication: repeatedly pick an uppermost active session and apply
-   the side strategy (hoist a nested parallel component, else cross and
-   chase the projections and case permutations the message created, else
-   collect garbage), then sweep garbage on inactive sessions.
+3. communication: repeatedly fire the side strategy's move at the first
+   uppermost active session that offers one (hoist a nested parallel
+   component, else cross and chase the projections and case permutations
+   the message created, else collect garbage), then sweep garbage on
+   inactive sessions.
 
 Every step lands in a Trace; auditing and replay live in the analysis
 module.
@@ -37,7 +38,7 @@ from .rewrite import (
     step,
     uppermost_active_sessions,
 )
-from .terms import ParBind, Path, Term, subterm_at
+from .terms import Term, subterm_at
 
 PHASE_PARALLEL = "ParallelForm"
 PHASE_INTUITIONISTIC = "Intuitionistic"
@@ -154,6 +155,8 @@ class _Run:
 
 _PAR_PERM = frozenset({RedexKind.PAR_PERM})
 _GARBAGE = frozenset({RedexKind.GARBAGE_CROSS})
+# the side strategy's move kinds, in the order it prefers them
+_SIDE_MOVES = (frozenset({RedexKind.PAR_PAR_PERM}), CROSSES, _GARBAGE)
 
 
 def _parallel_form(run: _Run) -> None:
@@ -188,72 +191,48 @@ def _activation(run: _Run) -> int:
     return _exhaust(run, ACTIVATION)
 
 
-def _side_step(run: _Run, path: Path, session: ParBind) -> bool:
-    """One clause of the side strategy at the session at path. True if fired."""
-    here = redexes_at(session, path, run.discipline)
-
-    hoists = [r for r in here if r.kind == RedexKind.PAR_PAR_PERM]
-    if hoists:
-        run.fire(min(hoists, key=lambda r: r.comp))
-        return True
-
-    basics = [r for r in here if r.kind == RedexKind.BASIC_CROSS]
-    crosses = [r for r in here if r.kind in CROSSES]
-    if basics:
-        run.fire(min(basics, key=lambda r: (r.sender, r.receiver)))
-        _chase(run)
-        return True
-    if crosses:
-        run.fire(crosses[0])
-        _chase(run)
-        return True
-
-    garbage = [r for r in here if r.kind == RedexKind.GARBAGE_CROSS]
-    if garbage:
-        run.fire(garbage[0])
-        return True
-    return False
+def _side_move(run: _Run) -> Optional[Redex]:
+    """The side strategy's next move: the first move offered by an
+    uppermost active session, shallowest first and leftmost among equals.
+    A session offers its first hoist of a nested parallel component, else
+    its first cross, else its garbage cross, first in redexes_at order."""
+    upper = uppermost_active_sessions(run.t)
+    for path, session in sorted(upper, key=lambda ps: (len(ps[0]), ps[0])):
+        here = redexes_at(session, path, run.discipline)
+        for kinds in _SIDE_MOVES:
+            for r in here:
+                if r.kind in kinds:
+                    return r
+    return None
 
 
-def _chase(run: _Run) -> None:
-    """Clear the projections and case permutations a cross just created."""
-    _exhaust(run, CHASE)
-
-
-def _sweep_inactive_garbage(run: _Run) -> int:
-    """Collect garbage on sessions that will never activate.
+def _inactive_garbage(run: _Run) -> Optional[Redex]:
+    """The first garbage cross on a session that will never activate.
 
     The cross rules only fire on active sessions, but a session whose
     channel is missing from some component can already be dissolved; doing
     it here is what makes the final term redex-free.
     """
-    made = 0
-    while True:
-        rs = [
-            r
-            for r in find_redexes(run.t, run.discipline, _GARBAGE)
-            if not subterm_at(run.t, r.position).active
-        ]
-        if not rs:
-            return made
-        run.fire(rs[0])
-        made += 1
+    for r in find_redexes(run.t, run.discipline, _GARBAGE):
+        if not subterm_at(run.t, r.position).active:
+            return r
+    return None
 
 
 def _communication(run: _Run) -> int:
+    """Side moves, each cross chased by the projections and case
+    permutations its message created, then the inactive sessions' garbage.
+    The count leaves the chase steps out."""
     run.phase = PHASE_COMMUNICATION
     made = 0
-    while True:
-        fired = False
-        upper = uppermost_active_sessions(run.t)
-        for path, session in sorted(upper, key=lambda ps: (len(ps[0]), ps[0])):
-            if _side_step(run, path, session):
-                fired = True
-                made += 1
-                break
-        if not fired:
-            break
-    made += _sweep_inactive_garbage(run)
+    while (r := _side_move(run)) is not None:
+        run.fire(r)
+        if r.kind in CROSSES:
+            _exhaust(run, CHASE)
+        made += 1
+    while (r := _inactive_garbage(run)) is not None:
+        run.fire(r)
+        made += 1
     return made
 
 

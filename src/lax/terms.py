@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter, is_
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .axioms import AxiomScheme
 from .formulas import Formula
@@ -292,18 +292,6 @@ def replace_at(t: Term, path: Path, new: Term) -> Term:
     for s, i in zip(reversed(spine), reversed(path)):
         new = _PUT[type(s)](s, i, new)
     return new
-
-
-def iter_subterms(t: Term, path: Path = ()) -> Iterator[tuple[Path, Term]]:
-    """Preorder (leftmost-outermost) walk yielding (path, subterm), on an
-    explicit stack, so deep terms do not exhaust the call stack."""
-    todo = [(path, t)]
-    while todo:
-        path, s = todo.pop()
-        yield path, s
-        cs = children(s)
-        for i in range(len(cs) - 1, -1, -1):
-            todo.append((path + (i,), cs[i]))
 
 
 def term_size(t: Term) -> int:

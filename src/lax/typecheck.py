@@ -363,6 +363,12 @@ def type_of(t: Term) -> Formula:
     return j[0]
 
 
+def has_type(t: Term) -> bool:
+    """t's judgement holds in some context, so type_of reads t and each
+    subterm of it."""
+    return bool(_judgement(t))
+
+
 def _judgement(t: Term):
     return remembered(t, "judgement", _node_judgement)
 

@@ -1,12 +1,14 @@
 """Independent reference implementations used to cross-check the engine.
 
 The oracles deliberately avoid the library's traversal helpers
-(iter_subterms, decompose_stack) and re-derive every side condition from
-the raw constructors, so a bug in a shared helper cannot cancel out on both
-sides of a comparison. chan_occurrences, the walk the engine used to find
+(decompose_stack, the remembered walks) and re-derive every side condition
+from the raw constructors, so a bug in a shared helper cannot cancel out on
+both sides of a comparison. iter_subterms, the walk with paths that only
+tests use, lives here too. chan_occurrences, the walk the engine used to find
 channel occurrences, communication_measure_oracle, the measure's
 whole-term walks, replay_oracle, the trace replay that rebuilds each
-state, show_formula_oracle, the recursive printer, and check_oracle and
+state, side_move_oracle, the side strategy's choice by least fields,
+show_formula_oracle, the recursive printer, and check_oracle and
 type_of_oracle, the recursive typer and type synthesis, are kept here to
 check what replaced them. The oracles that type a term
 (subject_reduction_oracle, value_complexity_oracle) use these two, so they
@@ -42,6 +44,8 @@ from lax import (
     Pair,
     ParBind,
     Proj,
+    Redex,
+    RedexKind,
     SubjectReductionReport,
     Term,
     Top,
@@ -56,10 +60,22 @@ from lax import (
     show_formula,
     step,
 )
-from lax.rewrite import Occurrence
+from lax.rewrite import CROSSES, Occurrence
 from lax.terms import binder_names, children
 
 Path = tuple[int, ...]
+
+
+def iter_subterms(t: Term, path: Path = ()):
+    """Preorder (leftmost-outermost) walk yielding (path, subterm), on an
+    explicit stack, so deep terms do not exhaust the call stack."""
+    todo = [(path, t)]
+    while todo:
+        path, s = todo.pop()
+        yield path, s
+        cs = children(s)
+        for i in range(len(cs) - 1, -1, -1):
+            todo.append((path + (i,), cs[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +239,37 @@ def uppermost_active_oracle(t: Term) -> list[tuple[Path, Term]]:
 
     visit(t, ())
     return out
+
+
+# ---------------------------------------------------------------------------
+# the side strategy's move, by least fields
+#
+# The strategy takes the first move of each kind in discovery's order; here
+# the hoist of least component and the basic cross of least (sender,
+# receiver) are looked for, so nothing rests on discovery's order within a
+# kind.
+
+def side_move_oracle(t: Term, discipline: bool) -> Optional[Redex]:
+    """The move of the first uppermost active session that offers one,
+    shallowest first and leftmost among equals: its hoist of the least
+    component, else its basic cross of least (sender, receiver), else its
+    first cross, else its garbage cross."""
+    upper = uppermost_active_oracle(t)
+    for path, session in sorted(upper, key=lambda ps: (len(ps[0]), ps[0])):
+        here = redexes_at(session, path, discipline)
+        hoists = [r for r in here if r.kind == RedexKind.PAR_PAR_PERM]
+        if hoists:
+            return min(hoists, key=lambda r: r.comp)
+        basics = [r for r in here if r.kind == RedexKind.BASIC_CROSS]
+        if basics:
+            return min(basics, key=lambda r: (r.sender, r.receiver))
+        crosses = [r for r in here if r.kind in CROSSES]
+        if crosses:
+            return crosses[0]
+        garbage = [r for r in here if r.kind == RedexKind.GARBAGE_CROSS]
+        if garbage:
+            return garbage[0]
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,10 @@ from lax import (
     parse_term,
     value_complexity,
 )
-from lax.terms import TT, App, Efq, ParBind, Proj, apply_stack, iter_subterms
+from lax.terms import TT, App, Efq, ParBind, Proj, apply_stack
 from lax.formulas import Bot, Conj, Impl, Top
 
-from oracles import brute_force_redexes, value_complexity_oracle
+from oracles import brute_force_redexes, iter_subterms, value_complexity_oracle
 
 BOOL = Disj(TOP, TOP)
 T_SRC = "inj0[Top \\/ Top](tt)"

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -44,7 +45,7 @@ from lax import (
     parse_term,
     show_term,
     step,
-    subterm_types,
+    type_of,
 )
 from lax import analysis, typecheck
 from lax.rewrite import CROSSES, Redex, RedexKind
@@ -53,7 +54,6 @@ from lax.terms import (
     build_tuple,
     children,
     contract_join,
-    iter_subterms,
     replace_at,
     subterm_at,
 )
@@ -61,6 +61,7 @@ from lax.terms import (
 from oracles import (
     communication_measure_oracle,
     fresh_copy,
+    iter_subterms,
     random_order_run,
     replay_oracle,
     subject_reduction_oracle,
@@ -130,6 +131,53 @@ def test_check_subformula_on_normal_forms():
         ctx, final, _ = _run(seed, preset)
         rep = check_subformula(ctx, final)
         assert rep.holds, rep.witnesses
+
+
+def test_the_subformula_witnesses_come_sessions_first_each_in_preorder(monkeypatch):
+    """With nothing traceable, each session's transported formulas and
+    then each subterm's type is a witness at its path, in preorder, as a
+    walk that holds every node's path gives them."""
+    gamma = {"f": Impl(Z, A), "y": Z, "g": Impl(A, B)}
+    session = "nu {0} : EM[A]. [ efq[B](not{0} (f y)) || g {0} ]"
+    t = _typed(session.format("a") + " |+| " + session.format("b"), gamma)
+    assert is_normal(t)
+    monkeypatch.setattr(analysis, "_formula_traceable", lambda f, allowed: False)
+    want = [
+        (str(list(p)), f"channel {s.chan} transports {f}, whose prime factors "
+         "do not all trace back to the context")
+        for p, s in iter_subterms(t) if isinstance(s, ParBind)
+        for f in (A, Bot())
+    ] + [
+        (str(list(p)), f"subterm has type {ty}, which is not a conjunction of "
+         "traceable subformulas")
+        for p, ty in subterm_types(t).items()
+    ]
+    assert len(want) == 4 + 17
+    assert check_subformula(TypingContext(ivars=gamma), t).witnesses == want
+
+
+def test_check_subformula_holds_no_path_per_node():
+    """A path is spelled out for a witness alone: on an 8 000-deep normal
+    form the walk's traced peak stays far below the hundreds of MB that a
+    path per node would hold."""
+    t = Var("x")
+    for i in range(8_000):
+        t = Lam("y", A, t) if i % 2 else Pair(Var("x"), t)
+    ctx = TypingContext(ivars={"x": A})
+    t, _ = check(t, ctx)
+    tracemalloc.start()
+    try:
+        assert check_subformula(ctx, t).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
+
+
+def subterm_types(t):
+    """Type of every subterm but the channel occurrences, by path, read
+    off the elaborated occurrence annotations."""
+    return {path: type_of(s) for path, s in iter_subterms(t) if not isinstance(s, Chan)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -324,7 +372,8 @@ def _count_discovery(monkeypatch):
 def _decrease_witnesses(trace):
     rep = PropertyReport("decrease", True)
     terms = [trace.initial] + [s.term_after for s in trace.steps]
-    analysis._audit_decrease(rep, trace, terms, trace.underline_discipline)
+    typed = [typecheck.has_type(t) for t in terms]
+    analysis._audit_decrease(rep, trace, terms, typed, trace.underline_discipline)
     return rep.witnesses
 
 
@@ -461,16 +510,21 @@ def test_a_deep_or_wide_term_checks_prints_normalizes_and_audits(shape):
     final, trace = normalize(t)
     assert [s.redex.rule for s in trace.steps] == rules
     assert show_term(final) == final_text
-    rep = audit_trace(ctx, trace)
-    assert rep.holds, rep.witnesses
+    for rep in (
+        audit_trace(ctx, trace),
+        check_parallel_nf_property(final),
+        check_subformula(ctx, final),
+    ):
+        assert rep.holds, rep.witnesses
 
 
 def test_a_deep_chain_audits_clean():
     """The replay comparison runs on an explicit stack: the 5 000-deep
-    chain passes, and a change at its bottom is still seen."""
+    chain passes, and a change at its bottom is still seen. The chain is
+    checked first: discovery reads only a state whose judgement holds."""
     depth = 5_000
     ctx = TypingContext(ivars={"a": A, "b": A, "x": A})
-    t = _pair_chain(depth, Proj(Pair(Var("a"), Var("b")), 0))
+    t, _ = check(_pair_chain(depth, Proj(Pair(Var("a"), Var("b")), 0)), ctx)
     _, trace = normalize(t)
     rep = audit_trace(ctx, trace)
     assert rep.holds, rep.witnesses
@@ -821,27 +875,26 @@ def _tampered(trace, rng):
     return how, i, dataclasses.replace(trace, steps=steps)
 
 
-def _outcome(replay, trace):
-    """replay(trace), or the error it raised: redex discovery raises
-    ValueError in a recorded state that does not type."""
-    try:
-        return replay(trace)
-    except ValueError as e:
-        return repr(e)
-
-
-def _replay_alone(trace):
-    """The witnesses of audit_trace's replay alone: the audits after it can
-    raise ValueError in a tampered state that does not type."""
-    rep = PropertyReport("trace-audit", True)
-    analysis._audit_replay(rep, trace, [trace.initial] + [s.term_after for s in trace.steps])
-    return rep.witnesses
+def _replay_expected(trace):
+    """replay_oracle's witnesses, one step at a time, except that a step
+    out of a state that does not type no longer applies: discovery cannot
+    read such a state, and the oracle's step may raise ValueError in it."""
+    out, before = [], trace.initial
+    for k, ts in enumerate(trace.steps):
+        if typecheck.has_type(before):
+            out += [(f"step {k}", why)
+                    for _, why in replay_oracle(Trace(initial=before, steps=[ts]))]
+        else:
+            out.append((f"step {k}", f"recorded redex no longer applies: {ts.redex.rule}"))
+        before = ts.term_after
+    return out
 
 
 @pytest.mark.parametrize("preset", ["em", "em3", "c3", "g2", "godel"])
 def test_the_replay_is_the_oracles_on_tampered_traces(preset):
-    """A changed label or a dropped level is caught at its step unless the
-    replay raises first; a swapped subterm may happen to be equal."""
+    """audit_trace raises on no tampered trace, and its replay gives the
+    oracle's witnesses, step by step. A changed label or a dropped level is
+    caught at its step; a swapped subterm may happen to be equal."""
     for seed in range(20):
         gamma, t = generate(seed, GenConfig(preset=preset, max_size=40))
         _, trace = normalize(t, underline_discipline=seed % 2 == 1)
@@ -850,8 +903,14 @@ def test_the_replay_is_the_oracles_on_tampered_traces(preset):
         rng = random.Random(seed)
         for _ in range(3):
             how, i, tampered = _tampered(trace, rng)
-            witnesses = _outcome(replay_oracle, tampered)
-            assert _outcome(_replay_alone, tampered) == witnesses
-            if how != "swap" and isinstance(witnesses, list):
+            rep = audit_trace(TypingContext(ivars=dict(gamma)), tampered)
+            witnesses = _replay_witnesses(rep.witnesses)
+            assert witnesses == _replay_expected(tampered)
+            try:
+                replay_oracle(tampered)
+            except ValueError:  # where the whole-trace oracle raises
+                rule = tampered.steps[i + 1].redex.rule
+                assert (f"step {i + 1}", f"recorded redex no longer applies: {rule}") in witnesses
+            if how != "swap":
                 rule = tampered.steps[i].redex.rule
                 assert (f"step {i}", f"replaying {rule} gives a different term") in witnesses

@@ -33,9 +33,8 @@ from lax import (
     show_formula,
     subformulas,
 )
-from lax.terms import iter_subterms
 
-from oracles import _formula_weight, dataclass_oracle, show_formula_oracle
+from oracles import _formula_weight, dataclass_oracle, iter_subterms, show_formula_oracle
 
 atoms = st.sampled_from([Atom("A"), Atom("B"), Atom("C"), Atom("P1"), TOP, BOT])
 formulas = st.recursive(

@@ -20,7 +20,9 @@ from lax import (
     term_size,
 )
 from lax.rewrite import is_simply_typed
-from lax.terms import children, iter_subterms
+from lax.terms import children
+
+from oracles import iter_subterms
 
 PRESETS = ["em", "em3", "c3", "g2", "godel"]
 

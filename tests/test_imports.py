@@ -3,8 +3,9 @@ every function and class a module defines is used by some module.
 
 Lines marked `# noqa: F401` (re-exports) are exempt from the first scan; a
 re-export in `__init__` counts as a use for the second. A third scan keeps
-the contractions in `rewrite.py` building through the shape table, and a
-fourth keeps the trace audit in `analysis.py` from rebuilding a state.
+the contractions in `rewrite.py` building through the shape table, a
+fourth keeps the trace audit in `analysis.py` from rebuilding a state, and
+a fifth keeps `strategy.py` from ordering a session's moves itself.
 """
 
 import ast
@@ -138,3 +139,19 @@ def test_the_audit_never_rebuilds_a_state():
     the recorded path: analysis.py calls neither step nor replace_at."""
     path = Path(lax.__file__).parent / "analysis.py"
     assert _calls(path, {"step", "replace_at"}) == []
+
+
+def test_the_strategy_orders_no_moves_of_its_own():
+    """The side strategy takes the first move of each kind in the order
+    discovery gives (rewrite.redexes_at): strategy.py reads no redex's
+    component, sender or receiver, and sorts nothing but sessions."""
+    tree = ast.parse((Path(lax.__file__).parent / "strategy.py").read_text(encoding="utf-8"))
+    fields = [n.attr for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and n.attr in {"comp", "sender", "receiver"}]
+    assert fields == []
+    ordered = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+               and getattr(n.func, "id", None) in {"min", "max", "sorted"}]
+    assert [ast.unparse(n.args[0]) for n in ordered] == ["upper"]
+    upper = [n.value for n in ast.walk(tree)
+             if isinstance(n, ast.Assign) and ast.unparse(n.targets[0]) == "upper"]
+    assert [ast.unparse(v) for v in upper] == ["uppermost_active_sessions(run.t)"]

@@ -65,7 +65,6 @@ from lax.terms import (
     free_chans,
     free_names,
     is_parallel_node,
-    iter_subterms,
     rename_chan,
     subterm_at,
 )
@@ -78,6 +77,7 @@ from oracles import (
     chan_occurrences,
     find_redexes_oracle,
     fresh_copy,
+    iter_subterms,
     leftmost_innermost_oracle,
     random_order_run,
     value_complexity_oracle,

@@ -1,6 +1,8 @@
 """The phased normalization loop: order, determinism, limits, traces."""
 
+import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,20 +28,23 @@ from lax import (
     step,
 )
 from lax.rewrite import (
+    CHASE,
     INTUITIONISTIC,
     find_redexes,
     pick_redex,
+    redexes_at,
     uppermost_active_sessions,
 )
-from lax.strategy import _intuitionistic, _parallel_form, _Run
+from lax.strategy import _communication, _intuitionistic, _parallel_form, _Run, _side_move
 
 from oracles import (
     find_redexes_oracle,
     leftmost_innermost_oracle,
+    side_move_oracle,
     uppermost_active_oracle,
 )
 
-A, B, C, Z = Atom("A"), Atom("B"), Atom("C"), Atom("Z")
+A, B, C, D, Z = Atom("A"), Atom("B"), Atom("C"), Atom("D"), Atom("Z")
 
 PHASES = ["ParallelForm", "Intuitionistic", "Activation", "Communication"]
 
@@ -317,3 +322,137 @@ def test_uppermost_active_sessions_match_the_oracle_on_the_examples(name):
     assert any(uppermost_active_sessions(u) for u in states)
     for u in states:
         assert uppermost_active_sessions(u) == uppermost_active_oracle(u)
+
+
+# --------------------------------------------------------------------------
+# the side strategy's move
+
+
+def _side_move_in(t, discipline):
+    return _side_move(_Run(t, None, discipline))
+
+
+def _side_moves_as_the_oracle_says(trace):
+    """_side_move is side_move_oracle at every state the communication
+    phase starts a move from, and at the end of the run; a side move
+    starts where no projection or case permutation is left to chase.
+    The kinds of choice the states offered: (several hoists at one
+    session, several basic crosses, a basic and a full cross)."""
+    d = trace.underline_discipline
+    states = [trace.initial] + [s.term_after for s in trace.steps]
+    at = [i for i, s in enumerate(trace.steps)
+          if s.phase == "Communication" and s.redex.kind not in CHASE]
+    offered = set()
+    for i in at + [len(states) - 1]:
+        u = states[i]
+        assert _side_move_in(u, d) == side_move_oracle(u, d)
+        assert i == len(states) - 1 or pick_redex(u, d, CHASE) is None
+        for path, session in uppermost_active_sessions(u):
+            kinds = [r.kind for r in redexes_at(session, path, d)]
+            if kinds.count(RedexKind.PAR_PAR_PERM) > 1:
+                offered.add("hoists")
+            if kinds.count(RedexKind.BASIC_CROSS) > 1:
+                offered.add("basics")
+            if RedexKind.BASIC_CROSS in kinds and RedexKind.FULL_CROSS in kinds:
+                offered.add("basic and full")
+    return offered
+
+
+def _frozen_runs(workload):
+    data = Path(__file__).resolve().parent.parent / "perfbench" / "data" / f"{workload}.jsonl"
+    for line in data.read_text().splitlines()[1:]:
+        rec = json.loads(line)
+        prog = parse_program(rec["source"])
+        t, _ = check(prog.term, TypingContext(ivars=dict(prog.gamma)))
+        yield normalize(t, underline_discipline=rec["underline"])[1]
+
+
+@pytest.mark.parametrize("workload, choices", [
+    ("comm", {"basics", "basic and full"}),
+    ("heavy", {"hoists"}),
+])
+def test_the_side_move_is_the_oracles_on_the_frozen_programs(workload, choices):
+    offered = set()
+    for trace in _frozen_runs(workload):
+        offered |= _side_moves_as_the_oracle_says(trace)
+    assert choices <= offered
+
+
+@pytest.mark.parametrize("name", ["broadcast_em3", "godel", "mobility", "or", "scheduler_c3"])
+def test_the_side_move_is_the_oracles_on_the_examples(name):
+    source = (resources.files("lax") / "examples" / f"{name}.lax").read_text()
+    prog = parse_program(source)
+    t, _ = check(prog.term, TypingContext(ivars=dict(prog.gamma)))
+    for discipline in (False, True):
+        _side_moves_as_the_oracle_says(normalize(t, underline_discipline=discipline)[1])
+
+
+@pytest.mark.parametrize("preset", ["em", "em3", "c3", "g2", "godel"])
+def test_the_side_move_is_the_oracles_on_generated_runs(preset):
+    for seed in range(30):
+        _, t = generate(seed, GenConfig(preset=preset, max_size=40))
+        _side_moves_as_the_oracle_says(normalize(t, underline_discipline=seed % 2 == 1)[1])
+
+
+# three components whose basic crosses run 0 -> 1, 0 -> 2 and 1 -> 0
+_GENERAL = "nu a* : AX{A -> B, B -> A, C -> A}. [ f (a x) || g (a y) || h (a z) ]"
+_GENERAL_GAMMA = {"f": Impl(B, D), "g": Impl(A, D), "h": Impl(A, D), "x": A, "y": B, "z": C}
+
+
+def test_a_session_offers_its_basic_crosses_by_sender_then_receiver_before_its_full_cross():
+    t = _typed(_GENERAL, _GENERAL_GAMMA)
+    assert [r.rule for r in redexes_at(t, (), False)] == [
+        "BasicCross(0,1)", "BasicCross(0,2)", "BasicCross(1,0)", "FullCross",
+    ]
+    assert _side_move_in(t, False).rule == "BasicCross(0,1)"
+
+
+@pytest.mark.parametrize("marked, move", [
+    ("f (a x)", "BasicCross(0,1)"),
+    ("g (a y)", "BasicCross(1,0)"),
+    ("h (a z)", "FullCross"),  # the marked sender has no receiver
+])
+def test_under_the_discipline_the_marked_sender_crosses_first(marked, move):
+    t = _typed(_GENERAL.replace(marked, "@" + marked), _GENERAL_GAMMA)
+    assert _side_move_in(t, True).rule == move
+    assert _side_move_in(t, True) == side_move_oracle(t, True)
+
+
+def test_a_hoist_comes_before_a_cross():
+    t = _typed(_GENERAL.replace("h (a z)", "(h (a z) |+| h (a z))"), _GENERAL_GAMMA)
+    assert [r.rule for r in redexes_at(t, (), False)] == [
+        "BasicCross(0,1)", "BasicCross(1,0)", "ParParPerm(2)",
+    ]
+    assert _side_move_in(t, False).rule == "ParParPerm(2)"
+
+
+def test_an_active_session_hoists_its_first_parallel_component_first():
+    src = _GENERAL.replace("f (a x)", "(f (a x) |+| f (a x))").replace(
+        "h (a z)", "(h (a z) |+| h (a z))")
+    t = _typed(src, _GENERAL_GAMMA)
+    assert [r.rule for r in redexes_at(t, (), False)] == ["ParParPerm(0)", "ParParPerm(2)"]
+    assert _side_move_in(t, False).rule == "ParParPerm(0)"
+
+
+def test_the_shallower_session_moves_first_though_the_deeper_is_leftmost():
+    gamma = {"x": A, "u": B, "v": B}
+    inner = "nu c* : EM[A]. [ efq[B](notc x) || u ]"
+    t = _typed(f"nu a* : EM[A]. [ efq[B](nota x) || {inner} ] |+| "
+               f"nu b* : EM[A]. [ efq[B](notb x) || v ]", gamma)
+    assert [p for p, _ in uppermost_active_sessions(t)] == [(0, 1), (1,)]
+    assert _side_move_in(t, False).position == (1,)
+
+
+def test_the_sweep_leaves_an_active_session_s_garbage_alone():
+    """The outer session is active and offers garbage, but it holds an
+    active session that offers nothing, so the side strategy never reaches
+    it, and the sweep collects only on inactive sessions."""
+    gamma = {"x": A, "u": B, "v": B, "p": Impl(A, Impl(B, B))}
+    t = _typed("nu a* : EM[A]. [ efq[B](nota x) || "
+               "nu c* : EM[A]. [ efq[B](notc x) || p c (u |+| v) ] ]", gamma)
+    assert [r.rule for r in find_redexes(t, False, frozenset({RedexKind.GARBAGE_CROSS}))] == [
+        "GarbageCross[1]"
+    ]
+    run = _Run(t, None, False)
+    assert _communication(run) == 0
+    assert run.trace.steps == []

@@ -55,7 +55,6 @@ from lax.terms import (
     children,
     facts_of,
     fresh_name,
-    iter_subterms,
     node_data,
     rebind,
     replace_at,
@@ -74,6 +73,7 @@ from oracles import (
     _mentions_active_session,
     _mentions_parallel,
     fresh_copy,
+    iter_subterms,
     replace_at_oracle,
     uppermost_active_oracle,
     with_kids_oracle,

@@ -52,11 +52,12 @@ from lax import (
 )
 from lax import typecheck
 from lax.rewrite import multiple_subst
-from lax.terms import facts_of, iter_subterms, replace_at, subterm_at
+from lax.terms import facts_of, replace_at, subterm_at
 
 from oracles import (
     check_oracle,
     fresh_copy,
+    iter_subterms,
     subject_reduction_oracle,
     type_of_oracle,
 )
