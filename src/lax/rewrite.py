@@ -87,7 +87,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .axioms import em_axiom, general_axiom
 from .formulas import BOT, Formula, Impl, conj
@@ -244,8 +244,9 @@ ACTIVATION = frozenset({RedexKind.ACTIVATION})
 COMMUNICATION = CROSSES | ACTIVATION | {RedexKind.GARBAGE_CROSS}
 
 
-@dataclass(frozen=True, slots=True)
-class Redex:
+class Redex(NamedTuple):
+    # an immutable record, compared and hashed by value; of the record
+    # types, a NamedTuple is the cheapest to build, and discovery builds many
     kind: RedexKind
     position: Path
     complexity: int
@@ -528,8 +529,7 @@ def _scanned(s: ParBind) -> tuple[tuple, tuple]:
 def _moved(r: Redex, path: Path) -> Redex:
     if path == r.position:
         return r
-    return Redex(r.kind, path, r.complexity, r.which, r.comp, r.sender,
-                 r.receiver, r.survivors)
+    return r._make((r.kind, path) + r[2:])
 
 
 def _offers(s: Term, want: int) -> bool:
@@ -872,7 +872,7 @@ def _offering(t: Term, r: Redex) -> Optional[Term]:
     except IndexError:
         return None
     _redex_facts(s)
-    here = _moved(r, ())
+    here = (r.kind, ()) + r[2:]  # r at (), as a plain tuple
     return s if any(q == here for _, q in _own(s, False)) else None
 
 

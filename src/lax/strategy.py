@@ -39,6 +39,7 @@ from .rewrite import (
     uppermost_active_sessions,
 )
 from .terms import Term, subterm_at
+from .typecheck import require_type
 
 PHASE_PARALLEL = "ParallelForm"
 PHASE_INTUITIONISTIC = "Intuitionistic"
@@ -246,10 +247,12 @@ def normalize(
 ) -> tuple[Term, Trace]:
     """Run the full strategy; returns the final term and the trace.
 
-    Raises StepLimitExceeded when the step budget runs out and
-    ParallelFormFailure when a parallel node cannot be permuted onto the
-    spine. Identical inputs and flags give identical traces.
+    Raises TypingError when t does not type (see typecheck.require_type),
+    StepLimitExceeded when the step budget runs out and ParallelFormFailure
+    when a parallel node cannot be permuted onto the spine. Identical
+    inputs and flags give identical traces.
     """
+    require_type(t)
     run = _Run(t, max_steps, underline_discipline)
     _parallel_form(run)
     cycle = 0

@@ -6,13 +6,16 @@ redex positions refer to.
 
 One table, _SHAPES, states each constructor's shape: the fields holding its
 subterms, in path order, and which field names what it binds in which
-child. children(), node_data(), with_children(), with_child(), binder() and
+child. node_data(), with_children(), with_child(), binder() and
 binder_names() are read off it, and so is HOLES, the hole of each
-eliminator: its first child. A node is rebuilt by one positional call of
-its constructor: at import, each constructor gets a getter of its children
-and functions that build it anew with all its children or with one,
-generated from its shape. replace_at() makes one such call per level of the
-path; dataclasses.replace is left for a field that is not a child. Free
+eliminator: its first child. At import, each node class gets a constructor
+generated from its shape, which stores the node's children, in path order,
+in a slot outside the dataclass fields (a session's components are that
+tuple itself, a leaf's is ()), so children() reads a slot; and functions
+that build it anew with all its children or with one, each one positional
+call of the constructor. replace_at() makes one such call per level of the
+path; dataclasses.replace is left for a field that is not a child. copy,
+deepcopy and pickle rebuild a node through its constructor too. Free
 names and alpha-equivalence are walks over children() that read
 binder_names(). Substitution, renaming and channel substitution share one
 walk, _map_free, on an explicit stack; it returns a node none of whose
@@ -26,7 +29,8 @@ assumes elaborated terms, so type_of, read off a node's judgement, needs no
 environment.
 
 A node remembers facts in one record (Facts) kept in a slot outside its
-dataclass fields, so equality, hashing, repr and replace() ignore them.
+dataclass fields, so equality, hashing, repr and replace() ignore them; the
+constructor sets it to None.
 Nodes are frozen and every change builds fresh nodes, so a remembered fact
 cannot go stale; a node shared by several terms, or sitting at several
 positions of one, has the same facts at each. remembered() is the loop
@@ -43,7 +47,7 @@ type, free names and mark, which depend on no context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from operator import attrgetter, is_
 from typing import Callable, NamedTuple, Optional
 
@@ -52,13 +56,19 @@ from .formulas import Formula
 
 
 class Term:
-    # every node has room for its Facts record (see remembered())
-    __slots__ = ("_facts",)
+    # every node has room for its Facts record (see remembered()) and keeps
+    # its children, in path order, from its constructor (see _compiled())
+    __slots__ = ("_facts", "_kids")
 
     def __str__(self) -> str:
         from .printer import show_term
 
         return show_term(self)
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, which
+        # stores the children; the dataclass state holds the fields only
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,9 +170,6 @@ class Underline(Term):
     body: Term
 
 
-TT = Unit()
-
-
 # ---------------------------------------------------------------------------
 # node shapes: the one table of subterms and binders
 
@@ -195,12 +202,14 @@ _SHAPES: dict[type, _Shape] = {
 
 
 def _compiled(cls: type, shape: _Shape) -> tuple[Callable, ...]:
-    """(kids, data, build, put) for cls, generated from its shape so that
-    no field is named twice: kids(t) gives t's children in path order,
-    data(t) its other fields in field order, build(t, cs) is t with the
+    """(init, data, build, put) for cls, generated from its shape so that
+    no field is named twice: init is its constructor, which stores each
+    field, the children in path order and no Facts record yet, data(t)
+    gives t's other fields in field order, build(t, cs) is t with the
     children cs and put(t, i, c) is t with c for its i-th child, each one
     positional call of the constructor."""
-    names = [f.name for f in fields(cls)]
+    fs = fields(cls)
+    names = [f.name for f in fs]
 
     def fields_of(ns) -> str:
         return "(" + "".join(f"t.{n}, " for n in ns) + ")"
@@ -213,26 +222,40 @@ def _compiled(cls: type, shape: _Shape) -> tuple[Callable, ...]:
     if not shape.kids:
         kids, build, put = "()", "t", "()[i]"  # a leaf has no child to put
     elif shape.spread:
-        kids = f"t.{shape.kids[0]}"
+        kids = shape.kids[0]
         build = call(lambda n: "cs")
         put = call(lambda n: f"t.{n}[:i] + (c,) + t.{n}[i + 1:]")
     else:
-        kids = fields_of(shape.kids)
+        kids = f"({', '.join(shape.kids)},)"
         build = call(lambda n: f"cs[{shape.kids.index(n)}]")
         put = call(lambda n: "c" if n == shape.kids[-1] else f"t.{n}")
         for i in range(len(shape.kids) - 2, -1, -1):
             here = call(lambda n: "c" if n == shape.kids[i] else f"t.{n}")
             put = f"{here} if i == {i} else {put}"
-    scope = {cls.__name__: cls}
-    return tuple(
-        eval(f"lambda {args}: {body}", scope)
-        for args, body in (("t", kids), ("t", data), ("t, cs", build), ("t, i, c", put))
+    # the node is frozen, so its constructor sets each slot through the
+    # slot's descriptor: every field, then the children and no Facts yet
+    scope = {cls.__name__: cls, "_kids": Term._kids.__set__, "_facts": Term._facts.__set__}
+    params, sets = "self", ""
+    for f in fs:
+        scope[f"_{f.name}"], scope[f"{f.name}_"] = getattr(cls, f.name).__set__, f.default
+        params += f", {f.name}" if f.default is MISSING else f", {f.name}={f.name}_"
+        sets += f"_{f.name}(self, {f.name}); "
+    init = f"def __init__({params}): {sets}_kids(self, {kids}); _facts(self, None)"
+    # each under a file name of its own, so a profile tells them apart
+    exec(compile(init, f"<{cls.__name__}.__init__>", "exec"), scope)
+    return (scope["__init__"],) + tuple(
+        eval(compile(f"lambda {args}: {body}", f"<{cls.__name__}.{name}>", "eval"), scope)
+        for name, args, body in (
+            ("data", "t", data), ("build", "t, cs", build), ("put", "t, i, c", put)
+        )
     )
 
 
-_CHILDREN, _DATA, _BUILD, _PUT = {}, {}, {}, {}
+_DATA, _BUILD, _PUT = {}, {}, {}
 for _cls, _shape in _SHAPES.items():
-    _CHILDREN[_cls], _DATA[_cls], _BUILD[_cls], _PUT[_cls] = _compiled(_cls, _shape)
+    _cls.__init__, _DATA[_cls], _BUILD[_cls], _PUT[_cls] = _compiled(_cls, _shape)
+
+TT = Unit()
 
 # the constructors that bind a name in some child
 _BINDERS = frozenset(cls for cls, shape in _SHAPES.items() if shape.binds)
@@ -240,8 +263,8 @@ _BINDERS = frozenset(cls for cls, shape in _SHAPES.items() if shape.binds)
 
 def children(t: Term) -> tuple[Term, ...]:
     try:
-        return _CHILDREN[type(t)](t)
-    except KeyError:
+        return t._kids
+    except AttributeError:
         raise TypeError(f"not a term: {t!r}") from None
 
 
@@ -357,7 +380,7 @@ def remembered(
         waiting = len(todo)
         kids = []
         for c in enter(s):
-            f = getattr(c, "_facts", None)
+            f = c._facts
             if f is None:  # its record, made as it is entered
                 _set_facts(c, Facts())
                 todo.append(c)
@@ -376,7 +399,7 @@ def remembered(
 def facts_of(t: Term) -> Facts:
     """t's record, made now if it has none, for a walk that fills a fact
     in its own order (typecheck.check keeps the judgements it makes)."""
-    f = getattr(t, "_facts", None)
+    f = t._facts
     if f is None:
         f = Facts()
         _set_facts(t, f)

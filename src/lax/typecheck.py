@@ -369,6 +369,27 @@ def has_type(t: Term) -> bool:
     return bool(_judgement(t))
 
 
+def require_type(t: Term) -> None:
+    """Refuse t unless its judgement holds in some context: a TypingError
+    with the refusal's code and message, at the node that makes it (a
+    component's mark is no level, as in check). A checked term pays one
+    remembered read."""
+    if _judgement(t):
+        return
+    path = []
+    while True:  # down to the first refused child, while there is one
+        i = next((i for i, c in enumerate(children(t)) if not _judgement(c)), None)
+        if i is None:
+            break
+        if type(t) is not Underline:
+            path.append(i)
+        t = children(t)[i]
+    r = _judgement(t)
+    if r.child is not None:
+        path.append(r.child)
+    raise TypingError(TypeIssue(r.code, tuple(path), r.message))
+
+
 def _judgement(t: Term):
     return remembered(t, "judgement", _node_judgement)
 

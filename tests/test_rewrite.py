@@ -23,11 +23,13 @@ from lax import (
     TypingContext,
     Var,
     alpha_eq,
+    audit_trace,
     check,
     check_subject_reduction,
     em_axiom,
     find_redexes,
     generate,
+    generate_corpus,
     height,
     is_parallel_form,
     is_value,
@@ -608,7 +610,7 @@ def _assert_session_scans_match_the_walks(states, discipline):
                 if descent_first:
                     assert [_rightmost(s, i) for i in mentioned] == rightmost, where
                 assert redexes_at(s, path, discipline) == [
-                    dataclasses.replace(r, position=path)
+                    r._replace(position=path)
                     for r in _reference_session_redexes(s, discipline)
                 ], where
                 assert session_comm_complexity(s) == _comm_oracle(s), where
@@ -677,6 +679,21 @@ def test_inactive_sessions_with_equal_entries_share_one_scan():
     assert s._facts.redexes[1] is u._facts.redexes[1]
 
 
+def test_the_inactive_scan_cache_stays_small_without_a_bound():
+    """_inactive_scan keeps one entry per distinct tuple of send entries
+    for the life of the process, and needs no bound: tuples repeat. 500
+    terms (100 per preset, seed 1000, max_size 80) leave 45 entries; the
+    4 000 terms of seeds 1000-1007 leave 73."""
+    _inactive_scan.cache_clear()
+    for preset in ("em", "em3", "c3", "g2", "godel"):
+        for gamma, t in generate_corpus(1000, 100, GenConfig(preset=preset, max_size=80)):
+            ctx = TypingContext(ivars=dict(gamma))
+            t, _ = check(t, ctx)
+            _, trace = normalize(t)
+            assert audit_trace(ctx, trace).holds
+    assert _inactive_scan.cache_info().currsize <= 45
+
+
 @pytest.mark.parametrize("entries, other", [
     (((1, True), None), ((1, False), None)),  # the value flag alone
     (((1, True), None), ((2, True), None)),  # the complexity alone
@@ -717,7 +734,7 @@ def test_shared_inactive_scans_match_the_walks(seed, preset, discipline):
             for path, s in iter_subterms(u):
                 if isinstance(s, ParBind) and not s.active:
                     assert redexes_at(s, path, discipline) == [
-                        dataclasses.replace(r, position=path)
+                        r._replace(position=path)
                         for r in _reference_session_redexes(s, discipline)
                     ], f"state {k}, session at {path}"
 
@@ -1087,19 +1104,19 @@ def _positions_off(path):
 def _perturbations(r):
     """r with one field changed at a time."""
     out = [
-        dataclasses.replace(r, complexity=r.complexity + 1),
-        dataclasses.replace(r, complexity=r.complexity - 1),
-        dataclasses.replace(r, kind=next(k for k in RedexKind if k != r.kind)),
+        r._replace(complexity=r.complexity + 1),
+        r._replace(complexity=r.complexity - 1),
+        r._replace(kind=next(k for k in RedexKind if k != r.kind)),
     ]
-    out += [dataclasses.replace(r, position=p) for p in _positions_off(r.position)]
+    out += [r._replace(position=p) for p in _positions_off(r.position)]
     if r.which is not None:
-        out += [dataclasses.replace(r, which=w) for w in _PERM_LABELS if w != r.which]
+        out += [r._replace(which=w) for w in _PERM_LABELS if w != r.which]
     if r.comp is not None:
-        out.append(dataclasses.replace(r, comp=r.comp + 1))
+        out.append(r._replace(comp=r.comp + 1))
     if r.sender is not None:
-        out.append(dataclasses.replace(r, sender=r.receiver, receiver=r.sender))
+        out.append(r._replace(sender=r.receiver, receiver=r.sender))
     if r.survivors is not None:
-        out.append(dataclasses.replace(r, survivors=r.survivors[1:]))
+        out.append(r._replace(survivors=r.survivors[1:]))
     return out
 
 
@@ -1138,6 +1155,24 @@ def test_step_accepts_exactly_the_offered_redexes_on_the_examples():
             _assert_step_accepts_exactly_the_offered(states)
             fired |= {s.redex.kind for s in trace.steps}
     assert CROSSES | {RedexKind.GARBAGE_CROSS} <= fired
+
+
+def test_a_redex_is_an_immutable_value():
+    """Equal redexes, found on two copies of a state, are equal and hash
+    equal; no field of one can be set."""
+    seen = set()
+    for name in EXAMPLES:
+        states, _ = _run_states(_example(name), True)
+        for u in states:
+            rs, again = find_redexes(u, True), find_redexes(fresh_copy(u), True)
+            assert rs == again and [hash(r) for r in rs] == [hash(r) for r in again]
+            seen.update(rs)
+            seen.update(again)
+            for r in rs:
+                for field in Redex._fields:
+                    with pytest.raises(AttributeError):
+                        setattr(r, field, None)
+    assert CROSSES | {RedexKind.GARBAGE_CROSS, RedexKind.PAR_PAR_PERM} <= {r.kind for r in seen}
 
 
 def test_parallel_form_and_height():

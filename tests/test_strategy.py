@@ -8,17 +8,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lax import (
+    App,
     Atom,
+    Chan,
     Disj,
     GenConfig,
     Impl,
+    Lam,
+    Pair,
     ParallelFormFailure,
+    ParBind,
+    Proj,
     RedexKind,
     StepBudgetError,
     StepLimitExceeded,
     TypingContext,
+    TypingError,
+    Underline,
+    Var,
     alpha_eq,
     check,
+    em_axiom,
     generate,
     is_normal,
     is_parallel_form,
@@ -150,6 +160,36 @@ def test_malformed_step_budget_variable_is_refused(raw, monkeypatch):
     with pytest.raises(StepBudgetError):
         normalize(t)
     assert normalize(t, max_steps=5)[1].steps  # an explicit budget wins
+
+
+def _refusal(t):
+    with pytest.raises(TypingError) as e:
+        normalize(t)
+    issue = e.value.issue
+    return issue.code, issue.position, issue.message
+
+
+def test_normalize_refuses_an_unelaborated_term():
+    t = App(Lam("x", A, Var("x")), Var("y"))
+    assert _refusal(t) == ("TypeMismatch", (0, 0), "an occurrence carries no type")
+    # only a ProjPair redex, which no discovery types
+    assert _refusal(Proj(Pair(Var("a"), Var("b")), 0))[0] == "TypeMismatch"
+
+
+@pytest.mark.parametrize("t, gamma", [
+    (App(Lam("x", A, Var("x", A)), Var("y", B)), {"y": B}),
+    (
+        ParBind("a", False, em_axiom(A), (
+            Underline(Pair(Underline(Var("v", A)), Var("v", A))), Chan("a", A)
+        )),
+        {"v": A},
+    ),
+])
+def test_normalize_refuses_what_check_refuses_with_its_code_position_and_message(t, gamma):
+    with pytest.raises(TypingError) as e:
+        check(t, TypingContext(ivars=gamma))
+    want = e.value.issue
+    assert _refusal(t) == (want.code, want.position, want.message)
 
 
 def test_session_under_a_case_branch_cannot_reach_parallel_form():

@@ -3,8 +3,10 @@ renaming, free names, renaming, substitution, channel substitution, and
 alpha-equivalence, on terms built with the constructors (the parser's
 hygiene would rename the clashes these tests need)."""
 
+import copy
 import dataclasses
 import json
+import pickle
 from importlib import resources
 from operator import is_
 from pathlib import Path
@@ -185,9 +187,10 @@ def test_the_walks_survive_a_deep_term():
 def test_a_redex_at_the_bottom_of_a_deep_chain_normalizes():
     depth = 5_000
     t = _pair_chain(depth, Proj(Pair(Var("a"), Var("b")), 0))
+    t, _ = check(t, TypingContext(ivars={"x": A, "a": A, "b": B}))
     final, trace = normalize(t)
     assert [s.redex.position for s in trace.steps] == [(1,) * depth]
-    assert subterm_at(final, (1,) * depth) == Var("a")
+    assert subterm_at(final, (1,) * depth) == Var("a", A)
     assert term_size(final) == 2 * depth + 1
     # only the path is rebuilt; every sibling is shared
     out, old = replace_at(t, (1,) * depth, Var("c")), t
@@ -203,13 +206,19 @@ def test_a_redex_at_the_bottom_of_a_deep_chain_normalizes():
 DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
+def _frozen_records():
+    """The benchmark's 589 frozen programs."""
+    for path in sorted(DATA.glob("*.jsonl")):
+        for line in path.read_text().splitlines()[1:]:
+            yield json.loads(line)
+
+
 def _frozen_and_example_terms():
     """The checked initial terms of the benchmark's 589 frozen programs,
     then every state of the five examples' runs."""
-    for path in sorted(DATA.glob("*.jsonl")):
-        for line in path.read_text().splitlines()[1:]:
-            prog = parse_program(json.loads(line)["source"])
-            yield check(prog.term, TypingContext(ivars=dict(prog.gamma)))[0]
+    for rec in _frozen_records():
+        prog = parse_program(rec["source"])
+        yield check(prog.term, TypingContext(ivars=dict(prog.gamma)))[0]
     for name in EXAMPLES:
         yield from _example_states(name)
 
@@ -257,6 +266,87 @@ def test_replace_at_rebuilds_the_path_and_shares_every_sibling():
                 assert all(kids[j] is was[j] for j in range(len(was)) if j != i)
                 out, old = kids[i], was[i]
             assert out is new
+
+
+# --------------------------------------------------------------------------
+# stored children: each node keeps, from its constructor, the children the
+# oracle reads off its fields
+
+
+def _assert_keeps_its_children(s):
+    kids, got = _kids(s), children(s)
+    assert isinstance(got, tuple) and len(got) == len(kids), s
+    assert all(map(is_, got, kids)), s
+
+
+def _assert_every_node_keeps_its_children(roots):
+    """Every node below roots, each looked at once however often it is
+    shared; roots keeps them alive, so no id is reused."""
+    seen, todo = set(), list(roots)
+    while todo:
+        s = todo.pop()
+        if id(s) not in seen:
+            seen.add(id(s))
+            _assert_keeps_its_children(s)
+            todo.extend(_kids(s))
+
+
+def test_every_node_of_the_frozen_traces_and_the_examples_keeps_its_children():
+    count = 0
+    for rec in _frozen_records():
+        count += 1
+        prog = parse_program(rec["source"])
+        term, _ = check(prog.term, TypingContext(ivars=dict(prog.gamma)))
+        _, trace = normalize(term, underline_discipline=rec["underline"])
+        _assert_every_node_keeps_its_children(
+            [prog.term, term] + [s.term_after for s in trace.steps]
+        )
+    assert count == 589
+    for name in EXAMPLES:
+        _assert_every_node_keeps_its_children(_example_states(name))
+
+
+def test_every_builder_stores_the_children():
+    """with_children, with_child, replace_at and dataclasses.replace; the
+    parser and check are covered on every frozen program above."""
+    new = Var("new")
+    for t in _frozen_and_example_terms():
+        for path, s in iter_subterms(t):
+            kids = _kids(s)
+            for out in (with_children(s, kids), dataclasses.replace(s)):
+                _assert_keeps_its_children(out)
+            for i in range(len(kids)):
+                _assert_keeps_its_children(with_child(s, i, new))
+            out = replace_at(t, path, new)
+            for i in path:
+                _assert_keeps_its_children(out)
+                out = _kids(out)[i]
+            assert out is new
+
+
+def test_copies_and_pickles_keep_their_children():
+    for t in _frozen_and_example_terms():
+        for out in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert out == t and out is not t
+            _assert_every_node_keeps_its_children([out])
+        for _, s in iter_subterms(t):
+            out = copy.copy(s)
+            assert out == s and hash(out) == hash(s) and repr(out) == repr(s)
+            _assert_keeps_its_children(out)
+
+
+def test_a_node_is_frozen():
+    t = App(Var("f", Impl(A, B)), Var("x", A))
+    for field in ("fun", "arg"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, field, Var("y"))
+    # a slot outside the fields is refused too; CPython 3.11's frozen
+    # __setattr__ of a slotted dataclass raises TypeError there
+    with pytest.raises((AttributeError, TypeError)):
+        t._kids = ()
+    assert children(t) == (Var("f", Impl(A, B)), Var("x", A))
+    with pytest.raises(TypeError, match="not a term"):
+        children((Var("f"), Var("x")))
 
 
 # --------------------------------------------------------------------------
