@@ -4,12 +4,16 @@ Nothing here proves anything; these functions decide, for one term or one
 trace, whether the guarantees the reduction theory promises actually held,
 and report witnesses when they did not. They are deliberately written
 against the definitions rather than against the engine's internals, so an
-engine bug shows up as a failed report instead of being replicated.
+engine bug shows up as a failed report instead of being replicated. The
+trace audit reads the path each step rebuilt, and whole states only where
+that does not settle the step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import groupby
 
 from .formulas import (
     BOT,
@@ -25,6 +29,7 @@ from .rewrite import (
     COMMUNICATION,
     CROSSES,
     GROUP1,
+    GROUP2,
     INTUITIONISTIC,
     PEAK_GROUPS,
     InvalidRedex,
@@ -34,6 +39,7 @@ from .rewrite import (
     find_redexes,
     is_parallel_form,
     redex_peaks,
+    redexes_at,
     uppermost_active_sessions,
 )
 from .strategy import (
@@ -292,10 +298,10 @@ def audit_trace(ctx: TypingContext, trace: Trace) -> PropertyReport:
     # every step into or out of one that does not
     typed = [has_type(t) for t in terms]
 
-    _audit_replay(rep, trace, terms, typed)
+    replayed = _audit_replay(rep, trace, terms, typed)
     _audit_phase_order(rep, trace)
     _audit_subject_reduction(rep, ctx, trace, terms)
-    _audit_decrease(rep, trace, terms, typed, disc)
+    _audit_decrease(rep, trace, terms, typed, replayed, disc)
     _audit_activation_phases(rep, trace, terms, typed, disc)
     _audit_freeze(rep, trace, terms, typed, disc)
     _audit_communication_measure(rep, trace, terms, typed)
@@ -305,7 +311,9 @@ def audit_trace(ctx: TypingContext, trace: Trace) -> PropertyReport:
 
 def _audit_replay(
     rep: PropertyReport, trace: Trace, terms: list[Term], typed: list[bool]
-) -> None:
+) -> list[bool]:
+    """Whether each step's recorded state after is what its redex gives."""
+    replayed = [False] * len(trace.steps)
     for i, ts in enumerate(trace.steps):
         r = ts.redex
         try:
@@ -315,8 +323,11 @@ def _audit_replay(
         except InvalidRedex as e:
             rep.add(f"step {i}", f"recorded redex no longer applies: {e}")
             continue
-        if not _same_after(terms[i], ts.term_after, r.position, new):
+        if _same_after(terms[i], ts.term_after, r.position, new):
+            replayed[i] = True
+        else:
             rep.add(f"step {i}", f"replaying {r.rule} gives a different term")
+    return replayed
 
 
 def _same_after(before: Term, after: Term, path: Path, new: Term) -> bool:
@@ -390,11 +401,10 @@ def _audit_subject_reduction(
 
 def _audit_decrease(
     rep: PropertyReport, trace: Trace, terms: list[Term], typed: list[bool],
-    disc: bool,
+    replayed: list[bool], disc: bool,
 ) -> None:
-    """Every redex after a step stays within the bound the decrease clause
-    of the fired redex's group sets for its own group: the state after is
-    listed only when some group's complexity peak breaks its bound."""
+    """Every redex after a step is within its group's bound under the fired
+    redex's clause: on what a replayed step built, else on both whole states."""
     for i, ts in enumerate(trace.steps):
         if ts.phase == PHASE_PARALLEL or not (typed[i] and typed[i + 1]):
             continue
@@ -403,44 +413,73 @@ def _audit_decrease(
             RedexKind.PAR_PERM, RedexKind.PAR_PAR_PERM, RedexKind.ACTIVATION
         ):
             continue
-        tau = fired.complexity
-        *caps, case_perm = redex_peaks(terms[i], disc)
-        if fired.group == GROUP1:
-            clause, floor = "first", max(tau - 1, case_perm)
-        else:
-            clause, floor = "second", tau
-        bounds = [max(floor, c) for c in caps]
-        if all(p <= b for p, b in zip(redex_peaks(terms[i + 1], disc), bounds)):
+        if replayed[i] and _built_within(terms[i], terms[i + 1], fired, disc):
             continue
-        bound = dict(zip(PEAK_GROUPS, bounds))
+        peaks = redex_peaks(terms[i], disc)
+        clause, bound = _clause_bounds(fired.group, fired.complexity, peaks)
+        if all(p <= b for p, b in zip(redex_peaks(terms[i + 1], disc), bound.values())):
+            continue
         for q in find_redexes(terms[i + 1], disc):
             if q.complexity > bound[q.group]:
                 rep.add(
                     f"step {i}",
-                    f"after {fired.rule} (complexity {tau}), redex {q.rule} at "
-                    f"{list(q.position)} has complexity {q.complexity}, above "
-                    f"every bound of the {clause} decrease clause",
+                    f"after {fired.rule} (complexity {fired.complexity}), redex "
+                    f"{q.rule} at {list(q.position)} has complexity {q.complexity}, "
+                    f"above every bound of the {clause} decrease clause",
                 )
+
+
+@cache  # few groups, complexities and peaks recur; the bounds are only read
+def _clause_bounds(group, tau: int, peaks: tuple = ()) -> tuple[str, dict]:
+    """A fired redex's clause and each group's bound after it, from peaks before
+    or from the fired redex alone (only the first clause reads CasePerm's)."""
+    *caps, case_perm = peaks or [tau if g == group else -1 for g in PEAK_GROUPS] + [-1]
+    if group == GROUP1:
+        clause, floor = "first", max(tau - 1, case_perm)
+    else:
+        clause, floor = "second", tau
+    return clause, {g: max(floor, c) for g, c in zip(PEAK_GROUPS, caps)}
+
+
+def _peaks(redexes: list[Redex]) -> tuple:
+    """redex_peaks' maxima over these redexes alone."""
+    top = [-1] * (len(PEAK_GROUPS) + 1)
+    for r in redexes:  # its group's slot, and the last for a CasePerm
+        for k in [PEAK_GROUPS.index(r.group)] + [-1] * (r.kind is RedexKind.CASE_PERM):
+            top[k] = max(top[k], r.complexity)
+    return tuple(top)
+
+
+def _built_within(before: Term, after: Term, fired: Redex, disc: bool) -> bool:
+    """What a replayed step built (the path's new own redexes and the subtree at
+    the position; off the path both states are equal) is within bounds read low
+    from before's redexes on the path. A session offers hoists of complexity 0,
+    else redexes at a value complexity it sends, which its formulas bound."""
+    old, built = [fired], []
+    _, bound = _clause_bounds(fired.group, fired.complexity)
+    for k in fired.position:
+        if type(after) is not ParBind or bound[GROUP2] < max(
+                f.complexity for f in _binder_kind_formulas(after)):
+            high = [r for r in redexes_at(after, (), disc) if r.complexity > bound[r.group]]
+            if high:
+                here = redexes_at(before, (), disc)
+                old += here
+                built += [r for r in high if r not in here]
+        before, after = children(before)[k], children(after)[k]
+    if len(old) > 1:  # a node before raised the bounds
+        _, bound = _clause_bounds(fired.group, fired.complexity, _peaks(old))
+    return all(r.complexity <= bound[r.group] for r in built) and all(
+        p <= b for p, b in zip(redex_peaks(after, disc), bound.values()))
 
 
 def _phase_spans(trace: Trace, phase: str) -> list[tuple[int, int]]:
     """Maximal runs [start, end) of steps with the given phase tag."""
-    spans = []
-    i = 0
-    steps = trace.steps
-    while i < len(steps):
-        if steps[i].phase == phase:
-            j = i
-            while (
-                j < len(steps)
-                and steps[j].phase == phase
-                and steps[j].cycle == steps[i].cycle
-            ):
-                j += 1
+    spans, i = [], 0
+    for (tag, _), run in groupby(trace.steps, lambda s: (s.phase, s.cycle)):
+        j = i + len(list(run))
+        if tag == phase:
             spans.append((i, j))
-            i = j
-        else:
-            i += 1
+        i = j
     return spans
 
 
@@ -547,9 +586,8 @@ def _cycle_entry_indices(trace: Trace) -> dict[int, int]:
     """Index into terms[] of the first state of each cycle."""
     entries: dict[int, int] = {}
     for i, ts in enumerate(trace.steps):
-        if ts.phase == PHASE_PARALLEL:
-            continue
-        entries.setdefault(ts.cycle, i)
+        if ts.phase != PHASE_PARALLEL:
+            entries.setdefault(ts.cycle, i)
     return entries
 
 

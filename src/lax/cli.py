@@ -6,9 +6,9 @@ replays the bundled programs against their golden normal forms, and
 `fuzz` generates random well-typed terms and audits every run.
 
 Exit codes: 0 success, 1 bad input (usage errors included), 2 step limit
-exceeded, 3 a checked property failed. With --format json, every line
-printed to stdout is one JSON object; identical invocations print identical
-bytes.
+exceeded, 3 a checked property failed, 4 an internal error. With --format
+json, every line printed to stdout is one JSON object; identical invocations
+print identical bytes.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_LIMIT = 2
 EXIT_VIOLATION = 3
+EXIT_INTERNAL = 4
 
 
 class _Out:
@@ -417,12 +418,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         StepBudgetError, LaxSyntaxError, TypingError, _InputError,
         ParallelFormFailure,
     ) as e:
-        _Out(args.format).emit({"event": "error", "error": str(e)}, f"error: {e}")
-        return EXIT_INPUT
+        msg, code = str(e), EXIT_INPUT
     except RecursionError:
-        msg = "input nested too deeply"
-        _Out(args.format).emit({"event": "error", "error": msg}, f"error: {msg}")
-        return EXIT_INPUT
+        msg, code = "input nested too deeply", EXIT_INPUT
+    except Exception as e:  # a fault of lax itself: reported, no traceback
+        msg, code = f"internal error: {type(e).__name__}: {e}", EXIT_INTERNAL
+    _Out(args.format).emit({"event": "error", "error": msg}, f"error: {msg}")
+    return code
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ both sides of a comparison. iter_subterms, the walk with paths that only
 tests use, lives here too. chan_occurrences, the walk the engine used to find
 channel occurrences, communication_measure_oracle, the measure's
 whole-term walks, replay_oracle, the trace replay that rebuilds each
-state, side_move_oracle, the side strategy's choice by least fields,
+state, decrease_oracle, the decrease clauses over every redex of both
+states, side_move_oracle, the side strategy's choice by least fields,
 show_formula_oracle, the recursive printer, and check_oracle and
 type_of_oracle, the recursive typer and type synthesis, are kept here to
 check what replaced them. The oracles that type a term
@@ -1241,4 +1242,62 @@ def replay_oracle(trace) -> list[tuple[str, str]]:
                     (f"step {i}", f"replaying {ts.redex.rule} gives a different term")
                 )
         before = ts.term_after
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the decrease clauses, over every redex of both states
+#
+# The audit checks a replayed step on what it built, against bounds read
+# low from the path, and compares whole states by their complexity peaks
+# only when that fails. Here every redex of both states is listed, and
+# each redex after the step is held to its clause's bound.
+
+_FIRST_GROUP = frozenset({RedexKind.BETA, RedexKind.CASE_INJ})
+_PERMUTATIONS = frozenset({RedexKind.PAR_PERM, RedexKind.PAR_PAR_PERM})
+_UNBOUNDED = _PERMUTATIONS | {RedexKind.ACTIVATION}
+
+
+def _clause_group(kind: RedexKind) -> int:
+    """1 for the first group, 3 for the parallel permutations, 2 for every
+    other rule."""
+    return 1 if kind in _FIRST_GROUP else 3 if kind in _PERMUTATIONS else 2
+
+
+def decrease_oracle(trace) -> list[tuple[str, str]]:
+    """The witnesses of the trace audit's decrease check, in its wording.
+
+    After a redex of complexity τ of the first group (Beta, CaseInj), a
+    redex is within the first clause when its complexity is at most τ − 1,
+    at most that of a CasePerm of the state before, or at most that of a
+    redex of its own group before. After one of the second group, the
+    second clause allows τ, or again its own group's highest before. The
+    parallel-form phase, the permutations and activations are bound by
+    neither clause. Every state must type."""
+    out: list[tuple[str, str]] = []
+    disc = trace.underline_discipline
+    before = trace.initial
+    for i, ts in enumerate(trace.steps):
+        r, after = ts.redex, ts.term_after
+        if ts.phase != "ParallelForm" and r.kind not in _UNBOUNDED:
+            old = find_redexes_oracle(before, disc)
+            tau = r.complexity
+            if r.kind in _FIRST_GROUP:
+                perms = [q.complexity for q in old if q.kind is RedexKind.CASE_PERM]
+                clause, floor = "first", max([tau - 1] + perms)
+            else:
+                clause, floor = "second", tau
+            for q in find_redexes_oracle(after, disc):
+                group = _clause_group(q.kind)
+                if q.complexity > floor and all(
+                    q.complexity > p.complexity
+                    for p in old if _clause_group(p.kind) == group
+                ):
+                    out.append((
+                        f"step {i}",
+                        f"after {r.rule} (complexity {tau}), redex {q.rule} at "
+                        f"{list(q.position)} has complexity {q.complexity}, above "
+                        f"every bound of the {clause} decrease clause",
+                    ))
+        before = after
     return out

@@ -43,12 +43,13 @@ from lax import (
     normalize,
     parse_program,
     parse_term,
+    redexes_at,
     show_term,
     step,
     type_of,
 )
 from lax import analysis, typecheck
-from lax.rewrite import CROSSES, Redex, RedexKind
+from lax.rewrite import CROSSES, INTUITIONISTIC, Redex, RedexKind
 from lax.strategy import Trace, TraceStep
 from lax.terms import (
     build_tuple,
@@ -60,6 +61,7 @@ from lax.terms import (
 
 from oracles import (
     communication_measure_oracle,
+    decrease_oracle,
     fresh_copy,
     iter_subterms,
     random_order_run,
@@ -358,6 +360,7 @@ def test_subject_reduction_judges_again_in_another_context():
 
 
 def _count_discovery(monkeypatch):
+    """The states the decrease audit hands find_redexes, in order."""
     calls = []
     found = analysis.find_redexes
 
@@ -369,12 +372,33 @@ def _count_discovery(monkeypatch):
     return calls
 
 
+def _count_peaks(monkeypatch):
+    """The terms the decrease audit hands redex_peaks, in order."""
+    calls = []
+    peaks = analysis.redex_peaks
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return peaks(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "redex_peaks", counted)
+    return calls
+
+
 def _decrease_witnesses(trace):
+    """The decrease audit's witnesses, after the replay it reads."""
     rep = PropertyReport("decrease", True)
     terms = [trace.initial] + [s.term_after for s in trace.steps]
     typed = [typecheck.has_type(t) for t in terms]
-    analysis._audit_decrease(rep, trace, terms, typed, trace.underline_discipline)
+    replayed = analysis._audit_replay(PropertyReport("replay", True), trace, terms, typed)
+    analysis._audit_decrease(
+        rep, trace, terms, typed, replayed, trace.underline_discipline
+    )
     return rep.witnesses
+
+
+def _same_nodes(calls, expected):
+    return len(calls) == len(expected) and all(map(lambda a, b: a is b, calls, expected))
 
 
 def test_decrease_audit_finds_each_state_s_redexes_once(monkeypatch):
@@ -383,8 +407,128 @@ def test_decrease_audit_finds_each_state_s_redexes_once(monkeypatch):
     assert [s.redex.rule for s in trace.steps] == ["Beta", "ProjPair", "ProjPair"]
     calls = _count_discovery(monkeypatch)
     assert _decrease_witnesses(trace) == []
-    # a clean step is judged on the remembered complexity peaks alone
+    # a clean step is judged without listing any state
     assert calls == []
+
+
+def test_a_clean_step_reads_no_whole_state(monkeypatch):
+    """Each step below the root is judged on its path and on the peaks of
+    the subtree at its position alone."""
+    gamma = {"y": A}
+    _, trace = normalize(_typed("<y, (\\x : A. <x, <x, x>>) y pi1 pi0>", gamma))
+    assert [s.redex.rule for s in trace.steps] == ["Beta", "ProjPair", "ProjPair"]
+    assert all(s.redex.position for s in trace.steps)
+    found, peaks = _count_discovery(monkeypatch), _count_peaks(monkeypatch)
+    assert _decrease_witnesses(trace) == []
+    assert found == []
+    assert _same_nodes(peaks, [subterm_at(s.term_after, s.redex.position)
+                               for s in trace.steps])
+
+
+def _one_step(src, gamma, phase, redex, after):
+    """A trace of one recorded step from src to after."""
+    trace = Trace(initial=_typed(src, gamma))
+    trace.steps.append(TraceStep(1, phase, redex, _typed(after, gamma)))
+    return trace
+
+
+# an inactive EM session in a case scrutinee whose second component
+# survives the garbage cross as an injection: the case above it becomes a
+# CaseInj of complexity 2, above the second clause's bound 0
+_EM = ("nu a : EM[A /\\ B]. [ inj0[P \\/ B \\/ C](efq[P](nota <efq[A](w), efq[B](w)>))"
+       " || inj0[P \\/ B \\/ C](p) ]")
+_EM_GAMMA = {"w": Bot(), "p": Atom("P")}
+_GARBAGE = Redex(RedexKind.GARBAGE_CROSS, (0, 0), 0, survivors=(1,))
+
+
+def test_a_step_that_builds_a_redex_above_every_bound_is_reported(monkeypatch):
+    trace = _one_step(
+        f"efq[P](case {_EM} of {{u. w | v. w}})", _EM_GAMMA, "Communication",
+        _GARBAGE, "efq[P](case inj0[P \\/ B \\/ C](p) of {u. w | v. w})",
+    )
+    found = _count_discovery(monkeypatch)
+    witnesses = [(
+        "step 0",
+        "after GarbageCross[1] (complexity 0), redex CaseInj at [0] has "
+        "complexity 2, above every bound of the second decrease clause",
+    )]
+    assert _decrease_witnesses(trace) == witnesses == decrease_oracle(trace)
+    assert _same_nodes(found, [trace.steps[0].term_after])
+
+
+def test_a_built_redex_that_an_old_one_covers_holds_on_the_whole_states(monkeypatch):
+    """The rebuilt case offers a CaseInj of complexity 2, above the bounds
+    read from the path, but the CaseInj off the path has it too: the
+    whole states' peaks settle the step, and no state is listed."""
+    old = "case inj0[P \\/ B \\/ C](p) of {u. w | v. w}"
+    redex = _GARBAGE._replace(position=(0, 0, 0))
+    trace = _one_step(
+        f"<efq[P](case {_EM} of {{u. w | v. w}}), {old}>", _EM_GAMMA,
+        "Communication", redex, f"<efq[P]({old}), {old}>",
+    )
+    found, peaks = _count_discovery(monkeypatch), _count_peaks(monkeypatch)
+    assert _decrease_witnesses(trace) == [] == decrease_oracle(trace)
+    assert found == []
+    assert _same_nodes(peaks, [trace.initial, trace.steps[0].term_after])
+
+
+def test_a_step_that_does_not_replay_is_judged_on_the_whole_states(monkeypatch):
+    """The recorded state after is not what the Beta gives: the ProjPair
+    off the Beta's path is new, and only the whole states show it."""
+    trace = _one_step(
+        "<(\\x : A. x) y, y>", {"y": A}, "Intuitionistic",
+        Redex(RedexKind.BETA, (0,), 1), "<y, <\\u : A. u, y> pi0>",
+    )
+    found, peaks = _count_discovery(monkeypatch), _count_peaks(monkeypatch)
+    witnesses = [(
+        "step 0",
+        "after Beta (complexity 1), redex ProjPair at [1] has complexity 1, "
+        "above every bound of the first decrease clause",
+    )]
+    assert _decrease_witnesses(trace) == witnesses == decrease_oracle(trace)
+    after = trace.steps[0].term_after
+    assert _same_nodes(peaks, [trace.initial, after]) and _same_nodes(found, [after])
+
+
+def test_the_first_clause_allows_one_less_than_the_fired_complexity():
+    """A Beta of complexity 2 drops the session that kept the projected
+    case from being simply typed: the CasePerm over it rises from 0 to 2,
+    the complexity of the injections in its branches, which the first
+    clause does not allow."""
+    gamma = {"w": Bot(), "a0": A, "b": B, "p": Atom("P")}
+    inj = "inj1[Q \\/ (P -> P)](\\z : P. p)"
+    branches = f"{{u. <p, {inj}> | v. <p, {inj}>}}"
+    session = "nu c : AX{A -> B, B -> C, C -> A}. [ efq[A](w) || efq[A](w) || a0 ]"
+    trace = _one_step(
+        f"case (\\x : A. inj0[B \\/ C](b)) {session} of {branches} pi1", gamma,
+        "Intuitionistic", Redex(RedexKind.BETA, (0, 0, 0), 2),
+        f"case inj0[B \\/ C](b) of {branches} pi1",
+    )
+    witnesses = [(
+        "step 0",
+        "after Beta (complexity 2), redex CasePerm at [] has complexity 2, "
+        "above every bound of the first decrease clause",
+    )]
+    assert _decrease_witnesses(trace) == witnesses == decrease_oracle(trace)
+
+
+def test_a_session_on_the_path_that_starts_to_send_a_value_is_scanned():
+    """The garbage cross of the inner session leaves a λ as the message of
+    the outer one, which then offers an Activation of complexity 1: its
+    channel transports A -> A, above the second clause's bound 0."""
+    gamma = {"g": Impl(A, B), "y": A, "c0": Atom("C")}
+    inner = "nu b : EM[C]. [ \\v : A. efq[A](notb c0) || \\u : A. u ]"
+    trace = _one_step(
+        f"nu a : EM[A -> A]. [ efq[B](nota ({inner})) || g (a y) ]", gamma,
+        "Communication", Redex(RedexKind.GARBAGE_CROSS, (0, 0, 1), 0, survivors=(1,)),
+        "nu a : EM[A -> A]. [ efq[B](nota (\\u : A. u)) || g (a y) ]",
+    )
+    witnesses = [(
+        "step 0",
+        "after GarbageCross[1] (complexity 0), redex Activation at [] has "
+        "complexity 1, above every bound of the second decrease clause",
+    )]
+    assert _decrease_witnesses(trace) == witnesses == decrease_oracle(trace)
 
 
 @pytest.mark.parametrize("phase, skipped", [
@@ -686,12 +830,13 @@ def _measures_as_the_oracle_says(states):
         assert communication_measure(t, table) == communication_measure_oracle(t)
 
 
-def _frozen_comm_runs():
-    """(context, trace) of each frozen comm program's run."""
-    data = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "comm.jsonl"
+def _frozen_comm_runs(workload="comm", every=1):
+    """(context, trace) of the run of each frozen program of workload, or
+    of every every-th one."""
+    data = Path(__file__).resolve().parent.parent / "perfbench" / "data" / f"{workload}.jsonl"
     records = [json.loads(line) for line in data.read_text().splitlines()[1:]]
     assert len(records) > 20
-    for rec in records:
+    for rec in records[::every]:
         prog = parse_program(rec["source"])
         ctx = TypingContext(ivars=dict(prog.gamma))
         t, _ = check(prog.term, ctx)
@@ -914,3 +1059,154 @@ def test_the_replay_is_the_oracles_on_tampered_traces(preset):
             if how != "swap":
                 rule = tampered.steps[i].redex.rule
                 assert (f"step {i}", f"replaying {rule} gives a different term") in witnesses
+
+
+# --------------------------------------------------------------------------
+# the decrease audit against its oracle, which lists every redex of both
+# states
+
+
+def _decreases_as_the_oracle_says(trace):
+    witnesses = decrease_oracle(trace)
+    assert _decrease_witnesses(trace) == witnesses
+    return witnesses
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_the_decrease_audit_is_the_oracles_on_the_examples(name):
+    _, t = _example(name)
+    for discipline in (False, True):
+        _, trace = normalize(t, underline_discipline=discipline)
+        assert _decreases_as_the_oracle_says(trace) == []
+
+
+@pytest.mark.parametrize("workload, every", [("heavy", 2), ("comm", 1)])
+def test_the_decrease_audit_is_the_oracles_on_frozen_programs(workload, every):
+    for _, trace in _frozen_comm_runs(workload, every):
+        _decreases_as_the_oracle_says(trace)
+
+
+def _random_order_trace(t, discipline, seed, budget=150):
+    """A random-order run from t as a trace; its phases are the rules'."""
+    states, fired, _ = random_order_run(t, discipline, random.Random(seed), budget)
+    trace = Trace(initial=t, underline_discipline=discipline)
+    for r, after in zip(fired, states[1:]):
+        phase = "Intuitionistic" if r.kind in INTUITIONISTIC else "Communication"
+        trace.steps.append(TraceStep(1, phase, r, after))
+    return trace
+
+
+def _count_settled(monkeypatch):
+    """How often the check on what a step built settled it, and how often
+    the whole states had to be compared."""
+    settled = {True: 0, False: 0}
+    built_within = analysis._built_within
+
+    def counted(*args):
+        ok = built_within(*args)
+        settled[ok] += 1
+        return ok
+
+    monkeypatch.setattr(analysis, "_built_within", counted)
+    return settled
+
+
+@pytest.mark.parametrize("preset", ["em", "em3", "c3", "g2", "godel", None])
+def test_the_decrease_audit_is_the_oracles_along_random_orders(preset, monkeypatch):
+    """Random orders build redexes that the path's bounds do not settle,
+    so the whole states are compared too."""
+    settled = _count_settled(monkeypatch)
+    for seed in range(40):
+        gamma, t = generate(seed, GenConfig(preset=preset, max_size=40))
+        t, _ = check(t, TypingContext(ivars=gamma))
+        for discipline in (False, True):
+            _decreases_as_the_oracle_says(_random_order_trace(t, discipline, seed))
+    assert settled[True] > 0 and settled[False] > 0
+
+
+# random-order runs in which a step builds a redex above every bound: on a
+# rebuilt node of the path, or inside the contractum (em3 144)
+@pytest.mark.parametrize("preset, seed, found", [
+    ("em", 159, 1), ("em3", 144, 2), ("c3", 274, 1), ("g2", 17, 1),
+    ("g2", 111, 1), ("g2", 220, 1), ("godel", 220, 1),
+])
+def test_the_decrease_audit_is_the_oracles_where_random_orders_break_a_clause(
+    preset, seed, found
+):
+    gamma, t = generate(seed, GenConfig(preset=preset, max_size=40))
+    t, _ = check(t, TypingContext(ivars=gamma))
+    for discipline in (False, True):
+        trace = _random_order_trace(t, discipline, seed)
+        assert len(_decreases_as_the_oracle_says(trace)) == found
+
+
+def _decrease_expected(trace):
+    """decrease_oracle's witnesses, one step at a time, for the steps
+    between states that type: the audit judges no other step."""
+    out = []
+    states = [trace.initial] + [s.term_after for s in trace.steps]
+    for k, ts in enumerate(trace.steps):
+        if typecheck.has_type(states[k]) and typecheck.has_type(states[k + 1]):
+            one = Trace(initial=states[k], steps=[ts],
+                        underline_discipline=trace.underline_discipline)
+            out += [(f"step {k}", why) for _, why in decrease_oracle(one)]
+    return out
+
+
+@pytest.mark.parametrize("preset", ["em", "em3", "c3", "g2", "godel"])
+def test_the_decrease_audit_is_the_oracles_on_tampered_traces(preset):
+    """A tampered step does not replay, so it is judged on the whole
+    states, as the oracle judges it."""
+    for seed in range(20):
+        _, t = generate(seed, GenConfig(preset=preset, max_size=40))
+        _, trace = normalize(t, underline_discipline=seed % 2 == 1)
+        if not trace.steps:
+            continue
+        rng = random.Random(seed)
+        for _ in range(3):
+            _, _, tampered = _tampered(trace, rng)
+            assert _decrease_witnesses(tampered) == _decrease_expected(tampered)
+
+
+def _sessions_offer_within_their_formulas(states, discipline):
+    """Every session's own redexes are hoists of complexity 0, or of the
+    second group at a complexity no formula its channel transports falls
+    below: the fact that lets the decrease audit leave a session unscanned."""
+    for t in states:
+        for _, s in iter_subterms(t):
+            if isinstance(s, ParBind):
+                top = max(f.complexity for f in analysis._binder_kind_formulas(s))
+                for r in redexes_at(s, (), discipline):
+                    if r.kind == RedexKind.PAR_PAR_PERM:
+                        assert r.complexity == 0, r
+                    else:
+                        assert r.group == 2 and r.complexity <= top, (r, top)
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_sessions_offer_within_their_formulas_on_the_examples(name):
+    _, t = _example(name)
+    for discipline in (False, True):
+        _, trace = normalize(t, underline_discipline=discipline)
+        _sessions_offer_within_their_formulas(
+            [trace.initial] + [s.term_after for s in trace.steps], discipline
+        )
+        for seed in range(5):
+            states, _, _ = random_order_run(t, discipline, random.Random(seed), 200)
+            _sessions_offer_within_their_formulas(states, discipline)
+
+
+@pytest.mark.parametrize("preset", ["em", "em3", "c3", "g2", "godel"])
+def test_sessions_offer_within_their_formulas_along_random_orders(preset):
+    for seed in range(20):
+        _, t = generate(seed, GenConfig(preset=preset, max_size=40))
+        states, _, _ = random_order_run(t, seed % 2 == 1, random.Random(seed), 150)
+        _sessions_offer_within_their_formulas(states, seed % 2 == 1)
+
+
+def test_sessions_offer_within_their_formulas_on_the_frozen_comm_programs():
+    for _, trace in _frozen_comm_runs():
+        _sessions_offer_within_their_formulas(
+            [trace.initial] + [s.term_after for s in trace.steps],
+            trace.underline_discipline,
+        )

@@ -382,3 +382,32 @@ def test_too_deep_input_is_bad_input(prog, capsys, command, shape):
     (line,) = captured.out.splitlines()
     assert json.loads(line) == {"event": "error", "error": "input nested too deeply"}
     assert captured.err == ""
+
+
+def _boom(*args, **kwargs):
+    raise KeyError("boom")
+
+
+@pytest.mark.parametrize("command, target", [
+    ("check", "_typed"),
+    ("normalize", "normalize"),
+    ("examples", "normalize"),
+    ("fuzz", "normalize"),
+])
+def test_an_unexpected_exception_is_an_error_event(prog, command, target, capsys, monkeypatch):
+    """An exception no handler expects is a fault of lax: it exits 4 with
+    one error event, under both formats, and prints no traceback."""
+    from lax import cli
+
+    monkeypatch.setattr(cli, target, _boom)
+    argv = [command] + ([prog(GOOD)] if command in ("check", "normalize") else [])
+    msg = "internal error: KeyError: 'boom'"
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == f"error: {msg}\n"
+    assert captured.err == ""
+    assert main(argv + ["--format", "json"]) == 4
+    captured = capsys.readouterr()
+    (line,) = captured.out.splitlines()
+    assert json.loads(line) == {"event": "error", "error": msg}
+    assert captured.err == ""
