@@ -11,7 +11,10 @@ Conventions used throughout:
   channel occurrence inside its own argument.
 - a message is "closed" when it mentions no variable and no channel that is
   bound between the component root and the occurrence; names free in the
-  whole program are fine.
+  whole program are fine. The message's free names are read off its
+  remembered judgement (typecheck.free_names_of), so no check walks it.
+- value complexity is read by its clauses alone, so it builds no node:
+  only a case with nothing applied to it counts its branches.
 - communication complexity of a session is the maximum value complexity
   over the arguments of applied channel occurrences, 0 when there are none
   (arguments containing nested parallel nodes count 0; by the time
@@ -27,11 +30,12 @@ Conventions used throughout:
   full cross, which ships an open message, is EM's own.
 
 Discovery runs on facts each node remembers (terms.remembered): its own
-redexes, rooted at it, at position (), and the mask of the rule kinds in
-its subtree, its own OR its children's. find_redexes enters only the
-children whose mask meets the kinds asked for and moves the remembered
-redexes to their absolute path, so a state that step() rebuilt along one
-path is discovered again at the cost of that path. A session's own redexes
+redexes, rooted at it, at position (), as (bit, redex) pairs built once
+per node, and the mask of the rule kinds in its subtree, its own OR its
+children's. find_redexes enters only the children whose mask meets the
+kinds asked for and moves the remembered redexes to their absolute path,
+so a state that step() rebuilt along one path is discovered again at the
+cost of that path. A session's own redexes
 come from its scan, so they are computed on first demand, once, with no
 discipline; the underline discipline is a filter on what the scan found.
 Until then its own bits are what its activity allows (_SESSION_BITS), a
@@ -41,9 +45,10 @@ change, so they cannot go stale.
 
 The mask also answers the strategy's structural questions. One bit above
 the kind bits (_PARALLEL), which sessions, joins and marks set, says the
-subtree is not simply typed (is_simply_typed). A cross bit says it holds
-an active session, since only an active session's own bits set one
-(contains_active_session, uppermost_active_sessions).
+subtree is not simply typed (is_simply_typed), and a node looks for a
+parallel permutation only when a child's mask sets it. A cross bit says
+it holds an active session, since only an active session's own bits set
+one (contains_active_session, uppermost_active_sessions).
 
 A scan walks no component. Each node remembers its send summary (_sends):
 per free channel, the highest _vc_safe of an argument applied to it and
@@ -101,7 +106,6 @@ from .terms import (
     Inj,
     Lam,
     Pair,
-    PARALLEL_NODES,
     ParBind,
     Path,
     Proj,
@@ -110,7 +114,6 @@ from .terms import (
     Underline,
     Var,
     all_names,
-    apply_stack,
     binder_names,
     build_tuple,
     children,
@@ -132,7 +135,7 @@ from .terms import (
     with_child,
     with_children,
 )
-from .typecheck import type_of
+from .typecheck import free_names_of, type_of
 
 
 class NotParallelForm(Exception):
@@ -171,23 +174,22 @@ def value_complexity(t: Term) -> int:
 
     lambda / injection: complexity of the term's type. Pair: max of the
     halves. A case term under a case-free stack: max over the branches with
-    the stack pushed inside. Anything else: 0.
+    the stack pushed inside. Anything else: 0. A branch with a stack
+    pushed inside falls to the last clause, so only a case with nothing
+    applied to it counts its branches, and the walk builds no node.
     """
     best, todo = 0, [t]
     while todo:  # left before right, as the clauses read
         t = todo.pop()
-        if isinstance(t, (ParBind, Contract, Underline)):
-            raise NotSimplyTyped(f"value complexity of a parallel term: {t}")
-        if isinstance(t, (Lam, Inj)):
+        cls = type(t)
+        if cls is Lam or cls is Inj:
             best = max(best, type_of(t).complexity)
-        elif isinstance(t, Pair):
+        elif cls is Pair:
             todo += (t.right, t.left)
-        else:
-            _, stack = decompose_stack(t)
-            cases = [i for i, f in enumerate(stack) if isinstance(f, Case)]
-            if cases:
-                case, sigma = stack[cases[-1]], stack[cases[-1] + 1:]
-                todo += (apply_stack(case.rbody, sigma), apply_stack(case.lbody, sigma))
+        elif cls is Case:
+            todo += (t.rbody, t.lbody)
+        elif cls is ParBind or cls is Contract or cls is Underline:
+            raise NotSimplyTyped(f"value complexity of a parallel term: {t}")
     return best
 
 
@@ -286,8 +288,11 @@ class Occurrence:
 
 
 def _closed_at(occ: Occurrence, msg: Term) -> bool:
-    """No free name of msg is bound between the component root and the hole."""
-    return not (_captured_chans(occ, msg) or _captured_vars(occ, msg))
+    """No free name of msg is bound between the component root and the
+    hole. The free names are read off msg's remembered judgement
+    (typecheck.free_names_of), so msg is not walked."""
+    fv, fc = free_names_of(msg)
+    return occ.binders_above.isdisjoint(fv) and occ.binders_above.isdisjoint(fc)
 
 
 def _captured_vars(occ: Occurrence, msg: Term) -> list[tuple[str, Formula]]:
@@ -451,12 +456,10 @@ def _node_redex_facts(s: Term, kids: list) -> tuple[int, object]:
         return mask | _PARALLEL, ()
     if cls not in _PERM_SLOTS:  # the only hosts of the other rules
         return mask, ()
-    own = _local_redexes(s)
-    if not own:
-        return mask, ()
-    for r in own:
-        mask |= _BIT[r.kind]
-    return mask, tuple((_BIT[r.kind], r) for r in own)
+    own = _local_redexes(s, mask & _PARALLEL)
+    for bit, _ in own:
+        mask |= bit
+    return mask, own
 
 
 def _redex_facts(t: Term) -> tuple[int, object]:
@@ -602,13 +605,15 @@ def pick_redex(
         raise ValueError("the innermost descent needs kinds no session offers")
     if not _redex_facts(t)[0] & want:
         return None
-    path, s = (), t
+    path, s = [], t
     while True:
-        cs = children(s)
-        i = next((i for i in range(len(cs)) if cs[i]._facts.redexes[0] & want), None)
-        if i is None:  # s is no session, so its own redexes are listed
-            return next(_moved(r, path) for bit, r in s._facts.redexes[1] if bit & want)
-        path, s = path + (i,), cs[i]
+        for i, c in enumerate(s._kids):
+            if c._facts.redexes[0] & want:
+                path.append(i)
+                s = c
+                break
+        else:  # s is no session, so its own redexes are listed
+            return next(_moved(r, tuple(path)) for b, r in s._facts.redexes[1] if b & want)
 
 
 def redexes_at(
@@ -673,27 +678,37 @@ def _node_peaks(s: Term, kids: list[tuple], discipline: bool) -> tuple:
     return tuple(top)
 
 
-def _local_redexes(s: Term) -> list[Redex]:
-    """The redexes rooted at s, at position (), unless s is a session."""
+def _local_redexes(s: Term, parallel: int) -> tuple:
+    """The (bit, redex) pairs rooted at s, at position (), unless s is a
+    session; parallel is its children's structural bit. The intuitionistic
+    rules and the case permutation look at child 0, an eliminator's hole."""
     out = []
-    # intuitionistic redexes
-    if isinstance(s, App) and isinstance(s.fun, Lam):
-        out.append(Redex(RedexKind.BETA, (), type_of(s.fun).complexity))
-    if isinstance(s, Proj) and isinstance(s.arg, Pair):
-        out.append(Redex(RedexKind.PROJ_PAIR, (), _vc_safe(s.arg)))
-    if isinstance(s, Case) and isinstance(s.scrut, Inj):
-        out.append(Redex(RedexKind.CASE_INJ, (), s.scrut.disj.complexity))
+    cls = type(s)
+    first = s._kids[0]
+    head = type(first)
+    if cls is App:
+        if head is Lam:
+            out.append(_redex(RedexKind.BETA, type_of(first).complexity))
+    elif cls is Proj:
+        if head is Pair:
+            out.append(_redex(RedexKind.PROJ_PAIR, _vc_safe(first)))
+    elif cls is Case and head is Inj:
+        out.append(_redex(RedexKind.CASE_INJ, first.disj.complexity))
 
     # one-frame permutation over a case term
-    hole = HOLES.get(type(s))
-    if hole is not None and isinstance(getattr(s, hole), Case):
-        out.append(Redex(RedexKind.CASE_PERM, (), _vc_safe(getattr(s, hole))))
+    if head is Case and cls in HOLES:
+        out.append(_redex(RedexKind.CASE_PERM, _vc_safe(first)))
 
-    # parallel permutations: a frame or constructor over a parallel node
-    slot = _perm_slot(s)
+    # parallel permutations: a frame or constructor over a parallel node,
+    # which sets the structural bit
+    slot = _perm_slot(s) if parallel else None
     if slot is not None:
-        out.append(Redex(RedexKind.PAR_PERM, (), 0, which=slot[1]))
-    return out
+        out.append(_redex(RedexKind.PAR_PERM, 0, slot[1]))
+    return tuple(out)
+
+
+def _redex(kind: RedexKind, complexity: int, which: Optional[str] = None) -> tuple:
+    return _BIT[kind], Redex(kind, (), complexity, which)
 
 
 # constructor -> ((child index, ParPerm label), ...), first match wins; an
@@ -712,9 +727,10 @@ _PERM_SLOTS = {
 def _perm_slot(s: Term) -> Optional[tuple[int, str]]:
     """(child index, label) of the slot a parallel node permutes out of, if
     any."""
-    cs = children(s)
-    for slot in _PERM_SLOTS.get(type(s), ()):
-        if isinstance(cs[slot[0]], PARALLEL_NODES):
+    cs = s._kids
+    for slot in _PERM_SLOTS[type(s)]:
+        cls = type(cs[slot[0]])
+        if cls is ParBind or cls is Contract:
             return slot
     return None
 

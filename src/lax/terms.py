@@ -361,10 +361,11 @@ def remembered(
     t: Term,
     key: str,
     compute: Callable[[Term, list], object],
-    enter: Callable[[Term], tuple | list] = children,
+    enter: Optional[Callable[[Term], tuple | list]] = None,
 ):
     """The subtree fact key of t, where a node's fact is compute(node, the
-    facts of the children enter(node) gives).
+    facts of the children enter(node) gives); with no enter, of all its
+    children, read from the slot the constructor stored them in.
 
     The first time, compute runs bottom-up, on an explicit stack, on every
     node below t that enter reaches and that does not know the fact yet,
@@ -379,7 +380,7 @@ def remembered(
         s = todo[-1]
         waiting = len(todo)
         kids = []
-        for c in enter(s):
+        for c in s._kids if enter is None else enter(s):
             f = c._facts
             if f is None:  # its record, made as it is entered
                 _set_facts(c, Facts())
@@ -617,13 +618,6 @@ def decompose_stack(t: Term) -> tuple[Term, tuple[Term, ...]]:
         frames.append(t)
         t = getattr(t, hole)
     return t, tuple(reversed(frames))
-
-
-def apply_stack(t: Term, s: tuple[Term, ...]) -> Term:
-    """t with each eliminator of s, innermost first, put over it."""
-    for f in s:
-        t = with_child(f, 0, t)
-    return t
 
 
 # ---------------------------------------------------------------------------

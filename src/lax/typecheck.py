@@ -363,6 +363,15 @@ def type_of(t: Term) -> Formula:
     return j[0]
 
 
+def free_names_of(t: Term) -> tuple[dict, dict]:
+    """(free variables, free channels) of an elaborated term, two maps
+    keyed by name, read off its judgement; ValueError as for type_of."""
+    j = _judgement(t)
+    if not j:
+        raise ValueError(f"free_names_of on a term that does not type: {j.message}")
+    return j[1], j[2]
+
+
 def has_type(t: Term) -> bool:
     """t's judgement holds in some context, so type_of reads t and each
     subterm of it."""

@@ -4,7 +4,8 @@ The oracles deliberately avoid the library's traversal helpers
 (decompose_stack, the remembered walks) and re-derive every side condition
 from the raw constructors, so a bug in a shared helper cannot cancel out on
 both sides of a comparison. iter_subterms, the walk with paths that only
-tests use, lives here too. chan_occurrences, the walk the engine used to find
+tests use, apply_stack, which puts a stack over a term, and random_stack,
+which draws one, live here too. chan_occurrences, the walk the engine used to find
 channel occurrences, communication_measure_oracle, the measure's
 whole-term walks, replay_oracle, the trace replay that rebuilds each
 state, decrease_oracle, the decrease clauses over every redex of both
@@ -37,6 +38,7 @@ from lax import (
     Disj,
     Efq,
     Formula,
+    GenConfig,
     Impl,
     Inj,
     InvalidRedex,
@@ -57,14 +59,48 @@ from lax import (
     Unit,
     Var,
     find_redexes,
+    generate,
     redexes_at,
     show_formula,
     step,
 )
 from lax.rewrite import CROSSES, Occurrence
-from lax.terms import binder_names, children
+from lax.terms import TT, binder_names, children, with_child
 
 Path = tuple[int, ...]
+
+
+def apply_stack(t: Term, s: tuple[Term, ...]) -> Term:
+    """t with each eliminator of s, innermost first, put over it."""
+    for f in s:
+        t = with_child(f, 0, t)
+    return t
+
+
+def random_stack(rng, ty: Formula) -> tuple[tuple[Term, ...], Formula]:
+    """A type-directed, case-free, possibly empty stack over a term of
+    type ty, together with the result type; each eliminator's hole is tt,
+    and each argument is generated in the generator's default context."""
+    frames = []
+    atoms = [Atom("A"), Atom("B"), Atom("C"), TOP]
+    while True:
+        if frames and rng.random() < 0.4:
+            break
+        if isinstance(ty, Impl):
+            _, arg = generate(rng, GenConfig(preset=None, max_size=8, goal=ty.left))
+            frames.append(App(TT, arg))
+            ty = ty.right
+        elif isinstance(ty, Conj):
+            i = rng.randrange(2)
+            frames.append(Proj(TT, i))
+            ty = ty.left if i == 0 else ty.right
+        elif isinstance(ty, Bot):
+            target = rng.choice(atoms)
+            frames.append(Efq(TT, target))
+            ty = target
+        else:
+            break
+    return tuple(frames), ty
 
 
 def iter_subterms(t: Term, path: Path = ()):

@@ -8,7 +8,6 @@ import random
 import time
 
 from lax import (
-    Atom,
     Disj,
     GenConfig,
     RedexKind,
@@ -28,10 +27,15 @@ from lax import (
     parse_term,
     value_complexity,
 )
-from lax.terms import TT, App, Efq, ParBind, Proj, apply_stack
-from lax.formulas import Bot, Conj, Impl, Top
+from lax.terms import ParBind
 
-from oracles import brute_force_redexes, iter_subterms, value_complexity_oracle
+from oracles import (
+    apply_stack,
+    brute_force_redexes,
+    iter_subterms,
+    random_stack,
+    value_complexity_oracle,
+)
 
 BOOL = Disj(TOP, TOP)
 T_SRC = "inj0[Top \\/ Top](tt)"
@@ -237,31 +241,6 @@ def test_acceptance_6_oracle_equivalence():
     )
 
 
-def _random_stack(rng, ty):
-    """A type-directed, case-free, possibly empty stack over a term of
-    type ty, together with the result type; each eliminator's hole is tt."""
-    frames = []
-    atoms = [Atom("A"), Atom("B"), Atom("C"), TOP]
-    while True:
-        if frames and rng.random() < 0.4:
-            break
-        if isinstance(ty, Impl):
-            _, arg = generate(rng, GenConfig(preset=None, max_size=8, goal=ty.left))
-            frames.append(App(TT, arg))
-            ty = ty.right
-        elif isinstance(ty, Conj):
-            i = rng.randrange(2)
-            frames.append(Proj(TT, i))
-            ty = ty.left if i == 0 else ty.right
-        elif isinstance(ty, Bot):
-            target = rng.choice(atoms)
-            frames.append(Efq(TT, target))
-            ty = target
-        else:
-            break
-    return tuple(frames), ty
-
-
 def test_acceptance_7_applied_stacks_measure_zero():
     t0 = time.monotonic()
     rng = random.Random(707)
@@ -272,11 +251,12 @@ def test_acceptance_7_applied_stacks_measure_zero():
     while pairs < 1000:
         gamma, u = generate(rng, GenConfig(preset=None, max_size=14))
         ty = infer_type(u, TypingContext(ivars=gamma))
-        sigma, _ = _random_stack(rng, ty)
+        sigma, _ = random_stack(rng, ty)
         if not sigma:
             continue
         pairs += 1
-        if value_complexity(apply_stack(u, sigma)) != 0:
+        applied = apply_stack(u, sigma)
+        if value_complexity(applied) != 0 or value_complexity_oracle(applied) != 0:
             bad += 1
     took = time.monotonic() - t0
     assert bad == 0

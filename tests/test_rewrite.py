@@ -1,31 +1,42 @@
 """Single-step reduction: values, complexity measures, discovery, contraction."""
 
 import dataclasses
+import json
 import random
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lax import (
+    TOP,
     App,
     Atom,
     Bot,
+    Case,
     Chan,
+    Conj,
+    Disj,
     Efq,
     GenConfig,
     Impl,
+    Inj,
     InvalidRedex,
     Lam,
     NotSimplyTyped,
+    Pair,
     ParBind,
+    Proj,
     RedexKind,
+    Top,
     TypingContext,
     Var,
     alpha_eq,
     audit_trace,
     check,
     check_subject_reduction,
+    default_context,
     em_axiom,
     find_redexes,
     generate,
@@ -42,6 +53,7 @@ from lax import (
     step,
     value_complexity,
 )
+from lax import rewrite
 from lax.rewrite import (
     CHASE,
     CROSSES,
@@ -49,6 +61,7 @@ from lax.rewrite import (
     GROUP2,
     INTUITIONISTIC,
     PEAK_GROUPS,
+    Occurrence,
     Redex,
     _inactive_scan,
     _rightmost,
@@ -61,6 +74,7 @@ from lax.rewrite import (
     redex_peaks,
 )
 from lax.terms import (
+    children,
     comp_body,
     comp_marked,
     facts_of,
@@ -68,6 +82,7 @@ from lax.terms import (
     free_names,
     is_parallel_node,
     rename_chan,
+    replace_at,
     subterm_at,
 )
 
@@ -75,6 +90,7 @@ from oracles import (
     _free_names,
     _mentions_parallel,
     _occurrences,
+    apply_stack,
     brute_force_redexes,
     chan_occurrences,
     find_redexes_oracle,
@@ -82,6 +98,7 @@ from oracles import (
     iter_subterms,
     leftmost_innermost_oracle,
     random_order_run,
+    random_stack,
     value_complexity_oracle,
 )
 
@@ -214,11 +231,127 @@ def test_value_complexity_refuses_parallel_terms():
         value_complexity(t)
 
 
+def test_value_complexity_builds_no_node_on_a_deep_nest(monkeypatch):
+    """5 000 levels, alternately a case whose other branch is a case
+    under an application, and a pair, around a two-argument lambda. The
+    tier-1 time bound holds the walk to its nodes."""
+    from lax.terms import _SHAPES
+
+    s, z = Var("s", Disj(A, A)), Var("z", A)
+    deep, ty = Lam("x", A, Lam("y", A, Var("x", A))), Impl(A, Impl(A, A))
+    gamma = {"s": s.ty, "z": A}
+    for k in range(5000):
+        if k % 2:
+            deep, ty = Pair(deep, Lam("x", A, Var("x", A))), Conj(ty, Impl(A, A))
+        else:
+            y = gamma[f"y{k}"] = ty
+            lam = Lam("x", A, Var(f"y{k}", y))
+            deep = Case(s, "u", deep, "w", App(Case(s, "u", lam, "w", lam), z))
+    deep, _ = check(deep, TypingContext(ivars=gamma))
+    built = []
+    for cls in _SHAPES:
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda t, *a, _init=init: built.append(t) or _init(t, *a))
+    assert value_complexity(deep) == 2
+    assert built == []
+    App(deep, z)  # the count sees a constructor call
+    assert len(built) == 1
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**9))
 def test_value_complexity_matches_the_oracle(seed):
     _, t = generate(seed, GenConfig(preset=None, max_size=18))
     assert value_complexity(t) == value_complexity_oracle(t)
+
+
+# terms heavy in cases, which generate() seldom builds: cases under a
+# random case-free stack, inside pairs, nested in each other's branches and
+# scrutinees, with branches that are lambdas, injections or pairs; each
+# type gets one free variable, named apart from the default context
+_CASE_TYPES = (
+    A, B, TOP, Bot(), Impl(A, B), Conj(A, B), Disj(A, B), Impl(Impl(A, A), B),
+    Conj(Impl(A, B), Disj(B, A)), Disj(Impl(B, B), Conj(A, A)),
+)
+
+
+def _free(ty, gamma):
+    name = gamma.setdefault(ty, f"q{len(gamma)}")
+    return Var(name)
+
+
+def _case(rng, ty, depth, gamma):
+    """A case of type ty: its scrutinee a free variable or itself a case,
+    its branches _caseful."""
+    disj = rng.choice([f for f in _CASE_TYPES if isinstance(f, Disj)])
+    if rng.random() < 0.3:
+        scrut = _case(rng, disj, depth - 1, gamma)
+    else:
+        scrut = _free(disj, gamma)
+    return Case(scrut, f"u{depth}", _caseful(rng, ty, depth - 1, gamma),
+                f"w{depth}", _caseful(rng, ty, depth - 1, gamma))
+
+
+def _caseful(rng, ty, depth, gamma):
+    if depth <= 0 or rng.random() < 0.15:
+        return _free(ty, gamma)
+    pick = rng.randrange(5)
+    if pick == 0:
+        return _case(rng, ty, depth, gamma)
+    if pick == 1:  # a case under one frame, which the case permutation moves
+        other = rng.choice(_CASE_TYPES)
+        frames = [
+            lambda: App(_case(rng, Impl(other, ty), depth, gamma),
+                        _caseful(rng, other, depth - 1, gamma)),
+            lambda: Proj(_case(rng, Conj(ty, other), depth, gamma), 0),
+            lambda: Proj(_case(rng, Conj(other, ty), depth, gamma), 1),
+        ]
+        if isinstance(ty, (Atom, Top)):
+            frames.append(lambda: Efq(_case(rng, Bot(), depth, gamma), ty))
+        return rng.choice(frames)()
+    if pick == 2:  # a projection of a pair
+        other = rng.choice(_CASE_TYPES)
+        halves = [_caseful(rng, ty, depth - 1, gamma), _caseful(rng, other, depth - 1, gamma)]
+        i = rng.randrange(2)
+        return Proj(Pair(*halves) if i == 0 else Pair(*reversed(halves)), i)
+    if isinstance(ty, Impl):
+        return Lam(f"x{depth}", ty.left, _caseful(rng, ty.right, depth - 1, gamma))
+    if isinstance(ty, Conj):
+        return Pair(_caseful(rng, ty.left, depth - 1, gamma),
+                    _caseful(rng, ty.right, depth - 1, gamma))
+    if isinstance(ty, Disj):
+        i = rng.randrange(2)
+        return Inj(i, ty, _caseful(rng, (ty.left, ty.right)[i], depth - 1, gamma))
+    return _case(rng, ty, depth, gamma)
+
+
+def _case_heavy(seed):
+    """A checked term: a pair of one or two cases, each under a random
+    case-free stack (random_stack, possibly empty)."""
+    rng = random.Random(seed)
+    gamma = {}
+    parts = []
+    for _ in range(rng.randint(1, 2)):
+        ty = rng.choice(_CASE_TYPES)
+        sigma, _ = random_stack(rng, ty)
+        parts.append(apply_stack(_case(rng, ty, rng.randint(1, 4), gamma), sigma))
+    ctx = default_context() | {name: ty for ty, name in gamma.items()}
+    t, _ = check(Pair(*parts) if len(parts) == 2 else parts[0], TypingContext(ivars=ctx))
+    return t
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_value_complexity_matches_the_oracle_on_case_heavy_terms(seed):
+    t = _case_heavy(seed)
+    for path, s in iter_subterms(t):
+        assert value_complexity(s) == value_complexity_oracle(s), path
+    for r in find_redexes(t):
+        s = subterm_at(t, r.position)
+        if r.kind is RedexKind.CASE_PERM:
+            assert r.complexity == value_complexity_oracle(children(s)[0]), r
+        elif r.kind is RedexKind.PROJ_PAIR:
+            assert r.complexity == value_complexity_oracle(s.arg), r
 
 
 # --------------------------------------------------------------------------
@@ -659,6 +792,99 @@ def test_session_scans_match_the_walks(seed, preset, discipline):
 def test_session_scans_match_the_walks_on_the_examples(name, discipline):
     states, _ = _run_states(_example(name), discipline)
     _assert_session_scans_match_the_walks(states, discipline)
+
+
+# --------------------------------------------------------------------------
+# closedness, against the walk over the message (_closed_at above)
+
+COMM_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "comm.jsonl"
+
+
+def _closedness_runs(source):
+    """The runs whose session scans the closedness check is compared on:
+    the examples under both disciplines, the frozen comm programs (read
+    only), or random-order runs of every preset."""
+    if source == "examples":
+        for name in EXAMPLES:
+            for discipline in (False, True):
+                normalize(_example(name), underline_discipline=discipline)
+    elif source == "comm":
+        for line in COMM_DATA.read_text().splitlines()[1:]:
+            rec = json.loads(line)
+            prog = parse_program(rec["source"])
+            t, _ = check(prog.term, TypingContext(ivars=dict(prog.gamma)))
+            normalize(t, underline_discipline=rec["underline"])
+    else:
+        for preset in ("em", "em3", "c3", "g2", "godel"):
+            for seed in range(20):
+                _, t = generate(seed, GenConfig(preset=preset, max_size=30))
+                for discipline in (False, True):
+                    random_order_run(t, discipline, random.Random(seed), 60)
+
+
+@pytest.mark.parametrize("source", ["examples", "comm", "random"])
+def test_closedness_matches_the_walk_on_every_session_scan(source, monkeypatch):
+    seen = []
+    engine = rewrite._closed_at
+
+    def compared(occ, msg):
+        got = engine(occ, msg)
+        seen.append((got, _closed_at(occ, msg)))
+        return got
+
+    monkeypatch.setattr(rewrite, "_closed_at", compared)
+    _closedness_runs(source)
+    assert seen
+    assert [k for k, (got, want) in enumerate(seen) if got != want] == []
+
+
+def _occurrence(above, msg):
+    return Occurrence((1,), False, msg, frozenset(above))
+
+
+def test_a_message_that_mentions_a_lambda_variable_bound_above_is_open():
+    gamma = {"h": Impl(Impl(Z, V), B), "f": Impl(Z, B), "w": Z}
+    src = "nu a* : EM[Z -> Z]. [ h (\\y : Z. efq[V0](nota (\\q : Z. y))) || f (a w) ]"
+    t = _typed(src, gamma)
+    occ = _rightmost(t, 0)
+    assert occ.binders_above == {"y"} and free_names(occ.arg) == ({"y"}, frozenset())
+    assert not rewrite._closed_at(occ, occ.arg)
+    assert [r.rule for r in redexes_at(t, (), False) if r.kind in CROSSES] == ["FullCross"]
+
+
+def test_a_message_that_mentions_a_channel_named_as_a_binder_above_is_open():
+    """A simply typed component binds no channel, so a message's channel
+    counts as captured only when a variable bound above the hole has its
+    name: here the inner session's sender sends the outer channel b from
+    under a lambda whose variable is also called b."""
+    gamma = {"x": A, "c": C, "k": Impl(B, Z), "k2": Impl(A, Z), "y": B}
+    src = ("nu b : EM[A]. [ efq[Z](notb x) || nu a* : AX{A -> B, B -> A}. "
+           "[ (\\z : C. k (a b)) c || k2 (a y) ] ]")
+    t = _typed(src, gamma)
+    lam = subterm_at(t, (1, 0, 0))
+    clash = replace_at(t, (1, 0, 0), dataclasses.replace(lam, var="b"))
+    basic = RedexKind.BASIC_CROSS
+    for u, closed in ((t, True), (clash, False)):
+        inner = u.comps[1]
+        occ = _rightmost(inner, 0)
+        assert free_names(occ.arg) == (frozenset(), {"b"})
+        assert rewrite._closed_at(occ, occ.arg) is closed is _closed_at(occ, occ.arg)
+        assert [r.sender for r in redexes_at(inner, (1,), False) if r.kind is basic] == (
+            [0, 1] if closed else [1]
+        )
+    assert not rewrite._closed_at(_occurrence({"b"}, Chan("b", A)), Chan("b", A))
+
+
+def test_a_message_with_no_name_bound_above_is_closed():
+    gamma = {"f": Impl(B, C), "g": Impl(A, C), "x": A, "y": B}
+    t = _typed("nu a* : AX{A -> B, B -> A}. [ f (a x) || g ((\\q : B. a y) y) ]", gamma)
+    occ = _rightmost(t, 1)
+    assert occ.binders_above == {"q"} and occ.arg.name == "y"
+    assert rewrite._closed_at(occ, occ.arg)
+    assert rewrite._closed_at(_occurrence({"y"}, Var("x", A)), Var("x", A))
+    assert [r.rule for r in redexes_at(t, (), False) if r.kind in CROSSES] == [
+        "BasicCross(0,1)", "BasicCross(1,0)", "FullCross"
+    ]
 
 
 def test_inactive_sessions_with_equal_entries_share_one_scan():
