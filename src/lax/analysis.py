@@ -66,6 +66,7 @@ from .typecheck import (
     check_subject_reduction,
     has_type,
     type_of,
+    types_in,
 )
 
 
@@ -152,7 +153,10 @@ def check_subformula(ctx: TypingContext, t: Term) -> PropertyReport:
     """
     if not is_normal(t):
         raise NotNormal("subformula property is only claimed for normal terms")
-    t, conclusion = check(t, ctx)  # the elaborated term, typed at each node
+    if types_in(t, ctx):  # checked already: elaborated, typed at each node
+        conclusion = type_of(t)
+    else:
+        t, conclusion = check(t, ctx)  # raises, or elaborates t
     allowed = _allowed_formulas(ctx, conclusion)
     chans: list[tuple[tuple, str]] = []
     types: list[tuple[tuple, str]] = []

@@ -419,8 +419,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         ParallelFormFailure,
     ) as e:
         msg, code = str(e), EXIT_INPUT
-    except RecursionError:
-        msg, code = "input nested too deeply", EXIT_INPUT
     except Exception as e:  # a fault of lax itself: reported, no traceback
         msg, code = f"internal error: {type(e).__name__}: {e}", EXIT_INTERNAL
     _Out(args.format).emit({"event": "error", "error": msg}, f"error: {msg}")

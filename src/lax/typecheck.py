@@ -267,10 +267,21 @@ def _raise(frames: list, code: str = "", message: str = ""):
 
 @dataclass(frozen=True)
 class SubjectReductionReport:
+    """A step's verdict and the types of its two states, where they type;
+    type_before and type_after print them when read."""
+
     ok: bool
-    type_before: Optional[str]
-    type_after: Optional[str]
+    ty_before: Optional[Formula]
+    ty_after: Optional[Formula]
     message: str = ""
+
+    @property
+    def type_before(self) -> Optional[str]:
+        return None if self.ty_before is None else show_formula(self.ty_before)
+
+    @property
+    def type_after(self) -> Optional[str]:
+        return None if self.ty_after is None else show_formula(self.ty_after)
 
 
 def check_subject_reduction(
@@ -294,8 +305,7 @@ def check_subject_reduction(
         and ja[1].keys() <= jb[1].keys()
         and ja[2].keys() <= jb[2].keys()
     ):
-        ty = show_formula(jb[0])
-        return SubjectReductionReport(True, ty, ty)
+        return SubjectReductionReport(True, jb[0], jb[0])
     try:
         tb = infer_type(before, ctx)
     except TypingError as e:
@@ -303,23 +313,16 @@ def check_subject_reduction(
     try:
         ta = infer_type(after, ctx)
     except TypingError as e:
-        return SubjectReductionReport(
-            False, show_formula(tb), None, f"after does not type: {e}"
-        )
+        return SubjectReductionReport(False, tb, None, f"after does not type: {e}")
     if tb is not ta:
-        return SubjectReductionReport(
-            False, show_formula(tb), show_formula(ta), "type changed"
-        )
+        return SubjectReductionReport(False, tb, ta, "type changed")
     (fv_before, fc_before), (fv_after, fc_after) = free_names(before), free_names(after)
     new = (fv_after - fv_before) | (fc_after - fc_before)
     if new:
         return SubjectReductionReport(
-            False,
-            show_formula(tb),
-            show_formula(ta),
-            f"new free names appeared: {sorted(new)}",
+            False, tb, ta, f"new free names appeared: {sorted(new)}"
         )
-    return SubjectReductionReport(True, show_formula(tb), show_formula(ta))
+    return SubjectReductionReport(True, tb, ta)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +379,12 @@ def has_type(t: Term) -> bool:
     """t's judgement holds in some context, so type_of reads t and each
     subterm of it."""
     return bool(_judgement(t))
+
+
+def types_in(t: Term, ctx: TypingContext) -> bool:
+    """t's judgement holds in ctx: check(t, ctx) gives t back, typed
+    type_of(t)."""
+    return _holds(_judgement(t), ctx)
 
 
 def require_type(t: Term) -> None:

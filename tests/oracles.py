@@ -10,7 +10,8 @@ channel occurrences, communication_measure_oracle, the measure's
 whole-term walks, replay_oracle, the trace replay that rebuilds each
 state, decrease_oracle, the decrease clauses over every redex of both
 states, side_move_oracle, the side strategy's choice by least fields,
-show_formula_oracle, the recursive printer, and check_oracle and
+show_formula_oracle, the recursive printer, parse_oracle, the
+recursive-descent parser over lex_oracle's tokens, and check_oracle and
 type_of_oracle, the recursive typer and type synthesis, are kept here to
 check what replaced them. The oracles that type a term
 (subject_reduction_oracle, value_complexity_oracle) use these two, so they
@@ -64,8 +65,18 @@ from lax import (
     show_formula,
     step,
 )
+from lax.axioms import (
+    AxiomValidationError,
+    broadcast_axiom,
+    cyclic_axiom,
+    em_axiom,
+    general_axiom,
+    goedel_axiom,
+)
+from lax.formulas import neg
+from lax.parser import Program
 from lax.rewrite import CROSSES, Occurrence
-from lax.terms import TT, binder_names, children, with_child
+from lax.terms import TT, binder_names, build_tuple, children, fresh_name, with_child
 
 Path = tuple[int, ...]
 
@@ -1039,23 +1050,16 @@ def subject_reduction_oracle(
     try:
         _, ta = check_oracle(after, ctx)
     except TypingError as e:
-        return SubjectReductionReport(
-            False, show_formula(tb), None, f"after does not type: {e}"
-        )
+        return SubjectReductionReport(False, tb, None, f"after does not type: {e}")
     if tb != ta:
-        return SubjectReductionReport(
-            False, show_formula(tb), show_formula(ta), "type changed"
-        )
+        return SubjectReductionReport(False, tb, ta, "type changed")
     (fv_b, fc_b), (fv_a, fc_a) = _free_names(before), _free_names(after)
     new = (fv_a - fv_b) | (fc_a - fc_b)
     if new:
         return SubjectReductionReport(
-            False,
-            show_formula(tb),
-            show_formula(ta),
-            f"new free names appeared: {sorted(new)}",
+            False, tb, ta, f"new free names appeared: {sorted(new)}"
         )
-    return SubjectReductionReport(True, show_formula(tb), show_formula(ta))
+    return SubjectReductionReport(True, tb, ta)
 
 
 # ---------------------------------------------------------------------------
@@ -1210,6 +1214,383 @@ def lex_oracle(text: str) -> list[tuple[str, str, int, int]]:
             raise LaxSyntaxError(f"unexpected character {c!r}", line, col)
     toks.append(("eof", "", line, col))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# parsing by recursive descent, over lex_oracle's tokens
+#
+# The library parses on explicit stacks and reads token texts; here is the
+# recursive-descent parser it replaced, one method per grammar rule, over
+# the positioned tokens of the character loop. parse_oracle(entry, text)
+# reads text as parse_<entry> does.
+
+_KEYWORDS = {"free", "case", "of", "tt", "nu", "pi0", "pi1", "inj0", "inj1", "efq"}
+
+Token = tuple[str, str, int, int]
+
+
+class _OracleParser:
+    def __init__(self, text: str, free_names: dict[str, Formula] | set[str] | None):
+        self.toks = lex_oracle(text)
+        self.i = 0
+        self.free_names = set(free_names) if free_names else set()
+        # every name a binder has taken, and the declared free names
+        self.used = set(self.free_names)
+        # innermost binder last: (source name, fresh name, the axiom mode of
+        # a channel or None for a variable, whether the session is active)
+        self.scopes: list[tuple[str, str, str | None, bool]] = []
+        # the channel of each open general session -> how many of its
+        # occurrences read so far are not the head of an application
+        self.bare: dict[str, int] = {}
+
+    def peek(self) -> Token:
+        return self.toks[self.i]
+
+    def advance(self) -> Token:
+        t = self.toks[self.i]
+        self.i += 1
+        return t
+
+    def err(self, msg: str, tok: Token | None = None):
+        _, _, line, col = tok or self.peek()
+        raise LaxSyntaxError(msg, line, col)
+
+    def eat(self, text: str) -> Token:
+        t = self.toks[self.i]
+        if t[1] != text:
+            self.err(f"expected {text!r}, found {t[1]!r}")
+        self.i += 1
+        return t
+
+    def at(self, text: str) -> bool:
+        return self.toks[self.i][1] == text
+
+    def eat_ident(self) -> Token:
+        t = self.toks[self.i]
+        if t[0] != "ident" or t[1] in _KEYWORDS:
+            self.err(f"expected an identifier, found {t[1]!r}")
+        self.i += 1
+        return t
+
+    def finish(self, result):
+        """result, once the whole input has been read."""
+        if self.peek()[0] != "eof":
+            self.err(f"trailing input {self.peek()[1]!r}")
+        return result
+
+    def bind(self, name: str, mode: str | None = None, active: bool = False) -> str:
+        """Open the scope of a binder of name; the name it takes is fresh for
+        the declared free names and every binder opened before it."""
+        new = fresh_name(name, self.used)
+        self.used.add(new)
+        self.scopes.append((name, new, mode, active))
+        if mode == "general":
+            self.bare[new] = 0
+        return new
+
+    # ---- formulas ------------------------------------------------------
+
+    def formula(self) -> Formula:
+        left = self.f_disj()
+        if self.at("->"):
+            self.advance()
+            return Impl(left, self.formula())
+        return left
+
+    def f_disj(self) -> Formula:
+        left = self.f_conj()
+        if self.at("\\/"):
+            self.advance()
+            return Disj(left, self.f_disj())
+        return left
+
+    def f_conj(self) -> Formula:
+        left = self.f_unary()
+        if self.at("/\\"):
+            self.advance()
+            return Conj(left, self.f_conj())
+        return left
+
+    def f_unary(self) -> Formula:
+        if self.at("~"):
+            self.advance()
+            return neg(self.f_unary())
+        return self.f_atom()
+
+    def f_atom(self) -> Formula:
+        kind, text, _, _ = self.peek()
+        if text == "(":
+            self.advance()
+            f = self.formula()
+            self.eat(")")
+            return f
+        if kind == "ident":
+            if text == "Top":
+                self.advance()
+                return TOP
+            if text == "Bot":
+                self.advance()
+                return BOT
+            if text in _KEYWORDS:
+                self.err(f"{text!r} is reserved")
+            self.advance()
+            return Atom(text)
+        self.err(f"expected a formula, found {text!r}")
+
+    # ---- axiom literals ------------------------------------------------
+
+    def axiom(self) -> AxiomScheme:
+        t = self.peek()
+        text = t[1]
+        try:
+            if text == "EM":
+                self.advance()
+                self.eat("[")
+                f = self.formula()
+                self.eat("]")
+                return em_axiom(f)
+            if text == "EMN":
+                self.advance()
+                self.eat("[")
+                f = self.formula()
+                self.eat(";")
+                kind, count, _, _ = self.peek()
+                if kind != "int":
+                    self.err("expected a receiver count")
+                try:
+                    fanout = int(count)
+                except ValueError:  # more digits than int() converts
+                    self.err("receiver count too large")
+                self.advance()
+                self.eat("]")
+                return broadcast_axiom(f, fanout)
+            if text == "C":
+                self.advance()
+                self.eat("[")
+                atoms = [self.f_atom()]
+                while self.at(","):
+                    self.advance()
+                    atoms.append(self.f_atom())
+                self.eat("]")
+                return cyclic_axiom(atoms)
+            if text == "G":
+                self.advance()
+                self.eat("[")
+                a = self.f_atom()
+                self.eat(",")
+                b = self.f_atom()
+                self.eat("]")
+                return goedel_axiom(a, b)
+            if text == "AX":
+                self.advance()
+                derived = False
+                if self.at("!"):
+                    self.advance()
+                    derived = True
+                self.eat("{")
+                comps = [self._axiom_component()]
+                while self.at(","):
+                    self.advance()
+                    comps.append(self._axiom_component())
+                self.eat("}")
+                return general_axiom(tuple(comps), derived=derived)
+        except AxiomValidationError as e:
+            self.err(str(e), t)
+        self.err(f"expected an axiom literal, found {text!r}")
+
+    def _axiom_component(self) -> tuple[Formula, Formula]:
+        tok = self.peek()
+        f = self.formula()
+        if not isinstance(f, Impl):
+            self.err("axiom component must be an implication", tok)
+        return (f.left, f.right)
+
+    # ---- terms ---------------------------------------------------------
+
+    def resolve(self, tok: Token) -> Term:
+        name = tok[1]
+        for source, new, mode, active in reversed(self.scopes):
+            if source == name:
+                if mode is None:
+                    return Var(new)
+                if mode == "general":
+                    self.bare[new] += 1
+                return Chan(new, None, active, False)
+        if name.startswith("not") and len(name) > 3:
+            base = name[3:]
+            for source, new, mode, active in reversed(self.scopes):
+                if source == base:
+                    if mode is None:
+                        break
+                    if mode == "general":
+                        self.err(
+                            f"channel {base!r} has no sender polarity "
+                            "(general axiom)", tok,
+                        )
+                    return Chan(new, None, active, True)
+        if name in self.free_names:
+            return Var(name)
+        self.err(f"unbound identifier {name!r}", tok)
+
+    def term(self) -> Term:
+        if self.at("\\"):
+            self.advance()
+            v = self.eat_ident()[1]
+            self.eat(":")
+            ann = self.formula()
+            self.eat(".")
+            name = self.bind(v)
+            body = self.term()
+            self.scopes.pop()
+            return Lam(name, ann, body)
+        return self.contract()
+
+    def contract(self) -> Term:
+        left = self.juxt()
+        if self.at("|+|"):
+            self.advance()
+            return Contract(left, self.contract())
+        return left
+
+    _PRIMARY_STARTS = {"(", "<", "tt", "inj0", "inj1", "case", "efq", "nu"}
+
+    def juxt(self) -> Term:
+        t = self.primary()
+        while True:
+            kind, text, _, _ = self.peek()
+            if text == "pi0" or text == "pi1":
+                self.advance()
+                t = Proj(t, 0 if text == "pi0" else 1)
+            elif text in self._PRIMARY_STARTS or (
+                kind == "ident" and text not in _KEYWORDS
+            ):
+                if type(t) is Chan and t.name in self.bare:
+                    self.bare[t.name] -= 1  # an applied occurrence
+                t = App(t, self.primary())
+            else:
+                return t
+
+    def primary(self) -> Term:
+        t = self.peek()
+        text = t[1]
+        if text == "(":
+            self.advance()
+            inner = self.term()
+            self.eat(")")
+            return inner
+        if text == "<":
+            self.advance()
+            parts = [self.term()]
+            while self.at(","):
+                self.advance()
+                parts.append(self.term())
+            self.eat(">")
+            if len(parts) < 2:
+                self.err("a pair needs at least two components", t)
+            return build_tuple(tuple(parts))
+        if text == "tt":
+            self.advance()
+            return TT
+        if text == "inj0" or text == "inj1":
+            self.advance()
+            self.eat("[")
+            disj = self.formula()
+            self.eat("]")
+            self.eat("(")
+            arg = self.term()
+            self.eat(")")
+            return Inj(0 if text == "inj0" else 1, disj, arg)
+        if text == "efq":
+            self.advance()
+            self.eat("[")
+            target = self.formula()
+            self.eat("]")
+            self.eat("(")
+            arg = self.term()
+            self.eat(")")
+            return Efq(arg, target)
+        if text == "case":
+            self.advance()
+            scrut = self.term()
+            self.eat("of")
+            self.eat("{")
+            lv = self.eat_ident()[1]
+            self.eat(".")
+            lv = self.bind(lv)
+            lbody = self.term()
+            self.scopes.pop()
+            self.eat("|")
+            rv = self.eat_ident()[1]
+            self.eat(".")
+            rv = self.bind(rv)
+            rbody = self.term()
+            self.scopes.pop()
+            self.eat("}")
+            return Case(scrut, lv, lbody, rv, rbody)
+        if text == "nu":
+            self.advance()
+            source = self.eat_ident()[1]
+            active = False
+            if self.at("*"):
+                self.advance()
+                active = True
+            self.eat(":")
+            ax = self.axiom()
+            self.eat(".")
+            self.eat("[")
+            name = self.bind(source, ax.mode, active)
+            comps = [self._component()]
+            while self.at("||"):
+                self.advance()
+                comps.append(self._component())
+            self.scopes.pop()
+            self.eat("]")
+            if len(comps) < 2:
+                self.err("a session needs at least two components", t)
+            if self.bare.pop(name, 0):
+                # bare occurrences are only legal for EM/broadcast receivers
+                self.err(
+                    f"channel {source!r} cannot occur alone; "
+                    "apply it to an argument", t,
+                )
+            return ParBind(name, active, ax, tuple(comps))
+        if t[0] == "ident":
+            self.advance()
+            return self.resolve(t)
+        self.err(f"expected a term, found {text!r}")
+
+    def _component(self) -> Term:
+        # components are full terms; the brackets delimit them
+        if self.at("@"):
+            self.advance()
+            return Underline(self.term())
+        return self.term()
+
+
+def _oracle_program(text: str) -> Program:
+    """`free NAME : FORMULA ;` declarations followed by one term."""
+    p = _OracleParser(text, None)
+    gamma: dict[str, Formula] = {}
+    while p.at("free"):
+        p.advance()
+        name = p.eat_ident()
+        if name[1] in gamma:
+            p.err(f"duplicate free declaration {name[1]!r}", name)
+        p.eat(":")
+        gamma[name[1]] = p.formula()
+        p.eat(";")
+    p.free_names = set(gamma)
+    p.used = set(gamma)
+    return Program(gamma, p.finish(p.term()))
+
+
+def parse_oracle(entry: str, text: str, free_names=None):
+    """What parse_<entry> gives for text: entry is program, term, formula
+    or axiom, and free_names is read by term alone."""
+    if entry == "program":
+        return _oracle_program(text)
+    p = _OracleParser(text, free_names if entry == "term" else None)
+    return p.finish(getattr(p, entry)())
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from lax import (
     PropertyReport,
     StepLimitExceeded,
     TypingContext,
+    TypingError,
     Underline,
     Var,
     audit_trace,
@@ -133,6 +134,20 @@ def test_check_subformula_on_normal_forms():
         ctx, final, _ = _run(seed, preset)
         rep = check_subformula(ctx, final)
         assert rep.holds, rep.witnesses
+
+
+def test_check_subformula_checks_a_term_only_when_its_judgement_fails_the_context(monkeypatch):
+    """A normal form whose judgement holds in the context is read, not
+    checked again; in another context check runs and raises as before."""
+    ctx, final, _ = _run(3, "em")
+    want = check_subformula(ctx, final)
+    checked = []
+    monkeypatch.setattr(analysis, "check", lambda *a: checked.append(a) or check(*a))
+    assert check_subformula(ctx, final) == want
+    assert checked == []
+    with pytest.raises(TypingError):
+        check_subformula(TypingContext(), final)
+    assert len(checked) == 1
 
 
 def test_the_subformula_witnesses_come_sessions_first_each_in_preorder(monkeypatch):

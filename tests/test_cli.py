@@ -364,23 +364,32 @@ def test_fuzz_accepts_the_smallest_sizes_and_counts(capsys):
 DEEP = {
     "parentheses": "(" * 400 + "tt" + ")" * 400,
     "lambdas": "(\\x : A." * 300 + "x" + ")" * 300,
+    "lambdas-5000": "(\\x : A." * 5_000 + "x" + ")" * 5_000,
 }
 
 
 @pytest.mark.parametrize("command", ["check", "normalize"])
 @pytest.mark.parametrize("shape", sorted(DEEP))
-def test_too_deep_input_is_bad_input(prog, capsys, command, shape):
-    """Nesting past the interpreter's recursion limit is an input error,
-    never a traceback, and under --format json still one JSON event."""
+def test_deep_input_is_read_and_run(prog, capsys, command, shape):
+    """No nesting is too deep for the parser or anything after it: the
+    input runs and exits 0 with no traceback, and under --format json its
+    one line is one JSON object."""
     path = prog(DEEP[shape])
-    assert main([command, path]) == 1
+    depth = DEEP[shape].count("(")
+    want = "Top" if shape == "parentheses" else "A -> " * depth + "A"
+    assert main([command, path]) == 0
     captured = capsys.readouterr()
-    assert captured.out == "error: input nested too deeply\n"
+    if command == "check":
+        assert captured.out == f"ok: {want}\n"
     assert captured.err == ""
-    assert main([command, path, "--format", "json"]) == 1
+    assert main([command, path, "--format", "json"]) == 0
     captured = capsys.readouterr()
     (line,) = captured.out.splitlines()
-    assert json.loads(line) == {"event": "error", "error": "input nested too deeply"}
+    event = json.loads(line)
+    if command == "check":
+        assert event == {"command": "check", "ok": True, "type": want}
+    else:
+        assert (event["event"], event["steps"]) == ("normal_form", 0)
     assert captured.err == ""
 
 

@@ -1,11 +1,11 @@
-"""No function of the typer, the formulas, the axioms, the terms, the
-printer, the rewrite rules, the strategy, the checkers or the command line
-calls itself, directly or through other functions of its module: their
-walks over terms and formulas run on explicit stacks, so no nesting depth
-exhausts the interpreter's recursion limit.
+"""No function of the parser, the typer, the formulas, the axioms, the
+terms, the printer, the rewrite rules, the strategy, the checkers or the
+command line calls itself, directly or through other functions of its
+module: their walks over text, terms and formulas run on explicit stacks,
+so no nesting depth exhausts the interpreter's recursion limit.
 
-The modules left out still recurse: parser.py descends the grammar and
-generator.py draws terms by their types, both through methods.
+The module left out still recurses: generator.py draws terms by their
+types, through methods, and never deeper than its size bound.
 """
 
 import ast
@@ -16,8 +16,8 @@ import pytest
 import lax
 
 MODULES = (
-    "typecheck.py", "formulas.py", "axioms.py", "terms.py", "printer.py",
-    "rewrite.py", "strategy.py", "analysis.py", "cli.py",
+    "parser.py", "typecheck.py", "formulas.py", "axioms.py", "terms.py",
+    "printer.py", "rewrite.py", "strategy.py", "analysis.py", "cli.py",
 )
 
 
@@ -91,7 +91,7 @@ def test_the_scan_sees_methods_call_each_other_through_self():
     assert _cycles(source) == [["atom", "term"]]
 
 
-@pytest.mark.parametrize("module", ["parser.py", "generator.py"])
+@pytest.mark.parametrize("module", ["generator.py"])
 def test_the_scan_sees_the_modules_left_out_recurse(module):
     source = (Path(lax.__file__).parent / module).read_text(encoding="utf-8")
     assert _cycles(source) != []

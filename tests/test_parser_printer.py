@@ -2,6 +2,8 @@
 
 import json
 import random
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -20,20 +22,27 @@ from lax import (
     ParBind,
     Proj,
     Top,
+    TypingContext,
     Underline,
     Unit,
     Var,
     alpha_eq,
+    audit_trace,
+    check,
     em_axiom,
     generate,
+    normalize,
+    parse_axiom,
+    parse_formula,
     parse_program,
     parse_term,
+    show_formula,
     show_term,
 )
 from lax.cli import main
-from lax.parser import _lex
+from lax.parser import _lex, _words
 from lax.terms import Chan
-from oracles import lex_oracle
+from oracles import lex_oracle, parse_oracle
 
 A, B = Atom("A"), Atom("B")
 
@@ -120,7 +129,7 @@ def test_only_decimal_digits_lex_as_integers(digit):
     parse_program("free f : A;\nnu a : EMN[A;\u0663]. [f || f]\n")
 
 
-# the lexer against the character loop of tests/oracles.py
+# the token texts and positions against the character loop of tests/oracles.py
 
 DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
@@ -135,11 +144,40 @@ def _frozen_texts() -> list[str]:
     return out
 
 
-def _tokens(lex, text):
+def _mutants(texts: list[str]) -> list[str]:
+    """2 000 texts, each a frozen text with one character inserted,
+    replaced or deleted, seeded."""
+    rng = random.Random(13)
+    mutants = []
+    for _ in range(2000):
+        s = rng.choice(texts)
+        i = rng.randrange(len(s) + 1)
+        c = rng.choice(_FRAGMENTS + [chr(rng.randrange(0x20, 0x3000))])[:1]
+        mutants.append(rng.choice([s[:i] + c + s[i:], s[:i] + c + s[i + 1:], s[:i] + s[i + 1:]]))
+    return mutants
+
+
+def _error(e: LaxSyntaxError):
+    return ("error", e.message, e.line, e.col)
+
+
+def _same_tokens_as_the_oracle(text):
+    """The texts the parser reads are the oracle's token texts, the
+    positions its errors report are the oracle's, and a text the oracle
+    does not lex fails to parse with the oracle's error."""
     try:
-        return lex(text)
+        want = lex_oracle(text)
     except LaxSyntaxError as e:
-        return ("error", e.message, e.line, e.col)
+        want = _error(e)
+        with pytest.raises(LaxSyntaxError) as got:
+            _lex(text)
+        assert _error(got.value) == want
+        with pytest.raises(LaxSyntaxError) as got:
+            parse_program(text)
+        assert _error(got.value) == want
+        return
+    assert _lex(text) == want
+    assert _words(text) == [tok[1] for tok in want]
 
 
 # fragments the token rules treat specially: blanks, comments up to the end
@@ -155,21 +193,230 @@ _FRAGMENTS = [
 
 def test_the_lexer_agrees_with_the_oracle_on_the_frozen_programs_and_their_mutants():
     texts = _frozen_texts()
-    rng = random.Random(13)
-    mutants = []
-    for _ in range(2000):
-        s = rng.choice(texts)
-        i = rng.randrange(len(s) + 1)
-        c = rng.choice(_FRAGMENTS + [chr(rng.randrange(0x20, 0x3000))])[:1]
-        mutants.append(rng.choice([s[:i] + c + s[i:], s[:i] + c + s[i + 1:], s[:i] + s[i + 1:]]))
-    for text in texts + mutants:
-        assert _tokens(_lex, text) == _tokens(lex_oracle, text), text
+    for text in texts + _mutants(texts):
+        _same_tokens_as_the_oracle(text)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.one_of(st.sampled_from(_FRAGMENTS), st.characters()), max_size=40).map("".join))
 def test_the_lexer_agrees_with_the_oracle_on_any_text(text):
-    assert _tokens(_lex, text) == _tokens(lex_oracle, text)
+    _same_tokens_as_the_oracle(text)
+
+
+# the parser against the recursive descent of tests/oracles.py
+
+# every name the frozen programs declare free, for the text after their
+# declarations read as a term
+_FREE = ("va", "vb", "vc", "vp", "vq", "vf", "w0", "f", "g", "x", "y")
+
+
+def _parsed(entry: str, text: str):
+    """Each entry point's result on text (a program's term part, as parse_term
+    reads it) next to the oracle's, or the (message, line, col) of its
+    error."""
+    if entry == "term":
+        text = text.rsplit(";", 1)[-1]
+    parse = {
+        "program": parse_program,
+        "term": lambda text: parse_term(text, set(_FREE)),
+        "formula": parse_formula,
+        "axiom": parse_axiom,
+    }[entry]
+    out = []
+    for f in (parse, lambda text: parse_oracle(entry, text, set(_FREE))):
+        try:
+            out.append(f(text))
+        except LaxSyntaxError as e:
+            out.append(_error(e))
+    return out
+
+
+ENTRIES = ("program", "term", "formula", "axiom")
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_the_parser_agrees_with_the_oracle_on_the_frozen_programs_and_their_mutants(entry):
+    texts = _frozen_texts()
+    for text in texts + _mutants(texts):
+        got, want = _parsed(entry, text)
+        assert got == want, text
+
+
+# pieces of the grammar, so that random texts reach every construct and
+# most of the parser's errors
+_GRAMMAR = [
+    "\\x : A.", "\\y:A -> B.", "x", "y", "f", "nota", "notx", "a", "b", "(", ")", "<", ",",
+    ">", "tt", "pi0", "pi1", "inj0[A \\/ B](", "inj1[", "efq[A](", "efq", "case", "of",
+    "{", "u.", "|", "}", "nu a : EM[A]. [", "nu b* : AX{A -> B, B -> A}. [",
+    "nu a : EMN[A;2]. [", "nu a :", "||", "]", "[", "@", "|+|", "free x : A;", "free",
+    "A", "Top", "Bot", "~", "->", "/\\", "\\/", "EM[", "EMN[", ";", "2", "C[", "G[", "AX{",
+    "AX!{", "A -> B", ":", ".", "*", "!", "#", "\n", "Z", "99999999999",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(ENTRIES),
+    st.lists(st.one_of(st.sampled_from(_GRAMMAR), st.characters()), max_size=30).map(" ".join),
+)
+def test_the_parser_agrees_with_the_oracle_on_any_text(entry, text):
+    got, want = _parsed(entry, text)
+    assert got == want
+
+
+# texts built by the grammar, closed or not, typed or not: binders that
+# shadow one another and the free names, channels read bare, applied and
+# negated, and every precedence left to the parser
+_FORMULAS = st.recursive(
+    st.sampled_from(["A", "B", "C", "Top", "Bot"]),
+    lambda inner: st.one_of(
+        st.builds("~{}".format, inner),
+        st.builds("({})".format, inner),
+        *(st.builds(("{} %s {}" % op).format, inner, inner) for op in ("->", "/\\", "\\/")),
+    ),
+    max_leaves=6,
+)
+_AXIOMS = st.one_of(
+    st.builds("EM[{}]".format, _FORMULAS),
+    st.builds("EMN[{};{}]".format, _FORMULAS, st.sampled_from(["0", "1", "2", "x"])),
+    st.builds("C[{}, {}]".format, _FORMULAS, _FORMULAS),
+    st.builds("G[{}, {}]".format, _FORMULAS, _FORMULAS),
+    st.builds("AX{{{}, {}}}".format, _FORMULAS, _FORMULAS),
+    st.builds("AX!{{{}, {}}}".format, _FORMULAS, _FORMULAS),
+)
+_BINDERS = st.sampled_from(["x", "y", "a", "b", "x0", "nota", "va"])
+_TERMS = st.recursive(
+    st.sampled_from(["x", "y", "a", "b", "x0", "nota", "notb", "va", "tt", "pi0"]),
+    lambda inner: st.one_of(
+        st.builds("\\{}:{}. {}".format, _BINDERS, _FORMULAS, inner),
+        st.builds("{} {}".format, inner, inner),
+        st.builds("({})".format, inner),
+        st.builds("<{}, {}>".format, inner, inner),
+        st.builds("<{}>".format, inner),
+        st.builds("{} pi1".format, inner),
+        st.builds("inj0[{}]({})".format, _FORMULAS, inner),
+        st.builds("efq[{}]({})".format, _FORMULAS, inner),
+        st.builds("case {} of {{{}. {} | {}. {}}}".format, inner, _BINDERS, inner, _BINDERS, inner),
+        st.builds("nu {}{} : {}. [{} || {}]".format,
+                  _BINDERS, st.sampled_from(["", "*"]), _AXIOMS, inner, inner),
+        st.builds("nu a : EM[A]. [{} || @{} || {}]".format, inner, inner, inner),
+        st.builds("{} |+| {}".format, inner, inner),
+    ),
+    max_leaves=10,
+)
+
+
+def _cut(text: str, i: int, keep: bool) -> str:
+    """text with its i-th blank-separated piece doubled, or dropped."""
+    pieces = text.split(" ")
+    i %= len(pieces)
+    return " ".join(pieces[:i] + [pieces[i]] * (2 if keep else 0) + pieces[i + 1:])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("term"), _TERMS),
+        st.tuples(st.just("program"), _TERMS.map("free va : A; free y : Top; {}".format)),
+        st.tuples(st.just("formula"), _FORMULAS),
+        st.tuples(st.just("axiom"), _AXIOMS),
+    ),
+    st.one_of(st.none(), st.tuples(st.integers(0, 99), st.booleans())),
+)
+def test_the_parser_agrees_with_the_oracle_on_texts_the_grammar_builds(case, cut):
+    entry, text = case
+    if cut is not None:
+        text = _cut(text, *cut)
+    got, want = _parsed(entry, text)
+    assert got == want
+
+
+# depth: no nesting exhausts the recursion limit
+
+DEPTH = 5_000
+
+# each nesting construct, n deep, around x; f and x are free
+_TERM_NESTS = {
+    "parentheses": lambda n: "(" * n + "x" + ")" * n,
+    "pair, first component": lambda n: "<" * n + "x" + ", x>" * n,
+    "pair, last component": lambda n: "<x, " * n + "x" + ">" * n,
+    "injection": lambda n: "inj0[A \\/ A](" * n + "x" + ")" * n,
+    "efq": lambda n: "efq[A](" * n + "x" + ")" * n,
+    "case scrutinee": lambda n: "case " * n + "x" + " of {u. u | v. v}" * n,
+    "case, left branch": lambda n: "case x of {u. " * n + "u" + " | v. v}" * n,
+    "case, right branch": lambda n: "case x of {u. u | v. " * n + "v" + "}" * n,
+    "session, first component": lambda n: "nu a : EM[A]. [" * n + "x" + " || a]" * n,
+    "session, last component": lambda n: "nu a : EM[A]. [nota x || " * n + "a" + "]" * n,
+    "marked component": lambda n: "nu a : EM[A]. [nota x || @" * n + "a" + "]" * n,
+    "lambda body": lambda n: "\\x : A. " * n + "x",
+    "join, right operand": lambda n: "x |+| " * n + "x",
+    "application argument": lambda n: "f (" * n + "x" + ")" * n,
+    "application head": lambda n: "(" * n + "f" + " x)" * n,
+}
+
+_FORMULA_NESTS = {
+    "parentheses": lambda n: "(" * n + "A" + ")" * n,
+    "negation": lambda n: "~" * n + "A",
+    "implication": lambda n: "A -> " * n + "A",
+    "conjunction": lambda n: "A /\\ " * n + "A",
+    "disjunction": lambda n: "A \\/ " * n + "A",
+    "left operand": lambda n: "(" * n + "A" + " -> A)" * n,
+    "mixed": lambda n: "(~A \\/ B /\\ " * n + "A" + ") -> A" * n,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_TERM_NESTS))
+def test_a_deep_nest_of_each_term_construct_parses(shape):
+    """As the oracle reads it where its recursion reaches, and printed back
+    where it does not."""
+    nest = _TERM_NESTS[shape]
+    assert parse_term(nest(40), {"f", "x"}) == parse_oracle("term", nest(40), {"f", "x"})
+    assert sys.getrecursionlimit() <= 1_000
+    text = show_term(parse_term(nest(DEPTH), {"f", "x"}))
+    assert show_term(parse_term(text, {"f", "x"})) == text
+
+
+@pytest.mark.parametrize("shape", sorted(_FORMULA_NESTS))
+def test_a_deep_nest_of_each_formula_construct_parses(shape):
+    nest = _FORMULA_NESTS[shape]
+    assert parse_formula(nest(40)) is parse_oracle("formula", nest(40))
+    assert sys.getrecursionlimit() <= 1_000
+    f = parse_formula(nest(DEPTH))
+    assert parse_formula(show_formula(f)) is f
+    assert parse_axiom(f"EM[{nest(DEPTH)}]").carrier is f
+
+
+def test_a_chain_of_binders_of_one_name_is_renamed_in_linear_time():
+    """Each binder takes the next fresh name, as terms.fresh_name would pick
+    it, without trying again the suffixes the binders before it took."""
+    small = "\\x : A. " * 300 + "x"
+    assert parse_term(small) == parse_oracle("term", small)
+    start = time.perf_counter()
+    t = parse_term("\\x : A. " * DEPTH + "x")
+    took = time.perf_counter() - start
+    names = []
+    while type(t) is Lam:
+        names.append(t.var)
+        t = t.body
+    assert names == ["x"] + [f"x{k}" for k in range(DEPTH - 1)]
+    assert t == Var(f"x{DEPTH - 2}")
+    assert took < 1.0
+
+
+def test_a_deep_parsed_term_checks_prints_normalizes_and_audits():
+    """Read from text, a 5 000-deep component goes through every stage,
+    subject reduction included, within the test's time bound."""
+    body = "g (" * DEPTH + "f (a y)" + ")" * DEPTH
+    text = f"nu a:EM[Z -> Z]. [efq[B](nota (\\z:Z. z)) || {body}]"
+    prog = parse_program(f"free f : Z -> B;\nfree g : B -> B;\nfree y : Z;\n{text}\n")
+    ctx = TypingContext(ivars=prog.gamma)
+    t, _ = check(prog.term, ctx)
+    assert show_term(t) == text
+    final, trace = normalize(t)
+    assert [s.redex.rule for s in trace.steps] == ["Activation", "BasicCross(0,1)", "Beta"]
+    assert show_term(final) == "g (" * DEPTH + "f y" + ")" * DEPTH
+    rep = audit_trace(ctx, trace)
+    assert rep.holds, rep.witnesses
 
 
 def test_a_receiver_count_too_long_for_int_is_a_syntax_error():

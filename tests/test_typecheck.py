@@ -1016,6 +1016,18 @@ def test_the_judgement_refuses_annotations_that_differ_only_in_the_connective():
         type_of(t)
 
 
+def test_a_passing_step_prints_its_types_only_when_they_are_read(monkeypatch):
+    ctx = TypingContext(ivars={"x": A})
+    before, _ = check(parse_term("(\\y : A. y) x", ctx.ivars), ctx)
+    after = step(before, find_redexes(before)[0])
+    printed = []
+    monkeypatch.setattr(typecheck, "show_formula", lambda f: printed.append(f) or str(f))
+    rep = check_subject_reduction(ctx, before, after)
+    assert rep.ok and printed == []
+    assert (rep.type_before, rep.type_after) == ("A", "A")
+    assert printed == [A, A]
+
+
 def test_subject_reduction_tells_a_connective_apart():
     before, _ = check(Pair(Unit(), Unit()))
     after, _ = check(Lam("v", Top(), Var("v")))
